@@ -46,7 +46,7 @@ from .monotonicity import (
     classify,
     weak_supermajorization,
 )
-from .foxh import ContourConfig, HEvaluation, fox_h, meijer_g, mellin_check
+from .foxh import ContourConfig, HEvaluation, density, fox_h, meijer_g, mellin_check
 from .verification import (
     ResidualReport,
     ZeroCountReport,
@@ -94,6 +94,7 @@ __all__ = [
     "weak_supermajorization",
     "ContourConfig",
     "HEvaluation",
+    "density",
     "fox_h",
     "meijer_g",
     "mellin_check",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .foxh import ContourConfig, fox_h
+from .foxh import ContourConfig, density
 from .monotonicity import classify, identical_factor_multisets
 from .ratio import RatioSpec, cm_kernel_t, derive, gamma_ratio
 from .verification import (
@@ -179,10 +179,10 @@ def _default_x_grid(rho: float) -> list[float]:
 def _run_one(name: str, spec: RatioSpec, command: str, job: JobConfig, out_dir: str) -> tuple[bool, bool]:
     """Run one (spec, command) pair; returns (check_failed, errored)."""
     cfg = job.contour
-    inv = derive(spec)
     payload: dict = {"command": command, "spec": {"name": name, **spec.to_dict()}}
     scale = job.tol_scale
     try:
+        inv = derive(spec)
         if command == "classify":
             verdict = classify(spec)
             payload["results"] = {
@@ -196,10 +196,10 @@ def _run_one(name: str, spec: RatioSpec, command: str, job: JobConfig, out_dir: 
 
         if command == "eval-h":
             xs = job.grids.get("x") or _default_x_grid(inv.rho)
-            rows = []
-            for x in xs:
-                ev = fox_h(spec, float(x), cfg)
-                rows.append((float(x), ev.value, ev.error_estimate))
+            rows = [
+                (float(x), ev.value, ev.error_estimate)
+                for x, ev in zip(xs, density(spec, xs, cfg))
+            ]
             values = [r[1] for r in rows]
             payload["results"] = {
                 "points": len(rows),
@@ -231,7 +231,7 @@ def _run_one(name: str, spec: RatioSpec, command: str, job: JobConfig, out_dir: 
             else:
                 laplace = laplace_reconstruct(spec, xs, cfg, tolerance=LAPLACE_TOL * scale)
                 sample = [inv.rho * k / 16.0 for k in range(1, 16)]
-                h_min = float(min(fox_h(spec, x, cfg).value for x in sample))
+                h_min = float(min(ev.value for ev in density(spec, sample, cfg)))
             checks = [
                 laplace,
                 cm_probe(spec, x0=2.0, h=0.05, max_order=6, tolerance=CM_PROBE_TOL * scale),
@@ -307,7 +307,7 @@ def _run_one(name: str, spec: RatioSpec, command: str, job: JobConfig, out_dir: 
             return not check.passed, False
 
         raise ConfigError(f"unknown command {command!r}")
-    except (DomainError, ValueError, RuntimeError) as exc:
+    except (DomainError, ValueError, RuntimeError, ArithmeticError) as exc:
         payload["status"] = "error"
         payload["error"] = f"{type(exc).__name__}: {exc}"
         _write_report(out_dir, command, payload)

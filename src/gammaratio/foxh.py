@@ -15,7 +15,15 @@ The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt are computed as
 an oscillatory-weight quadrature over [0, T] (whose cost is independent of
 the frequency) plus an analytic tail: g is fitted on [T, 3T] to a
 three-term algebraic expansion whose oscillatory moments have closed forms
-in the complex upper incomplete gamma.
+in the complex upper incomplete gamma.  One incomplete gamma is evaluated
+per tail; the other two moments follow from an exact recurrence.
+
+g does not depend on x.  A DensityEvaluator derives and validates a spec
+once and owns one contour whose g is memoized on the exact complex s, so
+every density point of a curve (``density``), of a Mellin or Laplace
+quadrature, or of an integral-equation check reuses the g values that
+earlier points computed at the same quadrature nodes.  ``fox_h`` is the
+one-point case.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ _OMEGA_SWITCH = 0.05
 # Relative half-width of the excluded neighbourhood of x = rho, where the
 # leading part diverges for mu < 1 and the decomposition loses all digits.
 _RHO_EXCLUSION = 1e-6
+
+# Width of the interval at the support endpoint over which the singular
+# leading part of the Mellin integrand is integrated in closed form.
+_MELLIN_SPLIT = 0.5
 
 _SUM_TOL = 1e-9
 _MU_WARN = 0.2
@@ -121,13 +133,22 @@ class _Contour:
         self.log_stirling = inv.log_stirling_const
         self.gamma_pole = inv.gamma_pole
         self._tail_fits: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
+        self._g_values: dict[complex, complex] = {}
 
     def g(self, s: complex) -> complex:
-        """Subtracted integrand; evaluated as A* s^-mu expm1(d) with d -> 0."""
-        lg = sc.loggamma(self.scales * s + self.shifts)
-        log_ratio = complex(np.dot(self.weights, lg)) - s * self.log_rho
-        lead_log = self.log_stirling - self.mu * cmath.log(s)
-        return cmath.exp(lead_log) * _cexpm1(log_ratio - lead_log)
+        """Subtracted integrand; evaluated as A* s^-mu expm1(d) with d -> 0.
+
+        Memoized on the exact s: the adaptive rules of different density
+        points (and the cos and sin passes of one point) share their nodes,
+        and a cached value is the value the evaluation would return.
+        """
+        value = self._g_values.get(s)
+        if value is None:
+            lg = sc.loggamma(self.scales * s + self.shifts)
+            log_ratio = complex(np.dot(self.weights, lg)) - s * self.log_rho
+            lead_log = self.log_stirling - self.mu * cmath.log(s)
+            value = self._g_values[s] = cmath.exp(lead_log) * _cexpm1(log_ratio - lead_log)
+        return value
 
 
 def subtracted_gamma_ratio(spec: RatioSpec, s: complex) -> complex:
@@ -164,6 +185,28 @@ def _quad_result(res) -> tuple[float, float, bool]:
     return float(value), float(abserr), trouble
 
 
+def _tail_moments(omega: float, mu: float, z0: complex) -> list[complex]:
+    """Oscillatory moments I_nu of _osc_tail_moment for nu = mu+1, ..., mu+3.
+
+    Integration by parts gives I_{nu+1} = (omega I_nu - i z0^-nu) / nu, so
+    one incomplete gamma yields all three.  The recurrence runs backward
+    from the highest power when |omega z0| >= 1, where the boundary term
+    dominates, and forward from the lowest power otherwise.
+    """
+    nus = [mu + k for k in range(1, _TAIL_FIT_TERMS + 1)]
+    if omega == 0.0:
+        return [_osc_tail_moment(0.0, nu, z0) for nu in nus]
+    if abs(omega) * abs(z0) >= 1.0:
+        moments = [_osc_tail_moment(omega, nus[-1], z0)]
+        for nu in reversed(nus[:-1]):
+            moments.append((nu * moments[-1] + 1j * z0 ** (-nu)) / omega)
+        return moments[::-1]
+    moments = [_osc_tail_moment(omega, nus[0], z0)]
+    for nu in nus[:-1]:
+        moments.append((omega * moments[-1] - 1j * z0 ** (-nu)) / nu)
+    return moments
+
+
 def _tail_fit(contour: _Contour, c: float, T: float) -> tuple[np.ndarray, float]:
     """Least-squares coefficients of g against inverse powers on [T, 3T].
 
@@ -192,8 +235,8 @@ def _tail_re(contour: _Contour, c: float, omega: float, T: float):
     coef, fit_residual = _tail_fit(contour, c, T)
     z0 = complex(c, T)
     tail = complex(0.0)
-    for k, kap in enumerate(coef, start=1):
-        tail += kap * _osc_tail_moment(omega, contour.mu + k, z0)
+    for kap, moment in zip(coef, _tail_moments(omega, contour.mu, z0)):
+        tail += kap * moment
     tail *= cmath.exp(1j * omega * T)
     return tail.real, fit_residual * T / (contour.mu + _TAIL_FIT_TERMS)
 
@@ -265,24 +308,6 @@ def _fourier_truncated(contour: _Contour, c: float, omega: float, cfg: ContourCo
     return hv, he + tail_bound
 
 
-def _validate_h_inputs(spec: RatioSpec, inv: DerivedInvariants, cfg: ContourConfig) -> float:
-    if inv.mu <= 0.0:
-        raise UnsupportedParameterError(
-            f"density evaluation requires mu > 0, got mu={inv.mu}"
-        )
-    if abs(inv.sum_A - inv.sum_B) > _SUM_TOL * max(inv.sum_A, inv.sum_B):
-        raise DomainError(
-            f"density evaluation requires sum(A)=sum(B); got {inv.sum_A} and {inv.sum_B}"
-        )
-    if inv.mu < _MU_WARN:
-        warnings.warn(
-            f"mu={inv.mu} < {_MU_WARN}: slow contour decay, results may need a looser tolerance",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return cfg.resolve_abscissa(inv)
-
-
 def _leading_density(inv: DerivedInvariants, x: float) -> float:
     """Closed-form leading part: A* log(rho/x)^(mu-1) / Gamma(mu) on (0, rho)."""
     if x >= inv.rho:
@@ -349,35 +374,131 @@ def _remainder_density(
     )
 
 
-def fox_h(spec: RatioSpec, x: float, cfg: ContourConfig | None = None) -> HEvaluation:
-    """Representing density at x > 0 via the subtracted contour integral.
+class DensityEvaluator:
+    """The density of one spec on one shared, memoized contour.
 
-    Requires mu > 0 and equal scale sums.  Points within a relative distance
-    of 1e-6 from the support endpoint rho are refused: the leading part
-    diverges there for mu < 1 and the two parts cancel to noise.  For
-    x > rho the exact value is zero and the returned value is quadrature
-    noise of that size.
+    Derives and validates the spec and resolves the contour abscissa once;
+    requires mu > 0 and equal scale sums, and warns once when mu is small
+    enough to slow the contour decay.  Every point evaluated through one
+    evaluator reuses the g values of the points before it, so a whole curve
+    or an outer quadrature over x should go through a single evaluator.
     """
-    cfg = cfg or DEFAULT_CONTOUR
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"fox_h: x={x} must be a positive real")
-    inv = derive(spec)
-    c = _validate_h_inputs(spec, inv, cfg)
-    if abs(x - inv.rho) <= _RHO_EXCLUSION * inv.rho:
-        raise SingularPointError(
-            f"fox_h: x={x} within {_RHO_EXCLUSION} relative of the support endpoint rho={inv.rho}"
+
+    def __init__(self, spec: RatioSpec, cfg: ContourConfig | None = None):
+        cfg = cfg or DEFAULT_CONTOUR
+        inv = derive(spec)
+        if inv.mu <= 0.0:
+            raise UnsupportedParameterError(
+                f"density evaluation requires mu > 0, got mu={inv.mu}"
+            )
+        if abs(inv.sum_A - inv.sum_B) > _SUM_TOL * max(inv.sum_A, inv.sum_B):
+            raise DomainError(
+                f"density evaluation requires sum(A)=sum(B); got {inv.sum_A} and {inv.sum_B}"
+            )
+        if inv.mu < _MU_WARN:
+            warnings.warn(
+                f"mu={inv.mu} < {_MU_WARN}: slow contour decay, results may need a looser tolerance",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        self.cfg = cfg
+        self.inv = inv
+        self.c = cfg.resolve_abscissa(inv)
+        self.contour = _Contour(spec, inv)
+
+    def remainder(self, x: float, c: float | None = None) -> tuple[float, float]:
+        """Quadrature part of the density at any x > 0 and its error estimate.
+
+        c overrides the resolved abscissa (the Mellin quadrature lowers it).
+        """
+        inv = self.inv
+        c = self.c if c is None else c
+        return _remainder_density(self.contour, c, x, inv.rho, inv.log_rho, self.cfg)
+
+    def value(self, x: float, c: float | None = None) -> float:
+        """Density at any x > 0, without the support-endpoint exclusion."""
+        return _leading_density(self.inv, x) + self.remainder(x, c)[0]
+
+    def evaluate(self, x: float) -> HEvaluation:
+        """Density at x split into its parts, with the combined error estimate."""
+        leading = _leading_density(self.inv, x)
+        remainder, rem_err = self.remainder(x)
+        return HEvaluation(
+            value=leading + remainder,
+            leading_part=leading,
+            remainder_part=remainder,
+            error_estimate=rem_err + 1e-14 * abs(leading),
         )
-    contour = _Contour(spec, inv)
-    leading = _leading_density(inv, x)
-    remainder, rem_err = _remainder_density(contour, c, x, inv.rho, inv.log_rho, cfg)
-    value = leading + remainder
-    return HEvaluation(
-        value=value,
-        leading_part=leading,
-        remainder_part=remainder,
-        error_estimate=rem_err + 1e-14 * abs(leading),
-    )
+
+    def mellin_transform(self, s: float) -> float:
+        """int_0^rho H(x) x^(s-1) dx via the substitution x = rho e^-tau.
+
+        The tau^(mu-1) endpoint singularity of the leading part is integrated
+        analytically over (0, tau_c) (a lower incomplete gamma); the bounded
+        remainder is integrated numerically there, and the full density over
+        the rest of the range.
+        """
+        inv, cfg = self.inv, self.cfg
+        if s <= inv.gamma_pole:
+            raise DomainError(f"Mellin transform requires s > {inv.gamma_pole}, got s={s}")
+        # Evaluation noise of the remainder scales like e^(c tau) while the
+        # integrand weight is e^(-s tau); keeping c <= s stops the noise from
+        # outgrowing the weight over the long tau range.  An explicitly
+        # configured abscissa is honored as given.
+        c = self.c
+        if cfg.abscissa_c is None:
+            floor_c = max(inv.gamma_pole, 0.0)
+            c = max(min(s, c), floor_c + 0.05, 0.05)
+
+        tau_c = _MELLIN_SPLIT
+        tau_max = min(45.0 / max(s - inv.gamma_pole, 0.05), 4000.0)
+        if tau_max <= 2.0 * tau_c:
+            tau_c = 0.25 * tau_max
+
+        lead_near = math.exp(inv.log_stirling_const) * s ** (-inv.mu) * float(
+            sc.gammainc(inv.mu, s * tau_c)
+        )
+        epsrel = max(1e-10, 0.01 * cfg.quad_rel_tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            near = quad(
+                lambda tau: self.remainder(inv.rho * math.exp(-tau), c)[0] * math.exp(-s * tau),
+                0.0, tau_c, epsabs=1e-13, epsrel=epsrel, limit=80,
+            )
+            bulk = quad(
+                lambda tau: self.value(inv.rho * math.exp(-tau), c) * math.exp(-s * tau),
+                tau_c, tau_max, epsabs=1e-13, epsrel=epsrel, limit=250,
+            )
+        return inv.rho**s * (lead_near + near[0] + bulk[0])
+
+
+def density(spec: RatioSpec, xs, cfg: ContourConfig | None = None) -> list[HEvaluation]:
+    """Representing density at every x of xs via the subtracted contour integral.
+
+    Requires mu > 0 and equal scale sums.  Every x must be a positive real,
+    and points within a relative distance of 1e-6 from the support endpoint
+    rho are refused: the leading part diverges there for mu < 1 and the two
+    parts cancel to noise.  For x > rho the exact value is zero and the
+    returned value is quadrature noise of that size.  All points share one
+    contour, so a curve costs far less than as many fox_h calls.
+    """
+    xs = [float(x) for x in xs]
+    for x in xs:
+        if not math.isfinite(x) or x <= 0.0:
+            raise DomainError(f"density: x={x} must be a positive real")
+    ev = DensityEvaluator(spec, cfg)
+    rho = ev.inv.rho
+    for x in xs:
+        if abs(x - rho) <= _RHO_EXCLUSION * rho:
+            raise SingularPointError(
+                f"density: x={x} within {_RHO_EXCLUSION} relative of the support endpoint rho={rho}"
+            )
+    return [ev.evaluate(x) for x in xs]
+
+
+def fox_h(spec: RatioSpec, x: float, cfg: ContourConfig | None = None) -> HEvaluation:
+    """Representing density at one point x > 0; see :func:`density`."""
+    return density(spec, (x,), cfg)[0]
 
 
 def meijer_g(a, b, x: float, cfg: ContourConfig | None = None) -> HEvaluation:
@@ -415,63 +536,6 @@ def gamma_product_ratio_at(spec: RatioSpec, s: float) -> float:
     return math.exp(log_val)
 
 
-# Width of the interval at the support endpoint over which the singular
-# leading part of the Mellin integrand is integrated in closed form.
-_MELLIN_SPLIT = 0.5
-
-
-def _mellin_transform_of_density(spec: RatioSpec, s: float, cfg: ContourConfig) -> float:
-    """int_0^rho H(x) x^(s-1) dx via the substitution x = rho e^-tau.
-
-    The tau^(mu-1) endpoint singularity of the leading part is integrated
-    analytically over (0, tau_c) (a lower incomplete gamma); the bounded
-    remainder is integrated numerically there, and the full density over
-    the rest of the range.
-    """
-    inv = derive(spec)
-    c = _validate_h_inputs(spec, inv, cfg)
-    if s <= inv.gamma_pole:
-        raise DomainError(f"Mellin transform requires s > {inv.gamma_pole}, got s={s}")
-    # Evaluation noise of the remainder scales like e^(c tau) while the
-    # integrand weight is e^(-s tau); keeping c <= s stops the noise from
-    # outgrowing the weight over the long tau range.  An explicitly
-    # configured abscissa is honored as given.
-    if cfg.abscissa_c is None:
-        floor_c = max(inv.gamma_pole, 0.0)
-        c = max(min(s, c), floor_c + 0.05, 0.05)
-    contour = _Contour(spec, inv)
-
-    tau_c = _MELLIN_SPLIT
-    tau_max = min(45.0 / max(s - inv.gamma_pole, 0.05), 4000.0)
-    if tau_max <= 2.0 * tau_c:
-        tau_c = 0.25 * tau_max
-
-    lead_near = math.exp(inv.log_stirling_const) * s ** (-inv.mu) * float(
-        sc.gammainc(inv.mu, s * tau_c)
-    )
-
-    def remainder_at(tau: float) -> float:
-        val, _ = _remainder_density(contour, c, inv.rho * math.exp(-tau), inv.rho, inv.log_rho, cfg)
-        return val
-
-    def full_at(tau: float) -> float:
-        x = inv.rho * math.exp(-tau)
-        rem, _ = _remainder_density(contour, c, x, inv.rho, inv.log_rho, cfg)
-        return _leading_density(inv, x) + rem
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        near = quad(
-            lambda tau: remainder_at(tau) * math.exp(-s * tau),
-            0.0, tau_c, epsabs=1e-13, epsrel=max(1e-10, 0.01 * cfg.quad_rel_tol), limit=80,
-        )
-        bulk = quad(
-            lambda tau: full_at(tau) * math.exp(-s * tau),
-            tau_c, tau_max, epsabs=1e-13, epsrel=max(1e-10, 0.01 * cfg.quad_rel_tol), limit=250,
-        )
-    return inv.rho**s * (lead_near + near[0] + bulk[0])
-
-
 def mellin_check(spec: RatioSpec, s: float, cfg: ContourConfig | None = None) -> tuple[float, float]:
     """Both sides of the Mellin identity at real s > gamma_pole.
 
@@ -479,8 +543,7 @@ def mellin_check(spec: RatioSpec, s: float, cfg: ContourConfig | None = None) ->
     x^(s-1) over its support and rhs is the gamma-product ratio computed
     independently from the parameters.
     """
-    cfg = cfg or DEFAULT_CONTOUR
     s = float(s)
     rhs = gamma_product_ratio_at(spec, s)
-    lhs = _mellin_transform_of_density(spec, s, cfg)
+    lhs = DensityEvaluator(spec, cfg).mellin_transform(s)
     return lhs, rhs

@@ -21,15 +21,7 @@ from scipy import special as sc
 from scipy.integrate import quad
 
 from .errors import DomainError
-from .foxh import (
-    ContourConfig,
-    DEFAULT_CONTOUR,
-    _Contour,
-    _leading_density,
-    _mellin_transform_of_density,
-    _remainder_density,
-    _validate_h_inputs,
-)
+from .foxh import ContourConfig, DEFAULT_CONTOUR, DensityEvaluator
 from .ratio import RatioSpec, cm_kernel_t, derive, gamma_ratio
 from .monotonicity import identical_factor_multisets
 
@@ -107,21 +99,16 @@ def laplace_reconstruct(
     the Mellin transform of the density at s = x, so the residual compares
     that quadrature against the gamma-product value of W computed directly.
     """
-    cfg = cfg or DEFAULT_CONTOUR
     inv = derive(spec)
     if inv.rho > 1.0 + 1e-12:
         raise DomainError(f"laplace_reconstruct: rho={inv.rho} must be <= 1")
+    ev = DensityEvaluator(spec, cfg)
     residuals = []
     for x in x_grid:
-        recon = _mellin_transform_of_density(spec, float(x), cfg)
+        recon = ev.mellin_transform(float(x))
         exact = gamma_ratio(spec, float(x))
         residuals.append(abs(recon - exact) / abs(exact))
     return _make_report("laplace_reconstruct", x_grid, residuals, tolerance)
-
-
-def _density_full(contour, inv, c, x, cfg):
-    rem, _ = _remainder_density(contour, c, x, inv.rho, inv.log_rho, cfg)
-    return _leading_density(inv, x) + rem
 
 
 def meijer_identity_residual(
@@ -139,7 +126,6 @@ def meijer_identity_residual(
     limit, sum(b-a) G(x)/x) and an integrable algebraic one at t = 1, which
     is split off with a weighted quadrature after substituting t = e^-w.
     """
-    cfg = cfg or DEFAULT_CONTOUR
     av = tuple(float(v) for v in a)
     bv = tuple(float(v) for v in b)
     if len(av) != len(bv):
@@ -147,10 +133,8 @@ def meijer_identity_residual(
     if math.fsum(bv) - math.fsum(av) <= 0.0:
         raise DomainError("meijer_identity_residual: requires sum(b) > sum(a)")
     ones = (1.0,) * len(av)
-    spec = RatioSpec(A=ones, a=av, B=ones, b=bv)
-    inv = derive(spec)
-    c = _validate_h_inputs(spec, inv, cfg)
-    contour = _Contour(spec, inv)
+    ev = DensityEvaluator(RatioSpec(A=ones, a=av, B=ones, b=bv), cfg)
+    inv = ev.inv
     gap = math.fsum(bv) - math.fsum(av)
 
     residuals = []
@@ -158,7 +142,7 @@ def meijer_identity_residual(
         x = float(x)
         if not 0.0 < x < 1.0:
             raise DomainError(f"meijer_identity_residual: x={x} outside (0, 1)")
-        g_x = _density_full(contour, inv, c, x, cfg)
+        g_x = ev.value(x)
         lhs = math.log(1.0 / x) * g_x
 
         def bracket(t: float) -> float:
@@ -169,7 +153,7 @@ def meijer_identity_residual(
         def integrand(t: float) -> float:
             if abs(t - x) <= _T_EXCLUSION:
                 return limit_value
-            return _density_full(contour, inv, c, t, cfg) * bracket(t) / (t - x)
+            return ev.value(t) * bracket(t) / (t - x)
 
         t_hi = min(1.0 - 0.05, 0.5 * (x + 1.0))
         w_hi = -math.log(t_hi)
@@ -191,8 +175,7 @@ def meijer_identity_residual(
                 epsabs=1e-12, epsrel=1e-9, limit=100,
             )
             rem_edge = quad(
-                lambda w: _remainder_density(contour, c, math.exp(-w), inv.rho, inv.log_rho, cfg)[0]
-                * edge_factor(w),
+                lambda w: ev.remainder(math.exp(-w))[0] * edge_factor(w),
                 0.0, w_hi, epsabs=1e-12, epsrel=1e-9, limit=100,
             )
         rhs = mid[0] + lead_edge[0] + rem_edge[0]
@@ -215,12 +198,10 @@ def fox_identity_residual(
     the leading part is handled by a weighted quadrature; the kernel factor
     near w = log(rho/x), i.e. u -> 1, uses the cancellation-free kernel path.
     """
-    cfg = cfg or DEFAULT_CONTOUR
-    inv = derive(spec)
-    c = _validate_h_inputs(spec, inv, cfg)
+    ev = DensityEvaluator(spec, cfg)
+    inv = ev.inv
     if inv.rho > 1.0 + 1e-12:
         raise DomainError(f"fox_identity_residual: rho={inv.rho} must be <= 1")
-    contour = _Contour(spec, inv)
     astar_over_gamma = math.exp(inv.log_stirling_const) / float(sc.gamma(inv.mu))
 
     residuals = []
@@ -230,7 +211,7 @@ def fox_identity_residual(
             raise DomainError(f"fox_identity_residual: x={x} outside (0, rho)")
         w_max = inv.log_rho - math.log(x)
         w_cut = min(0.4, 0.25 * w_max)
-        h_x = _density_full(contour, inv, c, x, cfg)
+        h_x = ev.value(x)
         lhs = w_max * h_x
 
         def kernel_at(w: float) -> float:
@@ -244,14 +225,11 @@ def fox_identity_residual(
                 epsabs=1e-12, epsrel=1e-9, limit=100,
             )
             rem_edge = quad(
-                lambda w: _remainder_density(
-                    contour, c, inv.rho * math.exp(-w), inv.rho, inv.log_rho, cfg
-                )[0]
-                * kernel_at(w),
+                lambda w: ev.remainder(inv.rho * math.exp(-w))[0] * kernel_at(w),
                 0.0, w_cut, epsabs=1e-12, epsrel=1e-9, limit=100,
             )
             bulk = quad(
-                lambda w: _density_full(contour, inv, c, inv.rho * math.exp(-w), cfg) * kernel_at(w),
+                lambda w: ev.value(inv.rho * math.exp(-w)) * kernel_at(w),
                 w_cut, w_max, epsabs=1e-12, epsrel=1e-9, limit=250,
             )
         rhs = lead_edge[0] + rem_edge[0] + bulk[0]
@@ -426,12 +404,7 @@ def count_zeros(
     h_evaluated = inv.mu > 0.0 and abs(inv.sum_A - inv.sum_B) <= 1e-9 * max(inv.sum_A, inv.sum_B)
     h_brackets: list[tuple[float, float]] = []
     if h_evaluated:
-        c = cfg.resolve_abscissa(inv)
-        contour = _Contour(spec, inv)
-
-        def h_at(x: float) -> float:
-            return _density_full(contour, inv, c, x, cfg)
-
+        h_at = DensityEvaluator(spec, cfg).value
         x_grid = inv.rho * np.arange(1, grid_size) / grid_size
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -111,6 +111,20 @@ class TestEvalH:
         assert report["status"] == "error"
         assert "mu" in report["error"]
 
+    def test_overflowing_spec_does_not_stop_batch(self, tmp_path):
+        # rho = 1000^1000 overflows a float while the spec is derived.
+        big = {"name": "big", "A": [1000], "a": [0], "B": [1], "b": [0]}
+        cfg = write_config(
+            tmp_path,
+            {"specs": [big, INVERSE], "commands": ["eval-h"], "grids": {"x": [0.2, 0.5]}},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out)]) == EXIT_CHECK_FAILED
+        report = load_report(out, "big", "eval-h")
+        assert report["status"] == "error"
+        assert "OverflowError" in report["error"]
+        assert load_report(out, "inverse", "eval-h")["status"] == "ok"
+
 
 class TestIdentitiesAndZeros:
     def test_identities_trivial(self, tmp_path):

@@ -4,18 +4,27 @@ import numpy as np
 import pytest
 from scipy.special import gamma as spgamma
 
+import gammaratio.foxh as foxh_mod
 from gammaratio import (
     ContourConfig,
     DomainError,
     RatioSpec,
     SingularPointError,
     UnsupportedParameterError,
+    density,
     derive,
     fox_h,
     meijer_g,
     mellin_check,
 )
-from gammaratio.foxh import gamma_product_ratio_at, subtracted_gamma_ratio
+from gammaratio.foxh import (
+    DensityEvaluator,
+    _Contour,
+    _osc_tail_moment,
+    _tail_moments,
+    gamma_product_ratio_at,
+    subtracted_gamma_ratio,
+)
 
 
 def beta_density(alpha, beta, x):
@@ -101,7 +110,6 @@ class TestFoxH:
         assert ev.value == ev.leading_part + ev.remainder_part
 
     def test_quadrature_failure_raises_with_estimate(self, spec_equal_scales, monkeypatch):
-        import gammaratio.foxh as foxh_mod
         from gammaratio import QuadratureAccuracyError
 
         # Force every quadrature path to disagree across contours.
@@ -111,6 +119,96 @@ class TestFoxH:
             fox_h(spec_equal_scales, 0.4)
         assert exc.value.error_estimate > 0.0
         assert math.isfinite(exc.value.best_estimate)
+
+
+def default_grid(spec):
+    rho = derive(spec).rho
+    return [rho * k / 50.0 for k in range(1, 50)]
+
+
+class TestDensityCurve:
+    def test_curve_equals_pointwise(self, spec_mixed_scale, spec_equal_scales):
+        for spec in (spec_mixed_scale, spec_equal_scales):
+            xs = default_grid(spec)
+            assert density(spec, xs) == [fox_h(spec, x) for x in xs]
+
+    def test_memoized_g_matches_fresh_contour(self, spec_mixed_scale):
+        ev = DensityEvaluator(spec_mixed_scale)
+        for x in default_grid(spec_mixed_scale)[::6]:
+            ev.evaluate(x)
+        memo = ev.contour._g_values
+        assert len(memo) > 100
+        inv = derive(spec_mixed_scale)
+        for s in list(memo)[::37]:
+            assert ev.contour.g(s) == _Contour(spec_mixed_scale, inv).g(s)
+
+    def test_same_errors_as_fox_h(self, spec_equal_scales):
+        rho = derive(spec_equal_scales).rho
+        for x in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fox_h(spec_equal_scales, x)
+            with pytest.raises(DomainError):
+                density(spec_equal_scales, [0.5 * rho, x])
+        for x in (rho * (1.0 + 1e-9), rho * (1.0 - 5e-7)):
+            with pytest.raises(SingularPointError):
+                fox_h(spec_equal_scales, x)
+            with pytest.raises(SingularPointError):
+                density(spec_equal_scales, [0.5 * rho, x])
+
+    def test_warns_once_per_curve(self):
+        spec = RatioSpec(A=(1.0,), a=(0.2,), B=(1.0,), b=(0.3,))
+        with pytest.warns(RuntimeWarning, match="slow contour decay") as record:
+            density(spec, [0.3, 0.5])
+        assert len([w for w in record if "slow contour decay" in str(w.message)]) == 1
+
+    def test_curve_g_evaluations(self, spec_mixed_scale, monkeypatch):
+        # Each g evaluation makes one loggamma call; without the shared
+        # contour this curve needs about 47,000.
+        calls = []
+        loggamma = foxh_mod.sc.loggamma
+
+        def counted(z):
+            calls.append(1)
+            return loggamma(z)
+
+        monkeypatch.setattr(foxh_mod.sc, "loggamma", counted)
+        density(spec_mixed_scale, default_grid(spec_mixed_scale))
+        assert 0 < len(calls) <= 3000
+
+
+class TestTailMoments:
+    def test_recurrence_matches_direct_moments(self):
+        rng = np.random.default_rng(20150121)
+        directions = set()
+        for _ in range(120):
+            omega = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, math.log10(30.0)))
+            mu = float(rng.uniform(0.2, 5.0))
+            z0 = complex(float(rng.choice([0.05, 0.3, 1.0, 2.5])), 400.0)
+            directions.add(abs(omega) * abs(z0) >= 1.0)
+            got = _tail_moments(omega, mu, z0)
+            for k, moment in enumerate(got, start=1):
+                direct = _osc_tail_moment(omega, mu + k, z0)
+                assert abs(moment - direct) <= 1e-12 * abs(direct)
+        assert directions == {True, False}
+
+    def test_zero_frequency_closed_form(self):
+        z0 = complex(0.3, 400.0)
+        got = _tail_moments(0.0, 1.5, z0)
+        assert got == [z0 ** (-0.5 - k) / (1j * (0.5 + k)) for k in (1, 2, 3)]
+
+    def test_one_incomplete_gamma_per_tail(self, monkeypatch):
+        calls = []
+        gammainc = foxh_mod.mpmath.gammainc
+
+        def counted(*args):
+            calls.append(args)
+            return gammainc(*args)
+
+        monkeypatch.setattr(foxh_mod.mpmath, "gammainc", counted)
+        for omega in (-3.0, 1e-4, 2.0):
+            calls.clear()
+            _tail_moments(omega, 2.0, complex(1.0, 400.0))
+            assert len(calls) == 1
 
 
 class TestMeijerG:

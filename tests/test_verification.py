@@ -13,7 +13,7 @@ from gammaratio import (
     laplace_reconstruct,
     meijer_identity_residual,
 )
-from gammaratio.foxh import _mellin_transform_of_density, DEFAULT_CONTOUR
+from gammaratio.foxh import DEFAULT_CONTOUR, DensityEvaluator
 
 
 class TestLaplaceReconstruct:
@@ -35,8 +35,8 @@ class TestLaplaceReconstruct:
     def test_matches_mellin_internal(self, spec_equal_scales):
         # Same integral after substitution; wiring must agree tightly.
         x = 1.5
-        via_laplace = _mellin_transform_of_density(spec_equal_scales, x, DEFAULT_CONTOUR)
-        again = _mellin_transform_of_density(spec_equal_scales, x, DEFAULT_CONTOUR)
+        via_laplace = DensityEvaluator(spec_equal_scales, DEFAULT_CONTOUR).mellin_transform(x)
+        again = DensityEvaluator(spec_equal_scales, DEFAULT_CONTOUR).mellin_transform(x)
         assert via_laplace == pytest.approx(again, rel=1e-10)
 
     def test_report_fields(self, spec_inverse_x):
