@@ -183,7 +183,8 @@ def gamma_ratio(spec: RatioSpec, x: float) -> float:
     """Value of the weighted gamma ratio W(x) for x > 0.
 
     The log-gammas are summed first and exponentiated once, so the result
-    does not overflow unless the final value itself does.
+    does not overflow unless the final value itself does; then DomainError
+    is raised.
     """
     x = float(x)
     _check_arguments(spec, x)
@@ -191,7 +192,10 @@ def gamma_ratio(spec: RatioSpec, x: float) -> float:
         [sc.gammaln(Ai * x + ai) for Ai, ai in zip(spec.A, spec.a)]
         + [-sc.gammaln(Bj * x + bj) for Bj, bj in zip(spec.B, spec.b)]
     )
-    return math.exp(log_w)
+    try:
+        return math.exp(log_w)
+    except OverflowError:
+        raise DomainError(f"gamma_ratio: W(x) at x={x} overflows (log W = {log_w})") from None
 
 
 def log_ratio_derivative(spec: RatioSpec, x: float, order: int) -> float:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -177,38 +179,75 @@ class TestDensityCurve:
 
 
 class TestTailMoments:
-    def test_recurrence_matches_direct_moments(self):
+    def test_rule_matches_direct_moments(self):
         rng = np.random.default_rng(20150121)
-        directions = set()
-        for _ in range(120):
+        cases = []
+        for _ in range(150):
             omega = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, math.log10(30.0)))
-            mu = float(rng.uniform(0.2, 5.0))
-            z0 = complex(float(rng.choice([0.05, 0.3, 1.0, 2.5])), 400.0)
-            directions.add(abs(omega) * abs(z0) >= 1.0)
+            kind = rng.integers(3)
+            if kind == 0:
+                mu = float(rng.integers(1, 6))
+            elif kind == 1:
+                mu = float(rng.integers(0, 5)) + 0.5
+            else:
+                mu = float(rng.uniform(0.2, 5.0))
+            cases.append((omega, mu))
+        cases += [(omega, mu) for omega in (-1e-8, 1e-8) for mu in (0.2, 1.0, 2.5, 5.0)]
+        for omega, mu in cases:
+            T = float(rng.choice([10.0, 400.0, 1000.0]))
+            z0 = complex(float(rng.choice([0.05, 0.3, 1.0, 2.5])), T)
             got = _tail_moments(omega, mu, z0)
             for k, moment in enumerate(got, start=1):
                 direct = _osc_tail_moment(omega, mu + k, z0)
                 assert abs(moment - direct) <= 1e-12 * abs(direct)
-        assert directions == {True, False}
 
     def test_zero_frequency_closed_form(self):
         z0 = complex(0.3, 400.0)
         got = _tail_moments(0.0, 1.5, z0)
         assert got == [z0 ** (-0.5 - k) / (1j * (0.5 + k)) for k in (1, 2, 3)]
 
-    def test_one_incomplete_gamma_per_tail(self, monkeypatch):
-        calls = []
-        gammainc = foxh_mod.mpmath.gammainc
+    def test_density_calls_no_incomplete_gamma(self, spec_mixed_scale, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mpmath.gammainc called")
 
-        def counted(*args):
-            calls.append(args)
-            return gammainc(*args)
+        monkeypatch.setattr(foxh_mod.mpmath, "gammainc", refuse)
+        values = density(spec_mixed_scale, default_grid(spec_mixed_scale))
+        assert all(math.isfinite(ev.value) for ev in values)
 
-        monkeypatch.setattr(foxh_mod.mpmath, "gammainc", counted)
-        for omega in (-3.0, 1e-4, 2.0):
-            calls.clear()
-            _tail_moments(omega, 2.0, complex(1.0, 400.0))
-            assert len(calls) == 1
+
+class TestContourColumns:
+    def grid_and_shifted(self, spec):
+        # The last two points move the contour to the abscissas 0.3 and 0.1.
+        rho = derive(spec).rho
+        return default_grid(spec) + [rho * math.exp(-8.0), rho * math.exp(-25.0)]
+
+    def test_columns_hold_memoized_g(self, spec_mixed_scale):
+        ev = DensityEvaluator(spec_mixed_scale)
+        for x in self.grid_and_shifted(spec_mixed_scale):
+            ev.evaluate(x)
+        memo = ev.contour._g_values
+        columns = ev.contour._columns
+        assert sorted(columns) == [0.1, 0.3, 1.0]
+        for c, re in columns.items():
+            assert re and re.twin
+            for t, part in re.items():
+                assert part.hex() == memo[complex(c, t)].real.hex()
+            for t, part in re.twin.items():
+                assert part.hex() == memo[complex(c, t)].imag.hex()
+
+    def test_evaluator_freed_without_cyclic_gc(self, spec_mixed_scale):
+        gc.disable()
+        try:
+            ev = DensityEvaluator(spec_mixed_scale)
+            ev.evaluate(0.5 * ev.inv.rho)
+            for x in self.grid_and_shifted(spec_mixed_scale):
+                ev.evaluate(x)
+            assert ev.contour._columns
+            contour = weakref.ref(ev.contour)
+            del ev
+            assert contour() is None
+        finally:
+            gc.enable()
 
 
 class TestMeijerG:

@@ -17,6 +17,7 @@ from gammaratio import (
     log_ratio_derivative,
     power_sum_diff,
 )
+from gammaratio.foxh import gamma_product_ratio_at
 from gammaratio.monotonicity import build_unweighted
 
 
@@ -102,6 +103,13 @@ class TestGammaRatio:
             gamma_ratio(spec_mixed_scale, 0.0)
         with pytest.raises(DomainError):
             gamma_ratio(spec_mixed_scale, -2.0)
+
+    def test_overflow_raises_domain_error(self):
+        spec = RatioSpec(A=(1000.0,), a=(0.0,), B=(1.0,), b=(0.0,))
+        with pytest.raises(DomainError, match="x=2.0"):
+            gamma_ratio(spec, 2.0)
+        with pytest.raises(DomainError, match="s=2.0"):
+            gamma_product_ratio_at(spec, 2.0)
 
 
 class TestLogRatioDerivative:
