@@ -31,7 +31,7 @@ from .verification import (
     LAPLACE_TOL,
     MC_TOL_SE,
     MEIJER_IDENTITY_TOL,
-    ResidualReport,
+    _make_report,
     beta_product_moments,
     cm_probe,
     count_zeros,
@@ -39,8 +39,6 @@ from .verification import (
     laplace_reconstruct,
     meijer_identity_residual,
 )
-
-COMMANDS = ("classify", "eval-h", "verify-measure", "identities", "zeros", "mc-moments")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -112,8 +110,7 @@ def parse_config(path: str) -> JobConfig:
 
     contour_raw = raw.get("contour", {})
     _require(isinstance(contour_raw, dict), "'contour' must be an object")
-    allowed = {"abscissa_c", "truncation_T", "quad_rel_tol", "max_nodes"}
-    unknown = set(contour_raw) - allowed
+    unknown = set(contour_raw) - {f.name for f in dataclasses.fields(ContourConfig)}
     _require(not unknown, f"unknown contour fields: {sorted(unknown)}")
     try:
         contour = ContourConfig(**contour_raw)
@@ -176,137 +173,121 @@ def _default_x_grid(rho: float) -> list[float]:
     return [rho * k / 50.0 for k in range(1, 50)]
 
 
+# A command handler fills the report payload and returns its status with an
+# optional CSV header and rows; "check_failed" sets exit status 2.
+_CURVE_HEADER = ["x", "value", "error_estimate"]
+
+
+def _checks(payload: dict, checks, ok: bool = True) -> str:
+    payload["checks"] = [dataclasses.asdict(c) for c in checks]
+    return "ok" if ok and all(c.passed for c in checks) else "check_failed"
+
+
+def _residual_rows(checks) -> list[tuple]:
+    return [(x, r, 0.0) for c in checks for x, r in zip(c.sample_points, c.residuals)]
+
+
+def _classify(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    verdict = classify(spec)
+    payload["results"] = {
+        "classification": verdict.classification,
+        "evidence": [dataclasses.asdict(ev) for ev in verdict.evidence],
+        "derived": dataclasses.asdict(verdict.derived),
+    }
+    return "ok", None, ()
+
+
+def _eval_h(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    xs = job.grids.get("x") or _default_x_grid(inv.rho)
+    rows = [(float(x), ev.value, ev.error_estimate) for x, ev in zip(xs, density(spec, xs, job.contour))]
+    values = [r[1] for r in rows]
+    payload["results"] = {"points": len(rows), "min_value": min(values), "max_value": max(values)}
+    return "ok", _CURVE_HEADER, rows
+
+
+def _verify_measure(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    cfg, scale = job.contour, job.tol_scale
+    xs = job.grids.get("x") or (0.5, 1.0, 2.0, 4.0)
+    if identical_factor_multisets(spec):
+        # W == 1 exactly; the measure is a unit point mass at t = 0 and the
+        # density part vanishes, so reconstruction reduces to checking W
+        # against the constant 1.
+        laplace = _make_report(
+            "laplace_reconstruct", xs, [abs(gamma_ratio(spec, float(x)) - 1.0) for x in xs],
+            LAPLACE_TOL * scale, "degenerate point-mass measure at t=0; density part vanishes",
+        )
+        h_min = 0.0
+    else:
+        laplace = laplace_reconstruct(spec, xs, cfg, tolerance=LAPLACE_TOL * scale)
+        sample = [inv.rho * k / 16.0 for k in range(1, 16)]
+        h_min = float(min(ev.value for ev in density(spec, sample, cfg)))
+    checks = [laplace, cm_probe(spec, x0=2.0, h=0.05, max_order=6, tolerance=CM_PROBE_TOL * scale)]
+    positivity_ok = bool(h_min >= -10.0 * cfg.quad_rel_tol * scale)
+    payload["results"] = {"min_density_sample": h_min, "density_nonnegative": positivity_ok}
+    return _checks(payload, checks, positivity_ok), _CURVE_HEADER, _residual_rows(checks)
+
+
+def _identities(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    cfg, scale = job.contour, job.tol_scale
+    checks = []
+    if all(v == 1.0 for v in spec.A) and all(v == 1.0 for v in spec.B):
+        xs = job.grids.get("x") or (0.2, 0.5, 0.8)
+        checks.append(meijer_identity_residual(spec.a, spec.b, xs, cfg, tolerance=MEIJER_IDENTITY_TOL * scale))
+    xs_h = job.grids.get("x") or (inv.rho / 4.0, inv.rho / 2.0, 3.0 * inv.rho / 4.0)
+    checks.append(fox_identity_residual(spec, xs_h, cfg, tolerance=FOX_IDENTITY_TOL * scale))
+    return _checks(payload, checks), _CURVE_HEADER, _residual_rows(checks)
+
+
+def _zeros(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    report = count_zeros(spec, job.contour, grid_size=256)
+    payload["results"] = dataclasses.asdict(report)
+    if report.conjecture_consistent is False:
+        payload["flag"] = "density has more certified sign changes than the kernel"
+    ts = job.grids.get("t") or [k / 100.0 for k in range(1, 100)]
+    rows = [(float(t), float(cm_kernel_t(spec, float(t))), 0.0) for t in ts]
+    return "ok", ["t", "value", "error_estimate"], rows
+
+
+def _mc_moments(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    if not (spec.p == spec.q and spec.A == spec.B and all(bj > aj for aj, bj in zip(spec.a, spec.b))):
+        payload["results"] = {
+            "reason": "requires p=q, A=B elementwise and b>a elementwise "
+            "to induce beta-product parameters"
+        }
+        return "not_applicable", None, ()
+    alphas = [aj + Aj for aj, Aj in zip(spec.a, spec.A)]
+    betas = [bj - aj for aj, bj in zip(spec.a, spec.b)]
+    xs = job.grids.get("x") or (1.5, 2.0, 3.0)
+    check = beta_product_moments(
+        alphas, betas, spec.A, xs, n_samples=100_000, rng_seed=job.seed,
+        tolerance=MC_TOL_SE * job.tol_scale,
+    )
+    return _checks(payload, [check]), None, ()
+
+
+_HANDLERS = {
+    "classify": _classify,
+    "eval-h": _eval_h,
+    "verify-measure": _verify_measure,
+    "identities": _identities,
+    "zeros": _zeros,
+    "mc-moments": _mc_moments,
+}
+COMMANDS = tuple(_HANDLERS)
+
+
 def _run_one(name: str, spec: RatioSpec, command: str, job: JobConfig, out_dir: str) -> tuple[bool, bool]:
     """Run one (spec, command) pair; returns (check_failed, errored)."""
-    cfg = job.contour
     payload: dict = {"command": command, "spec": {"name": name, **spec.to_dict()}}
-    scale = job.tol_scale
     try:
         inv = derive(spec)
-        if command == "classify":
-            verdict = classify(spec)
-            payload["results"] = {
-                "classification": verdict.classification,
-                "evidence": [dataclasses.asdict(ev) for ev in verdict.evidence],
-                "derived": dataclasses.asdict(verdict.derived),
-            }
-            payload["status"] = "ok"
-            _write_report(out_dir, command, payload)
-            return False, False
-
-        if command == "eval-h":
-            xs = job.grids.get("x") or _default_x_grid(inv.rho)
-            rows = [
-                (float(x), ev.value, ev.error_estimate)
-                for x, ev in zip(xs, density(spec, xs, cfg))
-            ]
-            values = [r[1] for r in rows]
-            payload["results"] = {
-                "points": len(rows),
-                "min_value": min(values),
-                "max_value": max(values),
-            }
-            payload["status"] = "ok"
-            _write_report(out_dir, command, payload)
-            _write_csv(out_dir, command, ["x", "value", "error_estimate"], rows)
-            return False, False
-
-        if command == "verify-measure":
-            xs = job.grids.get("x") or (0.5, 1.0, 2.0, 4.0)
-            if identical_factor_multisets(spec):
-                # W == 1 exactly; the measure is a unit point mass at t = 0
-                # and the density part vanishes, so reconstruction reduces to
-                # checking W against the constant 1.
-                residuals = [abs(gamma_ratio(spec, float(x)) - 1.0) for x in xs]
-                laplace = ResidualReport(
-                    check_id="laplace_reconstruct",
-                    sample_points=tuple(float(x) for x in xs),
-                    residuals=tuple(residuals),
-                    max_residual=max(residuals),
-                    tolerance=LAPLACE_TOL * scale,
-                    passed=max(residuals) <= LAPLACE_TOL * scale,
-                    notes="degenerate point-mass measure at t=0; density part vanishes",
-                )
-                h_min = 0.0
-            else:
-                laplace = laplace_reconstruct(spec, xs, cfg, tolerance=LAPLACE_TOL * scale)
-                sample = [inv.rho * k / 16.0 for k in range(1, 16)]
-                h_min = float(min(ev.value for ev in density(spec, sample, cfg)))
-            checks = [
-                laplace,
-                cm_probe(spec, x0=2.0, h=0.05, max_order=6, tolerance=CM_PROBE_TOL * scale),
-            ]
-            positivity_ok = bool(h_min >= -10.0 * cfg.quad_rel_tol * scale)
-            payload["results"] = {"min_density_sample": h_min, "density_nonnegative": positivity_ok}
-            payload["checks"] = [dataclasses.asdict(c) for c in checks]
-            failed = (not positivity_ok) or any(not c.passed for c in checks)
-            payload["status"] = "ok" if not failed else "check_failed"
-            _write_report(out_dir, command, payload)
-            _write_csv(
-                out_dir, command, ["x", "value", "error_estimate"],
-                [(x, r, 0.0) for c in checks for x, r in zip(c.sample_points, c.residuals)],
-            )
-            return failed, False
-
-        if command == "identities":
-            checks = []
-            unit_scaling = all(v == 1.0 for v in spec.A) and all(v == 1.0 for v in spec.B)
-            if unit_scaling:
-                xs = job.grids.get("x") or (0.2, 0.5, 0.8)
-                checks.append(
-                    meijer_identity_residual(spec.a, spec.b, xs, cfg, tolerance=MEIJER_IDENTITY_TOL * scale)
-                )
-            xs_h = job.grids.get("x") or (inv.rho / 4.0, inv.rho / 2.0, 3.0 * inv.rho / 4.0)
-            checks.append(fox_identity_residual(spec, xs_h, cfg, tolerance=FOX_IDENTITY_TOL * scale))
-            payload["checks"] = [dataclasses.asdict(c) for c in checks]
-            failed = any(not c.passed for c in checks)
-            payload["status"] = "ok" if not failed else "check_failed"
-            _write_report(out_dir, command, payload)
-            _write_csv(
-                out_dir, command, ["x", "value", "error_estimate"],
-                [(x, r, 0.0) for c in checks for x, r in zip(c.sample_points, c.residuals)],
-            )
-            return failed, False
-
-        if command == "zeros":
-            report = count_zeros(spec, cfg, grid_size=256)
-            payload["results"] = dataclasses.asdict(report)
-            if report.conjecture_consistent is False:
-                payload["flag"] = "density has more certified sign changes than the kernel"
-            payload["status"] = "ok"
-            _write_report(out_dir, command, payload)
-            ts = job.grids.get("t") or [k / 100.0 for k in range(1, 100)]
-            rows = [(float(t), float(cm_kernel_t(spec, float(t))), 0.0) for t in ts]
-            _write_csv(out_dir, command, ["t", "value", "error_estimate"], rows)
-            return False, False
-
-        if command == "mc-moments":
-            applicable = (
-                spec.p == spec.q
-                and spec.A == spec.B
-                and all(bj > aj for aj, bj in zip(spec.a, spec.b))
-            )
-            if not applicable:
-                payload["status"] = "not_applicable"
-                payload["results"] = {
-                    "reason": "requires p=q, A=B elementwise and b>a elementwise "
-                    "to induce beta-product parameters"
-                }
-                _write_report(out_dir, command, payload)
-                return False, False
-            alphas = [aj + Aj for aj, Aj in zip(spec.a, spec.A)]
-            betas = [bj - aj for aj, bj in zip(spec.a, spec.b)]
-            xs = job.grids.get("x") or (1.5, 2.0, 3.0)
-            check = beta_product_moments(
-                alphas, betas, spec.A, xs, n_samples=100_000, rng_seed=job.seed,
-                tolerance=MC_TOL_SE * scale,
-            )
-            payload["checks"] = [dataclasses.asdict(check)]
-            payload["status"] = "ok" if check.passed else "check_failed"
-            _write_report(out_dir, command, payload)
-            return not check.passed, False
-
-        raise ConfigError(f"unknown command {command!r}")
+        if command not in _HANDLERS:
+            raise ConfigError(f"unknown command {command!r}")
+        payload["status"], header, rows = _HANDLERS[command](spec, inv, job, payload)
+        _write_report(out_dir, command, payload)
+        if header:
+            _write_csv(out_dir, command, header, rows)
+        return payload["status"] == "check_failed", False
     except (DomainError, ValueError, RuntimeError, ArithmeticError) as exc:
         payload["status"] = "error"
         payload["error"] = f"{type(exc).__name__}: {exc}"

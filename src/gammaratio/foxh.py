@@ -16,7 +16,9 @@ an oscillatory-weight quadrature over [0, T] (whose cost is independent of
 the frequency) plus an analytic tail: g is fitted on [T, 3T] to a
 three-term algebraic expansion whose oscillatory moments are Laplace
 integrals along a rotated ray, evaluated together by one trapezoidal rule
-in log u.
+in log u.  A result that QUADPACK flags, or whose estimate exceeds the
+tolerance, is recomputed on a second contour; if the two disagree the point
+raises QuadratureAccuracyError with the better value as its best estimate.
 
 g does not depend on x.  A DensityEvaluator derives and validates a spec
 once and owns one contour whose g is memoized on the exact complex s, so
@@ -60,7 +62,6 @@ _RHO_EXCLUSION = 1e-6
 # leading part of the Mellin integrand is integrated in closed form.
 _MELLIN_SPLIT = 0.5
 
-_SUM_TOL = 1e-9
 _MU_WARN = 0.2
 _TAIL_FIT_TERMS = 3
 _TAIL_FIT_SAMPLES = 12
@@ -68,6 +69,9 @@ _TAIL_FIT_SAMPLES = 12
 # Step of the log-variable trapezoidal rule for the tail moments; h = 0.2
 # already loses four digits.
 _TAIL_STEP = 0.15
+
+# Subinterval limit of the head quadratures on [0, T].
+_HEAD_LIMIT = 133
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,6 @@ class ContourConfig:
     abscissa_c: float | None = None
     truncation_T: float = 400.0
     quad_rel_tol: float = 1e-8
-    max_nodes: int = 200_000
 
     def __post_init__(self):
         if self.truncation_T < 10.0:
@@ -91,8 +94,6 @@ class ContourConfig:
             raise DomainError(
                 f"ContourConfig: quad_rel_tol={self.quad_rel_tol} outside [1e-14, 1e-3]"
             )
-        if self.max_nodes < 1000:
-            raise DomainError(f"ContourConfig: max_nodes={self.max_nodes} must be >= 1000")
 
     def resolve_abscissa(self, inv: DerivedInvariants) -> float:
         c = self.abscissa_c
@@ -206,8 +207,7 @@ def subtracted_gamma_ratio(spec: RatioSpec, s: complex) -> complex:
     Exposed for the conjugate-symmetry and decay-law diagnostics; the
     contour integration uses the same evaluation internally.
     """
-    inv = derive(spec)
-    return _Contour(spec, inv).g(complex(s))
+    return _MemoG(spec, derive(spec))(complex(s))
 
 
 def _osc_tail_moment(omega: float, nu: float, z0: complex) -> complex:
@@ -307,7 +307,6 @@ def _fourier_re(contour: _Contour, c: float, omega: float, cfg: ContourConfig):
     Returns (value, error_estimate, trusted).
     """
     epsabs = max(1e-14, cfg.quad_rel_tol * 1e-5)
-    limit = int(min(250, max(60, cfg.max_nodes // 1500)))
     T = cfg.truncation_T
     aw = abs(omega)
     sgn = 1.0 if omega >= 0.0 else -1.0
@@ -317,7 +316,7 @@ def _fourier_re(contour: _Contour, c: float, omega: float, cfg: ContourConfig):
         if aw < _OMEGA_SWITCH:
             head = quad(
                 lambda t: (contour.g(complex(c, t)) * cmath.exp(1j * omega * t)).real,
-                0.0, T, epsabs=epsabs, epsrel=1e-11, limit=limit, full_output=1,
+                0.0, T, epsabs=epsabs, epsrel=1e-11, limit=_HEAD_LIMIT, full_output=1,
             )
             hv, he, trouble = _quad_result(head)
         else:
@@ -325,12 +324,12 @@ def _fourier_re(contour: _Contour, c: float, omega: float, cfg: ContourConfig):
             rc = quad(
                 re.__getitem__,
                 0.0, T, weight="cos", wvar=aw,
-                epsabs=epsabs, epsrel=1e-12, limit=limit, full_output=1,
+                epsabs=epsabs, epsrel=1e-12, limit=_HEAD_LIMIT, full_output=1,
             )
             rs = quad(
                 im.__getitem__,
                 0.0, T, weight="sin", wvar=aw,
-                epsabs=epsabs, epsrel=1e-12, limit=limit, full_output=1,
+                epsabs=epsabs, epsrel=1e-12, limit=_HEAD_LIMIT, full_output=1,
             )
             vc, ec, tc = _quad_result(rc)
             vs, es, ts2 = _quad_result(rs)
@@ -341,28 +340,6 @@ def _fourier_re(contour: _Contour, c: float, omega: float, cfg: ContourConfig):
     err = he + tail_err
     trusted = (not trouble) and err <= max(1e3 * epsabs, abs(value) * cfg.quad_rel_tol)
     return value, err, trusted
-
-
-def _fourier_truncated(contour: _Contour, c: float, omega: float, cfg: ContourConfig):
-    """Plain adaptive quadrature on [0, T] with the algebraic tail bound.
-
-    The omitted tail is bounded by C T^-mu / mu with C fitted empirically
-    from |g| samples near the cutoff; the bound is folded into the estimate.
-    """
-    T = cfg.truncation_T
-    limit = int(min(400, max(60, cfg.max_nodes // 1000)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        head = quad(
-            lambda t: (contour.g(complex(c, t)) * cmath.exp(1j * omega * t)).real,
-            0.0, T, epsabs=max(1e-14, cfg.quad_rel_tol * 1e-4), epsrel=1e-10,
-            limit=limit, full_output=1,
-        )
-    hv, he, _ = _quad_result(head)
-    samples = [0.6 * T, 0.8 * T, T]
-    C = max(abs(contour.g(complex(c, t))) * t ** (contour.mu + 1.0) for t in samples)
-    tail_bound = C * T ** (-contour.mu) / contour.mu
-    return hv, he + tail_bound
 
 
 def _leading_density(inv: DerivedInvariants, x: float) -> float:
@@ -376,14 +353,14 @@ def _leading_density(inv: DerivedInvariants, x: float) -> float:
 
 
 def _remainder_density(
-    contour: _Contour, c: float, x: float, rho: float, log_rho: float, cfg: ContourConfig
+    contour: _Contour, c: float, x: float, log_rho: float, cfg: ContourConfig
 ) -> tuple[float, float]:
     """Quadrature part of the density at any x > 0 (no exclusion zone).
 
     An untrusted primary result is cross-validated on a second contour: the
     prefactor-corrected values must agree because the integrand is analytic
-    between the two lines.  The last resort is the truncated scheme whose
-    omitted tail carries an explicit bound.
+    between the two lines.  When they disagree, QuadratureAccuracyError
+    carries the better of the two values and their difference as its error.
     """
     omega = log_rho - math.log(x)
     # The prefactor e^(c omega) amplifies quadrature roundoff; far below the
@@ -409,21 +386,16 @@ def _remainder_density(
         c2 = c - 0.5 if c - 0.5 > floor_c else 0.5 * (c + floor_c)
     else:
         c2 = c + 1.0
-    value2, err2, _ = _fourier_re(contour, c2, omega, cfg)
+    value2, _, _ = _fourier_re(contour, c2, omega, cfg)
     pre2 = math.exp(c2 * omega) / math.pi
     floor2 = 1e-14 * pre2 * (1.0 + abs(value2))
     r1, r2 = pre * value, pre2 * value2
     diff = abs(r1 - r2)
     best, best_floor = (r2, floor2) if floor2 <= floor1 else (r1, floor1)
     tol_abs = 20.0 * (floor1 + floor2) + 100.0 * min(pre, pre2) * max(1e-14, cfg.quad_rel_tol * 1e-5)
-    if diff <= max(tol_abs, 10.0 * cfg.quad_rel_tol * abs(best)):
-        return best, diff + best_floor
-
-    value3, err3 = _fourier_truncated(contour, c, omega, cfg)
-    est3 = pre * err3 + floor1
-    if est3 <= max(tol_abs, 10.0 * cfg.quad_rel_tol * abs(pre * value3)):
-        return pre * value3, est3
     est = diff + best_floor
+    if diff <= max(tol_abs, 10.0 * cfg.quad_rel_tol * abs(best)):
+        return best, est
     raise QuadratureAccuracyError(
         f"contour quadrature did not converge (omega={omega}, best error {est})",
         best_estimate=best,
@@ -448,7 +420,7 @@ class DensityEvaluator:
             raise UnsupportedParameterError(
                 f"density evaluation requires mu > 0, got mu={inv.mu}"
             )
-        if abs(inv.sum_A - inv.sum_B) > _SUM_TOL * max(inv.sum_A, inv.sum_B):
+        if not inv.sums_equal():
             raise DomainError(
                 f"density evaluation requires sum(A)=sum(B); got {inv.sum_A} and {inv.sum_B}"
             )
@@ -468,9 +440,8 @@ class DensityEvaluator:
 
         c overrides the resolved abscissa (the Mellin quadrature lowers it).
         """
-        inv = self.inv
         c = self.c if c is None else c
-        return _remainder_density(self.contour, c, x, inv.rho, inv.log_rho, self.cfg)
+        return _remainder_density(self.contour, c, x, self.inv.log_rho, self.cfg)
 
     def value(self, x: float, c: float | None = None) -> float:
         """Density at any x > 0, without the support-endpoint exclusion."""

@@ -19,6 +19,7 @@ from scipy import special as sc
 
 from .errors import DomainError
 from .ratio import (
+    REL_TOL,
     DerivedInvariants,
     RatioSpec,
     cm_kernel_series,
@@ -47,10 +48,6 @@ LCM = "LCM"
 BERNSTEIN_DERIVATIVE = "BERNSTEIN_DERIVATIVE"
 NOT_LCM = "NOT_LCM"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-# Knife-edge equalities in user input are decimal literals, so exact
-# comparisons are done at this relative tolerance.
-REL_TOL = 1e-12
 
 DEFAULT_GRID_SIZE = 512
 DEFAULT_REFINE_TOL = 1e-12
@@ -91,13 +88,12 @@ def check_necessary(spec: RatioSpec) -> list[ConditionEvidence]:
     inv = derive(spec)
     out = []
 
-    scale = max(inv.sum_A, inv.sum_B)
-    ok = abs(inv.sum_A - inv.sum_B) <= REL_TOL * scale
+    ok = inv.sums_equal()
     out.append(
         ConditionEvidence(NEC_A, HOLDS if ok else FAILS, f"sum_A={inv.sum_A!r}, sum_B={inv.sum_B!r}")
     )
 
-    ok = inv.rho <= 1.0 + REL_TOL
+    ok = inv.rho_at_most_one()
     out.append(ConditionEvidence(NEC_B, HOLDS if ok else FAILS, f"rho={inv.rho!r}"))
 
     ok = inv.mu >= -REL_TOL
@@ -119,7 +115,7 @@ def check_sufficient_a(spec: RatioSpec) -> ConditionEvidence:
     sum(A) = sum(B).
     """
     inv = derive(spec)
-    if not inv.sums_equal(REL_TOL):
+    if not inv.sums_equal():
         return ConditionEvidence(
             SUF_A, FAILS, f"sum_A={inv.sum_A!r} != sum_B={inv.sum_B!r}"
         )
@@ -141,7 +137,7 @@ def check_sufficient_b(spec: RatioSpec) -> ConditionEvidence:
     if spec.p != spec.q:
         return ConditionEvidence(SUF_B, NOT_APPLICABLE, f"p={spec.p} != q={spec.q}")
     inv = derive(spec)
-    if not inv.sums_equal(REL_TOL):
+    if not inv.sums_equal():
         return ConditionEvidence(
             SUF_B, FAILS, f"sum_A={inv.sum_A!r} != sum_B={inv.sum_B!r}"
         )

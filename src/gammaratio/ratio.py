@@ -35,6 +35,10 @@ _PHI_SERIES_CUTOFF = 0.1
 # cm_kernel_t delegates to cm_kernel(u = -log t) this close to t = 1.
 _KERNEL_T_SWITCH = 0.9
 
+# Knife-edge equalities in user input are decimal literals, so exact
+# comparisons are done at this relative tolerance.
+REL_TOL = 1e-12
+
 
 def _as_positive_tuple(name: str, values: Sequence[float]) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
@@ -134,8 +138,13 @@ class DerivedInvariants:
     log_rho: float
     log_stirling_const: float
 
-    def sums_equal(self, rel_tol: float = 1e-12) -> bool:
-        return abs(self.sum_A - self.sum_B) <= rel_tol * max(self.sum_A, self.sum_B)
+    def sums_equal(self) -> bool:
+        """sum(A) = sum(B) up to REL_TOL relative."""
+        return abs(self.sum_A - self.sum_B) <= REL_TOL * max(self.sum_A, self.sum_B)
+
+    def rho_at_most_one(self) -> bool:
+        """rho <= 1 up to REL_TOL."""
+        return self.rho <= 1.0 + REL_TOL
 
 
 def derive(spec: RatioSpec) -> DerivedInvariants:
@@ -271,6 +280,13 @@ def cm_kernel(spec: RatioSpec, u):
     return float(out[0]) if scalar else out
 
 
+def _power_sum(logt: np.ndarray, scales, shifts) -> np.ndarray:
+    """Row sums of t^(shift/scale) / (1 - t^(1/scale)) for a column of log t."""
+    scales = np.asarray(scales)
+    shifts = np.asarray(shifts)
+    return (np.exp(logt * (shifts / scales)) / (-np.expm1(logt / scales))).sum(axis=1)
+
+
 def cm_kernel_t(spec: RatioSpec, t):
     """The same kernel in the multiplicative variable t = e^-u, 0 < t < 1.
 
@@ -290,15 +306,8 @@ def cm_kernel_t(spec: RatioSpec, t):
         out[near_one] = np.atleast_1d(cm_kernel(spec, -np.log(tt[near_one])))
     direct = ~near_one
     if np.any(direct):
-        td = tt[direct][:, None]
-        logt = np.log(td)
-        A = np.asarray(spec.A)
-        a = np.asarray(spec.a)
-        B = np.asarray(spec.B)
-        b = np.asarray(spec.b)
-        num = (np.exp(logt * (a / A)) / (-np.expm1(logt / A))).sum(axis=1)
-        den = (np.exp(logt * (b / B)) / (-np.expm1(logt / B))).sum(axis=1)
-        out[direct] = num - den
+        logt = np.log(tt[direct][:, None])
+        out[direct] = _power_sum(logt, spec.A, spec.a) - _power_sum(logt, spec.B, spec.b)
     return float(out[0]) if scalar else out
 
 
@@ -355,11 +364,7 @@ def kernel_positive_part(spec: RatioSpec, t):
     if np.any((t_in <= 0.0) | (t_in >= 1.0)):
         raise DomainError("kernel_positive_part: t must lie in (0, 1)")
     scalar = t_in.ndim == 0
-    tt = np.atleast_1d(t_in)[:, None]
-    logt = np.log(tt)
-    A = np.asarray(spec.A)
-    a = np.asarray(spec.a)
-    out = (np.exp(logt * (a / A)) / (-np.expm1(logt / A))).sum(axis=1)
+    out = _power_sum(np.log(np.atleast_1d(t_in)[:, None]), spec.A, spec.a)
     return float(out[0]) if scalar else out
 
 

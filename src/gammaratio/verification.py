@@ -100,7 +100,7 @@ def laplace_reconstruct(
     that quadrature against the gamma-product value of W computed directly.
     """
     inv = derive(spec)
-    if inv.rho > 1.0 + 1e-12:
+    if not inv.rho_at_most_one():
         raise DomainError(f"laplace_reconstruct: rho={inv.rho} must be <= 1")
     ev = DensityEvaluator(spec, cfg)
     residuals = []
@@ -200,7 +200,7 @@ def fox_identity_residual(
     """
     ev = DensityEvaluator(spec, cfg)
     inv = ev.inv
-    if inv.rho > 1.0 + 1e-12:
+    if not inv.rho_at_most_one():
         raise DomainError(f"fox_identity_residual: rho={inv.rho} must be <= 1")
     astar_over_gamma = math.exp(inv.log_stirling_const) / float(sc.gamma(inv.mu))
 
@@ -401,7 +401,7 @@ def count_zeros(
         q_grid, q_vals, lambda t: float(cm_kernel_t(spec, t)), q_floor, _ZERO_BRACKET_WIDTH
     )
 
-    h_evaluated = inv.mu > 0.0 and abs(inv.sum_A - inv.sum_B) <= 1e-9 * max(inv.sum_A, inv.sum_B)
+    h_evaluated = inv.mu > 0.0 and inv.sums_equal()
     h_brackets: list[tuple[float, float]] = []
     if h_evaluated:
         h_at = DensityEvaluator(spec, cfg).value

@@ -5,6 +5,7 @@ import pytest
 
 from gammaratio.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from gammaratio.ratio import RatioSpec
+from gammaratio.verification import LAPLACE_TOL
 
 
 def write_config(tmp_path, payload, name="job.json"):
@@ -80,6 +81,21 @@ class TestVerifyMeasure:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--output", str(out)]) == EXIT_OK
+
+    def test_degenerate_report_fields(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {"specs": [TRIVIAL], "commands": ["verify-measure"], "grids": {"x": [1.0, 2.0]}},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--tol-scale", "3"]) == EXIT_OK
+        laplace = load_report(out, "trivial", "verify-measure")["checks"][0]
+        assert laplace["check_id"] == "laplace_reconstruct"
+        assert laplace["notes"] == "degenerate point-mass measure at t=0; density part vanishes"
+        assert laplace["sample_points"] == [1.0, 2.0]
+        assert laplace["tolerance"] == LAPLACE_TOL * 3.0
+        assert laplace["max_residual"] == max(laplace["residuals"]) == 0.0
+        assert laplace["passed"] is True
 
 
 class TestEvalH:
@@ -200,6 +216,14 @@ class TestInputValidation:
             {"specs": [MIXED], "commands": ["classify"], "grids": {"x": [2.0, 1.0]}},
         )
         assert main(["--config", cfg, "--output", str(tmp_path)]) == EXIT_INPUT_ERROR
+
+    def test_unknown_contour_field(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"specs": [MIXED], "commands": ["classify"], "contour": {"max_nodes": 200000}},
+        )
+        assert main(["--config", cfg, "--output", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert "max_nodes" in capsys.readouterr().err
 
     def test_missing_output(self, tmp_path):
         cfg = write_config(tmp_path, {"specs": [MIXED], "commands": ["classify"]})

@@ -13,6 +13,8 @@ from gammaratio import (
     RatioSpec,
     SingularPointError,
     UnsupportedParameterError,
+    check_necessary,
+    count_zeros,
     density,
     derive,
     fox_h,
@@ -116,7 +118,6 @@ class TestFoxH:
 
         # Force every quadrature path to disagree across contours.
         monkeypatch.setattr(foxh_mod, "_fourier_re", lambda contour, c, omega, cfg: (c, 1e6, False))
-        monkeypatch.setattr(foxh_mod, "_fourier_truncated", lambda contour, c, omega, cfg: (c, 1e6))
         with pytest.raises(QuadratureAccuracyError) as exc:
             fox_h(spec_equal_scales, 0.4)
         assert exc.value.error_estimate > 0.0
@@ -126,6 +127,22 @@ class TestFoxH:
 def default_grid(spec):
     rho = derive(spec).rho
     return [rho * k / 50.0 for k in range(1, 50)]
+
+
+class TestSumTie:
+    """One relative tolerance, REL_TOL, decides sum(A) = sum(B) everywhere."""
+
+    SPEC = RatioSpec(A=(2.0, 1.0), a=(0.5, 1.0), B=(3.0 * (1.0 + 5e-11),), b=(2.5,))
+
+    def test_near_tie_is_unequal_everywhere(self):
+        inv = derive(self.SPEC)
+        assert 4e-11 < (inv.sum_B - inv.sum_A) / inv.sum_A < 6e-11
+        assert check_necessary(self.SPEC)[0].status == "fails"
+        with pytest.raises(DomainError, match="sum"):
+            fox_h(self.SPEC, 0.5 * inv.rho)
+        with pytest.raises(DomainError, match="sum"):
+            density(self.SPEC, [0.25 * inv.rho, 0.5 * inv.rho])
+        assert count_zeros(self.SPEC).h_evaluated is False
 
 
 class TestDensityCurve:
