@@ -20,13 +20,13 @@ in log u.  A result that QUADPACK flags, or whose estimate exceeds the
 tolerance, is recomputed on a second contour; if the two disagree the point
 raises QuadratureAccuracyError with the better value as its best estimate.
 
-g does not depend on x.  A DensityEvaluator derives and validates a spec
-once and owns one contour whose g is memoized on the exact complex s, so
-every density point of a curve (``density``), of a Mellin or Laplace
-quadrature, or of an integral-equation check reuses the g values that
-earlier points computed at the same quadrature nodes.  The cos and sin
-passes read Re g and Im g from per-abscissa dict columns, so QUADPACK's
-repeated nodes are dict hits that never enter Python.  ``fox_h`` is the
+g does not depend on x.  A DensityEvaluator derives a spec once, memoizes
+g on the exact complex s and keeps one _Line per abscissa c: the Re g and
+Im g dict columns the cos and sin passes read (repeated QUADPACK nodes are
+dict hits that never enter Python) and the tail fit on that line.  Every
+density point of a curve, a Mellin quadrature or an integral-equation check
+reuses what earlier points computed, and ``edge_integral`` owns the
+leading/remainder split near the support endpoint.  ``fox_h`` is the
 one-point case.
 """
 
@@ -48,7 +48,7 @@ from .errors import (
     SingularPointError,
     UnsupportedParameterError,
 )
-from .ratio import DerivedInvariants, RatioSpec, derive
+from .ratio import DerivedInvariants, RatioSpec, _gamma_product, derive
 
 # Frequencies below this go through the head-plus-analytic-tail path; above
 # it QUADPACK's cycle acceleration converges quickly.
@@ -133,8 +133,8 @@ class _MemoG:
 
     The adaptive rules of different density points (and the cos and sin
     passes of one point) share their nodes, and a cached value is the value
-    the evaluation would return.  Holds arrays and its memo only, never a
-    contour, so the columns that call it form no reference cycle.
+    the evaluation would return.  Holds arrays and its memo only, never an
+    evaluator, so the columns that call it form no reference cycle.
     """
 
     __slots__ = ("weights", "scales", "shifts", "log_rho", "mu", "log_stirling", "values")
@@ -182,25 +182,6 @@ class _Column(dict):
         return part
 
 
-class _Contour:
-    """Memoized subtracted integrand g(s) plus per-abscissa caches."""
-
-    def __init__(self, spec: RatioSpec, inv: DerivedInvariants):
-        self.g = _MemoG(spec, inv)
-        self._g_values = self.g.values
-        self.mu = inv.mu
-        self.gamma_pole = inv.gamma_pole
-        self._tail_fits: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
-        self._columns: dict[float, _Column] = {}
-
-    def columns(self, c: float) -> tuple[_Column, _Column]:
-        """The real and imaginary columns of g on the line Re s = c."""
-        re = self._columns.get(c)
-        if re is None:
-            re = self._columns[c] = _Column(self.g, c, _Column(self.g, c))
-        return re, re.twin
-
-
 def subtracted_gamma_ratio(spec: RatioSpec, s: complex) -> complex:
     """Gamma-product ratio times rho^-s minus its algebraic leading term.
 
@@ -230,9 +211,7 @@ def _osc_tail_moment(omega: float, nu: float, z0: complex) -> complex:
 
 def _quad_result(res) -> tuple[float, float, bool]:
     """Unpack scipy.integrate.quad full_output, flagging reported trouble."""
-    value, abserr = res[0], res[1]
-    trouble = len(res) > 3
-    return float(value), float(abserr), trouble
+    return float(res[0]), float(res[1]), len(res) > 3
 
 
 def _tail_moments(omega: float, mu: float, z0: complex) -> list[complex]:
@@ -263,41 +242,42 @@ def _tail_moments(omega: float, mu: float, z0: complex) -> list[complex]:
     return [complex(v) for v in (1j * sgn * _TAIL_STEP) * sums]
 
 
-def _tail_fit(contour: _Contour, c: float, T: float) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients of g against inverse powers on [T, 3T].
+class _Line:
+    """The line Re s = c of one evaluator: Re/Im columns of g and the tail fit.
 
-    Frequency-independent, so cached per contour and abscissa.
+    The tail fit is g fitted on [T, 3T] by least squares against the inverse
+    powers (c + it)^-(mu+k); it does not depend on the frequency, so it is
+    made once, when the line is.
     """
-    key = (c, T)
-    cached = contour._tail_fits.get(key)
-    if cached is not None:
-        return cached
-    ts = np.linspace(T, 3.0 * T, _TAIL_FIT_SAMPLES)
-    gs = np.array([contour.g(complex(c, t)) for t in ts])
-    powers = [contour.mu + k for k in range(1, _TAIL_FIT_TERMS + 1)]
-    basis = np.column_stack([(c + 1j * ts) ** (-nu) for nu in powers])
-    coef, *_ = np.linalg.lstsq(basis, gs, rcond=None)
-    fit_residual = float(np.max(np.abs(basis @ coef - gs)))
-    contour._tail_fits[key] = (coef, fit_residual)
-    return coef, fit_residual
+
+    __slots__ = ("re", "im", "z0", "mu", "coef", "tail_err")
+
+    def __init__(self, g: _MemoG, c: float, T: float):
+        self.im = _Column(g, c)
+        self.re = _Column(g, c, self.im)
+        self.z0 = complex(c, T)
+        self.mu = g.mu
+        ts = np.linspace(T, 3.0 * T, _TAIL_FIT_SAMPLES)
+        gs = np.array([g(complex(c, t)) for t in ts])
+        basis = np.column_stack([(c + 1j * ts) ** -(g.mu + k) for k in range(1, _TAIL_FIT_TERMS + 1)])
+        self.coef, *_ = np.linalg.lstsq(basis, gs, rcond=None)
+        fit_residual = float(np.max(np.abs(basis @ self.coef - gs)))
+        self.tail_err = fit_residual * T / (g.mu + _TAIL_FIT_TERMS)
+
+    def tail_re(self, omega: float) -> tuple[float, float]:
+        """Re int_T^inf g(c+it) e^{i omega t} dt via the fitted expansion.
+
+        Each basis term has a closed-form oscillatory moment; the fit
+        residual times the integrated basis scale bounds the omitted error.
+        """
+        tail = complex(0.0)
+        for kap, moment in zip(self.coef, _tail_moments(omega, self.mu, self.z0)):
+            tail += kap * moment
+        tail *= cmath.exp(1j * omega * self.z0.imag)
+        return tail.real, self.tail_err
 
 
-def _tail_re(contour: _Contour, c: float, omega: float, T: float):
-    """Re int_T^inf g(c+it) e^{i omega t} dt via the fitted algebraic expansion.
-
-    Each basis term has a closed-form oscillatory moment; the fit residual
-    times the integrated basis scale bounds the omitted error.
-    """
-    coef, fit_residual = _tail_fit(contour, c, T)
-    z0 = complex(c, T)
-    tail = complex(0.0)
-    for kap, moment in zip(coef, _tail_moments(omega, contour.mu, z0)):
-        tail += kap * moment
-    tail *= cmath.exp(1j * omega * T)
-    return tail.real, fit_residual * T / (contour.mu + _TAIL_FIT_TERMS)
-
-
-def _fourier_re(contour: _Contour, c: float, omega: float, cfg: ContourConfig):
+def _fourier_re(ev: DensityEvaluator, c: float, omega: float):
     """Re int_0^inf g(c+it) e^{i omega t} dt.
 
     The head [0, T] uses oscillatory-weight quadrature (Clenshaw-Curtis with
@@ -306,39 +286,38 @@ def _fourier_re(contour: _Contour, c: float, omega: float, cfg: ContourConfig):
     as accurate.  The infinite tail is always the fitted analytic expansion.
     Returns (value, error_estimate, trusted).
     """
-    epsabs = max(1e-14, cfg.quad_rel_tol * 1e-5)
-    T = cfg.truncation_T
+    epsabs = max(1e-14, ev.cfg.quad_rel_tol * 1e-5)
+    T = ev.cfg.truncation_T
     aw = abs(omega)
-    sgn = 1.0 if omega >= 0.0 else -1.0
+    line = ev._lines.get(c)
+    if line is None:
+        line = ev._lines[c] = _Line(ev.g, c, T)
+    if aw < _OMEGA_SWITCH:
+        head = quad(
+            lambda t: (ev.g(complex(c, t)) * cmath.exp(1j * omega * t)).real,
+            0.0, T, epsabs=epsabs, epsrel=1e-11, limit=_HEAD_LIMIT, full_output=1,
+        )
+        hv, he, trouble = _quad_result(head)
+    else:
+        rc = quad(
+            line.re.__getitem__,
+            0.0, T, weight="cos", wvar=aw,
+            epsabs=epsabs, epsrel=1e-12, limit=_HEAD_LIMIT, full_output=1,
+        )
+        rs = quad(
+            line.im.__getitem__,
+            0.0, T, weight="sin", wvar=aw,
+            epsabs=epsabs, epsrel=1e-12, limit=_HEAD_LIMIT, full_output=1,
+        )
+        vc, ec, tc = _quad_result(rc)
+        vs, es, ts2 = _quad_result(rs)
+        sgn = 1.0 if omega >= 0.0 else -1.0
+        hv, he, trouble = vc - sgn * vs, ec + es, tc or ts2
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if aw < _OMEGA_SWITCH:
-            head = quad(
-                lambda t: (contour.g(complex(c, t)) * cmath.exp(1j * omega * t)).real,
-                0.0, T, epsabs=epsabs, epsrel=1e-11, limit=_HEAD_LIMIT, full_output=1,
-            )
-            hv, he, trouble = _quad_result(head)
-        else:
-            re, im = contour.columns(c)
-            rc = quad(
-                re.__getitem__,
-                0.0, T, weight="cos", wvar=aw,
-                epsabs=epsabs, epsrel=1e-12, limit=_HEAD_LIMIT, full_output=1,
-            )
-            rs = quad(
-                im.__getitem__,
-                0.0, T, weight="sin", wvar=aw,
-                epsabs=epsabs, epsrel=1e-12, limit=_HEAD_LIMIT, full_output=1,
-            )
-            vc, ec, tc = _quad_result(rc)
-            vs, es, ts2 = _quad_result(rs)
-            hv, he, trouble = vc - sgn * vs, ec + es, tc or ts2
-
-    tail_value, tail_err = _tail_re(contour, c, omega, T)
+    tail_value, tail_err = line.tail_re(omega)
     value = hv + tail_value
     err = he + tail_err
-    trusted = (not trouble) and err <= max(1e3 * epsabs, abs(value) * cfg.quad_rel_tol)
+    trusted = (not trouble) and err <= max(1e3 * epsabs, abs(value) * ev.cfg.quad_rel_tol)
     return value, err, trusted
 
 
@@ -352,9 +331,7 @@ def _leading_density(inv: DerivedInvariants, x: float) -> float:
     ) / float(sc.gamma(inv.mu))
 
 
-def _remainder_density(
-    contour: _Contour, c: float, x: float, log_rho: float, cfg: ContourConfig
-) -> tuple[float, float]:
+def _remainder_density(ev: DensityEvaluator, c: float, x: float) -> tuple[float, float]:
     """Quadrature part of the density at any x > 0 (no exclusion zone).
 
     An untrusted primary result is cross-validated on a second contour: the
@@ -362,7 +339,8 @@ def _remainder_density(
     between the two lines.  When they disagree, QuadratureAccuracyError
     carries the better of the two values and their difference as its error.
     """
-    omega = log_rho - math.log(x)
+    cfg = ev.cfg
+    omega = ev.inv.log_rho - math.log(x)
     # The prefactor e^(c omega) amplifies quadrature roundoff; far below the
     # support endpoint the contour is moved toward the imaginary axis (all
     # integrand poles sit at abscissas <= 0) to keep that amplification
@@ -372,7 +350,7 @@ def _remainder_density(
         target = max(0.05, 6.0 / omega)
         level = next((lv for lv in (1.0, 0.3, 0.1, 0.05) if lv <= target), 0.05)
         c = min(c, level)
-    value, err, trusted = _fourier_re(contour, c, omega, cfg)
+    value, err, trusted = _fourier_re(ev, c, omega)
     pre = math.exp(c * omega) / math.pi
     # Roundoff of the prefactored assembly: the contour integral is computed
     # to near machine precision on its own scale, then amplified by e^(c w).
@@ -381,12 +359,12 @@ def _remainder_density(
         return pre * value, pre * err + floor1
 
     # Cross-validate on a second contour chosen to shrink the prefactor.
-    floor_c = max(contour.gamma_pole, 0.0)
+    floor_c = max(ev.inv.gamma_pole, 0.0)
     if omega >= 0.0:
         c2 = c - 0.5 if c - 0.5 > floor_c else 0.5 * (c + floor_c)
     else:
         c2 = c + 1.0
-    value2, _, _ = _fourier_re(contour, c2, omega, cfg)
+    value2, _, _ = _fourier_re(ev, c2, omega)
     pre2 = math.exp(c2 * omega) / math.pi
     floor2 = 1e-14 * pre2 * (1.0 + abs(value2))
     r1, r2 = pre * value, pre2 * value2
@@ -404,13 +382,14 @@ def _remainder_density(
 
 
 class DensityEvaluator:
-    """The density of one spec on one shared, memoized contour.
+    """The density of one spec: its memoized g and one _Line per abscissa.
 
     Derives and validates the spec and resolves the contour abscissa once;
     requires mu > 0 and equal scale sums, and warns once when mu is small
     enough to slow the contour decay.  Every point evaluated through one
-    evaluator reuses the g values of the points before it, so a whole curve
-    or an outer quadrature over x should go through a single evaluator.
+    evaluator reuses the g values, columns and tail fits of the points
+    before it, so a whole curve or an outer quadrature over x should go
+    through a single evaluator.
     """
 
     def __init__(self, spec: RatioSpec, cfg: ContourConfig | None = None):
@@ -433,30 +412,45 @@ class DensityEvaluator:
         self.cfg = cfg
         self.inv = inv
         self.c = cfg.resolve_abscissa(inv)
-        self.contour = _Contour(spec, inv)
-
-    def remainder(self, x: float, c: float | None = None) -> tuple[float, float]:
-        """Quadrature part of the density at any x > 0 and its error estimate.
-
-        c overrides the resolved abscissa (the Mellin quadrature lowers it).
-        """
-        c = self.c if c is None else c
-        return _remainder_density(self.contour, c, x, self.inv.log_rho, self.cfg)
+        self.g = _MemoG(spec, inv)
+        self._lines: dict[float, _Line] = {}
 
     def value(self, x: float, c: float | None = None) -> float:
-        """Density at any x > 0, without the support-endpoint exclusion."""
-        return _leading_density(self.inv, x) + self.remainder(x, c)[0]
+        """Density at any x > 0 (no support-endpoint exclusion); c overrides self.c."""
+        c = self.c if c is None else c
+        return _leading_density(self.inv, x) + _remainder_density(self, c, x)[0]
 
     def evaluate(self, x: float) -> HEvaluation:
         """Density at x split into its parts, with the combined error estimate."""
         leading = _leading_density(self.inv, x)
-        remainder, rem_err = self.remainder(x)
+        remainder, rem_err = _remainder_density(self, self.c, x)
         return HEvaluation(
             value=leading + remainder,
             leading_part=leading,
             remainder_part=remainder,
             error_estimate=rem_err + 1e-14 * abs(leading),
         )
+
+    def edge_integral(self, f, w_hi: float) -> float:
+        """int_0^w_hi H(rho e^-w) f(w) dw for f bounded on [0, w_hi].
+
+        The leading part A* w^(mu-1) / Gamma(mu) goes to an algebraic-weight
+        quadrature, the bounded remainder to a plain adaptive rule.
+        """
+        inv = self.inv
+        lead_scale = math.exp(inv.log_stirling_const) / float(sc.gamma(inv.mu))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lead = quad(
+                lambda w: lead_scale * f(w),
+                0.0, w_hi, weight="alg", wvar=(inv.mu - 1.0, 0.0),
+                epsabs=1e-12, epsrel=1e-9, limit=100,
+            )
+            rem = quad(
+                lambda w: _remainder_density(self, self.c, inv.rho * math.exp(-w))[0] * f(w),
+                0.0, w_hi, epsabs=1e-12, epsrel=1e-9, limit=100,
+            )
+        return lead[0] + rem[0]
 
     def mellin_transform(self, s: float) -> float:
         """int_0^rho H(x) x^(s-1) dx via the substitution x = rho e^-tau.
@@ -490,7 +484,7 @@ class DensityEvaluator:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             near = quad(
-                lambda tau: self.remainder(inv.rho * math.exp(-tau), c)[0] * math.exp(-s * tau),
+                lambda tau: _remainder_density(self, c, inv.rho * math.exp(-tau))[0] * math.exp(-s * tau),
                 0.0, tau_c, epsabs=1e-13, epsrel=epsrel, limit=80,
             )
             bulk = quad(
@@ -557,14 +551,7 @@ def gamma_product_ratio_at(spec: RatioSpec, s: float) -> float:
     for i, (Ai, ai) in enumerate(zip(spec.A, spec.a)):
         if Ai * s + ai <= 0.0:
             raise DomainError(f"gamma ratio: numerator factor {i} has argument <= 0 at s={s}")
-    log_val = math.fsum(
-        [sc.gammaln(Ai * s + ai) for Ai, ai in zip(spec.A, spec.a)]
-        + [-sc.gammaln(Bj * s + bj) for Bj, bj in zip(spec.B, spec.b)]
-    )
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        raise DomainError(f"gamma ratio: value at s={s} overflows (log value = {log_val})") from None
+    return _gamma_product(spec, s, "gamma ratio: value at s")
 
 
 def mellin_check(spec: RatioSpec, s: float, cfg: ContourConfig | None = None) -> tuple[float, float]:

@@ -22,6 +22,7 @@ from .ratio import (
     REL_TOL,
     DerivedInvariants,
     RatioSpec,
+    _sums_equal,
     cm_kernel_series,
     cm_kernel_t,
     derive,
@@ -85,7 +86,10 @@ def check_necessary(spec: RatioSpec) -> list[ConditionEvidence]:
     mu >= 0, (D) rightmost numerator pole not to the right of the rightmost
     denominator pole.  Ties are resolved at REL_TOL in favour of `holds`.
     """
-    inv = derive(spec)
+    return _necessary(spec, derive(spec))
+
+
+def _necessary(spec: RatioSpec, inv: DerivedInvariants) -> list[ConditionEvidence]:
     out = []
 
     ok = inv.sums_equal()
@@ -114,7 +118,10 @@ def check_sufficient_a(spec: RatioSpec) -> ConditionEvidence:
     Requires max(a_i/A_i) <= min((b_j - 1)/B_j) together with
     sum(A) = sum(B).
     """
-    inv = derive(spec)
+    return _sufficient_a(spec, derive(spec))
+
+
+def _sufficient_a(spec: RatioSpec, inv: DerivedInvariants) -> ConditionEvidence:
     if not inv.sums_equal():
         return ConditionEvidence(
             SUF_A, FAILS, f"sum_A={inv.sum_A!r} != sum_B={inv.sum_B!r}"
@@ -134,9 +141,12 @@ def check_sufficient_b(spec: RatioSpec) -> ConditionEvidence:
     Requires p = q, equal scale sums, A_i >= B_i for i < p,
     max_{k<p} b_k/B_k <= (b_p - 1)/B_p and a_i/A_i <= (b_i - 1)/B_i for all i.
     """
+    return _sufficient_b(spec, derive(spec) if spec.p == spec.q else None)
+
+
+def _sufficient_b(spec: RatioSpec, inv: DerivedInvariants | None) -> ConditionEvidence:
     if spec.p != spec.q:
         return ConditionEvidence(SUF_B, NOT_APPLICABLE, f"p={spec.p} != q={spec.q}")
-    inv = derive(spec)
     if not inv.sums_equal():
         return ConditionEvidence(
             SUF_B, FAILS, f"sum_A={inv.sum_A!r} != sum_B={inv.sum_B!r}"
@@ -265,11 +275,10 @@ def _endpoint_one_sign(spec: RatioSpec) -> tuple[int, str]:
     Decided by the 1/u coefficient sum(A) - sum(B) if nonzero, otherwise by
     the first Taylor coefficient of the kernel distinguishable from zero.
     """
-    sum_diff = math.fsum(spec.A) - math.fsum(spec.B)
-    scale = max(math.fsum(spec.A), math.fsum(spec.B))
-    if abs(sum_diff) > REL_TOL * scale:
-        sign = 1 if sum_diff > 0 else -1
-        return sign, f"t->1: kernel ~ {sum_diff!r}/u"
+    sum_A, sum_B = math.fsum(spec.A), math.fsum(spec.B)
+    if not _sums_equal(sum_A, sum_B):
+        sum_diff = sum_A - sum_B
+        return (1 if sum_diff > 0 else -1), f"t->1: kernel ~ {sum_diff!r}/u"
     for k, (coef, mag) in enumerate(cm_kernel_series(spec, _SERIES_TERMS)):
         if abs(coef) > 1e-10 * max(mag, 1e-300):
             sign = 1 if coef > 0 else -1
@@ -368,7 +377,7 @@ def classify(
     evidence: list[ConditionEvidence] = []
 
     if identical_factor_multisets(spec):
-        evidence.extend(check_necessary(spec))
+        evidence.extend(_necessary(spec, inv))
         evidence.append(
             ConditionEvidence(
                 Q_NONNEG, HOLDS, "numerator and denominator factors identical; kernel vanishes"
@@ -376,9 +385,9 @@ def classify(
         )
         return Verdict(LCM, tuple(evidence), inv)
 
-    necessary = check_necessary(spec)
+    necessary = _necessary(spec, inv)
     evidence.extend(necessary)
-    sufficient = [check_sufficient_a(spec), check_sufficient_b(spec), check_sufficient_c(spec)]
+    sufficient = [_sufficient_a(spec, inv), _sufficient_b(spec, inv), check_sufficient_c(spec)]
     evidence.extend(sufficient)
 
     if any(ev.status == HOLDS for ev in sufficient):

@@ -117,6 +117,11 @@ class RatioSpec:
             raise DomainError(f"RatioSpec: missing field {exc.args[0]!r}") from None
 
 
+def _sums_equal(sum_A: float, sum_B: float) -> bool:
+    """The one equal-scale-sum test: sum_A = sum_B up to REL_TOL relative."""
+    return abs(sum_A - sum_B) <= REL_TOL * max(sum_A, sum_B)
+
+
 @dataclass(frozen=True)
 class DerivedInvariants:
     """Quantities derived from a RatioSpec, all computed in log space.
@@ -140,7 +145,7 @@ class DerivedInvariants:
 
     def sums_equal(self) -> bool:
         """sum(A) = sum(B) up to REL_TOL relative."""
-        return abs(self.sum_A - self.sum_B) <= REL_TOL * max(self.sum_A, self.sum_B)
+        return _sums_equal(self.sum_A, self.sum_B)
 
     def rho_at_most_one(self) -> bool:
         """rho <= 1 up to REL_TOL."""
@@ -197,14 +202,19 @@ def gamma_ratio(spec: RatioSpec, x: float) -> float:
     """
     x = float(x)
     _check_arguments(spec, x)
-    log_w = math.fsum(
+    return _gamma_product(spec, x, "gamma_ratio: W(x) at x")
+
+
+def _gamma_product(spec: RatioSpec, x: float, where: str) -> float:
+    """W(x) from one fsum of log-gammas; the caller checks the domain, `where` names x."""
+    log_value = math.fsum(
         [sc.gammaln(Ai * x + ai) for Ai, ai in zip(spec.A, spec.a)]
         + [-sc.gammaln(Bj * x + bj) for Bj, bj in zip(spec.B, spec.b)]
     )
     try:
-        return math.exp(log_w)
+        return math.exp(log_value)
     except OverflowError:
-        raise DomainError(f"gamma_ratio: W(x) at x={x} overflows (log W = {log_w})") from None
+        raise DomainError(f"{where}={x} overflows (log value = {log_value})") from None
 
 
 def log_ratio_derivative(spec: RatioSpec, x: float, order: int) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special as sc
+from scipy.special import gammaln
 from scipy.integrate import quad
 
 from .errors import DomainError
@@ -130,12 +130,11 @@ def meijer_identity_residual(
     bv = tuple(float(v) for v in b)
     if len(av) != len(bv):
         raise DomainError("meijer_identity_residual: length mismatch")
-    if math.fsum(bv) - math.fsum(av) <= 0.0:
+    gap = math.fsum(bv) - math.fsum(av)
+    if gap <= 0.0:
         raise DomainError("meijer_identity_residual: requires sum(b) > sum(a)")
     ones = (1.0,) * len(av)
     ev = DensityEvaluator(RatioSpec(A=ones, a=av, B=ones, b=bv), cfg)
-    inv = ev.inv
-    gap = math.fsum(bv) - math.fsum(av)
 
     residuals = []
     for x in x_grid:
@@ -156,7 +155,6 @@ def meijer_identity_residual(
             return ev.value(t) * bracket(t) / (t - x)
 
         t_hi = min(1.0 - 0.05, 0.5 * (x + 1.0))
-        w_hi = -math.log(t_hi)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             mid = quad(
@@ -165,20 +163,11 @@ def meijer_identity_residual(
                 epsabs=1e-12, epsrel=1e-9, limit=250,
             )
 
-            def edge_factor(w: float) -> float:
-                t = math.exp(-w)
-                return bracket(t) / (t - x) * t
+        def edge_factor(w: float) -> float:
+            t = math.exp(-w)
+            return bracket(t) / (t - x) * t
 
-            lead_edge = quad(
-                lambda w: math.exp(inv.log_stirling_const) / float(sc.gamma(inv.mu)) * edge_factor(w),
-                0.0, w_hi, weight="alg", wvar=(inv.mu - 1.0, 0.0),
-                epsabs=1e-12, epsrel=1e-9, limit=100,
-            )
-            rem_edge = quad(
-                lambda w: ev.remainder(math.exp(-w))[0] * edge_factor(w),
-                0.0, w_hi, epsabs=1e-12, epsrel=1e-9, limit=100,
-            )
-        rhs = mid[0] + lead_edge[0] + rem_edge[0]
+        rhs = mid[0] + ev.edge_integral(edge_factor, -math.log(t_hi))
         denom = abs(lhs)
         residuals.append(abs(lhs - rhs) / denom if denom > _SAFE_DENOM else abs(lhs - rhs))
     return _make_report("meijer_integral_equation", x_grid, residuals, tolerance)
@@ -202,7 +191,6 @@ def fox_identity_residual(
     inv = ev.inv
     if not inv.rho_at_most_one():
         raise DomainError(f"fox_identity_residual: rho={inv.rho} must be <= 1")
-    astar_over_gamma = math.exp(inv.log_stirling_const) / float(sc.gamma(inv.mu))
 
     residuals = []
     for x in x_grid:
@@ -219,20 +207,11 @@ def fox_identity_residual(
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lead_edge = quad(
-                lambda w: astar_over_gamma * kernel_at(w),
-                0.0, w_cut, weight="alg", wvar=(inv.mu - 1.0, 0.0),
-                epsabs=1e-12, epsrel=1e-9, limit=100,
-            )
-            rem_edge = quad(
-                lambda w: ev.remainder(inv.rho * math.exp(-w))[0] * kernel_at(w),
-                0.0, w_cut, epsabs=1e-12, epsrel=1e-9, limit=100,
-            )
             bulk = quad(
                 lambda w: ev.value(inv.rho * math.exp(-w)) * kernel_at(w),
                 w_cut, w_max, epsabs=1e-12, epsrel=1e-9, limit=250,
             )
-        rhs = lead_edge[0] + rem_edge[0] + bulk[0]
+        rhs = ev.edge_integral(kernel_at, w_cut) + bulk[0]
         denom = abs(h_x)
         # Residual is relative to |H(x)| per the check contract.
         residuals.append(abs(lhs - rhs) / (w_max * denom) if denom > _SAFE_DENOM else abs(lhs - rhs))
@@ -322,9 +301,9 @@ def beta_product_moments(
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(n_samples))
         log_exact = math.fsum(
-            [sc.gammaln(ak + bk) - sc.gammaln(ak) for ak, bk in zip(al, be)]
+            [gammaln(ak + bk) - gammaln(ak) for ak, bk in zip(al, be)]
             + [
-                sc.gammaln(Ak * float(x) + ak - Ak) - sc.gammaln(Ak * float(x) + ak + bk - Ak)
+                gammaln(Ak * float(x) + ak - Ak) - gammaln(Ak * float(x) + ak + bk - Ak)
                 for ak, bk, Ak in zip(al, be, Av)
             ]
         )

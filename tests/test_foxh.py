@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.special import gamma as spgamma
+from scipy.special import beta as spbeta, betainc, gamma as spgamma
 
 import gammaratio.foxh as foxh_mod
 from gammaratio import (
@@ -23,7 +23,7 @@ from gammaratio import (
 )
 from gammaratio.foxh import (
     DensityEvaluator,
-    _Contour,
+    _MemoG,
     _osc_tail_moment,
     _tail_moments,
     gamma_product_ratio_at,
@@ -117,7 +117,7 @@ class TestFoxH:
         from gammaratio import QuadratureAccuracyError
 
         # Force every quadrature path to disagree across contours.
-        monkeypatch.setattr(foxh_mod, "_fourier_re", lambda contour, c, omega, cfg: (c, 1e6, False))
+        monkeypatch.setattr(foxh_mod, "_fourier_re", lambda ev, c, omega: (c, 1e6, False))
         with pytest.raises(QuadratureAccuracyError) as exc:
             fox_h(spec_equal_scales, 0.4)
         assert exc.value.error_estimate > 0.0
@@ -155,11 +155,11 @@ class TestDensityCurve:
         ev = DensityEvaluator(spec_mixed_scale)
         for x in default_grid(spec_mixed_scale)[::6]:
             ev.evaluate(x)
-        memo = ev.contour._g_values
+        memo = ev.g.values
         assert len(memo) > 100
         inv = derive(spec_mixed_scale)
         for s in list(memo)[::37]:
-            assert ev.contour.g(s) == _Contour(spec_mixed_scale, inv).g(s)
+            assert ev.g(s) == _MemoG(spec_mixed_scale, inv)(s)
 
     def test_same_errors_as_fox_h(self, spec_equal_scales):
         rho = derive(spec_equal_scales).rho
@@ -193,6 +193,19 @@ class TestDensityCurve:
         monkeypatch.setattr(foxh_mod.sc, "loggamma", counted)
         density(spec_mixed_scale, default_grid(spec_mixed_scale))
         assert 0 < len(calls) <= 3000
+
+
+class TestEdgeIntegral:
+    @pytest.mark.parametrize("alpha, beta", [(0.7, 2.2), (1.3, 1.8), (0.5, 4.0)])
+    @pytest.mark.parametrize("w_hi", [0.05, 0.3, 1.0])
+    def test_beta_closed_form(self, alpha, beta, w_hi):
+        # H(x) = x^alpha (1-x)^(mu-1) / Gamma(mu) on (0, 1), mu = beta - alpha,
+        # so int_0^w_hi H(e^-w) dw is an incomplete beta integral.
+        ev = DensityEvaluator(RatioSpec(A=(1.0,), a=(alpha,), B=(1.0,), b=(beta,)))
+        got = ev.edge_integral(lambda w: 1.0, w_hi)
+        mu = beta - alpha
+        exact = spbeta(alpha, mu) * (1.0 - betainc(alpha, mu, math.exp(-w_hi))) / spgamma(mu)
+        assert got == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
 class TestTailMoments:
@@ -242,14 +255,13 @@ class TestContourColumns:
         ev = DensityEvaluator(spec_mixed_scale)
         for x in self.grid_and_shifted(spec_mixed_scale):
             ev.evaluate(x)
-        memo = ev.contour._g_values
-        columns = ev.contour._columns
-        assert sorted(columns) == [0.1, 0.3, 1.0]
-        for c, re in columns.items():
-            assert re and re.twin
-            for t, part in re.items():
+        memo = ev.g.values
+        assert sorted(ev._lines) == [0.1, 0.3, 1.0]
+        for c, line in ev._lines.items():
+            assert line.re and line.im and line.re.twin is line.im
+            for t, part in line.re.items():
                 assert part.hex() == memo[complex(c, t)].real.hex()
-            for t, part in re.twin.items():
+            for t, part in line.im.items():
                 assert part.hex() == memo[complex(c, t)].imag.hex()
 
     def test_evaluator_freed_without_cyclic_gc(self, spec_mixed_scale):
@@ -259,10 +271,10 @@ class TestContourColumns:
             ev.evaluate(0.5 * ev.inv.rho)
             for x in self.grid_and_shifted(spec_mixed_scale):
                 ev.evaluate(x)
-            assert ev.contour._columns
-            contour = weakref.ref(ev.contour)
+            assert ev._lines
+            ref = weakref.ref(ev)
             del ev
-            assert contour() is None
+            assert ref() is None
         finally:
             gc.enable()
 

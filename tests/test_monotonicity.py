@@ -18,6 +18,7 @@ from gammaratio import (
     power_sum_diff,
     weak_supermajorization,
 )
+from gammaratio import monotonicity
 from gammaratio.monotonicity import (
     BERNSTEIN_DERIVATIVE,
     FAILS,
@@ -196,6 +197,31 @@ class TestClassify:
         assert all(verdict.find(f"NEC_{k}").status == HOLDS for k in "ABCD")
         assert verdict.find(Q_NONNEG).status == FAILS
         assert verdict.classification == NOT_LCM
+
+    def test_one_derive_per_classify(
+        self, spec_mixed_scale, spec_paired, spec_bernstein_only, spec_equal_scales, monkeypatch
+    ):
+        calls = []
+        derive = monotonicity.derive
+
+        def counted(spec):
+            calls.append(spec)
+            return derive(spec)
+
+        monkeypatch.setattr(monotonicity, "derive", counted)
+        specs = [
+            spec_mixed_scale,  # certified by condition (a), p != q
+            spec_paired,  # certified by condition (b)
+            spec_bernstein_only,  # unequal sums, kernel sampled
+            spec_equal_scales,
+            RatioSpec(A=(2, 1), a=(0.4, 2.4), B=(1, 2), b=(2.4, 0.4)),  # identical factors
+            RatioSpec(A=(1, 1, 1), a=(0.9, 1.65, 1.65), B=(1, 1, 1), b=(1.0, 1.0, 2.2)),
+        ]
+        for spec in specs:
+            calls.clear()
+            verdict = classify(spec)
+            assert calls == [spec]
+            assert verdict.derived == derive(spec)
 
 
 class TestBuildUnweighted:
