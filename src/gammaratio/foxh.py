@@ -11,23 +11,20 @@ which turns the contour integral defining the density H into a closed-form
 leading part supported on (0, rho) plus a convergent Fourier-type integral
 of g.  The density vanishes identically for x > rho.
 
-The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt are computed as
-an oscillatory-weight quadrature over [0, T] (whose cost is independent of
-the frequency) plus an analytic tail: g is fitted on [T, 3T] to a
-three-term algebraic expansion whose oscillatory moments are Laplace
-integrals along a rotated ray, evaluated together by one trapezoidal rule
-in log u.  A result that QUADPACK flags, or whose estimate exceeds the
-tolerance, is recomputed on a second contour; if the two disagree the point
+The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T:
+Gauss-Kronrod G10/K21 panels on [0, T], whose K21 - G10 difference is their
+error, and beyond T the exact Stirling series g(s) ~ A* sum_k e_k s^(-mu-k),
+whose oscillatory moments come from one trapezoidal rule in log u and whose
+first omitted term is its error.  A result whose estimate exceeds the
+tolerance is recomputed on a second contour; if the two disagree the point
 raises QuadratureAccuracyError with the better value as its best estimate.
 
-g does not depend on x.  A DensityEvaluator derives a spec once, memoizes
-g on the exact complex s and keeps one _Line per abscissa c: the Re g and
-Im g dict columns the cos and sin passes read (repeated QUADPACK nodes are
-dict hits that never enter Python) and the tail fit on that line.  Every
-density point of a curve, a Mellin quadrature or an integral-equation check
-reuses what earlier points computed, and ``edge_integral`` owns the
-leading/remainder split near the support endpoint.  ``fox_h`` is the
-one-point case.
+g does not depend on x.  A DensityEvaluator derives a spec once and keeps
+one _Line per abscissa c, holding g on the head nodes (one vectorized pass)
+and the tail terms, so a density point costs two small matrix-vector
+products and every point of a curve or an outer quadrature reuses them.
+``edge_integral`` owns the leading/remainder split near the support
+endpoint; ``fox_h`` is the one-point case.
 """
 
 from __future__ import annotations
@@ -48,11 +45,7 @@ from .errors import (
     SingularPointError,
     UnsupportedParameterError,
 )
-from .ratio import DerivedInvariants, RatioSpec, _gamma_product, derive
-
-# Frequencies below this go through the head-plus-analytic-tail path; above
-# it QUADPACK's cycle acceleration converges quickly.
-_OMEGA_SWITCH = 0.05
+from .ratio import _BERNOULLI, DerivedInvariants, RatioSpec, _gamma_product, derive
 
 # Relative half-width of the excluded neighbourhood of x = rho, where the
 # leading part diverges for mu < 1 and the decomposition loses all digits.
@@ -63,15 +56,47 @@ _RHO_EXCLUSION = 1e-6
 _MELLIN_SPLIT = 0.5
 
 _MU_WARN = 0.2
-_TAIL_FIT_TERMS = 3
-_TAIL_FIT_SAMPLES = 12
 
-# Step of the log-variable trapezoidal rule for the tail moments; h = 0.2
-# already loses four digits.
-_TAIL_STEP = 0.15
+_EPS = np.finfo(float).eps
 
-# Subinterval limit of the head quadratures on [0, T].
-_HEAD_LIMIT = 133
+# Gauss-Kronrod G10/K21 on [-1, 1], QUADPACK's qk21 (the table of scipy's
+# quad_vec) in double precision: the nonnegative Kronrod nodes, their
+# weights, and the weights of the Gauss nodes among them (odd positions).
+_GK_X = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+                  0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+                  0.2943928627014602, 0.14887433898163122, 0.0])
+_GK_WK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+                   0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+                   0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
+_GK_WG = np.zeros(11)
+_GK_WG[1::2] = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+                0.29552422471475287)
+_GK_NODES = np.concatenate([-_GK_X, _GK_X[-2::-1]])
+_GK_KRONROD = np.concatenate([_GK_WK, _GK_WK[-2::-1]])
+_GK_DIFF = _GK_KRONROD - np.concatenate([_GK_WG, _GK_WG[-2::-1]])
+
+# Stirling terms of g summed in the tail; the next one bounds the truncation.
+# T moves out from truncation_T until that term is below _TAIL_SERIES_TOL of
+# the largest kept one, but not past _TAIL_T_MAX.
+_TAIL_TERMS = 20
+_TAIL_SERIES_TOL = 1e-15
+_TAIL_T_MAX = 1e4
+
+# B_n(x) = sum_j C(n, j) B_(n-j) x^j for n <= K+2, as a matrix acting on the
+# powers x^j.
+_BERNOULLI_POLY = np.array(
+    [[math.comb(n, j) * _BERNOULLI[n - j] if j <= n else 0.0 for j in range(_TAIL_TERMS + 3)]
+     for n in range(_TAIL_TERMS + 3)]
+)
+
+# Most log-gamma values one line evaluates, which caps its equal head panels
+# at _HEAD_VALUES / (21 (p+q)).  A panel longer than one period of
+# e^{i omega t} shows in the K21 - G10 difference.
+_HEAD_VALUES = 1 << 20
+
+# Step of the log-variable trapezoidal rule for the tail moments; h = 0.15
+# loses up to seven digits on the highest powers at T = 10.
+_TAIL_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -80,11 +105,13 @@ class ContourConfig:
 
     abscissa_c of None selects max(gamma_pole, 0) + 1, which keeps the
     contour right of every integrand pole and clear of the branch cut of
-    s^-mu on the negative real axis.
+    s^-mu on the negative real axis.  truncation_T is the least length of
+    the quadrature head; the tail series starts there or, when its terms
+    need it, further out.
     """
 
     abscissa_c: float | None = None
-    truncation_T: float = 400.0
+    truncation_T: float = 50.0
     quad_rel_tol: float = 1e-8
 
     def __post_init__(self):
@@ -121,65 +148,24 @@ class HEvaluation:
     error_estimate: float
 
 
-def _cexpm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small complex z."""
-    if abs(z) < 1e-4:
-        return z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    return cmath.exp(z) - 1.0
+def _g(spec: RatioSpec, inv: DerivedInvariants, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The subtracted integrand g at every point of the complex array s, and its rounding.
 
-
-class _MemoG:
-    """The subtracted integrand g(s), memoized on the exact s.
-
-    The adaptive rules of different density points (and the cos and sin
-    passes of one point) share their nodes, and a cached value is the value
-    the evaluation would return.  Holds arrays and its memo only, never an
-    evaluator, so the columns that call it form no reference cycle.
+    Evaluated as A* s^-mu expm1(d) with d -> 0, from one loggamma call on a
+    (p+q) x len(s) array.  d is a small difference of log-gamma sums of size
+    |s| log|s|; the rounding of those sums, carried through the exponential,
+    is the size of the absolute error of g, which grows with |s|.
     """
-
-    __slots__ = ("weights", "scales", "shifts", "log_rho", "mu", "log_stirling", "values")
-
-    def __init__(self, spec: RatioSpec, inv: DerivedInvariants):
-        self.weights = np.concatenate([np.ones(spec.p), -np.ones(spec.q)])
-        self.scales = np.concatenate([np.asarray(spec.A), np.asarray(spec.B)])
-        self.shifts = np.concatenate([np.asarray(spec.a), np.asarray(spec.b)])
-        self.log_rho = inv.log_rho
-        self.mu = inv.mu
-        self.log_stirling = inv.log_stirling_const
-        self.values: dict[complex, complex] = {}
-
-    def __call__(self, s: complex) -> complex:
-        """Evaluated as A* s^-mu expm1(d) with d -> 0."""
-        value = self.values.get(s)
-        if value is None:
-            lg = sc.loggamma(self.scales * s + self.shifts)
-            log_ratio = complex(np.dot(self.weights, lg)) - s * self.log_rho
-            lead_log = self.log_stirling - self.mu * cmath.log(s)
-            value = self.values[s] = cmath.exp(lead_log) * _cexpm1(log_ratio - lead_log)
-        return value
-
-
-class _Column(dict):
-    """t -> Re g(c+it), or Im g(c+it) for a column without a twin.
-
-    QUADPACK takes ``column.__getitem__`` as its integrand, so a node seen
-    before is a dict hit served in C; only a miss runs Python.  A miss in
-    the real column also fills its imaginary twin.
-    """
-
-    __slots__ = ("g", "c", "twin")
-
-    def __init__(self, g: _MemoG, c: float, twin: _Column | None = None):
-        self.g, self.c, self.twin = g, c, twin
-
-    def __missing__(self, t: float) -> float:
-        value = self.g(complex(self.c, t))
-        if self.twin is None:
-            self[t] = part = value.imag
-        else:
-            self.twin[t] = value.imag
-            self[t] = part = value.real
-        return part
+    scales = np.array(spec.A + spec.B)[:, None]
+    shifts = np.array(spec.a + spec.b)[:, None]
+    lg = sc.loggamma(scales * s + shifts)
+    s_log_rho = s * inv.log_rho
+    log_ratio = lg[: spec.p].sum(axis=0) - lg[spec.p :].sum(axis=0) - s_log_rho
+    lead_log = inv.log_stirling_const - inv.mu * np.log(s)
+    lead = np.exp(lead_log)
+    g = lead * np.expm1(log_ratio - lead_log)
+    size = np.abs(lg).sum(axis=0) + np.abs(s_log_rho) + np.abs(lead_log)
+    return g, 2.0 * _EPS * (np.abs(lead + g) * size + np.abs(g))
 
 
 def subtracted_gamma_ratio(spec: RatioSpec, s: complex) -> complex:
@@ -188,7 +174,36 @@ def subtracted_gamma_ratio(spec: RatioSpec, s: complex) -> complex:
     Exposed for the conjugate-symmetry and decay-law diagnostics; the
     contour integration uses the same evaluation internally.
     """
-    return _MemoG(spec, derive(spec))(complex(s))
+    return complex(_g(spec, derive(spec), np.array([complex(s)]))[0][0])
+
+
+def _stirling_coefficients(spec: RatioSpec, n: int) -> np.ndarray:
+    """e_1..e_n of W(s) rho^-s = A* s^-mu sum_k e_k s^-k (e_0 = 1).
+
+    By the Stirling series with Bernoulli polynomials (DLMF 5.11.8),
+    log W(s) - s log rho - log A* + mu log s = sum_m d_m s^-m with
+    d_m = sum_i (-1)^(m+1) B_(m+1)(a_i) / (m (m+1) A_i^m), minus the same
+    sum over (b_j, B_j); exponentiating gives e_k = (1/k) sum_m m d_m e_(k-m).
+    """
+    shifts = np.array(spec.a + spec.b)
+    signs = np.array([1.0] * spec.p + [-1.0] * spec.q)
+    m = np.arange(1, n + 1)
+    bern = _BERNOULLI_POLY[: n + 2, : n + 2] @ shifts ** np.arange(n + 2)[:, None]
+    inverse_powers = np.array(spec.A + spec.B) ** -m[:, None]
+    md = (-1.0) ** (m + 1) * ((bern[2:] * inverse_powers) @ signs) / (m + 1)
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    for k in range(1, n + 1):
+        e[k] = md[:k] @ e[k - 1 :: -1] / k
+    return e[1:]
+
+
+def _tail_start(coef: np.ndarray, truncation_T: float) -> float:
+    """Least T >= truncation_T (at most _TAIL_T_MAX) where the first omitted
+    term is below _TAIL_SERIES_TOL of the largest kept one."""
+    need = [(abs(coef[-1]) / (_TAIL_SERIES_TOL * abs(ck))) ** (1.0 / (_TAIL_TERMS - k))
+            for k, ck in enumerate(coef[:-1]) if ck != 0.0]
+    return max(truncation_T, min(min(need, default=0.0), _TAIL_T_MAX))
 
 
 def _osc_tail_moment(omega: float, nu: float, z0: complex) -> complex:
@@ -209,13 +224,29 @@ def _osc_tail_moment(omega: float, nu: float, z0: complex) -> complex:
     return -1j * cmath.exp(-omega * z0) * (w**m) * val
 
 
-def _quad_result(res) -> tuple[float, float, bool]:
-    """Unpack scipy.integrate.quad full_output, flagging reported trouble."""
-    return float(res[0]), float(res[1]), len(res) > 3
+def _tail_lattice(omega: float, z0: complex) -> tuple[int, int]:
+    """Range j0 <= j < j1 of the nodes l = j h, on one lattice for every omega != 0.
+
+    The limits drop less than e^-37 below the scale of the integrand and
+    e^-40 past its decay.
+    """
+    aw = abs(omega)
+    lo = math.log(1.0 / (aw + 1.0 / abs(z0))) - 37.0
+    return math.floor(lo / _TAIL_STEP), math.ceil(math.log(40.0 / aw) / _TAIL_STEP)
 
 
-def _tail_moments(omega: float, mu: float, z0: complex) -> list[complex]:
-    """Oscillatory moments I_nu of _osc_tail_moment for nu = mu+1, ..., mu+3.
+def _ray_powers(z0: complex, sgn: float, mu: float, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
+    """u = e^(j h), j0 <= j < j1, and the rows (z0 - sgn u)^-(mu+k), k = 1..K+1."""
+    u = np.exp(np.arange(j0, j1) * _TAIL_STEP)
+    base = z0 - sgn * u
+    steps = np.empty((_TAIL_TERMS + 1, len(u)), dtype=complex)
+    steps[0] = np.exp(-(mu + 1.0) * np.log(base))
+    steps[1:] = 1.0 / base
+    return u, np.cumprod(steps, axis=0)
+
+
+def _tail_moments(omega: float, mu: float, z0: complex) -> np.ndarray:
+    """Oscillatory moments I_nu of _osc_tail_moment for nu = mu+1, ..., mu+K+1.
 
     Rotating the ray t -> i sgn(omega) u gives the Laplace integral
 
@@ -225,110 +256,134 @@ def _tail_moments(omega: float, mu: float, z0: complex) -> list[complex]:
     quadrant swept.  In l = log u the integrand u (z0 - sgn(omega) u)^-nu
     e^(-|omega| u) is analytic in a strip and decays at both ends, so the
     trapezoidal rule converges exponentially (Trefethen & Weideman, SIAM
-    Review 2014).  The limits drop less than e^-37 below the scale of the
-    integrand and e^-40 past its decay; one pass of about 270-360 nodes
-    gives all three moments to about 1e-14 relative.
+    Review 2014); one pass of about 400-550 nodes gives every moment to
+    about 1e-14 relative.
     """
-    nus = [mu + k for k in range(1, _TAIL_FIT_TERMS + 1)]
+    nus = mu + np.arange(1.0, _TAIL_TERMS + 2.0)
     if omega == 0.0:
-        return [_osc_tail_moment(0.0, nu, z0) for nu in nus]
-    aw = abs(omega)
+        return np.array([_osc_tail_moment(0.0, nu, z0) for nu in nus])
     sgn = 1.0 if omega > 0.0 else -1.0
-    lo = math.log(1.0 / (aw + 1.0 / abs(z0))) - 37.0
-    u = np.exp(np.arange(lo, math.log(40.0 / aw), _TAIL_STEP))
-    log_base = np.log(z0 - sgn * u)
-    weights = u * np.exp(-aw * u)
-    sums = np.exp(-np.array(nus)[:, None] * log_base) @ weights
-    return [complex(v) for v in (1j * sgn * _TAIL_STEP) * sums]
+    u, powers = _ray_powers(z0, sgn, mu, *_tail_lattice(omega, z0))
+    return (1j * sgn * _TAIL_STEP) * (powers @ (u * np.exp(-abs(omega) * u)))
 
 
 class _Line:
-    """The line Re s = c of one evaluator: Re/Im columns of g and the tail fit.
+    """The line Re s = c of one evaluator: g on the head nodes and the tail terms.
 
-    The tail fit is g fitted on [T, 3T] by least squares against the inverse
-    powers (c + it)^-(mu+k); it does not depend on the frequency, so it is
-    made once, when the line is.
+    The head [0, T] is cut into G10/K21 panels of width c/2 * 1.5^k from t = 0
+    (the singularity at s = 0 is a distance c away), then into equal panels
+    of at most min(1, 2 pi / |omega|), within the value budget.  A larger
+    |omega| halves the panels and evaluates g again, so the work stays below
+    twice that of the final node set.  Per sign of omega the tail holds the
+    kept Stirling terms A* e_k (z0 - sgn u)^-(mu+k), summed, and the first
+    omitted one on the log-u lattice, extended when a point needs more.
+    Holds the spec, never the evaluator, so it forms no reference cycle.
     """
 
-    __slots__ = ("re", "im", "z0", "mu", "coef", "tail_err")
+    __slots__ = ("spec", "inv", "c", "T", "max_panels", "tail_coef", "panel", "t", "g", "wg", "noise", "rows")
 
-    def __init__(self, g: _MemoG, c: float, T: float):
-        self.im = _Column(g, c)
-        self.re = _Column(g, c, self.im)
-        self.z0 = complex(c, T)
-        self.mu = g.mu
-        ts = np.linspace(T, 3.0 * T, _TAIL_FIT_SAMPLES)
-        gs = np.array([g(complex(c, t)) for t in ts])
-        basis = np.column_stack([(c + 1j * ts) ** -(g.mu + k) for k in range(1, _TAIL_FIT_TERMS + 1)])
-        self.coef, *_ = np.linalg.lstsq(basis, gs, rcond=None)
-        fit_residual = float(np.max(np.abs(basis @ self.coef - gs)))
-        self.tail_err = fit_residual * T / (g.mu + _TAIL_FIT_TERMS)
+    def __init__(self, ev: DensityEvaluator, c: float, omega: float):
+        self.spec, self.inv, self.c, self.T = ev.spec, ev.inv, c, ev.T
+        self.max_panels = _HEAD_VALUES // (21 * (ev.spec.p + ev.spec.q))
+        kept = np.append(ev.coef[:-1], 0.0)
+        self.tail_coef = np.array([kept, ev.coef - kept])
+        self.rows: dict[float, tuple] = {}
+        self._place(min(1.0, 2.0 * math.pi / abs(omega)) if omega else 1.0)
 
-    def tail_re(self, omega: float) -> tuple[float, float]:
-        """Re int_T^inf g(c+it) e^{i omega t} dt via the fitted expansion.
+    def _place(self, panel: float):
+        """Lay out the head panels and evaluate g on their nodes."""
+        edges = [0.0]
+        width = 0.5 * self.c
+        while width < panel and edges[-1] + width < self.T:
+            edges.append(edges[-1] + width)
+            width *= 1.5
+        n = min(math.ceil((self.T - edges[-1]) / panel), self.max_panels)
+        edges = np.concatenate([edges[:-1], np.linspace(edges[-1], self.T, n + 1)])
+        half = 0.5 * np.diff(edges)[:, None]
+        self.t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GK_NODES).ravel()
+        self.g, rounding = _g(self.spec, self.inv, self.c + 1j * self.t)
+        kronrod = (half * _GK_KRONROD).ravel()
+        self.wg = np.stack([kronrod * self.g, (half * _GK_DIFF).ravel() * self.g], axis=1)
+        # The rounding errors of g at different nodes are independent, so
+        # they add in quadrature.
+        self.noise = float(np.linalg.norm(kronrod * rounding))
+        self.panel = panel
 
-        Each basis term has a closed-form oscillatory moment; the fit
-        residual times the integrated basis scale bounds the omitted error.
-        """
-        tail = complex(0.0)
-        for kap, moment in zip(self.coef, _tail_moments(omega, self.mu, self.z0)):
-            tail += kap * moment
-        tail *= cmath.exp(1j * omega * self.z0.imag)
-        return tail.real, self.tail_err
+    def head(self, omega: float) -> tuple[float, float]:
+        """Re int_0^T g(c+it) e^{i omega t} dt by K21, and |K21 - G10| plus the rounding of g."""
+        panel = self.panel
+        while abs(omega) * panel > 2.0 * math.pi and panel * self.max_panels > self.T:
+            panel *= 0.5
+        if panel != self.panel:
+            self._place(panel)
+        kronrod, diff = np.exp(1j * omega * self.t) @ self.wg
+        return float(kronrod.real), float(abs(diff.real)) + self.noise
+
+    def tail(self, omega: float) -> tuple[float, float]:
+        """Re int_T^inf g(c+it) e^{i omega t} dt from the series, and its first omitted term."""
+        z0 = complex(self.c, self.T)
+        if omega == 0.0:
+            kept, omitted = self.tail_coef @ _tail_moments(0.0, self.inv.mu, z0)
+        else:
+            sgn = 1.0 if omega > 0.0 else -1.0
+            j0, j1 = _tail_lattice(omega, z0)
+            k0, u, rows = self._tail_rows(sgn, j0, j1)
+            u = u[j0 - k0 : j1 - k0]
+            weights = u * np.exp(-abs(omega) * u)
+            kept, omitted = (1j * sgn * _TAIL_STEP) * (rows[:, j0 - k0 : j1 - k0] @ weights)
+        return float((cmath.exp(1j * omega * self.T) * kept).real), float(abs(omitted))
+
+    def _tail_rows(self, sgn: float, j0: int, j1: int) -> tuple:
+        """(first index, u, contracted rows) held for sgn, extended to cover j0 <= j < j1."""
+        k0, u, rows = self.rows.get(sgn, (j0, np.empty(0), np.empty((2, 0), dtype=complex)))
+        k1 = k0 + len(u)
+        if j0 < k0 or j1 > k1:
+            z0 = complex(self.c, self.T)
+            lo_u, lo = _ray_powers(z0, sgn, self.inv.mu, j0, max(j0, k0))
+            hi_u, hi = _ray_powers(z0, sgn, self.inv.mu, min(k1, j1), j1)
+            u = np.concatenate([lo_u, u, hi_u])
+            rows = np.concatenate([self.tail_coef @ lo, rows, self.tail_coef @ hi], axis=1)
+            k0 = min(j0, k0)
+            self.rows[sgn] = (k0, u, rows)
+        return k0, u, rows
 
 
 def _fourier_re(ev: DensityEvaluator, c: float, omega: float):
-    """Re int_0^inf g(c+it) e^{i omega t} dt.
+    """Re int_0^inf g(c+it) e^{i omega t} dt: the fixed-node head plus the series tail.
 
-    The head [0, T] uses oscillatory-weight quadrature (Clenshaw-Curtis with
-    analytic trigonometric moments, so the cost does not grow with the
-    frequency); below the frequency switch a plain adaptive rule is at least
-    as accurate.  The infinite tail is always the fitted analytic expansion.
-    Returns (value, error_estimate, trusted).
+    Returns (value, error_estimate, trusted).  Past the support (omega < 0)
+    the exact value is 0, so there the error, carried to density units, is
+    judged against the size A*/Gamma(mu) of the leading part on the support.
     """
-    epsabs = max(1e-14, ev.cfg.quad_rel_tol * 1e-5)
-    T = ev.cfg.truncation_T
-    aw = abs(omega)
     line = ev._lines.get(c)
     if line is None:
-        line = ev._lines[c] = _Line(ev.g, c, T)
-    if aw < _OMEGA_SWITCH:
-        head = quad(
-            lambda t: (ev.g(complex(c, t)) * cmath.exp(1j * omega * t)).real,
-            0.0, T, epsabs=epsabs, epsrel=1e-11, limit=_HEAD_LIMIT, full_output=1,
-        )
-        hv, he, trouble = _quad_result(head)
+        line = ev._lines[c] = _Line(ev, c, omega)
+    head, head_err = line.head(omega)
+    tail, tail_err = line.tail(omega)
+    value, err = head + tail, head_err + tail_err
+    tol = ev.cfg.quad_rel_tol
+    floor = 1e3 * max(1e-14, tol * 1e-5)
+    if omega >= 0.0:
+        trusted = err <= max(floor, abs(value) * tol)
     else:
-        rc = quad(
-            line.re.__getitem__,
-            0.0, T, weight="cos", wvar=aw,
-            epsabs=epsabs, epsrel=1e-12, limit=_HEAD_LIMIT, full_output=1,
-        )
-        rs = quad(
-            line.im.__getitem__,
-            0.0, T, weight="sin", wvar=aw,
-            epsabs=epsabs, epsrel=1e-12, limit=_HEAD_LIMIT, full_output=1,
-        )
-        vc, ec, tc = _quad_result(rc)
-        vs, es, ts2 = _quad_result(rs)
-        sgn = 1.0 if omega >= 0.0 else -1.0
-        hv, he, trouble = vc - sgn * vs, ec + es, tc or ts2
-
-    tail_value, tail_err = line.tail_re(omega)
-    value = hv + tail_value
-    err = he + tail_err
-    trusted = (not trouble) and err <= max(1e3 * epsabs, abs(value) * ev.cfg.quad_rel_tol)
+        trusted = err * math.exp(c * omega) / math.pi <= max(floor, ev.lead_scale * tol)
     return value, err, trusted
 
 
-def _leading_density(inv: DerivedInvariants, x: float) -> float:
-    """Closed-form leading part: A* log(rho/x)^(mu-1) / Gamma(mu) on (0, rho)."""
+def _leading_density(inv: DerivedInvariants, x: float) -> tuple[float, float]:
+    """Closed-form leading part A* log(rho/x)^(mu-1) / Gamma(mu) on (0, rho), and its error.
+
+    log(rho/x) carries the rounding of log rho and log x, which the power
+    amplifies by |mu - 1| / log(rho/x) near the support endpoint.
+    """
     if x >= inv.rho:
-        return 0.0
+        return 0.0, 0.0
     log_ratio = inv.log_rho - math.log(x)
-    return math.exp(
+    value = math.exp(
         inv.log_stirling_const + (inv.mu - 1.0) * math.log(log_ratio)
     ) / float(sc.gamma(inv.mu))
+    rounding = _EPS * (abs(inv.log_rho) + abs(math.log(x))) / log_ratio
+    return value, value * (1e-14 + abs(inv.mu - 1.0) * rounding)
 
 
 def _remainder_density(ev: DensityEvaluator, c: float, x: float) -> tuple[float, float]:
@@ -344,7 +399,7 @@ def _remainder_density(ev: DensityEvaluator, c: float, x: float) -> tuple[float,
     # The prefactor e^(c omega) amplifies quadrature roundoff; far below the
     # support endpoint the contour is moved toward the imaginary axis (all
     # integrand poles sit at abscissas <= 0) to keep that amplification
-    # bounded.  Quantized to a few levels so the tail-fit cache stays hot.
+    # bounded.  Quantized to a few levels so few lines are built.
     # A user-pinned abscissa is honored as configured.
     if cfg.abscissa_c is None and omega > 6.0:
         target = max(0.05, 6.0 / omega)
@@ -372,7 +427,10 @@ def _remainder_density(ev: DensityEvaluator, c: float, x: float) -> tuple[float,
     best, best_floor = (r2, floor2) if floor2 <= floor1 else (r1, floor1)
     tol_abs = 20.0 * (floor1 + floor2) + 100.0 * min(pre, pre2) * max(1e-14, cfg.quad_rel_tol * 1e-5)
     est = diff + best_floor
-    if diff <= max(tol_abs, 10.0 * cfg.quad_rel_tol * abs(best)):
+    # Past the support the exact value is 0: agreement is judged against the
+    # size of the leading part on the support, not against the value.
+    scale = abs(best) if omega >= 0.0 else ev.lead_scale
+    if diff <= max(tol_abs, 10.0 * cfg.quad_rel_tol * scale):
         return best, est
     raise QuadratureAccuracyError(
         f"contour quadrature did not converge (omega={omega}, best error {est})",
@@ -382,14 +440,14 @@ def _remainder_density(ev: DensityEvaluator, c: float, x: float) -> tuple[float,
 
 
 class DensityEvaluator:
-    """The density of one spec: its memoized g and one _Line per abscissa.
+    """The density of one spec: its tail series and one _Line per abscissa.
 
-    Derives and validates the spec and resolves the contour abscissa once;
+    Derives and validates the spec, resolves the contour abscissa and
+    computes the Stirling coefficients of g and the head length T once;
     requires mu > 0 and equal scale sums, and warns once when mu is small
     enough to slow the contour decay.  Every point evaluated through one
-    evaluator reuses the g values, columns and tail fits of the points
-    before it, so a whole curve or an outer quadrature over x should go
-    through a single evaluator.
+    evaluator reuses the lines of the points before it, so a whole curve or
+    an outer quadrature over x should go through a single evaluator.
     """
 
     def __init__(self, spec: RatioSpec, cfg: ContourConfig | None = None):
@@ -410,25 +468,28 @@ class DensityEvaluator:
                 stacklevel=3,
             )
         self.cfg = cfg
+        self.spec = spec
         self.inv = inv
         self.c = cfg.resolve_abscissa(inv)
-        self.g = _MemoG(spec, inv)
+        self.coef = inv.stirling_const * _stirling_coefficients(spec, _TAIL_TERMS + 1)
+        self.T = _tail_start(self.coef, cfg.truncation_T)
+        self.lead_scale = inv.stirling_const / float(sc.gamma(inv.mu))
         self._lines: dict[float, _Line] = {}
 
     def value(self, x: float, c: float | None = None) -> float:
         """Density at any x > 0 (no support-endpoint exclusion); c overrides self.c."""
         c = self.c if c is None else c
-        return _leading_density(self.inv, x) + _remainder_density(self, c, x)[0]
+        return _leading_density(self.inv, x)[0] + _remainder_density(self, c, x)[0]
 
     def evaluate(self, x: float) -> HEvaluation:
         """Density at x split into its parts, with the combined error estimate."""
-        leading = _leading_density(self.inv, x)
+        leading, lead_err = _leading_density(self.inv, x)
         remainder, rem_err = _remainder_density(self, self.c, x)
         return HEvaluation(
             value=leading + remainder,
             leading_part=leading,
             remainder_part=remainder,
-            error_estimate=rem_err + 1e-14 * abs(leading),
+            error_estimate=rem_err + lead_err,
         )
 
     def edge_integral(self, f, w_hi: float) -> float:
@@ -438,11 +499,10 @@ class DensityEvaluator:
         quadrature, the bounded remainder to a plain adaptive rule.
         """
         inv = self.inv
-        lead_scale = math.exp(inv.log_stirling_const) / float(sc.gamma(inv.mu))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             lead = quad(
-                lambda w: lead_scale * f(w),
+                lambda w: self.lead_scale * f(w),
                 0.0, w_hi, weight="alg", wvar=(inv.mu - 1.0, 0.0),
                 epsabs=1e-12, epsrel=1e-9, limit=100,
             )

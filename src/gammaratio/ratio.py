@@ -321,10 +321,11 @@ def cm_kernel_t(spec: RatioSpec, t):
     return float(out[0]) if scalar else out
 
 
-# Bernoulli numbers B_0..B_13 (B_1 = -1/2 convention).
+# Bernoulli numbers B_0..B_22 (B_1 = -1/2 convention).
 _BERNOULLI = (
     1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0,
-    -1.0 / 30.0, 0.0, 5.0 / 66.0, 0.0, -691.0 / 2730.0, 0.0,
+    -1.0 / 30.0, 0.0, 5.0 / 66.0, 0.0, -691.0 / 2730.0, 0.0, 7.0 / 6.0, 0.0,
+    -3617.0 / 510.0, 0.0, 43867.0 / 798.0, 0.0, -174611.0 / 330.0, 0.0, 854513.0 / 138.0,
 )
 
 
@@ -347,8 +348,8 @@ def cm_kernel_series(spec: RatioSpec, n_terms: int = 12) -> list[tuple[float, fl
     absolute term magnitudes so callers can judge whether a coefficient is
     numerically distinguishable from zero.
     """
-    if not 1 <= n_terms <= len(_BERNOULLI) - 1:
-        raise DomainError(f"cm_kernel_series: n_terms={n_terms} outside 1..{len(_BERNOULLI) - 1}")
+    if not 1 <= n_terms <= 13:
+        raise DomainError(f"cm_kernel_series: n_terms={n_terms} outside 1..13")
     out = []
     for k in range(n_terms):
         fact = math.factorial(k + 1)

@@ -1,7 +1,9 @@
 import gc
 import math
+import random
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import beta as spbeta, betainc, gamma as spgamma
@@ -23,7 +25,6 @@ from gammaratio import (
 )
 from gammaratio.foxh import (
     DensityEvaluator,
-    _MemoG,
     _osc_tail_moment,
     _tail_moments,
     gamma_product_ratio_at,
@@ -36,10 +37,45 @@ def beta_density(alpha, beta, x):
     return x**alpha * (1.0 - x) ** (beta - 1.0) / spgamma(beta)
 
 
+def g_40_digits(spec, s):
+    """W(s) rho^-s - A* s^-mu from mpmath gamma functions at 40 digits."""
+    with mpmath.workdps(40):
+        s = mpmath.mpc(s)
+        half = mpmath.mpf(1) / 2
+        num = list(zip(spec.A, spec.a))
+        den = list(zip(spec.B, spec.b))
+        w = mpmath.fprod(mpmath.gamma(A * s + a) for A, a in num) / mpmath.fprod(
+            mpmath.gamma(B * s + b) for B, b in den
+        )
+        log_rho = mpmath.fsum(A * mpmath.log(A) for A, _ in num) - mpmath.fsum(B * mpmath.log(B) for B, _ in den)
+        mu = mpmath.fsum(spec.b) - mpmath.fsum(spec.a) + half * (spec.p - spec.q)
+        log_stirling = (
+            half * (spec.p - spec.q) * mpmath.log(2 * mpmath.pi)
+            + mpmath.fsum((a - half) * mpmath.log(A) for A, a in num)
+            + mpmath.fsum((half - b) * mpmath.log(B) for B, b in den)
+        )
+        return complex(w * mpmath.exp(-s * log_rho) - mpmath.exp(log_stirling) * s ** (-mu))
+
+
+def fresh_spec(rng):
+    """Seeded spec with unit or integer scales and mu in [0.6, 4]."""
+    mu = rng.uniform(0.6, 4.0)
+    if rng.random() < 0.5:
+        A = B = (1.0,) * rng.randint(1, 3)
+    else:
+        total = rng.randint(2, 6)
+        A = tuple(rng.choice([(total,), (1, total - 1), (total - 1, 1)]))
+        B = (total,) if len(A) > 1 else (1, total - 1)
+    a = [rng.uniform(0.0, 3.0) for _ in A]
+    weights = [rng.uniform(0.2, 1.0) for _ in B]
+    target = mu + math.fsum(a) - 0.5 * (len(A) - len(B))
+    return RatioSpec(A=A, a=a, B=B, b=[target * w / math.fsum(weights) for w in weights])
+
+
 class TestContourConfig:
     def test_defaults_valid(self):
         cfg = ContourConfig()
-        assert cfg.truncation_T == 400.0
+        assert cfg.truncation_T == 50.0
         assert cfg.quad_rel_tol == 1e-8
 
     def test_rejects_small_truncation(self):
@@ -109,6 +145,17 @@ class TestFoxH:
         with pytest.warns(RuntimeWarning, match="slow contour decay"):
             fox_h(spec, 0.5)
 
+    def test_past_support_within_estimate(self):
+        # The density is 0 past rho; every seeded fresh point there returns a
+        # value within its own error estimate of 0.
+        rng = random.Random(20150122)
+        for _ in range(200):
+            spec = fresh_spec(rng)
+            omega = -math.exp(rng.uniform(math.log(1e-4), math.log(25.0)))
+            ev = fox_h(spec, math.exp(derive(spec).log_rho - omega))
+            assert math.isfinite(ev.value)
+            assert abs(ev.value) <= ev.error_estimate
+
     def test_parts_sum_exactly(self, spec_equal_scales):
         ev = fox_h(spec_equal_scales, 0.4)
         assert ev.value == ev.leading_part + ev.remainder_part
@@ -151,15 +198,28 @@ class TestDensityCurve:
             xs = default_grid(spec)
             assert density(spec, xs) == [fox_h(spec, x) for x in xs]
 
-    def test_memoized_g_matches_fresh_contour(self, spec_mixed_scale):
+    def test_shared_lines_match_fresh(self, spec_mixed_scale):
+        # On the c = 1 line: |omega| = 9 and 20 halve the head panels twice,
+        # and the tail lattice of each sign of omega grows at both ends.  The
+        # held arrays equal ones computed afresh, and every value agrees
+        # with a fresh evaluator within its error estimate.
         ev = DensityEvaluator(spec_mixed_scale)
-        for x in default_grid(spec_mixed_scale)[::6]:
-            ev.evaluate(x)
-        memo = ev.g.values
-        assert len(memo) > 100
-        inv = derive(spec_mixed_scale)
-        for s in list(memo)[::37]:
-            assert ev.g(s) == _MemoG(spec_mixed_scale, inv)(s)
+        omegas = (0.5, -9.0, 0.01, -20.0, 5.0, -0.05, 2.0)
+        xs = [ev.inv.rho * math.exp(-omega) for omega in omegas]
+        shared = [ev.evaluate(x) for x in xs]
+        assert list(ev._lines) == [1.0]
+        line = ev._lines[1.0]
+        assert line.panel == 0.25
+        assert np.array_equal(line.g, foxh_mod._g(ev.spec, ev.inv, 1.0 + 1j * line.t)[0])
+        assert sorted(line.rows) == [-1.0, 1.0]
+        for sgn, (k0, u, rows) in line.rows.items():
+            u_fresh, powers = foxh_mod._ray_powers(complex(1.0, ev.T), sgn, ev.inv.mu, k0, k0 + len(u))
+            assert np.array_equal(u, u_fresh)
+            fresh = line.tail_coef @ powers
+            assert np.all(np.abs(rows - fresh) <= 1e-14 * np.abs(fresh))
+        for x, got in zip(xs, shared):
+            alone = fox_h(spec_mixed_scale, x)
+            assert abs(got.value - alone.value) <= got.error_estimate + alone.error_estimate
 
     def test_same_errors_as_fox_h(self, spec_equal_scales):
         rho = derive(spec_equal_scales).rho
@@ -181,18 +241,18 @@ class TestDensityCurve:
         assert len([w for w in record if "slow contour decay" in str(w.message)]) == 1
 
     def test_curve_g_evaluations(self, spec_mixed_scale, monkeypatch):
-        # Each g evaluation makes one loggamma call; without the shared
-        # contour this curve needs about 47,000.
-        calls = []
-        loggamma = foxh_mod.sc.loggamma
+        # The curve evaluates g once, on the head nodes of its one line: 51
+        # panels of 21 nodes.
+        sizes = []
+        g = foxh_mod._g
 
-        def counted(z):
-            calls.append(1)
-            return loggamma(z)
+        def counted(spec, inv, s):
+            sizes.append(len(s))
+            return g(spec, inv, s)
 
-        monkeypatch.setattr(foxh_mod.sc, "loggamma", counted)
+        monkeypatch.setattr(foxh_mod, "_g", counted)
         density(spec_mixed_scale, default_grid(spec_mixed_scale))
-        assert 0 < len(calls) <= 3000
+        assert sizes == [51 * 21]
 
 
 class TestEdgeIntegral:
@@ -234,7 +294,20 @@ class TestTailMoments:
     def test_zero_frequency_closed_form(self):
         z0 = complex(0.3, 400.0)
         got = _tail_moments(0.0, 1.5, z0)
-        assert got == [z0 ** (-0.5 - k) / (1j * (0.5 + k)) for k in (1, 2, 3)]
+        assert list(got) == [z0 ** (-0.5 - k) / (1j * (0.5 + k)) for k in range(1, len(got) + 1)]
+
+    def test_line_tail_contracts_moments(self, spec_equal_scales):
+        # The held rows give the Stirling terms summed against the moments,
+        # and the first omitted term, whatever order the frequencies come in.
+        ev = DensityEvaluator(spec_equal_scales)
+        z0 = complex(ev.c, ev.T)
+        line = foxh_mod._Line(ev, ev.c, 3.0)
+        for omega in (3.0, 0.2, 11.0, 0.0, -0.7, -1e-4, -15.0):
+            value, omitted = line.tail(omega)
+            moments = _tail_moments(omega, ev.inv.mu, z0)
+            kept = complex(np.exp(1j * omega * ev.T) * (ev.coef[:-1] @ moments[:-1]))
+            assert abs(value - kept.real) <= 1e-13 * abs(kept)
+            assert omitted == pytest.approx(abs(ev.coef[-1] * moments[-1]), rel=1e-13)
 
     def test_density_calls_no_incomplete_gamma(self, spec_mixed_scale, monkeypatch):
         def refuse(*args):
@@ -245,24 +318,39 @@ class TestTailMoments:
         assert all(math.isfinite(ev.value) for ev in values)
 
 
+class TestStirlingSeries:
+    @pytest.mark.parametrize("name", ["spec_mixed_scale", "spec_equal_scales"])
+    def test_terms_match_high_precision_g(self, name, request):
+        # g at t = T, 2T and 8T against a 40-digit g: the sum of the first k
+        # exact terms is off by at most the first omitted term, plus the
+        # rounding of the double-precision terms.
+        spec = request.getfixturevalue(name)
+        ev = DensityEvaluator(spec)
+        K = len(ev.coef) - 1
+        for t in (ev.T, 2.0 * ev.T, 8.0 * ev.T):
+            s = complex(ev.c, t)
+            exact = g_40_digits(spec, s)
+            terms = ev.coef * s ** -(ev.inv.mu + np.arange(1, K + 2))
+            for k in (1, 2, 4, 8, 12, 16, K):
+                assert abs(terms[:k].sum() - exact) <= abs(terms[k]) + 1e-14 * abs(exact)
+
+
 class TestContourColumns:
     def grid_and_shifted(self, spec):
         # The last two points move the contour to the abscissas 0.3 and 0.1.
         rho = derive(spec).rho
         return default_grid(spec) + [rho * math.exp(-8.0), rho * math.exp(-25.0)]
 
-    def test_columns_hold_memoized_g(self, spec_mixed_scale):
+    def test_columns_hold_scalar_g(self, spec_mixed_scale):
+        # Each line evaluates g on all its head nodes in one vectorized
+        # pass; every value is the one-point subtracted_gamma_ratio there.
         ev = DensityEvaluator(spec_mixed_scale)
         for x in self.grid_and_shifted(spec_mixed_scale):
             ev.evaluate(x)
-        memo = ev.g.values
         assert sorted(ev._lines) == [0.1, 0.3, 1.0]
         for c, line in ev._lines.items():
-            assert line.re and line.im and line.re.twin is line.im
-            for t, part in line.re.items():
-                assert part.hex() == memo[complex(c, t)].real.hex()
-            for t, part in line.im.items():
-                assert part.hex() == memo[complex(c, t)].imag.hex()
+            scalar = np.array([subtracted_gamma_ratio(spec_mixed_scale, complex(c, t)) for t in line.t])
+            assert np.all(np.abs(line.g - scalar) <= 1e-15 * np.abs(scalar))
 
     def test_evaluator_freed_without_cyclic_gc(self, spec_mixed_scale):
         gc.disable()
