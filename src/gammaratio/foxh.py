@@ -21,7 +21,7 @@ raises QuadratureAccuracyError with the better value as its best estimate.
 
 g does not depend on x.  A DensityEvaluator derives a spec once and keeps
 one _Line per abscissa c, holding g on the head nodes (one vectorized pass)
-and the tail terms, so a density point costs two small matrix-vector
+and the tail terms, so a density point costs a few small matrix-vector
 products and every point of a curve or an outer quadrature reuses them.
 ``edge_integral`` owns the leading/remainder split near the support
 endpoint; ``fox_h`` is the one-point case.
@@ -271,16 +271,21 @@ class _Line:
     """The line Re s = c of one evaluator: g on the head nodes and the tail terms.
 
     The head [0, T] is cut into G10/K21 panels of width c/2 * 1.5^k from t = 0
-    (the singularity at s = 0 is a distance c away), then into equal panels
-    of at most min(1, 2 pi / |omega|), within the value budget.  A larger
-    |omega| halves the panels and evaluates g again, so the work stays below
-    twice that of the final node set.  Per sign of omega the tail holds the
-    kept Stirling terms A* e_k (z0 - sgn u)^-(mu+k), summed, and the first
-    omitted one on the log-u lattice, extended when a point needs more.
-    Holds the spec, never the evaluator, so it forms no reference cycle.
+    (the singularity at s = 0 is a distance c away), then into n equal panels
+    of one half-width h, 2h <= min(1, 2 pi / |omega|), within the value
+    budget.  Their nodes are exactly mid_k + h x_j, so their phases factor
+    and take n + 21 complex exponentials, e^{i omega mid} @ (w_eq @
+    e^{i omega h x}) with w_eq a view of the weights; the graded panels are
+    summed directly.  A larger |omega| halves the panels and evaluates g
+    again, so the work stays below twice that of the final node set.  Per
+    sign of omega the tail holds the kept Stirling terms A* e_k
+    (z0 - sgn u)^-(mu+k), summed, and the first omitted one on the log-u
+    lattice, which grows geometrically when a point needs more.  Holds the
+    spec, never the evaluator, so it forms no reference cycle.
     """
 
-    __slots__ = ("spec", "inv", "c", "T", "max_panels", "tail_coef", "panel", "t", "g", "wg", "noise", "rows")
+    __slots__ = ("spec", "inv", "c", "T", "max_panels", "tail_coef", "panel", "t", "g", "graded", "mid", "h",
+                 "wg", "w_eq", "noise", "abs_sums", "rows")
 
     def __init__(self, ev: DensityEvaluator, c: float, omega: float):
         self.spec, self.inv, self.c, self.T = ev.spec, ev.inv, c, ev.T
@@ -298,26 +303,38 @@ class _Line:
             edges.append(edges[-1] + width)
             width *= 1.5
         n = min(math.ceil((self.T - edges[-1]) / panel), self.max_panels)
-        edges = np.concatenate([edges[:-1], np.linspace(edges[-1], self.T, n + 1)])
-        half = 0.5 * np.diff(edges)[:, None]
-        self.t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GK_NODES).ravel()
+        self.h = 0.5 * (self.T - edges[-1]) / n
+        self.mid = edges[-1] + self.h * np.arange(1.0, 2.0 * n, 2.0)
+        graded = np.array(edges)
+        mid = np.concatenate([0.5 * (graded[1:] + graded[:-1]), self.mid])
+        half = np.concatenate([0.5 * np.diff(graded), np.full(n, self.h)])[:, None]
+        self.graded = 21 * (len(edges) - 1)
+        self.t = (mid[:, None] + half * _GK_NODES).ravel()
         self.g, rounding = _g(self.spec, self.inv, self.c + 1j * self.t)
         kronrod = (half * _GK_KRONROD).ravel()
-        self.wg = np.stack([kronrod * self.g, (half * _GK_DIFF).ravel() * self.g], axis=1)
+        self.wg = np.stack([kronrod * self.g, (half * _GK_DIFF).ravel() * self.g])
+        self.w_eq = self.wg[:, self.graded :].reshape(2, n, 21)
         # The rounding errors of g at different nodes are independent, so
         # they add in quadrature.
         self.noise = float(np.linalg.norm(kronrod * rounding))
+        wg = np.abs(self.wg[0])
+        self.abs_sums = (float(wg.sum()), float(self.t @ wg))
         self.panel = panel
 
     def head(self, omega: float) -> tuple[float, float]:
-        """Re int_0^T g(c+it) e^{i omega t} dt by K21, and |K21 - G10| plus the rounding of g."""
+        """Re int_0^T g(c+it) e^{i omega t} dt by K21, and |K21 - G10| plus the rounding
+        of g and of the phases and products, eps (sum |w g| + |omega| sum |t w g|)."""
         panel = self.panel
         while abs(omega) * panel > 2.0 * math.pi and panel * self.max_panels > self.T:
             panel *= 0.5
         if panel != self.panel:
             self._place(panel)
-        kronrod, diff = np.exp(1j * omega * self.t) @ self.wg
-        return float(kronrod.real), float(abs(diff.real)) + self.noise
+        ng = self.graded
+        kronrod, diff = self.wg[:, :ng] @ np.exp(1j * omega * self.t[:ng]) + (
+            self.w_eq @ np.exp(1j * (omega * self.h) * _GK_NODES)
+        ) @ np.exp(1j * omega * self.mid)
+        rounding = _EPS * (self.abs_sums[0] + abs(omega) * self.abs_sums[1])
+        return float(kronrod.real), float(abs(diff.real)) + self.noise + rounding
 
     def tail(self, omega: float) -> tuple[float, float]:
         """Re int_T^inf g(c+it) e^{i omega t} dt from the series, and its first omitted term."""
@@ -334,16 +351,19 @@ class _Line:
         return float((cmath.exp(1j * omega * self.T) * kept).real), float(abs(omitted))
 
     def _tail_rows(self, sgn: float, j0: int, j1: int) -> tuple:
-        """(first index, u, contracted rows) held for sgn, extended to cover j0 <= j < j1."""
+        """(first index, u, contracted rows) held for sgn, extended to cover j0 <= j < j1;
+        each short end grows by at least the held length, so a curve extends it rarely."""
         k0, u, rows = self.rows.get(sgn, (j0, np.empty(0), np.empty((2, 0), dtype=complex)))
-        k1 = k0 + len(u)
+        k1, held = k0 + len(u), len(u)
         if j0 < k0 or j1 > k1:
+            lo = min(j0, k0 - held) if j0 < k0 else k0
+            hi = max(j1, k1 + held) if j1 > k1 else k1
             z0 = complex(self.c, self.T)
-            lo_u, lo = _ray_powers(z0, sgn, self.inv.mu, j0, max(j0, k0))
-            hi_u, hi = _ray_powers(z0, sgn, self.inv.mu, min(k1, j1), j1)
+            lo_u, lo_rows = _ray_powers(z0, sgn, self.inv.mu, lo, k0)
+            hi_u, hi_rows = _ray_powers(z0, sgn, self.inv.mu, k1, hi)
             u = np.concatenate([lo_u, u, hi_u])
-            rows = np.concatenate([self.tail_coef @ lo, rows, self.tail_coef @ hi], axis=1)
-            k0 = min(j0, k0)
+            rows = np.concatenate([self.tail_coef @ lo_rows, rows, self.tail_coef @ hi_rows], axis=1)
+            k0 = lo
             self.rows[sgn] = (k0, u, rows)
         return k0, u, rows
 
@@ -370,24 +390,28 @@ def _fourier_re(ev: DensityEvaluator, c: float, omega: float):
     return value, err, trusted
 
 
-def _leading_density(inv: DerivedInvariants, x: float) -> tuple[float, float]:
+def _leading_density(ev: DensityEvaluator, x: float) -> tuple[float, float]:
     """Closed-form leading part A* log(rho/x)^(mu-1) / Gamma(mu) on (0, rho), and its error.
 
     log(rho/x) carries the rounding of log rho and log x, which the power
     amplifies by |mu - 1| / log(rho/x) near the support endpoint.
     """
+    inv = ev.inv
     if x >= inv.rho:
         return 0.0, 0.0
     log_ratio = inv.log_rho - math.log(x)
-    value = math.exp(
-        inv.log_stirling_const + (inv.mu - 1.0) * math.log(log_ratio)
-    ) / float(sc.gamma(inv.mu))
+    value = ev.lead_scale * log_ratio ** (inv.mu - 1.0)
     rounding = _EPS * (abs(inv.log_rho) + abs(math.log(x))) / log_ratio
     return value, value * (1e-14 + abs(inv.mu - 1.0) * rounding)
 
 
 def _remainder_density(ev: DensityEvaluator, c: float, x: float) -> tuple[float, float]:
-    """Quadrature part of the density at any x > 0 (no exclusion zone).
+    """Quadrature part of the density at any x > 0 (no exclusion zone); see _remainder_at."""
+    return _remainder_at(ev, c, ev.inv.log_rho - math.log(x))
+
+
+def _remainder_at(ev: DensityEvaluator, c: float, omega: float) -> tuple[float, float]:
+    """Quadrature part of the density at x = rho e^-omega, and its error.
 
     An untrusted primary result is cross-validated on a second contour: the
     prefactor-corrected values must agree because the integrand is analytic
@@ -395,7 +419,6 @@ def _remainder_density(ev: DensityEvaluator, c: float, x: float) -> tuple[float,
     carries the better of the two values and their difference as its error.
     """
     cfg = ev.cfg
-    omega = ev.inv.log_rho - math.log(x)
     # The prefactor e^(c omega) amplifies quadrature roundoff; far below the
     # support endpoint the contour is moved toward the imaginary axis (all
     # integrand poles sit at abscissas <= 0) to keep that amplification
@@ -476,14 +499,13 @@ class DensityEvaluator:
         self.lead_scale = inv.stirling_const / float(sc.gamma(inv.mu))
         self._lines: dict[float, _Line] = {}
 
-    def value(self, x: float, c: float | None = None) -> float:
-        """Density at any x > 0 (no support-endpoint exclusion); c overrides self.c."""
-        c = self.c if c is None else c
-        return _leading_density(self.inv, x)[0] + _remainder_density(self, c, x)[0]
+    def value(self, x: float) -> float:
+        """Density at any x > 0 (no support-endpoint exclusion)."""
+        return _leading_density(self, x)[0] + _remainder_density(self, self.c, x)[0]
 
     def evaluate(self, x: float) -> HEvaluation:
         """Density at x split into its parts, with the combined error estimate."""
-        leading, lead_err = _leading_density(self.inv, x)
+        leading, lead_err = _leading_density(self, x)
         remainder, rem_err = _remainder_density(self, self.c, x)
         return HEvaluation(
             value=leading + remainder,
@@ -516,9 +538,12 @@ class DensityEvaluator:
         """int_0^rho H(x) x^(s-1) dx via the substitution x = rho e^-tau.
 
         The tau^(mu-1) endpoint singularity of the leading part is integrated
-        analytically over (0, tau_c) (a lower incomplete gamma); the bounded
-        remainder is integrated numerically there, and the full density over
-        the rest of the range.
+        analytically over (0, tau_c), as tau_c^mu / mu 1F1(mu; mu+1; -s tau_c),
+        real for every s; the remainder there, and the whole density beyond,
+        are integrated numerically at omega = tau, so no x underflows.  For
+        c > s the noise e^((c-s) tau) of the remainder is bounded by its
+        estimate at tau_max over the whole range, and a bound above 1e-6 of
+        the result raises QuadratureAccuracyError.
         """
         inv, cfg = self.inv, self.cfg
         if s <= inv.gamma_pole:
@@ -537,21 +562,31 @@ class DensityEvaluator:
         if tau_max <= 2.0 * tau_c:
             tau_c = 0.25 * tau_max
 
-        lead_near = math.exp(inv.log_stirling_const) * s ** (-inv.mu) * float(
-            sc.gammainc(inv.mu, s * tau_c)
-        )
+        mu = inv.mu
+        lead_near = self.lead_scale * tau_c**mu / mu * float(sc.hyp1f1(mu, mu + 1.0, -s * tau_c))
+        noise = 0.0
+        if c > s:
+            noise = (tau_max - tau_c) * _remainder_at(self, c, tau_max)[1] * math.exp(-s * tau_max)
         epsrel = max(1e-10, 0.01 * cfg.quad_rel_tol)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             near = quad(
-                lambda tau: _remainder_density(self, c, inv.rho * math.exp(-tau))[0] * math.exp(-s * tau),
+                lambda tau: _remainder_at(self, c, tau)[0] * math.exp(-s * tau),
                 0.0, tau_c, epsabs=1e-13, epsrel=epsrel, limit=80,
             )
+            # Resolving the bulk below its noise would only chase the noise.
             bulk = quad(
-                lambda tau: self.value(inv.rho * math.exp(-tau), c) * math.exp(-s * tau),
-                tau_c, tau_max, epsabs=1e-13, epsrel=epsrel, limit=250,
+                lambda tau: (self.lead_scale * tau ** (mu - 1.0) + _remainder_at(self, c, tau)[0]) * math.exp(-s * tau),
+                tau_c, tau_max, epsabs=max(1e-13, noise), epsrel=epsrel, limit=250,
             )
-        return inv.rho**s * (lead_near + near[0] + bulk[0])
+        integral = lead_near + near[0] + bulk[0]
+        if not noise <= 1e-6 * abs(integral):
+            raise QuadratureAccuracyError(
+                f"Mellin transform at s={s}: remainder noise up to {noise} on the abscissa c={c} > s",
+                best_estimate=inv.rho**s * integral,
+                error_estimate=inv.rho**s * noise,
+            )
+        return inv.rho**s * integral
 
 
 def density(spec: RatioSpec, xs, cfg: ContourConfig | None = None) -> list[HEvaluation]:

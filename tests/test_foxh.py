@@ -12,6 +12,7 @@ import gammaratio.foxh as foxh_mod
 from gammaratio import (
     ContourConfig,
     DomainError,
+    QuadratureAccuracyError,
     RatioSpec,
     SingularPointError,
     UnsupportedParameterError,
@@ -254,6 +255,57 @@ class TestDensityCurve:
         density(spec_mixed_scale, default_grid(spec_mixed_scale))
         assert sizes == [51 * 21]
 
+    def test_curve_extends_tail_lattice_rarely(self, spec_mixed_scale, monkeypatch):
+        # Each short end of a held lattice grows by at least its length, so
+        # a curve builds its tail rows a few times, and every held row equals
+        # one fresh contraction of its whole range.
+        calls = []
+        ray_powers = foxh_mod._ray_powers
+
+        def counted(*args):
+            calls.append(args)
+            return ray_powers(*args)
+
+        monkeypatch.setattr(foxh_mod, "_ray_powers", counted)
+        ev = DensityEvaluator(spec_mixed_scale)
+        for x in default_grid(spec_mixed_scale):
+            ev.evaluate(x)
+        assert len(calls) <= 8
+        line = ev._lines[1.0]
+        for sgn, (k0, u, rows) in line.rows.items():
+            _, powers = ray_powers(complex(1.0, ev.T), sgn, ev.inv.mu, k0, k0 + len(u))
+            assert np.array_equal(rows, line.tail_coef @ powers)
+
+
+class TestFactoredHead:
+    @staticmethod
+    def sum_30_digits(line, omega):
+        """Re sum_j w_j g_j e^{i omega t_j} over the stored nodes and Kronrod weights, at 30 digits."""
+        with mpmath.workdps(30):
+            omega = mpmath.mpf(omega)
+            total = mpmath.mpf(0)
+            for t, wg in zip(line.t.tolist(), line.wg[0].tolist()):
+                cos, sin = mpmath.cos_sin(omega * t)
+                total += wg.real * cos - wg.imag * sin
+            return total
+
+    @pytest.mark.parametrize("name", ["spec_mixed_scale", "spec_equal_scales"])
+    def test_head_within_phase_rounding(self, name, request):
+        # The equal panels share one half-width h, every node there is
+        # exactly mid_k + h x_j, and the factored head is off the exact sum
+        # of its own terms by at most eps (sum |w g| + |omega| sum |t w g|).
+        ev = DensityEvaluator(request.getfixturevalue(name))
+        eps = np.finfo(float).eps
+        for c, omega in ((1.0, 2.5), (0.3, -4.0), (0.1, 23.3)):
+            line = foxh_mod._Line(ev, c, omega)
+            value, err = line.head(omega)
+            equal = line.t[line.graded :].reshape(-1, 21)
+            assert np.array_equal(equal, line.mid[:, None] + line.h * foxh_mod._GK_NODES)
+            wg = np.abs(line.wg[0])
+            rounding = eps * (wg.sum() + abs(omega) * (line.t @ wg))
+            assert abs(value - self.sum_30_digits(line, omega)) <= rounding
+            assert err >= rounding
+
 
 class TestEdgeIntegral:
     @pytest.mark.parametrize("alpha, beta", [(0.7, 2.2), (1.3, 1.8), (0.5, 4.0)])
@@ -433,6 +485,23 @@ class TestMellin:
     def test_equal_scales_s2(self, spec_equal_scales):
         lhs, rhs = mellin_check(spec_equal_scales, 2.0)
         assert abs(lhs - rhs) / rhs <= 1e-6
+
+    def test_near_pole_real_or_package_error(self, spec_mixed_scale):
+        # Near the pole tau reaches 900, where x = rho e^-tau would underflow,
+        # and the near part's closed form must stay real for s <= 0.  Each s
+        # gives a real lhs within 1e-6 of the gamma ratio, or a package error.
+        one_factor = RatioSpec(A=(1.0,), a=(0.0,), B=(1.0,), b=(1.5,))
+        cases = [(spec_mixed_scale, s) for s in (-0.19, -0.15, -0.1)] + [(one_factor, s) for s in (0.01, 0.05)]
+        answered = 0
+        for spec, s in cases:
+            try:
+                lhs, rhs = mellin_check(spec, s)
+            except (DomainError, QuadratureAccuracyError):
+                continue
+            assert isinstance(lhs, float)
+            assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
+            answered += 1
+        assert answered >= 1
 
     def test_rejects_s_left_of_pole(self, spec_mixed_scale):
         with pytest.raises(DomainError):
