@@ -15,9 +15,8 @@ The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T:
 Gauss-Kronrod G10/K21 panels on [0, T], whose K21 - G10 difference is their
 error, and beyond T the exact Stirling series g(s) ~ A* sum_k e_k s^(-mu-k),
 whose oscillatory moments come from one trapezoidal rule in log u and whose
-first omitted term is its error.  A result whose estimate exceeds the
-tolerance is recomputed on a second contour; if the two disagree the point
-raises QuadratureAccuracyError with the better value as its best estimate.
+first omitted term is its error.  A point whose estimate exceeds the
+tolerance raises QuadratureAccuracyError with its value as the best estimate.
 
 g does not depend on x.  A DensityEvaluator derives a spec once and keeps
 one _Line per abscissa c, holding g on the head nodes (one vectorized pass)
@@ -59,6 +58,9 @@ _MU_WARN = 0.2
 
 _EPS = np.finfo(float).eps
 
+# Largest x for which e^x is a finite double.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 # Gauss-Kronrod G10/K21 on [-1, 1], QUADPACK's qk21 (the table of scipy's
 # quad_vec) in double precision: the nonnegative Kronrod nodes, their
 # weights, and the weights of the Gauss nodes among them (odd positions).
@@ -76,10 +78,11 @@ _GK_KRONROD = np.concatenate([_GK_WK, _GK_WK[-2::-1]])
 _GK_DIFF = _GK_KRONROD - np.concatenate([_GK_WG, _GK_WG[-2::-1]])
 
 # Stirling terms of g summed in the tail; the next one bounds the truncation.
-# T moves out from truncation_T until that term is below _TAIL_SERIES_TOL of
+# T moves out from _HEAD_T_MIN until that term is below _TAIL_SERIES_TOL of
 # the largest kept one, but not past _TAIL_T_MAX.
 _TAIL_TERMS = 20
 _TAIL_SERIES_TOL = 1e-15
+_HEAD_T_MIN = 50.0
 _TAIL_T_MAX = 1e4
 
 # B_n(x) = sum_j C(n, j) B_(n-j) x^j for n <= K+2, as a matrix acting on the
@@ -101,38 +104,16 @@ _TAIL_STEP = 0.1
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Contour and quadrature parameters for density evaluation.
+    """Quadrature tolerance for density evaluation: the relative error a
+    density point must meet to be trusted."""
 
-    abscissa_c of None selects max(gamma_pole, 0) + 1, which keeps the
-    contour right of every integrand pole and clear of the branch cut of
-    s^-mu on the negative real axis.  truncation_T is the least length of
-    the quadrature head; the tail series starts there or, when its terms
-    need it, further out.
-    """
-
-    abscissa_c: float | None = None
-    truncation_T: float = 50.0
     quad_rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.truncation_T < 10.0:
-            raise DomainError(f"ContourConfig: truncation_T={self.truncation_T} must be >= 10")
         if not 1e-14 <= self.quad_rel_tol <= 1e-3:
             raise DomainError(
                 f"ContourConfig: quad_rel_tol={self.quad_rel_tol} outside [1e-14, 1e-3]"
             )
-
-    def resolve_abscissa(self, inv: DerivedInvariants) -> float:
-        c = self.abscissa_c
-        if c is None:
-            c = max(inv.gamma_pole, 0.0) + 1.0
-        if c <= inv.gamma_pole:
-            raise DomainError(
-                f"ContourConfig: abscissa_c={c} must exceed the rightmost pole {inv.gamma_pole}"
-            )
-        if c <= 0.0:
-            raise DomainError(f"ContourConfig: abscissa_c={c} must be positive (branch cut)")
-        return c
 
 
 DEFAULT_CONTOUR = ContourConfig()
@@ -198,12 +179,12 @@ def _stirling_coefficients(spec: RatioSpec, n: int) -> np.ndarray:
     return e[1:]
 
 
-def _tail_start(coef: np.ndarray, truncation_T: float) -> float:
-    """Least T >= truncation_T (at most _TAIL_T_MAX) where the first omitted
+def _tail_start(coef: np.ndarray) -> float:
+    """Least T >= _HEAD_T_MIN (at most _TAIL_T_MAX) where the first omitted
     term is below _TAIL_SERIES_TOL of the largest kept one."""
     need = [(abs(coef[-1]) / (_TAIL_SERIES_TOL * abs(ck))) ** (1.0 / (_TAIL_TERMS - k))
             for k, ck in enumerate(coef[:-1]) if ck != 0.0]
-    return max(truncation_T, min(min(need, default=0.0), _TAIL_T_MAX))
+    return max(_HEAD_T_MIN, min(min(need, default=0.0), _TAIL_T_MAX))
 
 
 def _osc_tail_moment(omega: float, nu: float, z0: complex) -> complex:
@@ -405,26 +386,22 @@ def _leading_density(ev: DensityEvaluator, x: float) -> tuple[float, float]:
     return value, value * (1e-14 + abs(inv.mu - 1.0) * rounding)
 
 
-def _remainder_density(ev: DensityEvaluator, c: float, x: float) -> tuple[float, float]:
+def _remainder_density(ev: DensityEvaluator, x: float) -> tuple[float, float]:
     """Quadrature part of the density at any x > 0 (no exclusion zone); see _remainder_at."""
-    return _remainder_at(ev, c, ev.inv.log_rho - math.log(x))
+    return _remainder_at(ev, ev.c, ev.inv.log_rho - math.log(x))
 
 
 def _remainder_at(ev: DensityEvaluator, c: float, omega: float) -> tuple[float, float]:
     """Quadrature part of the density at x = rho e^-omega, and its error.
 
-    An untrusted primary result is cross-validated on a second contour: the
-    prefactor-corrected values must agree because the integrand is analytic
-    between the two lines.  When they disagree, QuadratureAccuracyError
-    carries the better of the two values and their difference as its error.
+    A result that _fourier_re does not trust raises QuadratureAccuracyError
+    with the prefactored value as its best estimate.
     """
-    cfg = ev.cfg
     # The prefactor e^(c omega) amplifies quadrature roundoff; far below the
     # support endpoint the contour is moved toward the imaginary axis (all
     # integrand poles sit at abscissas <= 0) to keep that amplification
     # bounded.  Quantized to a few levels so few lines are built.
-    # A user-pinned abscissa is honored as configured.
-    if cfg.abscissa_c is None and omega > 6.0:
+    if omega > 6.0:
         target = max(0.05, 6.0 / omega)
         level = next((lv for lv in (1.0, 0.3, 0.1, 0.05) if lv <= target), 0.05)
         c = min(c, level)
@@ -432,41 +409,22 @@ def _remainder_at(ev: DensityEvaluator, c: float, omega: float) -> tuple[float, 
     pre = math.exp(c * omega) / math.pi
     # Roundoff of the prefactored assembly: the contour integral is computed
     # to near machine precision on its own scale, then amplified by e^(c w).
-    floor1 = 1e-14 * pre * (1.0 + abs(value))
-    if trusted:
-        return pre * value, pre * err + floor1
-
-    # Cross-validate on a second contour chosen to shrink the prefactor.
-    floor_c = max(ev.inv.gamma_pole, 0.0)
-    if omega >= 0.0:
-        c2 = c - 0.5 if c - 0.5 > floor_c else 0.5 * (c + floor_c)
-    else:
-        c2 = c + 1.0
-    value2, _, _ = _fourier_re(ev, c2, omega)
-    pre2 = math.exp(c2 * omega) / math.pi
-    floor2 = 1e-14 * pre2 * (1.0 + abs(value2))
-    r1, r2 = pre * value, pre2 * value2
-    diff = abs(r1 - r2)
-    best, best_floor = (r2, floor2) if floor2 <= floor1 else (r1, floor1)
-    tol_abs = 20.0 * (floor1 + floor2) + 100.0 * min(pre, pre2) * max(1e-14, cfg.quad_rel_tol * 1e-5)
-    est = diff + best_floor
-    # Past the support the exact value is 0: agreement is judged against the
-    # size of the leading part on the support, not against the value.
-    scale = abs(best) if omega >= 0.0 else ev.lead_scale
-    if diff <= max(tol_abs, 10.0 * cfg.quad_rel_tol * scale):
-        return best, est
-    raise QuadratureAccuracyError(
-        f"contour quadrature did not converge (omega={omega}, best error {est})",
-        best_estimate=best,
-        error_estimate=est,
-    )
+    est = pre * err + 1e-14 * pre * (1.0 + abs(value))
+    if not trusted:
+        raise QuadratureAccuracyError(
+            f"contour quadrature did not converge (omega={omega}, error {est})",
+            best_estimate=pre * value,
+            error_estimate=est,
+        )
+    return pre * value, est
 
 
 class DensityEvaluator:
     """The density of one spec: its tail series and one _Line per abscissa.
 
-    Derives and validates the spec, resolves the contour abscissa and
-    computes the Stirling coefficients of g and the head length T once;
+    Derives and validates the spec, sets the abscissa c = max(gamma_pole, 0)
+    + 1 (right of every integrand pole and clear of the branch cut of s^-mu)
+    and computes the Stirling coefficients of g and the head length T once;
     requires mu > 0 and equal scale sums, and warns once when mu is small
     enough to slow the contour decay.  Every point evaluated through one
     evaluator reuses the lines of the points before it, so a whole curve or
@@ -493,20 +451,20 @@ class DensityEvaluator:
         self.cfg = cfg
         self.spec = spec
         self.inv = inv
-        self.c = cfg.resolve_abscissa(inv)
+        self.c = max(inv.gamma_pole, 0.0) + 1.0
         self.coef = inv.stirling_const * _stirling_coefficients(spec, _TAIL_TERMS + 1)
-        self.T = _tail_start(self.coef, cfg.truncation_T)
+        self.T = _tail_start(self.coef)
         self.lead_scale = inv.stirling_const / float(sc.gamma(inv.mu))
         self._lines: dict[float, _Line] = {}
 
     def value(self, x: float) -> float:
         """Density at any x > 0 (no support-endpoint exclusion)."""
-        return _leading_density(self, x)[0] + _remainder_density(self, self.c, x)[0]
+        return _leading_density(self, x)[0] + _remainder_density(self, x)[0]
 
     def evaluate(self, x: float) -> HEvaluation:
         """Density at x split into its parts, with the combined error estimate."""
         leading, lead_err = _leading_density(self, x)
-        remainder, rem_err = _remainder_density(self, self.c, x)
+        remainder, rem_err = _remainder_density(self, x)
         return HEvaluation(
             value=leading + remainder,
             leading_part=leading,
@@ -529,7 +487,7 @@ class DensityEvaluator:
                 epsabs=1e-12, epsrel=1e-9, limit=100,
             )
             rem = quad(
-                lambda w: _remainder_density(self, self.c, inv.rho * math.exp(-w))[0] * f(w),
+                lambda w: _remainder_density(self, inv.rho * math.exp(-w))[0] * f(w),
                 0.0, w_hi, epsabs=1e-12, epsrel=1e-9, limit=100,
             )
         return lead[0] + rem[0]
@@ -543,19 +501,16 @@ class DensityEvaluator:
         are integrated numerically at omega = tau, so no x underflows.  For
         c > s the noise e^((c-s) tau) of the remainder is bounded by its
         estimate at tau_max over the whole range, and a bound above 1e-6 of
-        the result raises QuadratureAccuracyError.
+        the result raises QuadratureAccuracyError, as does a weight e^(-s tau)
+        that overflows before tau_max.
         """
         inv, cfg = self.inv, self.cfg
         if s <= inv.gamma_pole:
             raise DomainError(f"Mellin transform requires s > {inv.gamma_pole}, got s={s}")
         # Evaluation noise of the remainder scales like e^(c tau) while the
         # integrand weight is e^(-s tau); keeping c <= s stops the noise from
-        # outgrowing the weight over the long tau range.  An explicitly
-        # configured abscissa is honored as given.
-        c = self.c
-        if cfg.abscissa_c is None:
-            floor_c = max(inv.gamma_pole, 0.0)
-            c = max(min(s, c), floor_c + 0.05, 0.05)
+        # outgrowing the weight over the long tau range.
+        c = max(min(s, self.c), max(inv.gamma_pole, 0.0) + 0.05)
 
         tau_c = _MELLIN_SPLIT
         tau_max = min(45.0 / max(s - inv.gamma_pole, 0.05), 4000.0)
@@ -564,6 +519,12 @@ class DensityEvaluator:
 
         mu = inv.mu
         lead_near = self.lead_scale * tau_c**mu / mu * float(sc.hyp1f1(mu, mu + 1.0, -s * tau_c))
+        if -s * tau_max > _LOG_FLOAT_MAX:
+            raise QuadratureAccuracyError(
+                f"Mellin transform at s={s}: the weight e^(-s tau) overflows before tau_max={tau_max}",
+                best_estimate=inv.rho**s * lead_near,
+                error_estimate=math.inf,
+            )
         noise = 0.0
         if c > s:
             noise = (tau_max - tau_c) * _remainder_at(self, c, tau_max)[1] * math.exp(-s * tau_max)

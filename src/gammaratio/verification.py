@@ -385,9 +385,7 @@ def count_zeros(
     if h_evaluated:
         h_at = DensityEvaluator(spec, cfg).value
         x_grid = inv.rho * np.arange(1, grid_size) / grid_size
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            h_vals = np.array([h_at(float(x)) for x in x_grid])
+        h_vals = np.array([h_at(float(x)) for x in x_grid])
         h_floor = max(1e-10, 20.0 * cfg.quad_rel_tol * float(np.max(np.abs(h_vals))))
         h_brackets = _certified_brackets(
             x_grid, h_vals, h_at, h_floor, _ZERO_BRACKET_WIDTH * inv.rho

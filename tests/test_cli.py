@@ -217,13 +217,14 @@ class TestInputValidation:
         )
         assert main(["--config", cfg, "--output", str(tmp_path)]) == EXIT_INPUT_ERROR
 
-    def test_unknown_contour_field(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field", ["max_nodes", "abscissa_c", "truncation_T"])
+    def test_unknown_contour_field(self, tmp_path, capsys, field):
         cfg = write_config(
             tmp_path,
-            {"specs": [MIXED], "commands": ["classify"], "contour": {"max_nodes": 200000}},
+            {"specs": [MIXED], "commands": ["classify"], "contour": {field: 1.0}},
         )
         assert main(["--config", cfg, "--output", str(tmp_path)]) == EXIT_INPUT_ERROR
-        assert "max_nodes" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_missing_output(self, tmp_path):
         cfg = write_config(tmp_path, {"specs": [MIXED], "commands": ["classify"]})
