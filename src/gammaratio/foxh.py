@@ -11,12 +11,14 @@ which turns the contour integral defining the density H into a closed-form
 leading part supported on (0, rho) plus a convergent Fourier-type integral
 of g.  The density vanishes identically for x > rho.
 
-The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T:
+The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T,
+the least T >= 5 where the Stirling series of g holds to 1e-15:
 Gauss-Kronrod G10/K21 panels on [0, T], whose K21 - G10 difference is their
 error, and beyond T the exact Stirling series g(s) ~ A* sum_k e_k s^(-mu-k),
 whose oscillatory moments come from one trapezoidal rule in log u and whose
-first omitted term is its error.  A point whose estimate exceeds the
-tolerance raises QuadratureAccuracyError with its value as the best estimate.
+first omitted term is its error.  A point whose estimate, in density units,
+exceeds the tolerance raises QuadratureAccuracyError with its value as the
+best estimate.
 
 g does not depend on x.  A DensityEvaluator derives a spec once and keeps
 one _Line per abscissa c, holding g on the head nodes (one vectorized pass)
@@ -79,10 +81,14 @@ _GK_DIFF = _GK_KRONROD - np.concatenate([_GK_WG, _GK_WG[-2::-1]])
 
 # Stirling terms of g summed in the tail; the next one bounds the truncation.
 # T moves out from _HEAD_T_MIN until that term is below _TAIL_SERIES_TOL of
-# the largest kept one, but not past _TAIL_T_MAX.
+# the largest kept one, but not past _TAIL_T_MAX.  At T = 5 the log-u rule
+# gives every tail moment to 1.3e-14 relative against 30-digit incomplete
+# gammas (c in {1, 0.3, 0.05}, mu from 0.3 to 4.8, |omega| from 1e-3 to 60);
+# at T = 3 the highest moments lose two digits and at T = 2 six.  Abscissas
+# are at most 1, so T >= 5c on every line.
 _TAIL_TERMS = 20
 _TAIL_SERIES_TOL = 1e-15
-_HEAD_T_MIN = 50.0
+_HEAD_T_MIN = 5.0
 _TAIL_T_MAX = 1e4
 
 # B_n(x) = sum_j C(n, j) B_(n-j) x^j for n <= K+2, as a matrix acting on the
@@ -97,8 +103,9 @@ _BERNOULLI_POLY = np.array(
 # e^{i omega t} shows in the K21 - G10 difference.
 _HEAD_VALUES = 1 << 20
 
-# Step of the log-variable trapezoidal rule for the tail moments; h = 0.15
-# loses up to seven digits on the highest powers at T = 10.
+# Step of the log-variable trapezoidal rule for the tail moments, whose
+# lattice is 410-460 nodes for |omega| in [1e-3, 60]; h = 0.15 loses up to
+# seven digits on the highest powers at T = 10.
 _TAIL_STEP = 0.1
 
 
@@ -181,7 +188,11 @@ def _stirling_coefficients(spec: RatioSpec, n: int) -> np.ndarray:
 
 def _tail_start(coef: np.ndarray) -> float:
     """Least T >= _HEAD_T_MIN (at most _TAIL_T_MAX) where the first omitted
-    term is below _TAIL_SERIES_TOL of the largest kept one."""
+    term is below _TAIL_SERIES_TOL of the largest kept one.
+
+    The series needs |s| well beyond the shifts over the scales: T is 6.9 on
+    spec_mixed_scale and 26 on spec_paired.
+    """
     need = [(abs(coef[-1]) / (_TAIL_SERIES_TOL * abs(ck))) ** (1.0 / (_TAIL_TERMS - k))
             for k, ck in enumerate(coef[:-1]) if ck != 0.0]
     return max(_HEAD_T_MIN, min(min(need, default=0.0), _TAIL_T_MAX))
@@ -237,8 +248,8 @@ def _tail_moments(omega: float, mu: float, z0: complex) -> np.ndarray:
     quadrant swept.  In l = log u the integrand u (z0 - sgn(omega) u)^-nu
     e^(-|omega| u) is analytic in a strip and decays at both ends, so the
     trapezoidal rule converges exponentially (Trefethen & Weideman, SIAM
-    Review 2014); one pass of about 400-550 nodes gives every moment to
-    about 1e-14 relative.
+    Review 2014); one pass of 410-460 nodes (|omega| in [1e-3, 60]) gives
+    every moment to about 1e-14 relative.
     """
     nus = mu + np.arange(1.0, _TAIL_TERMS + 2.0)
     if omega == 0.0:
@@ -333,18 +344,24 @@ class _Line:
 
     def _tail_rows(self, sgn: float, j0: int, j1: int) -> tuple:
         """(first index, u, contracted rows) held for sgn, extended to cover j0 <= j < j1;
-        each short end grows by at least the held length, so a curve extends it rarely."""
+        each short end grows by at least the held length, so a curve extends it rarely,
+        and only a short end is built."""
         k0, u, rows = self.rows.get(sgn, (j0, np.empty(0), np.empty((2, 0), dtype=complex)))
         k1, held = k0 + len(u), len(u)
         if j0 < k0 or j1 > k1:
-            lo = min(j0, k0 - held) if j0 < k0 else k0
-            hi = max(j1, k1 + held) if j1 > k1 else k1
             z0 = complex(self.c, self.T)
-            lo_u, lo_rows = _ray_powers(z0, sgn, self.inv.mu, lo, k0)
-            hi_u, hi_rows = _ray_powers(z0, sgn, self.inv.mu, k1, hi)
-            u = np.concatenate([lo_u, u, hi_u])
-            rows = np.concatenate([self.tail_coef @ lo_rows, rows, self.tail_coef @ hi_rows], axis=1)
-            k0 = lo
+            us, blocks = [u], [rows]
+            if j0 < k0:
+                lo = min(j0, k0 - held)
+                lo_u, powers = _ray_powers(z0, sgn, self.inv.mu, lo, k0)
+                us.insert(0, lo_u)
+                blocks.insert(0, self.tail_coef @ powers)
+                k0 = lo
+            if j1 > k1:
+                hi_u, powers = _ray_powers(z0, sgn, self.inv.mu, k1, max(j1, k1 + held))
+                us.append(hi_u)
+                blocks.append(self.tail_coef @ powers)
+            u, rows = np.concatenate(us), np.concatenate(blocks, axis=1)
             self.rows[sgn] = (k0, u, rows)
         return k0, u, rows
 
@@ -352,9 +369,12 @@ class _Line:
 def _fourier_re(ev: DensityEvaluator, c: float, omega: float):
     """Re int_0^inf g(c+it) e^{i omega t} dt: the fixed-node head plus the series tail.
 
-    Returns (value, error_estimate, trusted).  Past the support (omega < 0)
-    the exact value is 0, so there the error, carried to density units, is
-    judged against the size A*/Gamma(mu) of the leading part on the support.
+    Returns (value, error_estimate, trusted).  The error is judged in density
+    units, after the prefactor e^(c omega) / pi: on the support against the
+    size |leading| + |remainder| of the two parts summed into the density, so
+    a small remainder next to the leading part near the endpoint is judged
+    by the density, and past the support (omega < 0), where the exact value
+    is 0, against the size A*/Gamma(mu) of the leading part on the support.
     """
     line = ev._lines.get(c)
     if line is None:
@@ -364,10 +384,12 @@ def _fourier_re(ev: DensityEvaluator, c: float, omega: float):
     value, err = head + tail, head_err + tail_err
     tol = ev.cfg.quad_rel_tol
     floor = 1e3 * max(1e-14, tol * 1e-5)
+    pre = math.exp(c * omega) / math.pi
     if omega >= 0.0:
-        trusted = err <= max(floor, abs(value) * tol)
+        leading = ev.lead_scale * omega ** (ev.inv.mu - 1.0) if omega > 0.0 else 0.0
+        trusted = err <= max(floor, (leading / pre + abs(value)) * tol)
     else:
-        trusted = err * math.exp(c * omega) / math.pi <= max(floor, ev.lead_scale * tol)
+        trusted = err * pre <= max(floor, ev.lead_scale * tol)
     return value, err, trusted
 
 

@@ -24,6 +24,7 @@ MIXED = {"name": "mixed", "A": [2, 3, 1], "a": [0.4, 2.4, 0.9], "B": [1, 5], "b"
 BERN = {"name": "bern", "A": [4, 2], "a": [0.7, 1.8], "B": [3, 1], "b": [0.6, 1.2]}
 TRIVIAL = {"name": "trivial", "A": [1], "a": [1], "B": [1], "b": [1]}
 INVERSE = {"name": "inverse", "A": [1], "a": [0], "B": [1], "b": [1]}
+PAIRED = {"name": "paired", "A": [2, 3, 1.4], "a": [0.8, 8, 2.3], "B": [1, 2.4, 3], "b": [1.5, 7.8, 11]}
 
 
 class TestClassifyCommand:
@@ -64,11 +65,16 @@ class TestVerifyMeasure:
         report = load_report(out, "inverse", "verify-measure")
         assert report["status"] == "ok"
         assert all(chk["passed"] for chk in report["checks"])
+        laplace = report["checks"][0]
+        assert laplace["check_id"] == "laplace_reconstruct"
+        assert max(laplace["residuals"]) <= 1e-15
 
     def test_tolerance_scaling_forces_failure(self, tmp_path):
+        # The Laplace residual of spec_paired is a quadrature residual well
+        # above 1e-18; W = 1/x is reproduced to the last bit.
         cfg = write_config(
             tmp_path,
-            {"specs": [INVERSE], "commands": ["verify-measure"], "grids": {"x": [1.0]}},
+            {"specs": [PAIRED], "commands": ["verify-measure"], "grids": {"x": [1.0]}},
         )
         out = tmp_path / "out"
         code = main(["--config", cfg, "--output", str(out), "--tol-scale", "1e-12"])

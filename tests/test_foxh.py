@@ -76,7 +76,12 @@ def fresh_spec(rng):
 class TestContourConfig:
     def test_defaults_valid(self, spec_mixed_scale):
         assert ContourConfig().quad_rel_tol == 1e-8
-        assert DensityEvaluator(spec_mixed_scale).T >= 50.0
+        ev = DensityEvaluator(spec_mixed_scale)
+        assert ev.T >= foxh_mod._HEAD_T_MIN
+        # Past the floor, T is where the first omitted Stirling term drops
+        # to 1e-15 of the largest kept one.
+        terms = np.abs(ev.coef) * ev.T ** -np.arange(len(ev.coef), dtype=float)
+        assert ev.T == foxh_mod._HEAD_T_MIN or terms[-1] <= 1e-15 * (1.0 + 1e-12) * terms[:-1].max()
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
@@ -145,6 +150,15 @@ class TestFoxH:
             ev = fox_h(spec, math.exp(derive(spec).log_rho - omega))
             assert math.isfinite(ev.value)
             assert abs(ev.value) <= ev.error_estimate
+
+    def test_near_endpoint_judged_in_density_units(self):
+        # Near the support endpoint the remainder is small against the
+        # leading part, and its error is judged against the density.  The
+        # value is mpmath.meijerg at 30 digits, pinned because its series
+        # take seconds this close to x = 1.
+        spec = RatioSpec(A=(1.0, 1.0, 1.0), a=(1.449, 24.64, 2.824), B=(1.0, 1.0, 1.0), b=(10.31, 14.35, 5.751))
+        ev = fox_h(spec, math.exp(-0.00223))
+        assert abs(ev.value - 0.06547795947191738071817911) <= ev.error_estimate
 
     def test_parts_sum_exactly(self, spec_equal_scales):
         ev = fox_h(spec_equal_scales, 0.4)
@@ -241,7 +255,7 @@ class TestDensityCurve:
         assert len([w for w in record if "slow contour decay" in str(w.message)]) == 1
 
     def test_curve_g_evaluations(self, spec_mixed_scale, monkeypatch):
-        # The curve evaluates g once, on the head nodes of its one line: 51
+        # The curve evaluates g once, on the head nodes of its one line: 8
         # panels of 21 nodes.
         sizes = []
         g = foxh_mod._g
@@ -252,7 +266,7 @@ class TestDensityCurve:
 
         monkeypatch.setattr(foxh_mod, "_g", counted)
         density(spec_mixed_scale, default_grid(spec_mixed_scale))
-        assert sizes == [51 * 21]
+        assert sizes == [8 * 21]
 
     def test_curve_extends_tail_lattice_rarely(self, spec_mixed_scale, monkeypatch):
         # Each short end of a held lattice grows by at least its length, so
@@ -274,6 +288,19 @@ class TestDensityCurve:
         for sgn, (k0, u, rows) in line.rows.items():
             _, powers = ray_powers(complex(1.0, ev.T), sgn, ev.inv.mu, k0, k0 + len(u))
             assert np.array_equal(rows, line.tail_coef @ powers)
+
+    def test_one_point_builds_tail_rows_once(self, spec_mixed_scale, monkeypatch):
+        # A fresh line builds only the range its first point needs.
+        calls = []
+        ray_powers = foxh_mod._ray_powers
+
+        def counted(*args):
+            calls.append(args[3:])
+            return ray_powers(*args)
+
+        monkeypatch.setattr(foxh_mod, "_ray_powers", counted)
+        fox_h(spec_mixed_scale, 0.5 * derive(spec_mixed_scale).rho)
+        assert len(calls) == 1 and calls[0][0] < calls[0][1]
 
 
 class TestFactoredHead:
@@ -341,6 +368,21 @@ class TestTailMoments:
             for k, moment in enumerate(got, start=1):
                 direct = _osc_tail_moment(omega, mu + k, z0)
                 assert abs(moment - direct) <= 1e-12 * abs(direct)
+
+    def test_rule_at_head_floor(self):
+        # The shortest tail start on every abscissa the evaluator uses, against
+        # incomplete gammas at 20 digits.
+        rng = random.Random(20150126)
+        for c in (1.0, 0.3, 0.05):
+            z0 = complex(c, foxh_mod._HEAD_T_MIN)
+            for mu in (0.3, 1.0, 2.5, 4.8):
+                for sign in (-1.0, 1.0):
+                    omega = sign * math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+                    got = _tail_moments(omega, mu, z0)
+                    with mpmath.workdps(20):
+                        for k, moment in enumerate(got, start=1):
+                            direct = _osc_tail_moment(omega, mu + k, z0)
+                            assert abs(moment - direct) <= 1e-13 * abs(direct), (c, mu, omega, k)
 
     def test_zero_frequency_closed_form(self):
         z0 = complex(0.3, 400.0)
