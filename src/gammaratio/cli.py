@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .foxh import ContourConfig, density
+from .foxh import ContourConfig, DensityEvaluator, density
 from .monotonicity import classify, identical_factor_multisets
 from .ratio import RatioSpec, cm_kernel_t, derive, gamma_ratio
 from .verification import (
@@ -31,13 +31,13 @@ from .verification import (
     LAPLACE_TOL,
     MC_TOL_SE,
     MEIJER_IDENTITY_TOL,
+    _fox_report,
+    _laplace_report,
     _make_report,
+    _meijer_report,
     beta_product_moments,
     cm_probe,
     count_zeros,
-    fox_identity_residual,
-    laplace_reconstruct,
-    meijer_identity_residual,
 )
 
 EXIT_OK = 0
@@ -218,9 +218,10 @@ def _verify_measure(spec: RatioSpec, inv, job: JobConfig, payload: dict):
         )
         h_min = 0.0
     else:
-        laplace = laplace_reconstruct(spec, xs, cfg, tolerance=LAPLACE_TOL * scale)
-        sample = [inv.rho * k / 16.0 for k in range(1, 16)]
-        h_min = float(min(ev.value for ev in density(spec, sample, cfg)))
+        # One evaluator serves the reconstruction and the positivity sample.
+        ev = DensityEvaluator(spec, cfg)
+        laplace = _laplace_report(ev, xs, LAPLACE_TOL * scale)
+        h_min = float(ev.values([inv.rho * k / 16.0 for k in range(1, 16)]).min())
     checks = [laplace, cm_probe(spec, x0=2.0, h=0.05, max_order=6, tolerance=CM_PROBE_TOL * scale)]
     positivity_ok = bool(h_min >= -10.0 * cfg.quad_rel_tol * scale)
     payload["results"] = {"min_density_sample": h_min, "density_nonnegative": positivity_ok}
@@ -230,11 +231,14 @@ def _verify_measure(spec: RatioSpec, inv, job: JobConfig, payload: dict):
 def _identities(spec: RatioSpec, inv, job: JobConfig, payload: dict):
     cfg, scale = job.contour, job.tol_scale
     checks = []
+    # One evaluator serves both integral equations: with unit scales the
+    # spec is its own Meijer-G parameter set.
+    ev = DensityEvaluator(spec, cfg)
     if all(v == 1.0 for v in spec.A) and all(v == 1.0 for v in spec.B):
         xs = job.grids.get("x") or (0.2, 0.5, 0.8)
-        checks.append(meijer_identity_residual(spec.a, spec.b, xs, cfg, tolerance=MEIJER_IDENTITY_TOL * scale))
+        checks.append(_meijer_report(ev, xs, MEIJER_IDENTITY_TOL * scale))
     xs_h = job.grids.get("x") or (inv.rho / 4.0, inv.rho / 2.0, 3.0 * inv.rho / 4.0)
-    checks.append(fox_identity_residual(spec, xs_h, cfg, tolerance=FOX_IDENTITY_TOL * scale))
+    checks.append(_fox_report(ev, xs_h, FOX_IDENTITY_TOL * scale))
     return _checks(payload, checks), _CURVE_HEADER, _residual_rows(checks)
 
 

@@ -22,10 +22,13 @@ best estimate.
 
 g does not depend on x.  A DensityEvaluator derives a spec once and keeps
 one _Line per abscissa c, holding g on the head nodes (one vectorized pass)
-and the tail terms, so a density point costs a few small matrix-vector
-products and every point of a curve or an outer quadrature reuses them.
-``edge_integral`` owns the leading/remainder split near the support
-endpoint; ``fox_h`` is the one-point case.
+and the tail terms.  The engine takes an array of points: a batch sizes each
+line once, for its largest |omega|, computes its phases elementwise and
+contracts each point with a few small matrix-vector products, so a curve or
+one round of an outer quadrature costs one call.  The outer quadratures
+(Mellin transform, edge integral) use the vectorized rules of
+``quadrature``: adaptive G10/K21 panels, and a Gauss-Jacobi rule for the
+w^(mu-1) endpoint singularity.  ``fox_h`` is the one-point case.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy import special as sc
-from scipy.integrate import quad
 
 from .errors import (
     DomainError,
@@ -46,14 +48,16 @@ from .errors import (
     SingularPointError,
     UnsupportedParameterError,
 )
+from .quadrature import GK_DIFF, GK_KRONROD, GK_NODES as _GK_NODES
+from .quadrature import gauss_jacobi, quad
 from .ratio import _BERNOULLI, DerivedInvariants, RatioSpec, _gamma_product, derive
 
 # Relative half-width of the excluded neighbourhood of x = rho, where the
 # leading part diverges for mu < 1 and the decomposition loses all digits.
 _RHO_EXCLUSION = 1e-6
 
-# Width of the interval at the support endpoint over which the singular
-# leading part of the Mellin integrand is integrated in closed form.
+# Width of the interval at the support endpoint over which the edge rule
+# integrates the Mellin integrand, with its tau^(mu-1) singularity.
 _MELLIN_SPLIT = 0.5
 
 _MU_WARN = 0.2
@@ -63,21 +67,8 @@ _EPS = np.finfo(float).eps
 # Largest x for which e^x is a finite double.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
-# Gauss-Kronrod G10/K21 on [-1, 1], QUADPACK's qk21 (the table of scipy's
-# quad_vec) in double precision: the nonnegative Kronrod nodes, their
-# weights, and the weights of the Gauss nodes among them (odd positions).
-_GK_X = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
-                  0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
-                  0.2943928627014602, 0.14887433898163122, 0.0])
-_GK_WK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
-                   0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
-                   0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
-_GK_WG = np.zeros(11)
-_GK_WG[1::2] = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
-                0.29552422471475287)
-_GK_NODES = np.concatenate([-_GK_X, _GK_X[-2::-1]])
-_GK_KRONROD = np.concatenate([_GK_WK, _GK_WK[-2::-1]])
-_GK_DIFF = _GK_KRONROD - np.concatenate([_GK_WG, _GK_WG[-2::-1]])
+# The K21 weights and their differences from the G10 ones, on [-1, 1].
+_GK_PAIR = np.stack([GK_KRONROD, GK_DIFF])[:, None, :]
 
 # Stirling terms of g summed in the tail; the next one bounds the truncation.
 # T moves out from _HEAD_T_MIN until that term is below _TAIL_SERIES_TOL of
@@ -90,6 +81,8 @@ _TAIL_TERMS = 20
 _TAIL_SERIES_TOL = 1e-15
 _HEAD_T_MIN = 5.0
 _TAIL_T_MAX = 1e4
+# The first omitted term over the k-th kept one falls like T^-(K-k).
+_TAIL_ROOTS = 1.0 / (_TAIL_TERMS - np.arange(_TAIL_TERMS))
 
 # B_n(x) = sum_j C(n, j) B_(n-j) x^j for n <= K+2, as a matrix acting on the
 # powers x^j.
@@ -107,6 +100,15 @@ _HEAD_VALUES = 1 << 20
 # lattice is 410-460 nodes for |omega| in [1e-3, 60]; h = 0.15 loses up to
 # seven digits on the highest powers at T = 10.
 _TAIL_STEP = 0.1
+
+# Far below the support endpoint (omega > _SHIFT_OMEGA) the contour moves to
+# the first of these abscissas at most max(0.05, _SHIFT_OMEGA / omega).
+_SHIFT_OMEGA = 6.0
+_SHIFT_LEVELS = (1.0, 0.3, 0.1, 0.05)
+
+# Halvings of the Gauss-Jacobi interval of the edge integral before the
+# G10/K21 rule takes over whatever is left.
+_EDGE_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def _g(spec: RatioSpec, inv: DerivedInvariants, s: np.ndarray) -> tuple[np.ndarr
     shifts = np.array(spec.a + spec.b)[:, None]
     lg = sc.loggamma(scales * s + shifts)
     s_log_rho = s * inv.log_rho
-    log_ratio = lg[: spec.p].sum(axis=0) - lg[spec.p :].sum(axis=0) - s_log_rho
+    log_ratio = np.array([1.0] * spec.p + [-1.0] * spec.q) @ lg - s_log_rho
     lead_log = inv.log_stirling_const - inv.mu * np.log(s)
     lead = np.exp(lead_log)
     g = lead * np.expm1(log_ratio - lead_log)
@@ -178,12 +180,14 @@ def _stirling_coefficients(spec: RatioSpec, n: int) -> np.ndarray:
     m = np.arange(1, n + 1)
     bern = _BERNOULLI_POLY[: n + 2, : n + 2] @ shifts ** np.arange(n + 2)[:, None]
     inverse_powers = np.array(spec.A + spec.B) ** -m[:, None]
-    md = (-1.0) ** (m + 1) * ((bern[2:] * inverse_powers) @ signs) / (m + 1)
-    e = np.zeros(n + 1)
-    e[0] = 1.0
+    md = ((-1.0) ** (m + 1) * ((bern[2:] * inverse_powers) @ signs) / (m + 1)).tolist()
+    e = [1.0]
     for k in range(1, n + 1):
-        e[k] = md[:k] @ e[k - 1 :: -1] / k
-    return e[1:]
+        acc = 0.0
+        for j in range(k):
+            acc += md[j] * e[k - 1 - j]
+        e.append(acc / k)
+    return np.array(e[1:])
 
 
 def _tail_start(coef: np.ndarray) -> float:
@@ -193,9 +197,12 @@ def _tail_start(coef: np.ndarray) -> float:
     The series needs |s| well beyond the shifts over the scales: T is 6.9 on
     spec_mixed_scale and 26 on spec_paired.
     """
-    need = [(abs(coef[-1]) / (_TAIL_SERIES_TOL * abs(ck))) ** (1.0 / (_TAIL_TERMS - k))
-            for k, ck in enumerate(coef[:-1]) if ck != 0.0]
-    return max(_HEAD_T_MIN, min(min(need, default=0.0), _TAIL_T_MAX))
+    kept = np.abs(coef[:-1])
+    nonzero = kept > 0.0
+    if not nonzero.any():
+        return _HEAD_T_MIN
+    need = (abs(coef[-1]) / (_TAIL_SERIES_TOL * kept[nonzero])) ** _TAIL_ROOTS[nonzero]
+    return max(_HEAD_T_MIN, min(float(need.min()), _TAIL_T_MAX))
 
 
 def _osc_tail_moment(omega: float, nu: float, z0: complex) -> complex:
@@ -231,10 +238,16 @@ def _ray_powers(z0: complex, sgn: float, mu: float, j0: int, j1: int) -> tuple[n
     """u = e^(j h), j0 <= j < j1, and the rows (z0 - sgn u)^-(mu+k), k = 1..K+1."""
     u = np.exp(np.arange(j0, j1) * _TAIL_STEP)
     base = z0 - sgn * u
-    steps = np.empty((_TAIL_TERMS + 1, len(u)), dtype=complex)
-    steps[0] = np.exp(-(mu + 1.0) * np.log(base))
-    steps[1:] = 1.0 / base
-    return u, np.cumprod(steps, axis=0)
+    powers = np.empty((_TAIL_TERMS + 1, len(u)), dtype=complex)
+    powers[0] = np.exp(-(mu + 1.0) * np.log(base))
+    # Rows k..2k-1 are rows 0..k-1 times base^-k: five vectorized products
+    # (cumprod along the first axis steps through the columns one by one).
+    step, k = 1.0 / base, 1
+    while k <= _TAIL_TERMS:
+        m = min(k, _TAIL_TERMS + 1 - k)
+        np.multiply(powers[:m], step, out=powers[k : k + m])
+        step, k = step * step, k + m
+    return u, powers
 
 
 def _tail_moments(omega: float, mu: float, z0: complex) -> np.ndarray:
@@ -264,20 +277,21 @@ class _Line:
 
     The head [0, T] is cut into G10/K21 panels of width c/2 * 1.5^k from t = 0
     (the singularity at s = 0 is a distance c away), then into n equal panels
-    of one half-width h, 2h <= min(1, 2 pi / |omega|), within the value
-    budget.  Their nodes are exactly mid_k + h x_j, so their phases factor
-    and take n + 21 complex exponentials, e^{i omega mid} @ (w_eq @
-    e^{i omega h x}) with w_eq a view of the weights; the graded panels are
-    summed directly.  A larger |omega| halves the panels and evaluates g
-    again, so the work stays below twice that of the final node set.  Per
-    sign of omega the tail holds the kept Stirling terms A* e_k
-    (z0 - sgn u)^-(mu+k), summed, and the first omitted one on the log-u
-    lattice, which grows geometrically when a point needs more.  Holds the
-    spec, never the evaluator, so it forms no reference cycle.
+    of one half-width h, 2h <= min(1, 2 pi / |omega|) for the largest |omega|
+    of the batch that made the line, within the value budget.  Their nodes
+    are exactly mid_k + h x_j, so their phases factor: a point takes n + 21
+    complex exponentials and sums e^{i omega mid} against the weights w_mid,
+    then the 21 local phases e^{i omega h x}; the graded panels are summed
+    directly.  A later batch with a larger |omega| halves the panels until
+    they meet that bound and evaluates g again, so the work stays below twice
+    that of the final node set.  Per sign of omega the tail holds the kept Stirling terms
+    A* e_k (z0 - sgn u)^-(mu+k), summed, and the first omitted one on the
+    log-u lattice, which grows geometrically when a batch needs more.  Holds
+    the spec, never the evaluator, so it forms no reference cycle.
     """
 
     __slots__ = ("spec", "inv", "c", "T", "max_panels", "tail_coef", "panel", "t", "g", "graded", "mid", "h",
-                 "wg", "w_eq", "noise", "abs_sums", "rows")
+                 "wg", "w_mid", "phase_nodes", "noise", "abs_sums", "rows")
 
     def __init__(self, ev: DensityEvaluator, c: float, omega: float):
         self.spec, self.inv, self.c, self.T = ev.spec, ev.inv, c, ev.T
@@ -285,7 +299,18 @@ class _Line:
         kept = np.append(ev.coef[:-1], 0.0)
         self.tail_coef = np.array([kept, ev.coef - kept])
         self.rows: dict[float, tuple] = {}
-        self._place(min(1.0, 2.0 * math.pi / abs(omega)) if omega else 1.0)
+        self._place(self._panel_for(abs(omega)))
+
+    def _panel_for(self, aw: float, panel: float | None = None) -> float:
+        """The one panel rule: a line's panel is at most min(1, 2 pi / |omega|) for every
+        |omega| it has served.  A fresh line takes that bound, a held panel halves until
+        it meets it, within the value budget."""
+        bound = min(1.0, 2.0 * math.pi / aw) if aw else 1.0
+        if panel is None:
+            return bound
+        while panel > bound and panel * self.max_panels > self.T:
+            panel *= 0.5
+        return panel
 
     def _place(self, panel: float):
         """Lay out the head panels and evaluate g on their nodes."""
@@ -297,56 +322,84 @@ class _Line:
         n = min(math.ceil((self.T - edges[-1]) / panel), self.max_panels)
         self.h = 0.5 * (self.T - edges[-1]) / n
         self.mid = edges[-1] + self.h * np.arange(1.0, 2.0 * n, 2.0)
-        graded = np.array(edges)
-        mid = np.concatenate([0.5 * (graded[1:] + graded[:-1]), self.mid])
-        half = np.concatenate([0.5 * np.diff(graded), np.full(n, self.h)])[:, None]
-        self.graded = 21 * (len(edges) - 1)
+        pairs = list(zip(edges, edges[1:]))
+        mid = np.concatenate([[0.5 * (a + b) for a, b in pairs], self.mid])
+        half = np.concatenate([[0.5 * (b - a) for a, b in pairs], np.full(n, self.h)])[:, None]
+        self.graded = 21 * len(pairs)
         self.t = (mid[:, None] + half * _GK_NODES).ravel()
         self.g, rounding = _g(self.spec, self.inv, self.c + 1j * self.t)
-        kronrod = (half * _GK_KRONROD).ravel()
-        self.wg = np.stack([kronrod * self.g, (half * _GK_DIFF).ravel() * self.g])
-        self.w_eq = self.wg[:, self.graded :].reshape(2, n, 21)
+        weights = (half * _GK_PAIR).reshape(2, -1)
+        self.wg = weights * self.g
+        # Rows (K21 or difference, local node j), columns the equal panels.
+        self.w_mid = self.wg[:, self.graded :].reshape(2, n, 21).transpose(0, 2, 1).reshape(42, n)
+        self.phase_nodes = 1j * np.concatenate([self.t[: self.graded], self.mid, self.h * _GK_NODES])
         # The rounding errors of g at different nodes are independent, so
         # they add in quadrature.
-        self.noise = float(np.linalg.norm(kronrod * rounding))
+        noise = weights[0] * rounding
+        self.noise = math.sqrt(noise @ noise)
         wg = np.abs(self.wg[0])
         self.abs_sums = (float(wg.sum()), float(self.t @ wg))
         self.panel = panel
 
-    def head(self, omega: float) -> tuple[float, float]:
-        """Re int_0^T g(c+it) e^{i omega t} dt by K21, and |K21 - G10| plus the rounding
-        of g and of the phases and products, eps (sum |w g| + |omega| sum |t w g|)."""
-        panel = self.panel
-        while abs(omega) * panel > 2.0 * math.pi and panel * self.max_panels > self.T:
-            panel *= 0.5
-        if panel != self.panel:
+    def head(self, omega: np.ndarray) -> tuple[list, list]:
+        """Re int_0^T g(c+it) e^{i omega t} dt by K21 at every omega, and |K21 - G10| plus
+        the rounding of g and of the phases and products, eps (sum |w g| + |omega| sum |t w g|)."""
+        om = omega.tolist()
+        panel = self._panel_for(max(map(abs, om)), self.panel)
+        if panel < self.panel:
             self._place(panel)
-        ng = self.graded
-        kronrod, diff = self.wg[:, :ng] @ np.exp(1j * omega * self.t[:ng]) + (
-            self.w_eq @ np.exp(1j * (omega * self.h) * _GK_NODES)
-        ) @ np.exp(1j * omega * self.mid)
-        rounding = _EPS * (self.abs_sums[0] + abs(omega) * self.abs_sums[1])
-        return float(kronrod.real), float(abs(diff.real)) + self.noise + rounding
+        ng, nm = self.graded, self.graded + len(self.mid)
+        # The graded nodes, the equal-panel midpoints and the 21 local nodes
+        # in one exponential; then one matrix-vector product per point
+        # (stacked matmul), so a point's sums do not depend on its batch.
+        phases = np.exp(omega[:, None] * self.phase_nodes)
+        sums = self.wg[:, :ng] @ phases[:, :ng, None]
+        sums += (self.w_mid @ phases[:, ng:nm, None]).reshape(len(om), 2, 21) @ phases[:, nm:, None]
+        a, b = self.abs_sums
+        value, err = [], []
+        for (kronrod, diff), w in zip(sums[:, :, 0].tolist(), om):
+            value.append(kronrod.real)
+            err.append(abs(diff.real) + self.noise + _EPS * (a + abs(w) * b))
+        return value, err
 
-    def tail(self, omega: float) -> tuple[float, float]:
-        """Re int_T^inf g(c+it) e^{i omega t} dt from the series, and its first omitted term."""
+    def tail(self, omega: np.ndarray) -> tuple[list, list]:
+        """Re int_T^inf g(c+it) e^{i omega t} dt from the series at every omega, and its first
+        omitted term.  Each point sums exactly its own slice of the lattice."""
         z0 = complex(self.c, self.T)
-        if omega == 0.0:
-            kept, omitted = self.tail_coef @ _tail_moments(0.0, self.inv.mu, z0)
-        else:
-            sgn = 1.0 if omega > 0.0 else -1.0
-            j0, j1 = _tail_lattice(omega, z0)
-            k0, u, rows = self._tail_rows(sgn, j0, j1)
-            u = u[j0 - k0 : j1 - k0]
-            weights = u * np.exp(-abs(omega) * u)
-            kept, omitted = (1j * sgn * _TAIL_STEP) * (rows[:, j0 - k0 : j1 - k0] @ weights)
-        return float((cmath.exp(1j * omega * self.T) * kept).real), float(abs(omitted))
+        om = omega.tolist()
+        value, err = [0.0] * len(om), [0.0] * len(om)
+        by_sign: dict[int, list] = {}
+        for k, w in enumerate(om):
+            by_sign.setdefault((w > 0.0) - (w < 0.0), []).append(k)
+        for sgn, idx in by_sign.items():
+            if not sgn:
+                kept, omitted = (self.tail_coef @ _tail_moments(0.0, self.inv.mu, z0)).tolist()
+                for k in idx:
+                    value[k], err[k] = kept.real, abs(omitted)
+                continue
+            j0s, j1s = zip(*[_tail_lattice(om[k], z0) for k in idx])
+            lo, hi = min(j0s), max(j1s)
+            k0, u, rows = self._tail_rows(float(sgn), lo, hi)
+            u = u[lo - k0 : hi - k0]
+            # u e^(-|omega| u), with -|omega| u = omega (-sgn u) exactly.
+            part = omega if len(idx) == len(om) else omega[idx]
+            weights = u * np.exp(part[:, None] * (u if sgn < 0 else -u))
+            scale = 1j * sgn * _TAIL_STEP
+            for r, k, j0, j1 in zip(range(len(idx)), idx, j0s, j1s):
+                kept, omitted = (rows[:, j0 - k0 : j1 - k0] @ weights[r, j0 - lo : j1 - lo]).tolist()
+                value[k] = (cmath.exp(1j * om[k] * self.T) * (scale * kept)).real
+                err[k] = abs(scale * omitted)
+        return value, err
 
     def _tail_rows(self, sgn: float, j0: int, j1: int) -> tuple:
         """(first index, u, contracted rows) held for sgn, extended to cover j0 <= j < j1;
         each short end grows by at least the held length, so a curve extends it rarely,
         and only a short end is built."""
-        k0, u, rows = self.rows.get(sgn, (j0, np.empty(0), np.empty((2, 0), dtype=complex)))
+        if sgn not in self.rows:
+            u, powers = _ray_powers(complex(self.c, self.T), sgn, self.inv.mu, j0, j1)
+            self.rows[sgn] = (j0, u, self.tail_coef @ powers)
+            return self.rows[sgn]
+        k0, u, rows = self.rows[sgn]
         k1, held = k0 + len(u), len(u)
         if j0 < k0 or j1 > k1:
             z0 = complex(self.c, self.T)
@@ -366,79 +419,115 @@ class _Line:
         return k0, u, rows
 
 
-def _fourier_re(ev: DensityEvaluator, c: float, omega: float):
-    """Re int_0^inf g(c+it) e^{i omega t} dt: the fixed-node head plus the series tail.
+def _fourier_re(ev: DensityEvaluator, c: float, omega: np.ndarray):
+    """Re int_0^inf g(c+it) e^{i omega t} dt at every omega: the fixed-node head plus the
+    series tail.
 
-    Returns (value, error_estimate, trusted).  The error is judged in density
-    units, after the prefactor e^(c omega) / pi: on the support against the
-    size |leading| + |remainder| of the two parts summed into the density, so
-    a small remainder next to the leading part near the endpoint is judged
-    by the density, and past the support (omega < 0), where the exact value
-    is 0, against the size A*/Gamma(mu) of the leading part on the support.
+    Returns per-point lists (value, error_estimate, trusted).  The error is
+    judged in density units, after the prefactor e^(c omega) / pi: on the
+    support against the size |leading| + |remainder| of the two parts summed
+    into the density, so a small remainder next to the leading part near the
+    endpoint is judged by the density, and past the support (omega < 0),
+    where the exact value is 0, against the size A*/Gamma(mu) of the leading
+    part on the support.
     """
     line = ev._lines.get(c)
     if line is None:
-        line = ev._lines[c] = _Line(ev, c, omega)
+        line = ev._lines[c] = _Line(ev, c, float(np.abs(omega).max()))
     head, head_err = line.head(omega)
     tail, tail_err = line.tail(omega)
-    value, err = head + tail, head_err + tail_err
-    tol = ev.cfg.quad_rel_tol
+    tol, mu1 = ev.cfg.quad_rel_tol, ev.inv.mu - 1.0
     floor = 1e3 * max(1e-14, tol * 1e-5)
-    pre = math.exp(c * omega) / math.pi
-    if omega >= 0.0:
-        leading = ev.lead_scale * omega ** (ev.inv.mu - 1.0) if omega > 0.0 else 0.0
-        trusted = err <= max(floor, (leading / pre + abs(value)) * tol)
-    else:
-        trusted = err * pre <= max(floor, ev.lead_scale * tol)
-    return value, err, trusted
+    past_support = max(floor, ev.lead_scale * tol)
+    values, errs, trusted = [], [], []
+    for w, h, he, t, te in zip(omega.tolist(), head, head_err, tail, tail_err):
+        value, err = h + t, he + te
+        pre = math.exp(c * w) / math.pi
+        if w >= 0.0:
+            leading = ev.lead_scale * w**mu1 if w > 0.0 else 0.0
+            trusted.append(err <= max(floor, (leading / pre + abs(value)) * tol))
+        else:
+            trusted.append(err * pre <= past_support)
+        values.append(value)
+        errs.append(err)
+    return values, errs, trusted
 
 
-def _leading_density(ev: DensityEvaluator, x: float) -> tuple[float, float]:
-    """Closed-form leading part A* log(rho/x)^(mu-1) / Gamma(mu) on (0, rho), and its error.
+def _leading_density(ev: DensityEvaluator, x: np.ndarray) -> tuple[list, list]:
+    """Closed-form leading part A* log(rho/x)^(mu-1) / Gamma(mu) on (0, rho) at every x, and
+    its error; 0 at x >= rho.
 
     log(rho/x) carries the rounding of log rho and log x, which the power
     amplifies by |mu - 1| / log(rho/x) near the support endpoint.
     """
     inv = ev.inv
-    if x >= inv.rho:
-        return 0.0, 0.0
-    log_ratio = inv.log_rho - math.log(x)
-    value = ev.lead_scale * log_ratio ** (inv.mu - 1.0)
-    rounding = _EPS * (abs(inv.log_rho) + abs(math.log(x))) / log_ratio
-    return value, value * (1e-14 + abs(inv.mu - 1.0) * rounding)
+    mu1 = inv.mu - 1.0
+    values, errs = [], []
+    for xv in x.tolist():
+        if xv >= inv.rho:
+            values.append(0.0)
+            errs.append(0.0)
+            continue
+        log_x = math.log(xv)
+        log_ratio = inv.log_rho - log_x
+        value = ev.lead_scale * log_ratio**mu1
+        values.append(value)
+        errs.append(value * (1e-14 + abs(mu1) * _EPS * (abs(inv.log_rho) + abs(log_x)) / log_ratio))
+    return values, errs
 
 
-def _remainder_density(ev: DensityEvaluator, x: float) -> tuple[float, float]:
-    """Quadrature part of the density at any x > 0 (no exclusion zone); see _remainder_at."""
-    return _remainder_at(ev, ev.c, ev.inv.log_rho - math.log(x))
+def _remainder_density(ev: DensityEvaluator, x: np.ndarray) -> tuple:
+    """Quadrature part of the density at every x > 0 (no exclusion zone); see _remainder_at."""
+    return _remainder_at(ev, ev.c, ev.inv.log_rho - np.log(x))
 
 
-def _remainder_at(ev: DensityEvaluator, c: float, omega: float) -> tuple[float, float]:
-    """Quadrature part of the density at x = rho e^-omega, and its error.
+def _remainder_at(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple:
+    """Quadrature part of the density at x = rho e^-omega for every omega, and its error,
+    as two sequences of per-point floats.
 
-    A result that _fourier_re does not trust raises QuadratureAccuracyError
-    with the prefactored value as its best estimate.
+    A point that _fourier_re does not trust raises QuadratureAccuracyError
+    with its prefactored value as the best estimate.
     """
     # The prefactor e^(c omega) amplifies quadrature roundoff; far below the
     # support endpoint the contour is moved toward the imaginary axis (all
     # integrand poles sit at abscissas <= 0) to keep that amplification
     # bounded.  Quantized to a few levels so few lines are built.
-    if omega > 6.0:
-        target = max(0.05, 6.0 / omega)
-        level = next((lv for lv in (1.0, 0.3, 0.1, 0.05) if lv <= target), 0.05)
-        c = min(c, level)
-    value, err, trusted = _fourier_re(ev, c, omega)
-    pre = math.exp(c * omega) / math.pi
-    # Roundoff of the prefactored assembly: the contour integral is computed
-    # to near machine precision on its own scale, then amplified by e^(c w).
-    est = pre * err + 1e-14 * pre * (1.0 + abs(value))
-    if not trusted:
-        raise QuadratureAccuracyError(
-            f"contour quadrature did not converge (omega={omega}, error {est})",
-            best_estimate=pre * value,
-            error_estimate=est,
-        )
-    return pre * value, est
+    om = omega.tolist()
+    if max(om) <= _SHIFT_OMEGA:
+        return _remainder_on_line(ev, c, omega)
+    by_line: dict[float, list] = {}
+    for k, w in enumerate(om):
+        level = c
+        if w > _SHIFT_OMEGA:
+            target = max(_SHIFT_LEVELS[-1], _SHIFT_OMEGA / w)
+            level = min(c, next((lv for lv in _SHIFT_LEVELS if lv <= target), _SHIFT_LEVELS[-1]))
+        by_line.setdefault(level, []).append(k)
+    values, errs = [0.0] * len(om), [0.0] * len(om)
+    for level, idx in by_line.items():
+        for k, value, err in zip(idx, *_remainder_on_line(ev, level, omega[idx])):
+            values[k], errs[k] = value, err
+    return values, errs
+
+
+def _remainder_on_line(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple[list, list]:
+    """_remainder_at with every point on the abscissa c."""
+    values, errs, trusted = _fourier_re(ev, c, omega)
+    out, est = [], []
+    for w, value, err, ok in zip(omega.tolist(), values, errs, trusted):
+        pre = math.exp(c * w) / math.pi
+        # Roundoff of the prefactored assembly: the contour integral is
+        # computed to near machine precision on its own scale, then
+        # amplified by e^(c w).
+        bound = pre * err + 1e-14 * pre * (1.0 + abs(value))
+        if not ok:
+            raise QuadratureAccuracyError(
+                f"contour quadrature did not converge (omega={w}, error {bound})",
+                best_estimate=pre * value,
+                error_estimate=bound,
+            )
+        out.append(pre * value)
+        est.append(bound)
+    return out, est
 
 
 class DensityEvaluator:
@@ -450,7 +539,8 @@ class DensityEvaluator:
     requires mu > 0 and equal scale sums, and warns once when mu is small
     enough to slow the contour decay.  Every point evaluated through one
     evaluator reuses the lines of the points before it, so a whole curve or
-    an outer quadrature over x should go through a single evaluator.
+    an outer quadrature over x should go through a single evaluator, and
+    through as few calls as possible: ``values`` takes an array.
     """
 
     def __init__(self, spec: RatioSpec, cfg: ContourConfig | None = None):
@@ -479,52 +569,67 @@ class DensityEvaluator:
         self.lead_scale = inv.stirling_const / float(sc.gamma(inv.mu))
         self._lines: dict[float, _Line] = {}
 
+    def values(self, xs) -> np.ndarray:
+        """Density at every x > 0 of xs (no support-endpoint exclusion), in one batch."""
+        xs = np.asarray(xs, dtype=float).ravel()
+        return np.array(_leading_density(self, xs)[0]) + np.array(_remainder_density(self, xs)[0])
+
     def value(self, x: float) -> float:
         """Density at any x > 0 (no support-endpoint exclusion)."""
-        return _leading_density(self, x)[0] + _remainder_density(self, x)[0]
+        return float(self.values([x])[0])
 
     def evaluate(self, x: float) -> HEvaluation:
         """Density at x split into its parts, with the combined error estimate."""
-        leading, lead_err = _leading_density(self, x)
-        remainder, rem_err = _remainder_density(self, x)
-        return HEvaluation(
-            value=leading + remainder,
-            leading_part=leading,
-            remainder_part=remainder,
-            error_estimate=rem_err + lead_err,
-        )
+        return self._records(np.array([float(x)]))[0]
+
+    def _records(self, xs: np.ndarray) -> list[HEvaluation]:
+        lead, lead_err = _leading_density(self, xs)
+        rem, rem_err = _remainder_density(self, xs)
+        return [
+            HEvaluation(value=lv + rv, leading_part=lv, remainder_part=rv, error_estimate=re + le)
+            for lv, le, rv, re in zip(lead, lead_err, rem, rem_err)
+        ]
+
+    def _at_omega(self, c: float, omega: np.ndarray) -> np.ndarray:
+        """Density H(rho e^-omega) at every omega > 0, the remainder taken on the abscissa c."""
+        return self.lead_scale * omega ** (self.inv.mu - 1.0) + np.array(_remainder_at(self, c, omega)[0])
 
     def edge_integral(self, f, w_hi: float) -> float:
-        """int_0^w_hi H(rho e^-w) f(w) dw for f bounded on [0, w_hi].
+        """int_0^w_hi H(rho e^-w) f(w) dw for f bounded on [0, w_hi], f taking an array.
 
-        The leading part A* w^(mu-1) / Gamma(mu) goes to an algebraic-weight
-        quadrature, the bounded remainder to a plain adaptive rule.
+        H(rho e^-w) / w^(mu-1) = lead_scale + remainder / w^(mu-1) is analytic
+        at w = 0 (the endpoint series), so near 0 one Gauss-Jacobi rule of
+        weight w^(mu-1) integrates it, on at most pi min(scales), half the
+        radius of that series; |Q20 - Q10| is its error, and the interval
+        halves until that is below max(1e-12, 1e-9 |Q20|).  The adaptive
+        G10/K21 rule takes the rest.
         """
-        inv = self.inv
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lead = quad(
-                lambda w: self.lead_scale * f(w),
-                0.0, w_hi, weight="alg", wvar=(inv.mu - 1.0, 0.0),
-                epsabs=1e-12, epsrel=1e-9, limit=100,
-            )
-            rem = quad(
-                lambda w: _remainder_density(self, inv.rho * math.exp(-w))[0] * f(w),
-                0.0, w_hi, epsabs=1e-12, epsrel=1e-9, limit=100,
-            )
-        return lead[0] + rem[0]
+        mu = self.inv.mu
+        (y10, w10), (y20, w20) = (gauss_jacobi(mu - 1.0, n) for n in (10, 20))
+        w_gj = min(w_hi, math.pi * min(self.spec.A + self.spec.B))
+        for _ in range(_EDGE_HALVINGS):
+            # Both rules' nodes in one batch.
+            w = w_gj * np.concatenate([y10, y20])
+            vals = (self.lead_scale + np.array(_remainder_at(self, self.c, w)[0]) / w ** (mu - 1.0)) * f(w)
+            q10, q20 = w_gj**mu * (w10 @ vals[:10]), w_gj**mu * (w20 @ vals[10:])
+            if abs(q20 - q10) <= max(1e-12, 1e-9 * abs(q20)):
+                break
+            w_gj *= 0.5
+        if w_gj < w_hi:
+            q20 += quad(lambda w: self._at_omega(self.c, w) * f(w), w_gj, w_hi, epsabs=1e-12, epsrel=1e-9,
+                        limit=100)[0]
+        return float(q20)
 
     def mellin_transform(self, s: float) -> float:
         """int_0^rho H(x) x^(s-1) dx via the substitution x = rho e^-tau.
 
-        The tau^(mu-1) endpoint singularity of the leading part is integrated
-        analytically over (0, tau_c), as tau_c^mu / mu 1F1(mu; mu+1; -s tau_c),
-        real for every s; the remainder there, and the whole density beyond,
-        are integrated numerically at omega = tau, so no x underflows.  For
-        c > s the noise e^((c-s) tau) of the remainder is bounded by its
-        estimate at tau_max over the whole range, and a bound above 1e-6 of
-        the result raises QuadratureAccuracyError, as does a weight e^(-s tau)
-        that overflows before tau_max.
+        Over (0, tau_c) the edge rule (edge_integral) takes the tau^(mu-1)
+        endpoint singularity in one batch; the density beyond is integrated
+        by the adaptive rule at omega = tau, so no x underflows.  For c > s
+        the noise e^((c-s) tau) of the remainder is bounded by its estimate
+        at tau_max over the whole range, and a bound above 1e-6 of the result
+        raises QuadratureAccuracyError, as does a weight e^(-s tau) that
+        overflows before tau_max.
         """
         inv, cfg = self.inv, self.cfg
         if s <= inv.gamma_pole:
@@ -539,30 +644,25 @@ class DensityEvaluator:
         if tau_max <= 2.0 * tau_c:
             tau_c = 0.25 * tau_max
 
-        mu = inv.mu
-        lead_near = self.lead_scale * tau_c**mu / mu * float(sc.hyp1f1(mu, mu + 1.0, -s * tau_c))
+        near = self.edge_integral(lambda tau: np.exp(-s * tau), tau_c)
         if -s * tau_max > _LOG_FLOAT_MAX:
             raise QuadratureAccuracyError(
                 f"Mellin transform at s={s}: the weight e^(-s tau) overflows before tau_max={tau_max}",
-                best_estimate=inv.rho**s * lead_near,
+                best_estimate=inv.rho**s * near,
                 error_estimate=math.inf,
             )
-        noise = 0.0
-        if c > s:
-            noise = (tau_max - tau_c) * _remainder_at(self, c, tau_max)[1] * math.exp(-s * tau_max)
-        epsrel = max(1e-10, 0.01 * cfg.quad_rel_tol)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            near = quad(
-                lambda tau: _remainder_at(self, c, tau)[0] * math.exp(-s * tau),
-                0.0, tau_c, epsabs=1e-13, epsrel=epsrel, limit=80,
-            )
-            # Resolving the bulk below its noise would only chase the noise.
-            bulk = quad(
-                lambda tau: (self.lead_scale * tau ** (mu - 1.0) + _remainder_at(self, c, tau)[0]) * math.exp(-s * tau),
-                tau_c, tau_max, epsabs=max(1e-13, noise), epsrel=epsrel, limit=250,
-            )
-        integral = lead_near + near[0] + bulk[0]
+        # One batch at the top of each contour level the bulk crosses
+        # (_remainder_at) and at tau_max sizes every line once for the
+        # quadrature's later rounds, whose nodes creep toward those tops.
+        tops = [_SHIFT_OMEGA / lv for lv in _SHIFT_LEVELS[:-1] if tau_c < _SHIFT_OMEGA / lv < tau_max]
+        est_max = _remainder_at(self, c, np.array(tops + [tau_max]))[1][-1]
+        noise = (tau_max - tau_c) * est_max * math.exp(-s * tau_max) if c > s else 0.0
+        # Resolving the bulk below its noise would only chase the noise.
+        bulk = quad(
+            lambda tau: self._at_omega(c, tau) * np.exp(-s * tau),
+            tau_c, tau_max, epsabs=max(1e-13, noise), epsrel=max(1e-10, 0.01 * cfg.quad_rel_tol), limit=250,
+        )
+        integral = near + bulk[0]
         if not noise <= 1e-6 * abs(integral):
             raise QuadratureAccuracyError(
                 f"Mellin transform at s={s}: remainder noise up to {noise} on the abscissa c={c} > s",
@@ -580,7 +680,8 @@ def density(spec: RatioSpec, xs, cfg: ContourConfig | None = None) -> list[HEval
     rho are refused: the leading part diverges there for mu < 1 and the two
     parts cancel to noise.  For x > rho the exact value is zero and the
     returned value is quadrature noise of that size.  All points share one
-    contour, so a curve costs far less than as many fox_h calls.
+    contour and go through the engine in one batch, so a curve costs far
+    less than as many fox_h calls.
     """
     xs = [float(x) for x in xs]
     for x in xs:
@@ -593,7 +694,7 @@ def density(spec: RatioSpec, xs, cfg: ContourConfig | None = None) -> list[HEval
             raise SingularPointError(
                 f"density: x={x} within {_RHO_EXCLUSION} relative of the support endpoint rho={rho}"
             )
-    return [ev.evaluate(x) for x in xs]
+    return ev._records(np.array(xs)) if xs else []
 
 
 def fox_h(spec: RatioSpec, x: float, cfg: ContourConfig | None = None) -> HEvaluation:

@@ -12,16 +12,15 @@ conjectures.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .foxh import ContourConfig, DEFAULT_CONTOUR, DensityEvaluator
+from .quadrature import quad
 from .ratio import RatioSpec, cm_kernel_t, derive, gamma_ratio
 from .monotonicity import identical_factor_multisets
 
@@ -99,14 +98,17 @@ def laplace_reconstruct(
     the Mellin transform of the density at s = x, so the residual compares
     that quadrature against the gamma-product value of W computed directly.
     """
-    inv = derive(spec)
-    if not inv.rho_at_most_one():
-        raise DomainError(f"laplace_reconstruct: rho={inv.rho} must be <= 1")
-    ev = DensityEvaluator(spec, cfg)
+    return _laplace_report(DensityEvaluator(spec, cfg), x_grid, tolerance)
+
+
+def _laplace_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: float) -> ResidualReport:
+    """laplace_reconstruct on the density of an existing evaluator."""
+    if not ev.inv.rho_at_most_one():
+        raise DomainError(f"laplace_reconstruct: rho={ev.inv.rho} must be <= 1")
     residuals = []
     for x in x_grid:
         recon = ev.mellin_transform(float(x))
-        exact = gamma_ratio(spec, float(x))
+        exact = gamma_ratio(ev.spec, float(x))
         residuals.append(abs(recon - exact) / abs(exact))
     return _make_report("laplace_reconstruct", x_grid, residuals, tolerance)
 
@@ -130,12 +132,16 @@ def meijer_identity_residual(
     bv = tuple(float(v) for v in b)
     if len(av) != len(bv):
         raise DomainError("meijer_identity_residual: length mismatch")
-    gap = math.fsum(bv) - math.fsum(av)
-    if gap <= 0.0:
+    if math.fsum(bv) - math.fsum(av) <= 0.0:
         raise DomainError("meijer_identity_residual: requires sum(b) > sum(a)")
     ones = (1.0,) * len(av)
-    ev = DensityEvaluator(RatioSpec(A=ones, a=av, B=ones, b=bv), cfg)
+    return _meijer_report(DensityEvaluator(RatioSpec(A=ones, a=av, B=ones, b=bv), cfg), x_grid, tolerance)
 
+
+def _meijer_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: float) -> ResidualReport:
+    """meijer_identity_residual on the density of an existing unit-scaling evaluator."""
+    av, bv = ev.spec.a, ev.spec.b
+    gap = math.fsum(bv) - math.fsum(av)
     residuals = []
     for x in x_grid:
         x = float(x)
@@ -144,27 +150,25 @@ def meijer_identity_residual(
         g_x = ev.value(x)
         lhs = math.log(1.0 / x) * g_x
 
-        def bracket(t: float) -> float:
-            return math.fsum((x / t) ** ak - (x / t) ** bk for ak, bk in zip(av, bv))
+        def bracket(t: np.ndarray) -> np.ndarray:
+            r = x / t
+            return sum(r**ak - r**bk for ak, bk in zip(av, bv))
 
         limit_value = gap * g_x / x
 
-        def integrand(t: float) -> float:
-            if abs(t - x) <= _T_EXCLUSION:
-                return limit_value
-            return ev.value(t) * bracket(t) / (t - x)
+        def integrand(t: np.ndarray) -> np.ndarray:
+            near = np.abs(t - x) <= _T_EXCLUSION
+            return np.where(near, limit_value, ev.values(t) * bracket(t) / np.where(near, 1.0, t - x))
 
         t_hi = min(1.0 - 0.05, 0.5 * (x + 1.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mid = quad(
-                integrand, x, t_hi,
-                points=[x + _T_EXCLUSION],
-                epsabs=1e-12, epsrel=1e-9, limit=250,
-            )
+        mid = quad(
+            integrand, x, t_hi,
+            points=[x + _T_EXCLUSION],
+            epsabs=1e-12, epsrel=1e-9, limit=250,
+        )
 
-        def edge_factor(w: float) -> float:
-            t = math.exp(-w)
+        def edge_factor(w: np.ndarray) -> np.ndarray:
+            t = np.exp(-w)
             return bracket(t) / (t - x) * t
 
         rhs = mid[0] + ev.edge_integral(edge_factor, -math.log(t_hi))
@@ -187,8 +191,12 @@ def fox_identity_residual(
     the leading part is handled by a weighted quadrature; the kernel factor
     near w = log(rho/x), i.e. u -> 1, uses the cancellation-free kernel path.
     """
-    ev = DensityEvaluator(spec, cfg)
-    inv = ev.inv
+    return _fox_report(DensityEvaluator(spec, cfg), x_grid, tolerance)
+
+
+def _fox_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: float) -> ResidualReport:
+    """fox_identity_residual on the density of an existing evaluator."""
+    spec, inv = ev.spec, ev.inv
     if not inv.rho_at_most_one():
         raise DomainError(f"fox_identity_residual: rho={inv.rho} must be <= 1")
 
@@ -202,15 +210,13 @@ def fox_identity_residual(
         h_x = ev.value(x)
         lhs = w_max * h_x
 
-        def kernel_at(w: float) -> float:
-            return float(cm_kernel_t(spec, (x / inv.rho) * math.exp(w)))
+        def kernel_at(w: np.ndarray) -> np.ndarray:
+            return cm_kernel_t(spec, (x / inv.rho) * np.exp(w))
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bulk = quad(
-                lambda w: ev.value(inv.rho * math.exp(-w)) * kernel_at(w),
-                w_cut, w_max, epsabs=1e-12, epsrel=1e-9, limit=250,
-            )
+        bulk = quad(
+            lambda w: ev.values(inv.rho * np.exp(-w)) * kernel_at(w),
+            w_cut, w_max, epsabs=1e-12, epsrel=1e-9, limit=250,
+        )
         rhs = ev.edge_integral(kernel_at, w_cut) + bulk[0]
         denom = abs(h_x)
         # Residual is relative to |H(x)| per the check contract.
@@ -383,12 +389,12 @@ def count_zeros(
     h_evaluated = inv.mu > 0.0 and inv.sums_equal()
     h_brackets: list[tuple[float, float]] = []
     if h_evaluated:
-        h_at = DensityEvaluator(spec, cfg).value
+        ev = DensityEvaluator(spec, cfg)
         x_grid = inv.rho * np.arange(1, grid_size) / grid_size
-        h_vals = np.array([h_at(float(x)) for x in x_grid])
+        h_vals = ev.values(x_grid)
         h_floor = max(1e-10, 20.0 * cfg.quad_rel_tol * float(np.max(np.abs(h_vals))))
         h_brackets = _certified_brackets(
-            x_grid, h_vals, h_at, h_floor, _ZERO_BRACKET_WIDTH * inv.rho
+            x_grid, h_vals, ev.value, h_floor, _ZERO_BRACKET_WIDTH * inv.rho
         )
 
     q_count = len(q_brackets)

@@ -178,6 +178,31 @@ class TestIdentitiesAndZeros:
         assert load_report(out, "mixed", "mc-moments")["status"] == "not_applicable"
 
 
+class TestDerivesPerJob:
+    @pytest.mark.parametrize("spec, command", [(INVERSE, "identities"), (MIXED, "identities"),
+                                               (PAIRED, "verify-measure")])
+    def test_one_evaluator_per_job(self, tmp_path, monkeypatch, spec, command):
+        # The handler shares one density evaluator between its checks, so a
+        # job derives its spec at most twice: once for the job, once for the
+        # evaluator.
+        from gammaratio import cli, foxh, verification
+
+        calls = []
+        derive = foxh.derive
+
+        def counted(spec):
+            calls.append(spec)
+            return derive(spec)
+
+        for module in (cli, foxh, verification):
+            monkeypatch.setattr(module, "derive", counted)
+        cfg = write_config(tmp_path, {"specs": [spec], "commands": [command]})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out)]) == EXIT_OK
+        assert load_report(out, spec["name"], command)["status"] == "ok"
+        assert 1 <= len(calls) <= 2
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_meta(self, tmp_path):
         payload = {

@@ -173,13 +173,13 @@ class TestFoxH:
 
         def untrusted(ev, c, omega):
             calls.append((c, omega))
-            return c, 1e6, False
+            return np.full_like(omega, c), np.full_like(omega, 1e6), np.zeros(omega.shape, dtype=bool)
 
         monkeypatch.setattr(foxh_mod, "_fourier_re", untrusted)
         with pytest.raises(QuadratureAccuracyError) as exc:
             fox_h(spec_equal_scales, 0.4)
         assert len(calls) == 1
-        c, omega = calls[0]
+        c, (omega,) = calls[0]
         assert exc.value.best_estimate == math.exp(c * omega) / math.pi * c
         assert exc.value.error_estimate > 0.0
         assert math.isfinite(exc.value.best_estimate)
@@ -289,6 +289,43 @@ class TestDensityCurve:
             _, powers = ray_powers(complex(1.0, ev.T), sgn, ev.inv.mu, k0, k0 + len(u))
             assert np.array_equal(rows, line.tail_coef @ powers)
 
+    def test_fresh_point_places_head_once(self, monkeypatch):
+        # One panel rule sizes a fresh line and decides on halving it, so a
+        # fresh point evaluates g once, also where 2 pi / |omega| rounds.
+        sizes = []
+        g = foxh_mod._g
+
+        def counted(spec, inv, s):
+            sizes.append(len(s))
+            return g(spec, inv, s)
+
+        monkeypatch.setattr(foxh_mod, "_g", counted)
+        rng = random.Random(20150128)
+        for _ in range(50):
+            spec = fresh_spec(rng)
+            omega = rng.uniform(2.0 * math.pi, 16.0)
+            sizes.clear()
+            fox_h(spec, math.exp(derive(spec).log_rho - omega))
+            assert len(sizes) == 1, (spec, omega, sizes)
+
+    def test_batch_sizes_line_once(self, spec_mixed_scale, monkeypatch):
+        # A batch sizes each line for its largest |omega| before any point is
+        # summed; a later batch within that reach reuses the line.
+        sizes = []
+        g = foxh_mod._g
+
+        def counted(spec, inv, s):
+            sizes.append(len(s))
+            return g(spec, inv, s)
+
+        monkeypatch.setattr(foxh_mod, "_g", counted)
+        ev = DensityEvaluator(spec_mixed_scale)
+        ev.values(ev.inv.rho * np.exp(-np.array([0.5, -9.0, 1.0])))
+        ev.values(ev.inv.rho * np.exp(-np.array([-5.0, 2.0])))
+        assert len(sizes) == 1
+        assert list(ev._lines) == [1.0]
+        assert ev._lines[1.0].panel == pytest.approx(2.0 * math.pi / 9.0, rel=1e-12)
+
     def test_one_point_builds_tail_rows_once(self, spec_mixed_scale, monkeypatch):
         # A fresh line builds only the range its first point needs.
         calls = []
@@ -324,7 +361,7 @@ class TestFactoredHead:
         eps = np.finfo(float).eps
         for c, omega in ((1.0, 2.5), (0.3, -4.0), (0.1, 23.3)):
             line = foxh_mod._Line(ev, c, omega)
-            value, err = line.head(omega)
+            (value,), (err,) = line.head(np.array([omega]))
             equal = line.t[line.graded :].reshape(-1, 21)
             assert np.array_equal(equal, line.mid[:, None] + line.h * foxh_mod._GK_NODES)
             wg = np.abs(line.wg[0])
@@ -396,7 +433,7 @@ class TestTailMoments:
         z0 = complex(ev.c, ev.T)
         line = foxh_mod._Line(ev, ev.c, 3.0)
         for omega in (3.0, 0.2, 11.0, 0.0, -0.7, -1e-4, -15.0):
-            value, omitted = line.tail(omega)
+            (value,), (omitted,) = line.tail(np.array([omega]))
             moments = _tail_moments(omega, ev.inv.mu, z0)
             kept = complex(np.exp(1j * omega * ev.T) * (ev.coef[:-1] @ moments[:-1]))
             assert abs(value - kept.real) <= 1e-13 * abs(kept)
