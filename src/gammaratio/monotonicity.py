@@ -10,6 +10,7 @@ unit-scaling ratios from factor exponent pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,14 +20,15 @@ from scipy import special as sc
 
 from .errors import DomainError
 from .ratio import (
+    _KERNEL_T_SWITCH,
     REL_TOL,
     DerivedInvariants,
     RatioSpec,
+    _power_sum,
+    _series_term,
     _sums_equal,
-    cm_kernel_series,
-    cm_kernel_t,
+    cm_kernel,
     derive,
-    kernel_positive_part,
 )
 
 # Condition identifiers used in evidence records and reports.
@@ -273,17 +275,37 @@ def _endpoint_one_sign(spec: RatioSpec) -> tuple[int, str]:
     """Analytic sign of the kernel as t -> 1 (u -> 0 in the Laplace variable).
 
     Decided by the 1/u coefficient sum(A) - sum(B) if nonzero, otherwise by
-    the first Taylor coefficient of the kernel distinguishable from zero.
+    the first Taylor coefficient p_k of the kernel distinguishable from zero.
+    The coefficients are computed one at a time, p_0 first, and the scan
+    stops at that first decisive one, so k + 1 of them are evaluated.
     """
     sum_A, sum_B = math.fsum(spec.A), math.fsum(spec.B)
     if not _sums_equal(sum_A, sum_B):
         sum_diff = sum_A - sum_B
         return (1 if sum_diff > 0 else -1), f"t->1: kernel ~ {sum_diff!r}/u"
-    for k, (coef, mag) in enumerate(cm_kernel_series(spec, _SERIES_TERMS)):
+    for k in range(_SERIES_TERMS):
+        coef, mag = _series_term(spec, k)
         if abs(coef) > 1e-10 * max(mag, 1e-300):
             sign = 1 if coef > 0 else -1
             return sign, f"t->1: first nonzero Taylor coefficient p_{k}={coef!r}"
     return 0, f"t->1: Taylor coefficients vanish through order {_SERIES_TERMS - 1}"
+
+
+@functools.lru_cache(maxsize=8)
+def _sample_grid(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only samples t of check_kernel_nonneg, a column of log t, and the t >= _KERNEL_T_SWITCH mask.
+
+    The first grid_size - 1 points are the uniform interior grid k/grid_size;
+    the geometric tails toward t = 0 and t = 1 follow.
+    """
+    uniform = np.arange(1, grid_size) / grid_size
+    geo = np.geomspace(1e-6, 1.0 / grid_size, _GEOMETRIC_POINTS)
+    grid = np.concatenate([uniform, geo, 1.0 - geo])
+    logt = np.log(grid)[:, None]
+    near_one = grid >= _KERNEL_T_SWITCH
+    for arr in (grid, logt, near_one):
+        arr.flags.writeable = False
+    return grid, logt, near_one
 
 
 def check_kernel_nonneg(
@@ -301,7 +323,13 @@ def check_kernel_nonneg(
     endpoints, the endpoint behaviour is certified analytically (power-law
     comparison at t -> 0, Taylor coefficients at t -> 1) rather than
     sampled; geometric tail samples still count toward `fails`.  Anything
-    short of full certification is reported as numerically undecided.
+    short of full certification is reported as numerically undecided, and
+    so is an interior sample where the positive part underflows to 0, since
+    no sign can be read there.
+
+    A negative t -> 0 sign fails before any t -> 1 work.  The grid is cached
+    per grid_size, and the positive part is both the kernel's first sum and
+    the envelope (point by point `cm_kernel_t` and `kernel_positive_part`).
     """
     if grid_size < 64:
         raise DomainError(f"check_kernel_nonneg: grid_size={grid_size} must be >= 64")
@@ -311,26 +339,35 @@ def check_kernel_nonneg(
         )
 
     sign0, wit0 = _endpoint_zero_sign(spec)
-    sign1, wit1 = _endpoint_one_sign(spec)
     if sign0 < 0:
         return ConditionEvidence(Q_NONNEG, FAILS, wit0)
+    sign1, wit1 = _endpoint_one_sign(spec)
     if sign1 < 0:
         return ConditionEvidence(Q_NONNEG, FAILS, wit1)
 
-    uniform = np.arange(1, grid_size) / grid_size
-    geo = np.geomspace(1e-6, 1.0 / grid_size, _GEOMETRIC_POINTS)
-    tails = np.concatenate([geo, 1.0 - geo])
-    grid = np.concatenate([uniform, tails])
-    normalized = cm_kernel_t(spec, grid) / kernel_positive_part(spec, grid)
+    grid, logt, near_one = _sample_grid(grid_size)
+    positive = _power_sum(logt, spec.A, spec.a)
+    kernel = positive - _power_sum(logt, spec.B, spec.b)
+    kernel[near_one] = cm_kernel(spec, -logt[near_one, 0])
+    underflow = positive == 0.0
+    # Where the positive part underflows there is no envelope: the sample reads 0,
+    # so it can neither fail the check nor certify it.
+    normalized = kernel / np.where(underflow, np.inf, positive)
 
     i_min = int(np.argmin(normalized))
     if normalized[i_min] < -10.0 * refine_tol:
-        t_bad = float(grid[i_min])
         return ConditionEvidence(
-            Q_NONNEG, FAILS, f"kernel({t_bad!r}) = {float(cm_kernel_t(spec, t_bad))!r} < 0"
+            Q_NONNEG, FAILS, f"kernel({float(grid[i_min])!r}) = {float(kernel[i_min])!r} < 0"
         )
-    interior_min = float(np.min(normalized[: len(uniform)]))
-    t_int = float(uniform[int(np.argmin(normalized[: len(uniform)]))])
+    n_interior = grid_size - 1
+    if underflow[:n_interior].any():
+        t_zero = float(grid[int(np.argmax(underflow))])
+        return ConditionEvidence(
+            Q_NONNEG, UNDECIDED, f"positive part underflows to 0 at t={t_zero!r}; no sign can be read"
+        )
+    i_int = int(np.argmin(normalized[:n_interior]))
+    interior_min = float(normalized[i_int])
+    t_int = float(grid[i_int])
     if interior_min >= refine_tol and sign0 > 0 and sign1 > 0:
         return ConditionEvidence(
             Q_NONNEG,

@@ -335,6 +335,19 @@ def _bernoulli_poly(n: int, x: float) -> float:
     )
 
 
+def _series_term(spec: RatioSpec, k: int) -> tuple[float, float]:
+    """Taylor coefficient p_k of :func:`cm_kernel_series` and its magnitude scale."""
+    fact = math.factorial(k + 1)
+    terms = [
+        _bernoulli_poly(k + 1, 1.0 - ai) / (fact * Ai**k)
+        for ai, Ai in zip(spec.a, spec.A)
+    ] + [
+        -_bernoulli_poly(k + 1, 1.0 - bj) / (fact * Bj**k)
+        for bj, Bj in zip(spec.b, spec.B)
+    ]
+    return math.fsum(terms), math.fsum(abs(v) for v in terms)
+
+
 def cm_kernel_series(spec: RatioSpec, n_terms: int = 12) -> list[tuple[float, float]]:
     """Taylor coefficients of the kernel at u = 0, past the 1/u term.
 
@@ -344,24 +357,15 @@ def cm_kernel_series(spec: RatioSpec, n_terms: int = 12) -> list[tuple[float, fl
             - sum_j B_{k+1}(1 - b_j) / ((k+1)! B_j^k),
 
     where B_n(x) are Bernoulli polynomials; p_0 is the decay exponent mu.
-    Returns (coefficient, magnitude_scale) pairs, the scale being the sum of
-    absolute term magnitudes so callers can judge whether a coefficient is
-    numerically distinguishable from zero.
+    Returns (coefficient, magnitude_scale) pairs for k = 0..n_terms-1, the
+    scale being the sum of absolute term magnitudes so callers can judge
+    whether a coefficient is numerically distinguishable from zero.  Each
+    coefficient costs O(k (p + q)); a caller that needs only the first
+    nonzero one computes them one at a time with `_series_term`.
     """
     if not 1 <= n_terms <= 13:
         raise DomainError(f"cm_kernel_series: n_terms={n_terms} outside 1..13")
-    out = []
-    for k in range(n_terms):
-        fact = math.factorial(k + 1)
-        terms = [
-            _bernoulli_poly(k + 1, 1.0 - ai) / (fact * Ai**k)
-            for ai, Ai in zip(spec.a, spec.A)
-        ] + [
-            -_bernoulli_poly(k + 1, 1.0 - bj) / (fact * Bj**k)
-            for bj, Bj in zip(spec.b, spec.B)
-        ]
-        out.append((math.fsum(terms), math.fsum(abs(v) for v in terms)))
-    return out
+    return [_series_term(spec, k) for k in range(n_terms)]
 
 
 def kernel_positive_part(spec: RatioSpec, t):

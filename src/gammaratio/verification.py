@@ -157,8 +157,13 @@ def _meijer_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: flo
         limit_value = gap * g_x / x
 
         def integrand(t: np.ndarray) -> np.ndarray:
-            near = np.abs(t - x) <= _T_EXCLUSION
-            return np.where(near, limit_value, ev.values(t) * bracket(t) / np.where(near, 1.0, t - x))
+            # Within _T_EXCLUSION of x the integrand is its limit; no density is needed there.
+            out = np.full_like(t, limit_value)
+            far = np.abs(t - x) > _T_EXCLUSION
+            t_far = t[far]
+            if t_far.size:
+                out[far] = ev.values(t_far) * bracket(t_far) / (t_far - x)
+            return out
 
         t_hi = min(1.0 - 0.05, 0.5 * (x + 1.0))
         mid = quad(

@@ -1,0 +1,185 @@
+"""The sampled kernel check against its eager reference, and the work it does.
+
+`check_kernel_nonneg` decides the t -> 0 sign first, computes the t -> 1
+Taylor coefficients only up to the first decisive one, and samples on a
+grid built once per grid_size with the positive part computed once.  The
+reference below is the plain form of the same check: both endpoint signs,
+all twelve coefficients, and `cm_kernel_t / kernel_positive_part` on a
+freshly built grid.  Their evidence must agree exactly.
+"""
+
+import math
+import random
+import re
+
+import numpy as np
+import pytest
+
+from gammaratio import RatioSpec, build_unweighted, check_kernel_nonneg
+from gammaratio import monotonicity
+from gammaratio.monotonicity import FAILS, HOLDS, Q_NONNEG, UNDECIDED, ConditionEvidence
+from gammaratio.ratio import REL_TOL, cm_kernel_series, cm_kernel_t, kernel_positive_part
+
+
+def _reference_one_sign(spec):
+    sum_A, sum_B = math.fsum(spec.A), math.fsum(spec.B)
+    if abs(sum_A - sum_B) > REL_TOL * max(sum_A, sum_B):
+        sum_diff = sum_A - sum_B
+        return (1 if sum_diff > 0 else -1), f"t->1: kernel ~ {sum_diff!r}/u"
+    for k, (coef, mag) in enumerate(cm_kernel_series(spec, 12)):
+        if abs(coef) > 1e-10 * max(mag, 1e-300):
+            return (1 if coef > 0 else -1), f"t->1: first nonzero Taylor coefficient p_{k}={coef!r}"
+    return 0, "t->1: Taylor coefficients vanish through order 11"
+
+
+def _reference_check(spec, grid_size, refine_tol=1e-12):
+    """Eager check: (evidence, whether the normalized minimum is NaN)."""
+    if monotonicity.identical_factor_multisets(spec):
+        return ConditionEvidence(
+            Q_NONNEG, HOLDS, "numerator and denominator factors identical; kernel vanishes"
+        ), False
+    sign0, wit0 = monotonicity._endpoint_zero_sign(spec)
+    sign1, wit1 = _reference_one_sign(spec)
+    if sign0 < 0:
+        return ConditionEvidence(Q_NONNEG, FAILS, wit0), False
+    if sign1 < 0:
+        return ConditionEvidence(Q_NONNEG, FAILS, wit1), False
+
+    uniform = np.arange(1, grid_size) / grid_size
+    geo = np.geomspace(1e-6, 1.0 / grid_size, 64)
+    grid = np.concatenate([uniform, geo, 1.0 - geo])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normalized = cm_kernel_t(spec, grid) / kernel_positive_part(spec, grid)
+    nan_min = bool(np.isnan(np.min(normalized)))
+
+    i_min = int(np.argmin(normalized))
+    if normalized[i_min] < -10.0 * refine_tol:
+        t_bad = float(grid[i_min])
+        return ConditionEvidence(
+            Q_NONNEG, FAILS, f"kernel({t_bad!r}) = {float(cm_kernel_t(spec, t_bad))!r} < 0"
+        ), nan_min
+    interior_min = float(np.min(normalized[: len(uniform)]))
+    t_int = float(uniform[int(np.argmin(normalized[: len(uniform)]))])
+    if interior_min >= refine_tol and sign0 > 0 and sign1 > 0:
+        return ConditionEvidence(
+            Q_NONNEG,
+            HOLDS,
+            f"min normalized interior sample {interior_min!r} at t={t_int!r}; {wit0}; {wit1}",
+        ), nan_min
+    reason = wit0 if sign0 == 0 else (wit1 if sign1 == 0 else f"margin {interior_min!r} at t={t_int!r}")
+    return ConditionEvidence(Q_NONNEG, UNDECIDED, reason), nan_min
+
+
+def _equivalence_specs():
+    rng = random.Random(20261018)
+    specs = []
+    for k in range(100):
+        beta = [rng.uniform(0.0, 3.0) for _ in range(rng.randint(1, 4))]
+        spec = build_unweighted([v + rng.uniform(0.05, 3.0) for v in beta], beta)
+        if k % 4 == 3:
+            # Moving the largest numerator shift breaks the factorization, so
+            # the kernel may change sign (mostly at t -> 1).
+            a = sorted(spec.a)
+            a[-1] *= rng.uniform(0.8, 1.2)
+            spec = RatioSpec(A=spec.A, a=a, B=spec.B, b=spec.b)
+        specs.append(spec)
+    for equal in (True, False) * 100:
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        A = [rng.uniform(0.2, 5.0) for _ in range(p)]
+        if equal:
+            cuts = sorted(rng.uniform(0.0, 1.0) for _ in range(q - 1))
+            total = math.fsum(A)
+            B = [total * (hi - lo) for lo, hi in zip([0.0] + cuts, cuts + [1.0])]
+            B[-1] = total - math.fsum(B[:-1])
+        else:
+            B = [rng.uniform(0.2, 5.0) for _ in range(q)]
+        a = [rng.uniform(0.0, 4.0) for _ in range(p)]
+        b = [rng.uniform(0.0, 4.0) for _ in range(q)]
+        specs.append(RatioSpec(A=A, a=a, B=B, b=b))
+    return specs
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("grid_size", [64, 128, 512])
+    def test_evidence_matches_eager_reference(self, grid_size):
+        checked = []
+        for spec in _equivalence_specs():
+            for refine_tol in (1e-12, 1e-6):
+                expected, nan_min = _reference_check(spec, grid_size, refine_tol)
+                if nan_min:
+                    continue
+                got = check_kernel_nonneg(spec, grid_size=grid_size, refine_tol=refine_tol)
+                assert got == expected, (spec, refine_tol)
+                checked.append(got)
+        assert len(checked) == 600
+        # The set reaches every outcome, and its samples decide many specs.
+        assert {FAILS, HOLDS, UNDECIDED} <= {ev.status for ev in checked}
+        assert sum(ev.witness.startswith(("min normalized", "margin")) for ev in checked) >= 200
+        assert any(ev.witness.startswith("kernel(") for ev in checked)
+
+    def test_grid_is_shared_and_read_only(self):
+        grid, logt, near_one = monotonicity._sample_grid(128)
+        assert monotonicity._sample_grid(128)[0] is grid
+        assert len(grid) == 127 + 2 * 64
+        for arr in (grid, logt, near_one):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+class TestUnderflow:
+    def test_zero_over_zero_sample_is_undecided(self):
+        # t^99900 underflows at every interior sample, so both sums read 0.
+        spec = RatioSpec(A=(0.01,), a=(999.0,), B=(0.01,), b=(1000.0,))
+        ev = check_kernel_nonneg(spec)
+        assert ev.status == UNDECIDED
+        assert "nan" not in ev.witness
+        assert ev.witness == "positive part underflows to 0 at t=0.001953125; no sign can be read"
+
+    def test_underflow_in_tail_only_still_certifies(self):
+        # t^60 underflows at the geometric tail point t = 1e-6 but not at
+        # t = 1/512; the t -> 0 sign is certified analytically.
+        spec = RatioSpec(A=(1.0,), a=(60.0,), B=(1.0,), b=(61.0,))
+        ev = check_kernel_nonneg(spec)
+        assert ev.status == HOLDS
+        assert ev.witness.startswith("min normalized interior sample")
+
+
+@pytest.fixture
+def term_calls(monkeypatch):
+    calls = []
+    helper = monotonicity._series_term
+
+    def counting(spec, k):
+        calls.append(k)
+        return helper(spec, k)
+
+    monkeypatch.setattr(monotonicity, "_series_term", counting)
+    return calls
+
+
+class TestWorkCount:
+    def test_subset_parity_decides_at_p1(self, term_calls):
+        spec = build_unweighted([2, 3], [1, 0.5])
+        sign, witness = monotonicity._endpoint_one_sign(spec)
+        assert sign == 1
+        assert "p_1=" in witness
+        assert term_calls == [0, 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_terms_stop_at_first_decisive_order(self, term_calls, n):
+        rng = random.Random(n)
+        beta = [rng.uniform(0.0, 3.0) for _ in range(n)]
+        spec = build_unweighted([v + rng.uniform(0.05, 3.0) for v in beta], beta)
+        _, witness = monotonicity._endpoint_one_sign(spec)
+        order = int(re.search(r"p_(\d+)=", witness).group(1))
+        # The product of n factors (t^beta - t^alpha) vanishes to order n at t = 1.
+        assert order == n - 1
+        assert term_calls == list(range(order + 1))
+
+    def test_negative_zero_sign_skips_taylor_terms(self, term_calls):
+        # Equal scale sums, but the numerator's t^1 loses to the denominator's t^0.5.
+        spec = RatioSpec(A=(1.0, 1.0), a=(1.0, 2.0), B=(1.0, 1.0), b=(0.5, 3.0))
+        ev = check_kernel_nonneg(spec)
+        assert ev.status == FAILS
+        assert ev.witness.startswith("t->0")
+        assert term_calls == []

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gammaratio import (
@@ -65,6 +66,29 @@ class TestMeijerIdentity:
     def test_rejects_bad_gap(self):
         with pytest.raises(DomainError):
             meijer_identity_residual((1.0,), (1.0,), [0.5])
+
+    def test_excluded_nodes_skip_the_density(self, monkeypatch):
+        # Within 1e-6 of x the integrand is its limit value, so only the one
+        # density at x itself (the left-hand side) may come that close.
+        batches = []
+        values = DensityEvaluator.values
+
+        def recording(self, xs):
+            batches.append(np.asarray(xs, dtype=float).ravel())
+            return values(self, xs)
+
+        monkeypatch.setattr(DensityEvaluator, "values", recording)
+        x = 0.5
+        report = meijer_identity_residual((0.3,), (3.1,), [x])
+        assert report.passed
+        points = np.concatenate(batches)
+        assert points[np.abs(points - x) <= 1e-6].tolist() == [x]
+        assert len(points) <= 25
+
+    def test_interval_inside_exclusion(self):
+        # The quadrature runs over [x, 0.95], all of it within 1e-6 of x.
+        report = meijer_identity_residual((0.0,), (2.0,), [0.9499995])
+        assert report.max_residual <= 1e-9
 
 
 class TestFoxIdentity:
