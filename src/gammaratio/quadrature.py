@@ -6,6 +6,8 @@ there, so a rule costs one integrand call per round, not one per node.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _EPS = np.finfo(float).eps
@@ -79,13 +81,16 @@ def quad(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8
         val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_jacobi(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n nodes on (0, 1) and weights of the Gauss rule for the weight w^beta, beta > -1.
 
     Golub-Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
     Jacobi matrix of the Jacobi polynomials P^(0, beta) on [-1, 1], mapped
     to (0, 1), and the weights the squared first components of the
-    eigenvectors times int_0^1 w^beta dw = 1 / (beta + 1).
+    eigenvectors times int_0^1 w^beta dw = 1 / (beta + 1).  Cached per
+    (beta, n) as read-only arrays: an edge integral asks for the same two
+    rules on every call for one spec.
     """
     k = np.arange(1.0, n)
     s = 2.0 * k + beta
@@ -94,4 +99,6 @@ def gauss_jacobi(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     diag[1:] = beta * beta / (s * (s + 2.0))
     off = 2.0 * k * (k + beta) / s / np.sqrt((s + 1.0) * (s - 1.0))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
+    nodes, weights = 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

@@ -161,8 +161,7 @@ def _meijer_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: flo
             out = np.full_like(t, limit_value)
             far = np.abs(t - x) > _T_EXCLUSION
             t_far = t[far]
-            if t_far.size:
-                out[far] = ev.values(t_far) * bracket(t_far) / (t_far - x)
+            out[far] = ev.values(t_far) * bracket(t_far) / (t_far - x)
             return out
 
         t_hi = min(1.0 - 0.05, 0.5 * (x + 1.0))

@@ -168,7 +168,8 @@ class TestFoxH:
         from gammaratio import QuadratureAccuracyError
 
         # Every head result is untrusted, so the point raises at once with
-        # its prefactored value as the best estimate.
+        # its prefactored value as the best estimate.  x = 0.1 (omega = 2.3)
+        # lies above the endpoint-series switch, so it takes the contour.
         calls = []
 
         def untrusted(ev, c, omega):
@@ -176,8 +177,9 @@ class TestFoxH:
             return np.full_like(omega, c), np.full_like(omega, 1e6), np.zeros(omega.shape, dtype=bool)
 
         monkeypatch.setattr(foxh_mod, "_fourier_re", untrusted)
+        assert math.log(1.0 / 0.1) > DensityEvaluator(spec_equal_scales).series.switch
         with pytest.raises(QuadratureAccuracyError) as exc:
-            fox_h(spec_equal_scales, 0.4)
+            fox_h(spec_equal_scales, 0.1)
         assert len(calls) == 1
         c, (omega,) = calls[0]
         assert exc.value.best_estimate == math.exp(c * omega) / math.pi * c
@@ -216,9 +218,12 @@ class TestDensityCurve:
         # On the c = 1 line: |omega| = 9 and 20 halve the head panels twice,
         # and the tail lattice of each sign of omega grows at both ends.  The
         # held arrays equal ones computed afresh, and every value agrees
-        # with a fresh evaluator within its error estimate.
+        # with a fresh evaluator within its error estimate.  Every positive
+        # omega lies above the endpoint-series switch (2.02), so all points
+        # take the contour.
         ev = DensityEvaluator(spec_mixed_scale)
-        omegas = (0.5, -9.0, 0.01, -20.0, 5.0, -0.05, 2.0)
+        omegas = (3.0, -9.0, 2.5, -20.0, 5.0, -0.05, 4.0)
+        assert min(w for w in omegas if w > 0.0) > ev.series.switch
         xs = [ev.inv.rho * math.exp(-omega) for omega in omegas]
         shared = [ev.evaluate(x) for x in xs]
         assert list(ev._lines) == [1.0]
@@ -327,7 +332,8 @@ class TestDensityCurve:
         assert ev._lines[1.0].panel == pytest.approx(2.0 * math.pi / 9.0, rel=1e-12)
 
     def test_one_point_builds_tail_rows_once(self, spec_mixed_scale, monkeypatch):
-        # A fresh line builds only the range its first point needs.
+        # A fresh line builds only the range its first point needs; x =
+        # rho / 20 (omega = 3.0) lies above the endpoint-series switch.
         calls = []
         ray_powers = foxh_mod._ray_powers
 
@@ -336,7 +342,7 @@ class TestDensityCurve:
             return ray_powers(*args)
 
         monkeypatch.setattr(foxh_mod, "_ray_powers", counted)
-        fox_h(spec_mixed_scale, 0.5 * derive(spec_mixed_scale).rho)
+        fox_h(spec_mixed_scale, derive(spec_mixed_scale).rho / 20.0)
         assert len(calls) == 1 and calls[0][0] < calls[0][1]
 
 

@@ -87,6 +87,16 @@ class TestGaussJacobi:
                 assert weights @ (1.0 - nodes) ** k == pytest.approx(exact, rel=1e-12)
 
 
+    def test_rules_cached_read_only(self):
+        # One eigh per (beta, n): a repeated call returns the same read-only
+        # arrays, bitwise equal to a fresh computation.
+        nodes, weights = gauss_jacobi(1.7, 10)
+        assert gauss_jacobi(1.7, 10)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        fresh_nodes, fresh_weights = gauss_jacobi.__wrapped__(1.7, 10)
+        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
+
+
 def test_import_leaves_out_integrate_and_linalg():
     code = (
         "import sys; import gammaratio, gammaratio.cli\n"
