@@ -70,8 +70,10 @@ def _parse_grid(name: str, values) -> tuple[float, ...]:
     out = []
     for v in values:
         _require(isinstance(v, (int, float)), f"grids.{name} entry {v!r} is not a number")
-        _require(float(v) > 0.0, f"grids.{name} entry {v!r} must be positive")
-        out.append(float(v))
+        # A JSON integer beyond the double range would overflow float().
+        x = float(v) if abs(v) <= sys.float_info.max else math.inf
+        _require(math.isfinite(x) and x > 0.0, f"grids.{name} entry {v!r} must be positive and finite")
+        out.append(x)
     _require(all(b > a for a, b in zip(out, out[1:])), f"grids.{name} must be strictly increasing")
     return tuple(out)
 

@@ -9,7 +9,8 @@ algebraic term and an integrable remainder,
 
 which turns the contour integral defining the density H into a closed-form
 leading part supported on (0, rho) plus a convergent Fourier-type integral
-of g.  The density vanishes identically for x > rho.
+of g.  The density vanishes identically for x >= rho, where both parts
+and their error are returned as exactly 0, with no contour.
 
 Near the support endpoint, at omega = log(rho/x) below a per-spec switch,
 the remainder comes from the endpoint series instead: H = A* sum_k e_k
@@ -31,7 +32,7 @@ best estimate.
 g does not depend on x.  A DensityEvaluator derives a spec once and keeps
 one _Line per abscissa c, holding g on the head nodes (one vectorized pass)
 and the tail terms.  The engine takes an array of points: a batch sizes each
-line once, for its largest |omega|, computes its phases elementwise and
+line once, for its largest omega, computes its phases elementwise and
 contracts each point with a few small matrix-vector products, so a curve or
 one round of an outer quadrature costs one call.  The outer quadratures
 (Mellin transform, edge integral) use the vectorized rules of
@@ -58,7 +59,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .quadrature import GK_DIFF, GK_KRONROD, GK_NODES as _GK_NODES
-from .quadrature import gauss_jacobi, quad
+from .quadrature import OUTER_EPSABS, OUTER_EPSREL, gauss_jacobi, quad
 from .ratio import _BERNOULLI, DerivedInvariants, RatioSpec, _gamma_product, derive
 
 # Relative half-width of the excluded neighbourhood of x = rho, where the
@@ -116,7 +117,7 @@ _BERNOULLI_POLY = np.array(
 _HEAD_VALUES = 1 << 20
 
 # Step of the log-variable trapezoidal rule for the tail moments, whose
-# lattice is 410-460 nodes for |omega| in [1e-3, 60]; h = 0.15 loses up to
+# lattice is 410-460 nodes for omega in [1e-3, 60]; h = 0.15 loses up to
 # seven digits on the highest powers at T = 10.
 _TAIL_STEP = 0.1
 
@@ -261,38 +262,32 @@ def _tail_start(coef: np.ndarray) -> float:
 
 
 def _osc_tail_moment(omega: float, nu: float, z0: complex) -> complex:
-    """int_0^inf (z0 + i t)^-nu e^{i omega t} dt for Re z0 > 0, nu > 1.
+    """int_0^inf (z0 + i t)^-nu e^{i omega t} dt for Re z0 > 0, nu > 1, omega > 0.
 
     Derived by rotating the integration ray; the result is an upper
     incomplete gamma evaluated at a complex point off the principal cut.
-    The exact reference for _tail_moments, which calls it only at omega = 0.
+    The mpmath reference for the log-u rule of the tail (_Line.tail); the
+    density never calls it.
     """
-    if omega == 0.0:
-        return z0 ** (1.0 - nu) / (1j * (nu - 1.0))
     m = nu - 1.0
-    if omega > 0.0:
-        val = complex(mpmath.gammainc(-m, -omega * z0))
-        return -1j * cmath.exp(-omega * z0) * (omega**m) * cmath.exp(-1j * math.pi * m) * val
-    w = -omega
-    val = complex(mpmath.gammainc(-m, w * z0))
-    return -1j * cmath.exp(-omega * z0) * (w**m) * val
+    val = complex(mpmath.gammainc(-m, -omega * z0))
+    return -1j * cmath.exp(-omega * z0) * (omega**m) * cmath.exp(-1j * math.pi * m) * val
 
 
 def _tail_lattice(omega: float, z0: complex) -> tuple[int, int]:
-    """Range j0 <= j < j1 of the nodes l = j h, on one lattice for every omega != 0.
+    """Range j0 <= j < j1 of the nodes l = j h, on one lattice for every omega > 0.
 
     The limits drop less than e^-37 below the scale of the integrand and
     e^-40 past its decay.
     """
-    aw = abs(omega)
-    lo = math.log(1.0 / (aw + 1.0 / abs(z0))) - 37.0
-    return math.floor(lo / _TAIL_STEP), math.ceil(math.log(40.0 / aw) / _TAIL_STEP)
+    lo = math.log(1.0 / (omega + 1.0 / abs(z0))) - 37.0
+    return math.floor(lo / _TAIL_STEP), math.ceil(math.log(40.0 / omega) / _TAIL_STEP)
 
 
-def _ray_powers(z0: complex, sgn: float, mu: float, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-    """u = e^(j h), j0 <= j < j1, and the rows (z0 - sgn u)^-(mu+k), k = 1..K+1."""
+def _ray_powers(z0: complex, mu: float, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
+    """u = e^(j h), j0 <= j < j1, and the rows (z0 - u)^-(mu+k), k = 1..K+1."""
     u = np.exp(np.arange(j0, j1) * _TAIL_STEP)
-    base = z0 - sgn * u
+    base = z0 - u
     powers = np.empty((_TAIL_TERMS + 1, len(u)), dtype=complex)
     powers[0] = np.exp(-(mu + 1.0) * np.log(base))
     # Rows k..2k-1 are rows 0..k-1 times base^-k: five vectorized products
@@ -305,44 +300,22 @@ def _ray_powers(z0: complex, sgn: float, mu: float, j0: int, j1: int) -> tuple[n
     return u, powers
 
 
-def _tail_moments(omega: float, mu: float, z0: complex) -> np.ndarray:
-    """Oscillatory moments I_nu of _osc_tail_moment for nu = mu+1, ..., mu+K+1.
-
-    Rotating the ray t -> i sgn(omega) u gives the Laplace integral
-
-        I_nu = i sgn(omega) int_0^inf (z0 - sgn(omega) u)^-nu e^(-|omega| u) du,
-
-    without crossing the branch cut: Im(z0 + i t) >= Im z0 > 0 on the
-    quadrant swept.  In l = log u the integrand u (z0 - sgn(omega) u)^-nu
-    e^(-|omega| u) is analytic in a strip and decays at both ends, so the
-    trapezoidal rule converges exponentially (Trefethen & Weideman, SIAM
-    Review 2014); one pass of 410-460 nodes (|omega| in [1e-3, 60]) gives
-    every moment to about 1e-14 relative.
-    """
-    nus = mu + np.arange(1.0, _TAIL_TERMS + 2.0)
-    if omega == 0.0:
-        return np.array([_osc_tail_moment(0.0, nu, z0) for nu in nus])
-    sgn = 1.0 if omega > 0.0 else -1.0
-    u, powers = _ray_powers(z0, sgn, mu, *_tail_lattice(omega, z0))
-    return (1j * sgn * _TAIL_STEP) * (powers @ (u * np.exp(-abs(omega) * u)))
-
-
 class _Line:
     """The line Re s = c of one evaluator: g on the head nodes and the tail terms.
 
     The head [0, T] is cut into G10/K21 panels of width c/2 * 1.5^k from t = 0
     (the singularity at s = 0 is a distance c away), then into n equal panels
-    of one half-width h, 2h <= min(1, 2 pi / |omega|) for the largest |omega|
+    of one half-width h, 2h <= min(1, 2 pi / omega) for the largest omega
     of the batch that made the line, within the value budget.  Their nodes
     are exactly mid_k + h x_j, so their phases factor: a point takes n + 21
     complex exponentials and sums e^{i omega mid} against the weights w_mid,
     then the 21 local phases e^{i omega h x}; the graded panels are summed
-    directly.  A later batch with a larger |omega| halves the panels until
+    directly.  A later batch with a larger omega halves the panels until
     they meet that bound and evaluates g again, so the work stays below twice
-    that of the final node set.  Per sign of omega the tail holds the kept Stirling terms
-    A* e_k (z0 - sgn u)^-(mu+k), summed, and the first omitted one on the
-    log-u lattice, which grows geometrically when a batch needs more.  Holds
-    the spec, never the evaluator, so it forms no reference cycle.
+    that of the final node set.  The tail holds the kept Stirling terms A*
+    e_k (z0 - u)^-(mu+k), summed, and the first omitted one on the log-u
+    lattice, which grows geometrically when a batch needs more.  Holds the
+    spec, never the evaluator, so it forms no reference cycle.
     """
 
     __slots__ = ("spec", "inv", "c", "T", "max_panels", "tail_coef", "panel", "t", "g", "graded", "mid", "h",
@@ -353,14 +326,14 @@ class _Line:
         self.max_panels = _HEAD_VALUES // (21 * (ev.spec.p + ev.spec.q))
         kept = np.append(ev.coef[:-1], 0.0)
         self.tail_coef = np.array([kept, ev.coef - kept])
-        self.rows: dict[float, tuple] = {}
-        self._place(self._panel_for(abs(omega)))
+        self.rows: tuple | None = None
+        self._place(self._panel_for(omega))
 
-    def _panel_for(self, aw: float, panel: float | None = None) -> float:
-        """The one panel rule: a line's panel is at most min(1, 2 pi / |omega|) for every
-        |omega| it has served.  A fresh line takes that bound, a held panel halves until
+    def _panel_for(self, omega: float, panel: float | None = None) -> float:
+        """The one panel rule: a line's panel is at most min(1, 2 pi / omega) for every
+        omega > 0 it has served.  A fresh line takes that bound, a held panel halves until
         it meets it, within the value budget."""
-        bound = min(1.0, 2.0 * math.pi / aw) if aw else 1.0
+        bound = min(1.0, 2.0 * math.pi / omega)
         if panel is None:
             return bound
         while panel > bound and panel * self.max_panels > self.T:
@@ -400,7 +373,7 @@ class _Line:
         """Re int_0^T g(c+it) e^{i omega t} dt by K21 at every omega, and |K21 - G10| plus
         the rounding of g and of the phases and products, eps (sum |w g| + |omega| sum |t w g|)."""
         om = omega.tolist()
-        panel = self._panel_for(max(map(abs, om)), self.panel)
+        panel = self._panel_for(max(om), self.panel)
         if panel < self.panel:
             self._place(panel)
         ng, nm = self.graded, self.graded + len(self.mid)
@@ -418,94 +391,56 @@ class _Line:
         return value, err
 
     def tail(self, omega: np.ndarray) -> tuple[list, list]:
-        """Re int_T^inf g(c+it) e^{i omega t} dt from the series at every omega, and its first
-        omitted term.  Each point sums exactly its own slice of the lattice."""
-        z0 = complex(self.c, self.T)
+        """Re int_T^inf g(c+it) e^{i omega t} dt from the series at every omega > 0, and its
+        first omitted term.
+
+        Rotating the ray t -> i u turns the oscillatory moment of each term,
+        int_0^inf (z0 + i t)^-nu e^{i omega t} dt with z0 = c + iT, into the
+        Laplace integral i int_0^inf (z0 - u)^-nu e^(-omega u) du, without
+        crossing the branch cut: Im(z0 + i t) >= Im z0 > 0 on the quadrant
+        swept.  In l = log u the integrand u (z0 - u)^-nu e^(-omega u) is
+        analytic in a strip and decays at both ends, so the trapezoidal rule
+        converges exponentially (Trefethen & Weideman, SIAM Review 2014); one
+        pass of 410-460 nodes (omega in [1e-3, 60]) gives every moment to
+        about 1e-14 relative.  Each point sums exactly its own slice of the
+        lattice.
+        """
         om = omega.tolist()
-        value, err = [0.0] * len(om), [0.0] * len(om)
-        by_sign: dict[int, list] = {}
-        for k, w in enumerate(om):
-            by_sign.setdefault((w > 0.0) - (w < 0.0), []).append(k)
-        for sgn, idx in by_sign.items():
-            if not sgn:
-                kept, omitted = (self.tail_coef @ _tail_moments(0.0, self.inv.mu, z0)).tolist()
-                for k in idx:
-                    value[k], err[k] = kept.real, abs(omitted)
-                continue
-            j0s, j1s = zip(*[_tail_lattice(om[k], z0) for k in idx])
-            lo, hi = min(j0s), max(j1s)
-            k0, u, rows = self._tail_rows(float(sgn), lo, hi)
-            u = u[lo - k0 : hi - k0]
-            # u e^(-|omega| u), with -|omega| u = omega (-sgn u) exactly.
-            part = omega if len(idx) == len(om) else omega[idx]
-            weights = u * np.exp(part[:, None] * (u if sgn < 0 else -u))
-            scale = 1j * sgn * _TAIL_STEP
-            for r, k, j0, j1 in zip(range(len(idx)), idx, j0s, j1s):
-                kept, omitted = (rows[:, j0 - k0 : j1 - k0] @ weights[r, j0 - lo : j1 - lo]).tolist()
-                value[k] = (cmath.exp(1j * om[k] * self.T) * (scale * kept)).real
-                err[k] = abs(scale * omitted)
+        j0s, j1s = zip(*[_tail_lattice(w, complex(self.c, self.T)) for w in om])
+        lo, hi = min(j0s), max(j1s)
+        k0, u, rows = self._tail_rows(lo, hi)
+        u = u[lo - k0 : hi - k0]
+        weights = u * np.exp(omega[:, None] * -u)
+        scale = 1j * _TAIL_STEP
+        value, err = [], []
+        for w, r, j0, j1 in zip(om, weights, j0s, j1s):
+            kept, omitted = (rows[:, j0 - k0 : j1 - k0] @ r[j0 - lo : j1 - lo]).tolist()
+            value.append((cmath.exp(1j * w * self.T) * (scale * kept)).real)
+            err.append(abs(scale * omitted))
         return value, err
 
-    def _tail_rows(self, sgn: float, j0: int, j1: int) -> tuple:
-        """(first index, u, contracted rows) held for sgn, extended to cover j0 <= j < j1;
+    def _tail_rows(self, j0: int, j1: int) -> tuple:
+        """(first index, u, contracted rows) held for the line, extended to cover j0 <= j < j1;
         each short end grows by at least the held length, so a curve extends it rarely,
-        and only a short end is built."""
-        if sgn not in self.rows:
-            u, powers = _ray_powers(complex(self.c, self.T), sgn, self.inv.mu, j0, j1)
-            self.rows[sgn] = (j0, u, self.tail_coef @ powers)
-            return self.rows[sgn]
-        k0, u, rows = self.rows[sgn]
+        and only a short end is built.  A fresh line holds an empty range at j0."""
+        z0 = complex(self.c, self.T)
+        k0, u, rows = self.rows or (j0, np.empty(0), np.empty((2, 0), dtype=complex))
         k1, held = k0 + len(u), len(u)
         if j0 < k0 or j1 > k1:
-            z0 = complex(self.c, self.T)
             us, blocks = [u], [rows]
             if j0 < k0:
                 lo = min(j0, k0 - held)
-                lo_u, powers = _ray_powers(z0, sgn, self.inv.mu, lo, k0)
+                lo_u, powers = _ray_powers(z0, self.inv.mu, lo, k0)
                 us.insert(0, lo_u)
                 blocks.insert(0, self.tail_coef @ powers)
                 k0 = lo
             if j1 > k1:
-                hi_u, powers = _ray_powers(z0, sgn, self.inv.mu, k1, max(j1, k1 + held))
+                hi_u, powers = _ray_powers(z0, self.inv.mu, k1, max(j1, k1 + held))
                 us.append(hi_u)
                 blocks.append(self.tail_coef @ powers)
             u, rows = np.concatenate(us), np.concatenate(blocks, axis=1)
-            self.rows[sgn] = (k0, u, rows)
+            self.rows = (k0, u, rows)
         return k0, u, rows
-
-
-def _fourier_re(ev: DensityEvaluator, c: float, omega: np.ndarray):
-    """Re int_0^inf g(c+it) e^{i omega t} dt at every omega: the fixed-node head plus the
-    series tail.
-
-    Returns per-point lists (value, error_estimate, trusted).  The error is
-    judged in density units, after the prefactor e^(c omega) / pi: on the
-    support against the size |leading| + |remainder| of the two parts summed
-    into the density, so a small remainder next to the leading part near the
-    endpoint is judged by the density, and past the support (omega < 0),
-    where the exact value is 0, against the size A*/Gamma(mu) of the leading
-    part on the support.
-    """
-    line = ev._lines.get(c)
-    if line is None:
-        line = ev._lines[c] = _Line(ev, c, float(np.abs(omega).max()))
-    head, head_err = line.head(omega)
-    tail, tail_err = line.tail(omega)
-    tol, mu1 = ev.cfg.quad_rel_tol, ev.inv.mu - 1.0
-    floor = 1e3 * max(1e-14, tol * 1e-5)
-    past_support = max(floor, ev.lead_scale * tol)
-    values, errs, trusted = [], [], []
-    for w, h, he, t, te in zip(omega.tolist(), head, head_err, tail, tail_err):
-        value, err = h + t, he + te
-        pre = math.exp(c * w) / math.pi
-        if w >= 0.0:
-            leading = ev.lead_scale * w**mu1 if w > 0.0 else 0.0
-            trusted.append(err <= max(floor, (leading / pre + abs(value)) * tol))
-        else:
-            trusted.append(err * pre <= past_support)
-        values.append(value)
-        errs.append(err)
-    return values, errs, trusted
 
 
 class _EndpointSeries:
@@ -634,24 +569,27 @@ def _leading_density(ev: DensityEvaluator, x: np.ndarray) -> tuple[list, list]:
 
 def _remainder_density(ev: DensityEvaluator, x: np.ndarray) -> tuple:
     """Remainder of the density at every x > 0 (no exclusion zone); see _remainder_at."""
-    return _remainder_at(ev, ev.c, ev.inv.log_rho - np.log(x))
+    # x >= rho lies past the support, also where rounding leaves log(rho/x) > 0.
+    return _remainder_at(ev, ev.c, np.where(x < ev.inv.rho, ev.inv.log_rho - np.log(x), 0.0))
 
 
 def _remainder_at(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple:
     """Remainder of the density at x = rho e^-omega for every omega, and its error, as two
     lists of per-point floats.
 
-    A point that the endpoint series serves (_EndpointSeries) builds no
-    line; every other point takes the contour, and one that _fourier_re
-    does not trust raises QuadratureAccuracyError with its prefactored
-    value as the best estimate.
+    A point with omega <= 0 lies past the support, where the density is
+    exactly 0: it gets 0.0 with error 0.0.  A point that the endpoint series
+    serves (_EndpointSeries) builds no line; every other point takes the
+    contour (_remainder_on_line).
     """
     om = omega.tolist()
     values, errs = [0.0] * len(om), [0.0] * len(om)
     near, contour = [], []
     for k, w in enumerate(om):
+        if w <= 0.0:
+            continue
         # Beyond half the radius of the series no point needs its switch.
-        (near if 0.0 < w < ev.half_radius and w < ev.series.switch else contour).append(k)
+        (near if w < ev.half_radius and w < ev.series.switch else contour).append(k)
     if near:
         for k, (value, err, served) in zip(near, ev.series(omega[near])):
             if served:
@@ -681,16 +619,29 @@ def _contour_level(c: float, w: float) -> float:
 
 
 def _remainder_on_line(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple[list, list]:
-    """_remainder_at with every point on the abscissa c."""
-    values, errs, trusted = _fourier_re(ev, c, omega)
+    """_remainder_at with every point on the abscissa c: the fixed-node head plus the series
+    tail of Re int_0^inf g(c+it) e^{i omega t} dt, times e^(c omega) / pi.
+
+    The error is judged in density units, against the size |leading| +
+    |remainder| of the two parts summed into the density; a point not so
+    trusted raises QuadratureAccuracyError with its value as the best estimate.
+    """
+    line = ev._lines.get(c)
+    if line is None:
+        line = ev._lines[c] = _Line(ev, c, float(omega.max()))
+    head, head_err = line.head(omega)
+    tail, tail_err = line.tail(omega)
+    tol, mu1 = ev.cfg.quad_rel_tol, ev.inv.mu - 1.0
+    floor = 1e3 * max(1e-14, tol * 1e-5)
     out, est = [], []
-    for w, value, err, ok in zip(omega.tolist(), values, errs, trusted):
+    for w, h, he, t, te in zip(omega.tolist(), head, head_err, tail, tail_err):
+        value, err = h + t, he + te
         pre = math.exp(c * w) / math.pi
         # Roundoff of the prefactored assembly: the contour integral is
         # computed to near machine precision on its own scale, then
         # amplified by e^(c w).
         bound = pre * err + _CONTOUR_ROUNDING * pre * (1.0 + abs(value))
-        if not ok:
+        if not err <= max(floor, (ev.lead_scale * w**mu1 / pre + abs(value)) * tol):
             raise QuadratureAccuracyError(
                 f"contour quadrature did not converge (omega={w}, error {bound})",
                 best_estimate=pre * value,
@@ -799,23 +750,23 @@ class DensityEvaluator:
         at w = 0 (the endpoint series), so near 0 one Gauss-Jacobi rule of
         weight w^(mu-1) integrates it, on at most pi min(scales), half the
         radius of that series; |Q20 - Q10| is its error, and the interval
-        halves until that is below max(1e-12, 1e-9 |Q20|).  The adaptive
-        G10/K21 rule takes the rest.
+        halves until that is below the outer tolerance, max(OUTER_EPSABS,
+        OUTER_EPSREL |Q20|).  The adaptive G10/K21 rule takes the rest.
         """
         mu = self.inv.mu
         (y10, w10), (y20, w20) = (gauss_jacobi(mu - 1.0, n) for n in (10, 20))
-        w_gj = min(w_hi, math.pi * min(self.spec.A + self.spec.B))
+        w_gj = min(w_hi, self.half_radius)
         for _ in range(_EDGE_HALVINGS):
             # Both rules' nodes in one batch.
             w = w_gj * np.concatenate([y10, y20])
             vals = (self.lead_scale + np.array(_remainder_at(self, self.c, w)[0]) / w ** (mu - 1.0)) * f(w)
             q10, q20 = w_gj**mu * (w10 @ vals[:10]), w_gj**mu * (w20 @ vals[10:])
-            if abs(q20 - q10) <= max(1e-12, 1e-9 * abs(q20)):
+            if abs(q20 - q10) <= max(OUTER_EPSABS, OUTER_EPSREL * abs(q20)):
                 break
             w_gj *= 0.5
         if w_gj < w_hi:
-            q20 += quad(lambda w: self._at_omega(self.c, w) * f(w), w_gj, w_hi, epsabs=1e-12, epsrel=1e-9,
-                        limit=100)[0]
+            q20 += quad(lambda w: self._at_omega(self.c, w) * f(w), w_gj, w_hi, epsabs=OUTER_EPSABS,
+                        epsrel=OUTER_EPSREL, limit=100)[0]
         return float(q20)
 
     def mellin_transform(self, s: float) -> float:
@@ -830,6 +781,8 @@ class DensityEvaluator:
         overflows before tau_max.
         """
         inv, cfg = self.inv, self.cfg
+        if not math.isfinite(s):
+            raise DomainError(f"Mellin transform requires a finite s, got s={s}")
         if s <= inv.gamma_pole:
             raise DomainError(f"Mellin transform requires s > {inv.gamma_pole}, got s={s}")
         # Evaluation noise of the remainder scales like e^(c tau) while the
@@ -878,8 +831,8 @@ def density(spec: RatioSpec, xs, cfg: ContourConfig | None = None) -> list[HEval
     Requires mu > 0 and equal scale sums.  Every x must be a positive real,
     and points within a relative distance of 1e-6 from the support endpoint
     rho are refused: the leading part diverges there for mu < 1 and the two
-    parts cancel to noise.  For x > rho the exact value is zero and the
-    returned value is quadrature noise of that size.  A density below the
+    parts cancel to noise.  For x > rho the density is exactly zero, and
+    every field of the returned record is 0.0.  A density below the
     least normal double (2.2e-308) may come back as 0.0 or a subnormal; its
     estimate is then at least that double.  All points share one evaluator
     and go through the engine in one batch, so a curve costs far less than
@@ -925,7 +878,9 @@ def meijer_g(a, b, x: float, cfg: ContourConfig | None = None) -> HEvaluation:
 
 
 def gamma_product_ratio_at(spec: RatioSpec, s: float) -> float:
-    """prod Gamma(A_k s + a_k) / prod Gamma(B_j s + b_j) for real s."""
+    """prod Gamma(A_k s + a_k) / prod Gamma(B_j s + b_j) for finite real s."""
+    if not math.isfinite(s):
+        raise DomainError(f"gamma ratio: s={s} must be finite")
     for j, (Bj, bj) in enumerate(zip(spec.B, spec.b)):
         if Bj * s + bj <= 0.0:
             raise DomainError(f"gamma ratio: denominator factor {j} has argument <= 0 at s={s}")

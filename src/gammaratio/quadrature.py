@@ -13,6 +13,10 @@ import numpy as np
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
+# Absolute and relative tolerance of the outer quadratures over the density
+# (edge integral, integral equations), as quad's epsabs and epsrel.
+OUTER_EPSABS, OUTER_EPSREL = 1e-12, 1e-9
+
 # Gauss-Kronrod G10/K21 on [-1, 1], QUADPACK's qk21 (the table of scipy's
 # quad_vec) in double precision: the nonnegative Kronrod nodes, their
 # weights, and the weights of the Gauss nodes among them (odd positions).

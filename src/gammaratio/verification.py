@@ -20,7 +20,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError
 from .foxh import ContourConfig, DEFAULT_CONTOUR, DensityEvaluator
-from .quadrature import quad
+from .quadrature import OUTER_EPSABS, OUTER_EPSREL, quad
 from .ratio import RatioSpec, cm_kernel_t, derive, gamma_ratio
 from .monotonicity import identical_factor_multisets
 
@@ -168,7 +168,7 @@ def _meijer_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: flo
         mid = quad(
             integrand, x, t_hi,
             points=[x + _T_EXCLUSION],
-            epsabs=1e-12, epsrel=1e-9, limit=250,
+            epsabs=OUTER_EPSABS, epsrel=OUTER_EPSREL, limit=250,
         )
 
         def edge_factor(w: np.ndarray) -> np.ndarray:
@@ -219,7 +219,7 @@ def _fox_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: float)
 
         bulk = quad(
             lambda w: ev.values(inv.rho * np.exp(-w)) * kernel_at(w),
-            w_cut, w_max, epsabs=1e-12, epsrel=1e-9, limit=250,
+            w_cut, w_max, epsabs=OUTER_EPSABS, epsrel=OUTER_EPSREL, limit=250,
         )
         rhs = ev.edge_integral(kernel_at, w_cut) + bulk[0]
         denom = abs(h_x)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -247,6 +248,16 @@ class TestInputValidation:
             {"specs": [MIXED], "commands": ["classify"], "grids": {"x": [2.0, 1.0]}},
         )
         assert main(["--config", cfg, "--output", str(tmp_path)]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, 10**400])
+    def test_non_finite_grid_entry(self, tmp_path, capsys, entry):
+        # json.load accepts Infinity, NaN and integers beyond the double range.
+        cfg = write_config(
+            tmp_path,
+            {"specs": [MIXED], "commands": ["classify"], "grids": {"x": [0.5, entry]}},
+        )
+        assert main(["--config", cfg, "--output", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["max_nodes", "abscissa_c", "truncation_T"])
     def test_unknown_contour_field(self, tmp_path, capsys, field):

@@ -26,8 +26,8 @@ from gammaratio import (
 )
 from gammaratio.foxh import (
     DensityEvaluator,
+    HEvaluation,
     _osc_tail_moment,
-    _tail_moments,
     gamma_product_ratio_at,
     subtracted_gamma_ratio,
 )
@@ -56,6 +56,12 @@ def g_40_digits(spec, s):
             + mpmath.fsum((half - b) * mpmath.log(B) for B, b in den)
         )
         return complex(w * mpmath.exp(-s * log_rho) - mpmath.exp(log_stirling) * s ** (-mu))
+
+
+def tail_moments(omega, mu, z0):
+    """Moments I_nu, nu = mu+1..mu+K+1, of the tail's log-u rule at omega > 0 (_Line.tail)."""
+    u, powers = foxh_mod._ray_powers(z0, mu, *foxh_mod._tail_lattice(omega, z0))
+    return (1j * foxh_mod._TAIL_STEP) * (powers @ (u * np.exp(-omega * u)))
 
 
 def fresh_spec(rng):
@@ -140,16 +146,29 @@ class TestFoxH:
         with pytest.warns(RuntimeWarning, match="slow contour decay"):
             fox_h(spec, 0.5)
 
-    def test_past_support_within_estimate(self):
-        # The density is 0 past rho; every seeded fresh point there returns a
-        # value within its own error estimate of 0.
+    def test_past_support_within_estimate(self, monkeypatch):
+        # The density is exactly 0 at x >= rho: every seeded fresh point
+        # there, and rho itself, returns 0.0 in every field with error 0.0,
+        # without evaluating g or building a contour line.
+        def refuse(*args):
+            raise AssertionError("g evaluated past the support")
+
+        monkeypatch.setattr(foxh_mod, "_g", refuse)
+        zero = HEvaluation(0.0, 0.0, 0.0, 0.0)
         rng = random.Random(20150122)
         for _ in range(200):
             spec = fresh_spec(rng)
             omega = -math.exp(rng.uniform(math.log(1e-4), math.log(25.0)))
-            ev = fox_h(spec, math.exp(derive(spec).log_rho - omega))
-            assert math.isfinite(ev.value)
-            assert abs(ev.value) <= ev.error_estimate
+            x = math.exp(derive(spec).log_rho - omega)
+            assert fox_h(spec, x) == zero
+            ev = DensityEvaluator(spec)
+            assert ev.evaluate(x) == zero
+            assert ev.values([x, ev.inv.rho]).tolist() == [0.0, 0.0]
+            assert ev._lines == {}
+        # On this spec log(rho) - log(rho) rounds to 1.1e-16, not 0.
+        ev = DensityEvaluator(RatioSpec(A=(0.59, 0.63), a=(0.18, 0.5), B=(1.22,), b=(0.94,)))
+        assert ev.evaluate(ev.inv.rho) == zero
+        assert ev._lines == {}
 
     def test_near_endpoint_judged_in_density_units(self):
         # Near the support endpoint the remainder is small against the
@@ -167,22 +186,24 @@ class TestFoxH:
     def test_quadrature_failure_raises_with_estimate(self, spec_equal_scales, monkeypatch):
         from gammaratio import QuadratureAccuracyError
 
-        # Every head result is untrusted, so the point raises at once with
-        # its prefactored value as the best estimate.  x = 0.1 (omega = 2.3)
-        # lies above the endpoint-series switch, so it takes the contour.
+        # Every head result has an error far past the tolerance, so the
+        # point raises at once with its prefactored value as the best
+        # estimate.  x = 0.1 (omega = 2.3) lies above the endpoint-series
+        # switch, so it takes the contour.
         calls = []
 
-        def untrusted(ev, c, omega):
-            calls.append((c, omega))
-            return np.full_like(omega, c), np.full_like(omega, 1e6), np.zeros(omega.shape, dtype=bool)
+        def untrusted(line, omega):
+            calls.append((line, omega))
+            return [line.c] * len(omega), [1e6] * len(omega)
 
-        monkeypatch.setattr(foxh_mod, "_fourier_re", untrusted)
+        monkeypatch.setattr(foxh_mod._Line, "head", untrusted)
         assert math.log(1.0 / 0.1) > DensityEvaluator(spec_equal_scales).series.switch
         with pytest.raises(QuadratureAccuracyError) as exc:
             fox_h(spec_equal_scales, 0.1)
         assert len(calls) == 1
-        c, (omega,) = calls[0]
-        assert exc.value.best_estimate == math.exp(c * omega) / math.pi * c
+        line, (omega,) = calls[0]
+        (tail,), _ = line.tail(np.array([omega]))
+        assert exc.value.best_estimate == math.exp(line.c * omega) / math.pi * (line.c + tail)
         assert exc.value.error_estimate > 0.0
         assert math.isfinite(exc.value.best_estimate)
 
@@ -215,27 +236,26 @@ class TestDensityCurve:
             assert density(spec, xs) == [fox_h(spec, x) for x in xs]
 
     def test_shared_lines_match_fresh(self, spec_mixed_scale):
-        # On the c = 1 line: |omega| = 9 and 20 halve the head panels twice,
-        # and the tail lattice of each sign of omega grows at both ends.  The
-        # held arrays equal ones computed afresh, and every value agrees
-        # with a fresh evaluator within its error estimate.  Every positive
-        # omega lies above the endpoint-series switch (2.02), so all points
-        # take the contour.
+        # omega in (6, 20] lies on the c = 0.3 line: 20 after 12 halves its
+        # head panels once, and 7 then 20 grow its tail lattice at both ends.
+        # The held arrays equal ones computed afresh, and every value agrees
+        # with a fresh evaluator within its error estimate.  Every omega lies
+        # above the endpoint-series switch (2.02), so all points take the
+        # contour.
         ev = DensityEvaluator(spec_mixed_scale)
-        omegas = (3.0, -9.0, 2.5, -20.0, 5.0, -0.05, 4.0)
-        assert min(w for w in omegas if w > 0.0) > ev.series.switch
+        omegas = (3.0, 12.0, 2.5, 7.0, 5.0, 20.0, 4.0, 9.0)
+        assert min(omegas) > ev.series.switch
         xs = [ev.inv.rho * math.exp(-omega) for omega in omegas]
         shared = [ev.evaluate(x) for x in xs]
-        assert list(ev._lines) == [1.0]
-        line = ev._lines[1.0]
-        assert line.panel == 0.25
-        assert np.array_equal(line.g, foxh_mod._g(ev.spec, ev.inv, 1.0 + 1j * line.t)[0])
-        assert sorted(line.rows) == [-1.0, 1.0]
-        for sgn, (k0, u, rows) in line.rows.items():
-            u_fresh, powers = foxh_mod._ray_powers(complex(1.0, ev.T), sgn, ev.inv.mu, k0, k0 + len(u))
-            assert np.array_equal(u, u_fresh)
-            fresh = line.tail_coef @ powers
-            assert np.all(np.abs(rows - fresh) <= 1e-14 * np.abs(fresh))
+        assert list(ev._lines) == [1.0, 0.3]
+        line = ev._lines[0.3]
+        assert line.panel == pytest.approx(math.pi / 12.0, rel=1e-12)
+        assert np.array_equal(line.g, foxh_mod._g(ev.spec, ev.inv, 0.3 + 1j * line.t)[0])
+        k0, u, rows = line.rows
+        u_fresh, powers = foxh_mod._ray_powers(complex(0.3, ev.T), ev.inv.mu, k0, k0 + len(u))
+        assert np.array_equal(u, u_fresh)
+        fresh = line.tail_coef @ powers
+        assert np.all(np.abs(rows - fresh) <= 1e-14 * np.abs(fresh))
         for x, got in zip(xs, shared):
             alone = fox_h(spec_mixed_scale, x)
             assert abs(got.value - alone.value) <= got.error_estimate + alone.error_estimate
@@ -290,9 +310,9 @@ class TestDensityCurve:
             ev.evaluate(x)
         assert len(calls) <= 8
         line = ev._lines[1.0]
-        for sgn, (k0, u, rows) in line.rows.items():
-            _, powers = ray_powers(complex(1.0, ev.T), sgn, ev.inv.mu, k0, k0 + len(u))
-            assert np.array_equal(rows, line.tail_coef @ powers)
+        k0, u, rows = line.rows
+        _, powers = ray_powers(complex(1.0, ev.T), ev.inv.mu, k0, k0 + len(u))
+        assert np.array_equal(rows, line.tail_coef @ powers)
 
     def test_fresh_point_places_head_once(self, monkeypatch):
         # One panel rule sizes a fresh line and decides on halving it, so a
@@ -325,11 +345,11 @@ class TestDensityCurve:
 
         monkeypatch.setattr(foxh_mod, "_g", counted)
         ev = DensityEvaluator(spec_mixed_scale)
-        ev.values(ev.inv.rho * np.exp(-np.array([0.5, -9.0, 1.0])))
-        ev.values(ev.inv.rho * np.exp(-np.array([-5.0, 2.0])))
+        ev.values(ev.inv.rho * np.exp(-np.array([7.0, 12.0, 9.0])))
+        ev.values(ev.inv.rho * np.exp(-np.array([10.0, 8.0])))
         assert len(sizes) == 1
-        assert list(ev._lines) == [1.0]
-        assert ev._lines[1.0].panel == pytest.approx(2.0 * math.pi / 9.0, rel=1e-12)
+        assert list(ev._lines) == [0.3]
+        assert ev._lines[0.3].panel == pytest.approx(2.0 * math.pi / 12.0, rel=1e-12)
 
     def test_one_point_builds_tail_rows_once(self, spec_mixed_scale, monkeypatch):
         # A fresh line builds only the range its first point needs; x =
@@ -338,7 +358,7 @@ class TestDensityCurve:
         ray_powers = foxh_mod._ray_powers
 
         def counted(*args):
-            calls.append(args[3:])
+            calls.append(args[2:])
             return ray_powers(*args)
 
         monkeypatch.setattr(foxh_mod, "_ray_powers", counted)
@@ -365,7 +385,7 @@ class TestFactoredHead:
         # of its own terms by at most eps (sum |w g| + |omega| sum |t w g|).
         ev = DensityEvaluator(request.getfixturevalue(name))
         eps = np.finfo(float).eps
-        for c, omega in ((1.0, 2.5), (0.3, -4.0), (0.1, 23.3)):
+        for c, omega in ((1.0, 2.5), (0.3, 4.0), (0.1, 23.3)):
             line = foxh_mod._Line(ev, c, omega)
             (value,), (err,) = line.head(np.array([omega]))
             equal = line.t[line.graded :].reshape(-1, 21)
@@ -394,7 +414,7 @@ class TestTailMoments:
         rng = np.random.default_rng(20150121)
         cases = []
         for _ in range(150):
-            omega = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, math.log10(30.0)))
+            omega = float(10.0 ** rng.uniform(-8.0, math.log10(30.0)))
             kind = rng.integers(3)
             if kind == 0:
                 mu = float(rng.integers(1, 6))
@@ -403,11 +423,11 @@ class TestTailMoments:
             else:
                 mu = float(rng.uniform(0.2, 5.0))
             cases.append((omega, mu))
-        cases += [(omega, mu) for omega in (-1e-8, 1e-8) for mu in (0.2, 1.0, 2.5, 5.0)]
+        cases += [(1e-8, mu) for mu in (0.2, 1.0, 2.5, 5.0)]
         for omega, mu in cases:
             T = float(rng.choice([10.0, 400.0, 1000.0]))
             z0 = complex(float(rng.choice([0.05, 0.3, 1.0, 2.5])), T)
-            got = _tail_moments(omega, mu, z0)
+            got = tail_moments(omega, mu, z0)
             for k, moment in enumerate(got, start=1):
                 direct = _osc_tail_moment(omega, mu + k, z0)
                 assert abs(moment - direct) <= 1e-12 * abs(direct)
@@ -419,18 +439,12 @@ class TestTailMoments:
         for c in (1.0, 0.3, 0.05):
             z0 = complex(c, foxh_mod._HEAD_T_MIN)
             for mu in (0.3, 1.0, 2.5, 4.8):
-                for sign in (-1.0, 1.0):
-                    omega = sign * math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
-                    got = _tail_moments(omega, mu, z0)
-                    with mpmath.workdps(20):
-                        for k, moment in enumerate(got, start=1):
-                            direct = _osc_tail_moment(omega, mu + k, z0)
-                            assert abs(moment - direct) <= 1e-13 * abs(direct), (c, mu, omega, k)
-
-    def test_zero_frequency_closed_form(self):
-        z0 = complex(0.3, 400.0)
-        got = _tail_moments(0.0, 1.5, z0)
-        assert list(got) == [z0 ** (-0.5 - k) / (1j * (0.5 + k)) for k in range(1, len(got) + 1)]
+                omega = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+                got = tail_moments(omega, mu, z0)
+                with mpmath.workdps(20):
+                    for k, moment in enumerate(got, start=1):
+                        direct = _osc_tail_moment(omega, mu + k, z0)
+                        assert abs(moment - direct) <= 1e-13 * abs(direct), (c, mu, omega, k)
 
     def test_line_tail_contracts_moments(self, spec_equal_scales):
         # The held rows give the Stirling terms summed against the moments,
@@ -438,9 +452,9 @@ class TestTailMoments:
         ev = DensityEvaluator(spec_equal_scales)
         z0 = complex(ev.c, ev.T)
         line = foxh_mod._Line(ev, ev.c, 3.0)
-        for omega in (3.0, 0.2, 11.0, 0.0, -0.7, -1e-4, -15.0):
+        for omega in (3.0, 0.2, 11.0, 1e-4, 0.7, 15.0):
             (value,), (omitted,) = line.tail(np.array([omega]))
-            moments = _tail_moments(omega, ev.inv.mu, z0)
+            moments = tail_moments(omega, ev.inv.mu, z0)
             kept = complex(np.exp(1j * omega * ev.T) * (ev.coef[:-1] @ moments[:-1]))
             assert abs(value - kept.real) <= 1e-13 * abs(kept)
             assert omitted == pytest.approx(abs(ev.coef[-1] * moments[-1]), rel=1e-13)
@@ -596,6 +610,18 @@ class TestMellin:
     def test_rejects_s_left_of_pole(self, spec_mixed_scale):
         with pytest.raises(DomainError):
             mellin_check(spec_mixed_scale, -0.3)
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_rejects_non_finite_s(self, spec_mixed_scale, s):
+        with pytest.raises(DomainError, match="finite"):
+            mellin_check(spec_mixed_scale, s)
+        with pytest.raises(DomainError, match="finite"):
+            DensityEvaluator(spec_mixed_scale).mellin_transform(s)
+
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    def test_gamma_product_rejects_non_finite_s(self, spec_equal_scales, s):
+        with pytest.raises(DomainError, match="finite"):
+            gamma_product_ratio_at(spec_equal_scales, s)
 
     def test_gamma_product_helper(self, spec_equal_scales):
         spec = spec_equal_scales

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ class TestLaplaceReconstruct:
         via_laplace = DensityEvaluator(spec_equal_scales, DEFAULT_CONTOUR).mellin_transform(x)
         again = DensityEvaluator(spec_equal_scales, DEFAULT_CONTOUR).mellin_transform(x)
         assert via_laplace == pytest.approx(again, rel=1e-10)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_non_finite_point(self, spec_paired, x):
+        # A package error before any quadrature, so no RuntimeWarning either.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                laplace_reconstruct(spec_paired, [x])
 
     def test_report_fields(self, spec_inverse_x):
         report = laplace_reconstruct(spec_inverse_x, [1.0, 2.0])
