@@ -18,7 +18,10 @@ omega^(mu+k-1) / Gamma(mu+k), whose k = 0 term is the leading part, summed
 to 19 terms with the 20th and 21st as its truncation error
 (_EndpointSeries).  A point takes the series when its estimate beats the
 least estimate the contour could return; it then evaluates no g and builds
-no line.  Every other point takes the contour.
+no line.  Every other point takes the contour.  A point given as x or as
+omega goes through one assembly (_density_at), which computes the rounding
+of omega and the leading part once and hands them to the series and to the
+contour's trust rule.
 
 The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T,
 the least T >= 5 where the Stirling series of g holds to 1e-15:
@@ -64,7 +67,7 @@ from .ratio import _BERNOULLI, DerivedInvariants, RatioSpec, _gamma_product, der
 
 # Relative half-width of the excluded neighbourhood of x = rho, where the
 # leading part diverges for mu < 1 and the decomposition loses all digits.
-_RHO_EXCLUSION = 1e-6
+RHO_EXCLUSION = 1e-6
 
 # Width of the interval at the support endpoint over which the edge rule
 # integrates the Mellin integrand, with its tau^(mu-1) singularity.
@@ -454,12 +457,12 @@ class _EndpointSeries:
     (mu)_k, from the K + 1 = 21 coefficients of the tail, and t_K and
     t_(K+1) are its truncation error: with integer scales the terms can
     alternate between large and small, so one omitted term can be small by
-    accident.  The estimate adds the rounding
-    of the terms and of their sum, of the coefficients
-    (_coefficient_errors), of A*/Gamma(mu), of mu (amplified by
-    |log omega| + |psi(mu+k)|) and of omega (amplified by (mu+k-1)/omega),
-    and at least the least normal double.  Cancellation,
-    sum |t_k| >> |sum t_k|, shows in the rounding terms.
+    accident.  The estimate adds the rounding of the terms and of their sum,
+    of the coefficients (_coefficient_errors), of A*/Gamma(mu), of mu
+    (amplified by |log omega| + |psi(mu+k)|) and of omega (amplified by
+    (mu+k-1)/omega), and at least the least normal double.  Cancellation,
+    sum |t_k| >> |sum t_k|, shows in the rounding terms.  P and the rounding
+    of omega come from _density_at.
 
     A point with 0 < omega < switch takes the series when its estimate is
     below the least estimate the contour can return for it,
@@ -473,18 +476,17 @@ class _EndpointSeries:
     the first point below the switch.
     """
 
-    __slots__ = ("spec", "md", "e", "c", "mu", "lead_scale", "log_rho", "log_rho_err", "mu_err", "lead_err",
-                 "rising", "coef", "weights", "switch")
+    __slots__ = ("spec", "md", "e", "c", "mu", "mu_err", "lead_err", "rising", "coef", "weights", "switch")
 
     def __init__(self, ev: DensityEvaluator, md: np.ndarray, e: np.ndarray):
         # Copies of the evaluator's scalars, not the evaluator: no reference cycle.
-        self.spec, self.md, self.e, self.c, self.mu, self.lead_scale = ev.spec, md, e, ev.c, ev.inv.mu, ev.lead_scale
-        self.log_rho, self.log_rho_err, self.mu_err, self.lead_err = ev.inv.log_rho, ev.log_rho_err, ev.mu_err, ev.lead_err
+        self.spec, self.md, self.e, self.c, self.mu = ev.spec, md, e, ev.c, ev.inv.mu
+        self.mu_err, self.lead_err = ev.mu_err, ev.lead_err
         self.rising = np.cumprod(self.mu + _ORDERS)
         self.coef = e / self.rising
         self.weights = None
         self.switch = 0.0
-        if 0.0 < self.lead_scale < math.inf and np.isfinite(self.coef).all():
+        if 0.0 < ev.lead_scale < math.inf and np.isfinite(self.coef).all():
             kept = np.abs(self.coef[:-2])
             nonzero = kept > 0.0
             # Per kept term, the omega where either omitted term first reaches
@@ -511,17 +513,14 @@ class _EndpointSeries:
         weights[2] = d * self.mu_err
         return weights
 
-    def __call__(self, omega: np.ndarray) -> list[tuple[float, float, bool]]:
-        """(remainder, error, served) at every 0 < omega < switch.
-
-        Elementwise over the points, with per-point sums, so a point's result
-        does not depend on its batch.
-        """
+    def __call__(self, omega: np.ndarray, lead: list, d_omega: list) -> list[tuple[float, float, bool]]:
+        """(remainder, error, served) at every 0 < omega < switch, from each point's P and
+        rounding of omega; elementwise, so a point's result does not depend on its batch."""
         if self.weights is None:
             self.weights = self._error_weights()
         om = omega.tolist()
         powers = np.empty((len(om), _TAIL_TERMS + 2))
-        powers[:, 0] = [self.lead_scale * w ** (self.mu - 1.0) for w in om]
+        powers[:, 0] = lead
         powers[:, 1:] = omega[:, None]
         # P omega^k for k = 0..K+1, the running product kept as large as it gets.
         np.cumprod(powers, axis=1, out=powers)
@@ -530,70 +529,58 @@ class _EndpointSeries:
         omitted = np.abs(powers[:, -2:] * self.coef[-2:]).sum(axis=1).tolist()
         sums = (np.abs(kept)[:, None, :] * self.weights).sum(axis=2).tolist()
         out = []
-        for w, v, t, (fixed, per_omega, per_log) in zip(om, value, omitted, sums):
+        for w, d, v, t, (fixed, per_omega, per_log) in zip(om, d_omega, value, omitted, sums):
             err = t + _EPS * abs(v) + fixed + abs(math.log(w)) * per_log + _TINY
             pre = math.exp(_contour_level(self.c, w) * w) / math.pi
             served = err <= _CONTOUR_ROUNDING * (pre + abs(v))
-            d_omega = (self.log_rho_err + _EPS * (abs(self.log_rho - w) + w)) / w
-            out.append((v, err + d_omega * per_omega, served))
+            out.append((v, err + d / w * per_omega, served))
         return out
 
 
-def _leading_density(ev: DensityEvaluator, x: np.ndarray) -> tuple[list, list]:
-    """Closed-form leading part A* log(rho/x)^(mu-1) / Gamma(mu) on (0, rho) at every x, and
-    its error; 0 at x >= rho.
-
-    The error is the rounding of A*/Gamma(mu) and of the power; that of mu,
-    which the power and Gamma(mu) amplify by |log log(rho/x) - psi(mu)|; and
-    that of log(rho/x): log rho carries the rounding of the terms summed
-    into it, and the power amplifies both by |mu - 1| / log(rho/x) near the
-    support endpoint.
-    """
-    inv = ev.inv
-    mu1 = inv.mu - 1.0
-    values, errs = [], []
-    for xv in x.tolist():
-        log_x = math.log(xv)
-        log_ratio = inv.log_rho - log_x
-        if xv >= inv.rho or log_ratio <= 0.0:
-            values.append(0.0)
-            errs.append(0.0)
-            continue
-        value = ev.lead_scale * log_ratio**mu1
-        values.append(value)
-        d_omega = ev.log_rho_err + _EPS * (abs(log_x) + log_ratio)
-        rel = 1e-14 + ev.lead_err + ev.mu_err * abs(math.log(log_ratio) - ev.psi_mu) + abs(mu1) * d_omega / log_ratio
-        errs.append(value * rel)
-    return values, errs
-
-
 def _remainder_density(ev: DensityEvaluator, x: np.ndarray) -> tuple:
-    """Remainder of the density at every x > 0 (no exclusion zone); see _remainder_at."""
+    """_density_at at every finite x > 0 (no exclusion zone): the x entry of the engine,
+    which bench/tracer.py wraps by name to count density points."""
+    for v in x.tolist():
+        if not 0.0 < v < math.inf:
+            raise DomainError(f"density: x={v} must be a positive real")
     # x >= rho lies past the support, also where rounding leaves log(rho/x) > 0.
-    return _remainder_at(ev, ev.c, np.where(x < ev.inv.rho, ev.inv.log_rho - np.log(x), 0.0))
+    return _density_at(ev, ev.c, np.where(x < ev.inv.rho, ev.inv.log_rho - np.log(x), 0.0))
 
 
-def _remainder_at(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple:
-    """Remainder of the density at x = rho e^-omega for every omega, and its error, as two
-    lists of per-point floats.
+def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple[list, list, list, list]:
+    """(leading part P, its error, remainder, its error) of the density at x = rho e^-omega,
+    as four lists of per-point floats; all four are 0.0 past the support, omega <= 0.
 
-    A point with omega <= 0 lies past the support, where the density is
-    exactly 0: it gets 0.0 with error 0.0.  A point that the endpoint series
-    serves (_EndpointSeries) builds no line; every other point takes the
-    contour (_remainder_on_line).
+    Each point computes P = A* omega^(mu-1) / Gamma(mu) and the rounding of
+    omega (of log rho, from the terms summed into it, of log x and of the
+    difference) once.  The error of P adds the rounding of A*/Gamma(mu), of
+    the power, of mu (amplified by |log omega - psi(mu)|) and of omega
+    (amplified by |mu - 1| / omega).  A point that the endpoint series serves
+    builds no line; every other point takes the contour (_remainder_on_line).
     """
     om = omega.tolist()
-    values, errs = [0.0] * len(om), [0.0] * len(om)
+    lead, lead_err, rem, rem_err, d_omega = ([0.0] * len(om) for _ in range(5))
+    # Per-point loop: the evaluator's scalars as locals.
+    scale, mu1, log_rho, log_rho_err = ev.lead_scale, ev.inv.mu - 1.0, ev.inv.log_rho, ev.log_rho_err
+    rel, mu_err, psi_mu, half_radius = 1e-14 + ev.lead_err, ev.mu_err, ev.psi_mu, ev.half_radius
     near, contour = [], []
     for k, w in enumerate(om):
         if w <= 0.0:
             continue
+        try:
+            p = scale * w**mu1
+        except OverflowError:
+            raise UnsupportedParameterError(f"leading part overflows at omega={w} (mu={ev.inv.mu})") from None
+        d = log_rho_err + _EPS * (abs(log_rho - w) + w)
+        lead[k], d_omega[k] = p, d
+        lead_err[k] = p * (rel + mu_err * abs(math.log(w) - psi_mu) + abs(mu1) * d / w)
         # Beyond half the radius of the series no point needs its switch.
-        (near if w < ev.half_radius and w < ev.series.switch else contour).append(k)
+        (near if w < half_radius and w < ev.series.switch else contour).append(k)
     if near:
-        for k, (value, err, served) in zip(near, ev.series(omega[near])):
-            if served:
-                values[k], errs[k] = value, err
+        served = ev.series(omega[near], [lead[k] for k in near], [d_omega[k] for k in near])
+        for k, (value, err, ok) in zip(near, served):
+            if ok:
+                rem[k], rem_err[k] = value, err
             else:
                 contour.append(k)
     # The prefactor e^(c omega) amplifies quadrature roundoff; far below the
@@ -604,9 +591,9 @@ def _remainder_at(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple:
     for k in sorted(contour):
         by_line.setdefault(_contour_level(c, om[k]), []).append(k)
     for level, idx in by_line.items():
-        for k, value, err in zip(idx, *_remainder_on_line(ev, level, omega[idx])):
-            values[k], errs[k] = value, err
-    return values, errs
+        for k, value, err in zip(idx, *_remainder_on_line(ev, level, omega[idx], [lead[k] for k in idx])):
+            rem[k], rem_err[k] = value, err
+    return lead, lead_err, rem, rem_err
 
 
 def _contour_level(c: float, w: float) -> float:
@@ -618,30 +605,30 @@ def _contour_level(c: float, w: float) -> float:
     return min(c, next((lv for lv in _SHIFT_LEVELS if lv <= target), _SHIFT_LEVELS[-1]))
 
 
-def _remainder_on_line(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple[list, list]:
-    """_remainder_at with every point on the abscissa c: the fixed-node head plus the series
-    tail of Re int_0^inf g(c+it) e^{i omega t} dt, times e^(c omega) / pi.
+def _remainder_on_line(ev: DensityEvaluator, c: float, omega: np.ndarray, lead: list) -> tuple[list, list]:
+    """The remainder and its error at every omega > 0 on the abscissa c: the fixed-node head
+    plus the series tail of Re int_0^inf g(c+it) e^{i omega t} dt, times e^(c omega) / pi.
 
-    The error is judged in density units, against the size |leading| +
-    |remainder| of the two parts summed into the density; a point not so
-    trusted raises QuadratureAccuracyError with its value as the best estimate.
+    The error is judged in density units, against the size |P| + |remainder|
+    of the two parts summed into the density; a point not so trusted raises
+    QuadratureAccuracyError with its value as the best estimate.
     """
     line = ev._lines.get(c)
     if line is None:
         line = ev._lines[c] = _Line(ev, c, float(omega.max()))
     head, head_err = line.head(omega)
     tail, tail_err = line.tail(omega)
-    tol, mu1 = ev.cfg.quad_rel_tol, ev.inv.mu - 1.0
+    tol = ev.cfg.quad_rel_tol
     floor = 1e3 * max(1e-14, tol * 1e-5)
     out, est = [], []
-    for w, h, he, t, te in zip(omega.tolist(), head, head_err, tail, tail_err):
+    for w, p, h, he, t, te in zip(omega.tolist(), lead, head, head_err, tail, tail_err):
         value, err = h + t, he + te
         pre = math.exp(c * w) / math.pi
         # Roundoff of the prefactored assembly: the contour integral is
         # computed to near machine precision on its own scale, then
         # amplified by e^(c w).
         bound = pre * err + _CONTOUR_ROUNDING * pre * (1.0 + abs(value))
-        if not err <= max(floor, (ev.lead_scale * w**mu1 / pre + abs(value)) * tol):
+        if not err <= max(floor, (p / pre + abs(value)) * tol):
             raise QuadratureAccuracyError(
                 f"contour quadrature did not converge (omega={w}, error {bound})",
                 best_estimate=pre * value,
@@ -720,8 +707,8 @@ class DensityEvaluator:
 
     def values(self, xs) -> np.ndarray:
         """Density at every x > 0 of xs (no support-endpoint exclusion), in one batch."""
-        xs = np.asarray(xs, dtype=float).ravel()
-        return np.array(_leading_density(self, xs)[0]) + np.array(_remainder_density(self, xs)[0])
+        lead, _, rem, _ = _remainder_density(self, np.asarray(xs, dtype=float).ravel())
+        return np.array(lead) + np.array(rem)
 
     def value(self, x: float) -> float:
         """Density at any x > 0 (no support-endpoint exclusion)."""
@@ -732,16 +719,15 @@ class DensityEvaluator:
         return self._records(np.array([float(x)]))[0]
 
     def _records(self, xs: np.ndarray) -> list[HEvaluation]:
-        lead, lead_err = _leading_density(self, xs)
-        rem, rem_err = _remainder_density(self, xs)
         return [
             HEvaluation(value=lv + rv, leading_part=lv, remainder_part=rv, error_estimate=re + le)
-            for lv, le, rv, re in zip(lead, lead_err, rem, rem_err)
+            for lv, le, rv, re in zip(*_remainder_density(self, xs))
         ]
 
     def _at_omega(self, c: float, omega: np.ndarray) -> np.ndarray:
         """Density H(rho e^-omega) at every omega > 0, the remainder taken on the abscissa c."""
-        return self.lead_scale * omega ** (self.inv.mu - 1.0) + np.array(_remainder_at(self, c, omega)[0])
+        lead, _, rem, _ = _density_at(self, c, omega)
+        return np.array(lead) + np.array(rem)
 
     def edge_integral(self, f, w_hi: float) -> float:
         """int_0^w_hi H(rho e^-w) f(w) dw for f bounded on [0, w_hi], f taking an array.
@@ -759,7 +745,7 @@ class DensityEvaluator:
         for _ in range(_EDGE_HALVINGS):
             # Both rules' nodes in one batch.
             w = w_gj * np.concatenate([y10, y20])
-            vals = (self.lead_scale + np.array(_remainder_at(self, self.c, w)[0]) / w ** (mu - 1.0)) * f(w)
+            vals = (self.lead_scale + np.array(_density_at(self, self.c, w)[2]) / w ** (mu - 1.0)) * f(w)
             q10, q20 = w_gj**mu * (w10 @ vals[:10]), w_gj**mu * (w20 @ vals[10:])
             if abs(q20 - q10) <= max(OUTER_EPSABS, OUTER_EPSREL * abs(q20)):
                 break
@@ -803,10 +789,10 @@ class DensityEvaluator:
                 error_estimate=math.inf,
             )
         # One batch at the top of each contour level the bulk crosses
-        # (_remainder_at) and at tau_max sizes every line once for the
+        # (_density_at) and at tau_max sizes every line once for the
         # quadrature's later rounds, whose nodes creep toward those tops.
         tops = [_SHIFT_OMEGA / lv for lv in _SHIFT_LEVELS[:-1] if tau_c < _SHIFT_OMEGA / lv < tau_max]
-        est_max = _remainder_at(self, c, np.array(tops + [tau_max]))[1][-1]
+        est_max = _density_at(self, c, np.array(tops + [tau_max]))[3][-1]
         noise = (tau_max - tau_c) * est_max * math.exp(-s * tau_max) if c > s else 0.0
         # Resolving the bulk below its noise would only chase the noise.
         bulk = quad(
@@ -839,15 +825,12 @@ def density(spec: RatioSpec, xs, cfg: ContourConfig | None = None) -> list[HEval
     as many fox_h calls.
     """
     xs = [float(x) for x in xs]
-    for x in xs:
-        if not math.isfinite(x) or x <= 0.0:
-            raise DomainError(f"density: x={x} must be a positive real")
     ev = DensityEvaluator(spec, cfg)
     rho = ev.inv.rho
     for x in xs:
-        if abs(x - rho) <= _RHO_EXCLUSION * rho:
+        if abs(x - rho) <= RHO_EXCLUSION * rho:
             raise SingularPointError(
-                f"density: x={x} within {_RHO_EXCLUSION} relative of the support endpoint rho={rho}"
+                f"density: x={x} within {RHO_EXCLUSION} relative of the support endpoint rho={rho}"
             )
     return ev._records(np.array(xs)) if xs else []
 

@@ -376,7 +376,7 @@ def kernel_positive_part(spec: RatioSpec, t):
     so sign decisions are reliable relative to this scale.
     """
     t_in = np.asarray(t, dtype=float)
-    if np.any((t_in <= 0.0) | (t_in >= 1.0)):
+    if not np.all((t_in > 0.0) & (t_in < 1.0)):
         raise DomainError("kernel_positive_part: t must lie in (0, 1)")
     scalar = t_in.ndim == 0
     out = _power_sum(np.log(np.atleast_1d(t_in)[:, None]), spec.A, spec.a)
@@ -394,10 +394,10 @@ def power_sum_diff(a: Sequence[float], b: Sequence[float], t):
     bv = [float(v) for v in b]
     if len(av) != len(bv):
         raise DomainError(f"power_sum_diff: len(a)={len(av)} != len(b)={len(bv)}")
-    if any(v < 0 for v in av + bv):
-        raise DomainError("power_sum_diff: shifts must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in av + bv):
+        raise DomainError("power_sum_diff: shifts must be nonnegative and finite")
     t_in = np.asarray(t, dtype=float)
-    if np.any((t_in <= 0.0) | (t_in > 1.0)):
+    if not np.all((t_in > 0.0) & (t_in <= 1.0)):
         raise DomainError("power_sum_diff: t must lie in (0, 1]")
     if t_in.ndim == 0:
         tv = float(t_in)

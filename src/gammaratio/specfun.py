@@ -9,6 +9,8 @@ a-priori bounds, not running error analysis.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,8 @@ def log_gamma(z: complex | float) -> EvalResult:
     """
     if isinstance(z, complex) or isinstance(z, np.complexfloating):
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"log_gamma: z={z} must be finite")
         if z.imag == 0.0:
             return log_gamma(z.real)
         if abs(z - _nearest_pole(z.real)) <= _POLE_DISTANCE:
@@ -54,6 +58,8 @@ def log_gamma(z: complex | float) -> EvalResult:
         value = complex(sc.loggamma(z))
         return EvalResult(value, 1e-14 * (1.0 + abs(value)))
     x = float(z)
+    if not math.isfinite(x):
+        raise DomainError(f"log_gamma: x={x} must be finite")
     if x <= 0.0:
         pole = _nearest_pole(x)
         if abs(x - pole) <= _POLE_DISTANCE:
@@ -66,8 +72,8 @@ def log_gamma(z: complex | float) -> EvalResult:
 def digamma(x: float) -> EvalResult:
     """Logarithmic derivative of the gamma function for x > 0."""
     x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"digamma: x={x} must be positive")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"digamma: x={x} must be positive and finite")
     value = float(sc.digamma(x))
     return EvalResult(value, 5e-14 * (1.0 + abs(value)))
 
@@ -87,7 +93,7 @@ def polygamma(n: int, x: float) -> EvalResult:
             f"polygamma: order n={n} outside supported range 1..{_MAX_POLYGAMMA_ORDER}"
         )
     x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"polygamma: x={x} must be positive")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"polygamma: x={x} must be positive and finite")
     value = float(sc.polygamma(int(n), x))
     return EvalResult(value, 1e-12 + 1e-13 * abs(value))

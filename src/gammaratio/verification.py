@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .foxh import ContourConfig, DEFAULT_CONTOUR, DensityEvaluator
+from .foxh import RHO_EXCLUSION, ContourConfig, DEFAULT_CONTOUR, DensityEvaluator
 from .quadrature import OUTER_EPSABS, OUTER_EPSREL, quad
 from .ratio import RatioSpec, cm_kernel_t, derive, gamma_ratio
 from .monotonicity import identical_factor_multisets
@@ -207,7 +207,7 @@ def _fox_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: float)
     residuals = []
     for x in x_grid:
         x = float(x)
-        if not 0.0 < x < inv.rho * (1.0 - 1e-6):
+        if not 0.0 < x < inv.rho * (1.0 - RHO_EXCLUSION):
             raise DomainError(f"fox_identity_residual: x={x} outside (0, rho)")
         w_max = inv.log_rho - math.log(x)
         w_cut = min(0.4, 0.25 * w_max)
@@ -288,15 +288,15 @@ def beta_product_moments(
     Av = [float(v) for v in A]
     if not (len(al) == len(be) == len(Av)):
         raise DomainError("beta_product_moments: parameter lengths differ")
-    if any(v <= 0.0 for v in al + be + Av):
-        raise DomainError("beta_product_moments: alphas, betas, A must be positive")
+    if not all(0.0 < v < math.inf for v in al + be + Av):
+        raise DomainError("beta_product_moments: alphas, betas, A must be positive and finite")
     if n_samples < 10_000:
         raise DomainError(f"beta_product_moments: n_samples={n_samples} must be >= 1e4")
     for x in x_grid:
         for ak, Ak in zip(al, Av):
-            if Ak * float(x) + ak - Ak <= 0.0:
+            if not 0.0 < Ak * float(x) + ak - Ak < math.inf:
                 raise DomainError(
-                    f"beta_product_moments: moment undefined at x={x} (A_k x + alpha_k - A_k <= 0)"
+                    f"beta_product_moments: moment undefined at x={x} (A_k x + alpha_k - A_k not in (0, inf))"
                 )
     rng = np.random.Generator(np.random.Philox(int(rng_seed)))
     log_u = np.zeros(int(n_samples))

@@ -179,6 +179,38 @@ class TestFoxH:
         ev = fox_h(spec, math.exp(-0.00223))
         assert abs(ev.value - 0.06547795947191738071817911) <= ev.error_estimate
 
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", ["values", "evaluate"])
+    def test_rejects_non_positive_or_non_finite_x(self, spec_equal_scales, entry, x):
+        # The x entry refuses x before mapping it to omega = log(rho/x).
+        ev = DensityEvaluator(spec_equal_scales)
+        with pytest.raises(DomainError, match="positive real"):
+            getattr(ev, entry)([x] if entry == "values" else x)
+        assert ev._lines == {}
+
+    def test_leading_part_overflow_raises_package_error(self):
+        # mu = 150: H = (1 - x)^149 / Gamma(150) <= 2.6e-261, but its leading
+        # part alone, A* omega^149 / Gamma(150), overflows at omega = 200.
+        spec = RatioSpec(A=(1,), a=(0,), B=(1,), b=(150,))
+        with pytest.raises(UnsupportedParameterError, match="omega=200"):
+            DensityEvaluator(spec)._at_omega(1.0, np.array([200.0]))
+        with pytest.raises(UnsupportedParameterError, match="omega="):
+            density(spec, [1e-300])
+
+    @pytest.mark.parametrize("name", ["spec_mixed_scale", "spec_paired"])
+    def test_one_assembly_for_x_and_omega(self, name, request):
+        # A point given as x and the same point given as omega' = log rho -
+        # log x (the x entry's own map) go through one assembly: the same
+        # density, bitwise, and the leading part is A*/Gamma(mu) omega'^(mu-1).
+        spec = request.getfixturevalue(name)
+        ev = DensityEvaluator(spec)
+        rng = np.random.default_rng(20150127)
+        for omega in rng.uniform(1e-3, 12.0, 200):
+            x = ev.inv.rho * math.exp(-omega)
+            w = ev.inv.log_rho - float(np.log(x))
+            assert ev.values([x])[0] == ev._at_omega(ev.c, np.array([w]))[0], (omega, x)
+            assert ev.evaluate(x).leading_part == ev.lead_scale * w ** (ev.inv.mu - 1.0), (omega, x)
+
     def test_parts_sum_exactly(self, spec_equal_scales):
         ev = fox_h(spec_equal_scales, 0.4)
         assert ev.value == ev.leading_part + ev.remainder_part
