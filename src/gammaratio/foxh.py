@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy import special as sc
 
+from . import specfun as sc
 from .errors import (
     DomainError,
     QuadratureAccuracyError,
@@ -63,7 +63,8 @@ from .errors import (
 )
 from .quadrature import GK_DIFF, GK_KRONROD, GK_NODES as _GK_NODES
 from .quadrature import OUTER_EPSABS, OUTER_EPSREL, gauss_jacobi, quad
-from .ratio import _BERNOULLI, DerivedInvariants, RatioSpec, _gamma_product, derive
+from .ratio import DerivedInvariants, RatioSpec, _gamma_product, derive
+from .specfun import _BERNOULLI
 
 # Relative half-width of the excluded neighbourhood of x = rho, where the
 # leading part diverges for mu < 1 and the decomposition loses all digits.
@@ -81,6 +82,7 @@ _EPS = float(np.finfo(float).eps)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
 
 # The K21 weights and their differences from the G10 ones, on [-1, 1].
 _GK_PAIR = np.stack([GK_KRONROD, GK_DIFF])[:, None, :]
@@ -142,6 +144,7 @@ _CONTOUR_ROUNDING = 1e-14
 # Least normal double: a density below it comes back as 0.0 or a subnormal,
 # and every endpoint-series estimate carries at least this much.
 _TINY = float(np.finfo(float).tiny)
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -171,33 +174,51 @@ class HEvaluation:
     error_estimate: float
 
 
-def _g(spec: RatioSpec, inv: DerivedInvariants, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The subtracted integrand g at every point of the complex array s, and its rounding.
+def _g(spec: RatioSpec, inv: DerivedInvariants, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The subtracted integrand g at every point of the complex array s (Re s > 0), its
+    rounding, and |lead + g| = |W(s) rho^-s|.
 
-    Evaluated as A* s^-mu expm1(d) with d -> 0, from one loggamma call on a
-    (p+q) x len(s) array.  d is a small difference of log-gamma sums of size
-    |s| log|s|; the rounding of those sums, carried through the exponential,
-    is the size of the absolute error of g, which grows with |s|.
+    Evaluated as lead expm1(d), lead = A* s^-mu, with d -> 0 the difference
+    of the log-gamma sum of the p + q factors (specfun.log_gamma_sum), s log
+    rho and log lead; d is known modulo 2 pi i and is reduced to |Im d| <=
+    pi, so expm1 keeps its digits as d -> 0.  g = W rho^-s - lead, so the rounding of d reaches g times |lead + g|
+    and that of log lead times |lead|.  Both grow with |s|: the magnitudes
+    summed into d are those of the Stirling sums, |s log rho| and |log
+    lead| <= mu |log s| + |log A*|, and those into log lead are the same
+    plus mu, the rounding of |s| taken to the log.
     """
-    scales = np.array(spec.A + spec.B)[:, None]
-    shifts = np.array(spec.a + spec.b)[:, None]
-    lg = sc.loggamma(scales * s + shifts)
-    s_log_rho = s * inv.log_rho
-    log_ratio = np.array([1.0] * spec.p + [-1.0] * spec.q) @ lg - s_log_rho
-    lead_log = inv.log_stirling_const - inv.mu * np.log(s)
+    z = np.array(spec.A + spec.B)[:, None] * s
+    z += np.array(spec.a + spec.b)[:, None]
+    log_ratio, size = sc.log_gamma_sum(z, spec.p)
+    abs_s = np.abs(s)
+    log_s = sc.clog(s, abs_s)
+    lead_log = log_s * -inv.mu
+    lead_log += inv.log_stirling_const
+    d = log_ratio - lead_log
+    d -= s * inv.log_rho
+    d.imag -= _TWO_PI * np.rint(d.imag / _TWO_PI)
     lead = np.exp(lead_log)
-    g = lead * np.expm1(log_ratio - lead_log)
-    size = np.abs(lg).sum(axis=0) + np.abs(s_log_rho) + np.abs(lead_log)
-    return g, 2.0 * _EPS * (np.abs(lead + g) * size + np.abs(g))
-
-
-def subtracted_gamma_ratio(spec: RatioSpec, s: complex) -> complex:
-    """Gamma-product ratio times rho^-s minus its algebraic leading term.
-
-    Exposed for the conjugate-symmetry and decay-law diagnostics; the
-    contour integration uses the same evaluation internally.
-    """
-    return complex(_g(spec, derive(spec), np.array([complex(s)]))[0][0])
+    growth = np.expm1(d)
+    g = lead * growth
+    abs_lead = np.abs(lead)
+    ratio = abs_lead * np.exp(d.real)
+    # |log lead| <= mu |log s| + |log A*|, and |s log rho| = |s| |log rho|.
+    lead_size = np.abs(log_s)
+    lead_size *= inv.mu
+    lead_size += abs(inv.log_stirling_const)
+    size += abs_s * abs(inv.log_rho)
+    size += lead_size
+    size *= ratio
+    lead_size += inv.mu + 1.0
+    lead_size *= abs_lead
+    size += lead_size
+    abs_g = np.abs(g)
+    size += abs_g
+    size *= 2.0 * _EPS
+    if min(abs_lead.min(), abs_g.min()) < _TINY:
+        # A subnormal lead or g is off by up to one subnormal step.
+        size += (np.abs(growth) + 1.0) * _SUBNORMAL
+    return g, size, ratio
 
 
 def _md_terms(spec: RatioSpec, n: int, magnitudes: bool = False) -> np.ndarray:
@@ -321,11 +342,11 @@ class _Line:
     spec, never the evaluator, so it forms no reference cycle.
     """
 
-    __slots__ = ("spec", "inv", "c", "T", "max_panels", "tail_coef", "panel", "t", "g", "graded", "mid", "h",
-                 "wg", "w_mid", "phase_nodes", "noise", "abs_sums", "rows")
+    __slots__ = ("spec", "inv", "log_rho_err", "c", "T", "max_panels", "tail_coef", "panel", "t", "g", "graded",
+                 "mid", "h", "wg", "w_mid", "phase_nodes", "noise", "abs_sums", "rows")
 
     def __init__(self, ev: DensityEvaluator, c: float, omega: float):
-        self.spec, self.inv, self.c, self.T = ev.spec, ev.inv, c, ev.T
+        self.spec, self.inv, self.log_rho_err, self.c, self.T = ev.spec, ev.inv, ev.log_rho_err, c, ev.T
         self.max_panels = _HEAD_VALUES // (21 * (ev.spec.p + ev.spec.q))
         kept = np.append(ev.coef[:-1], 0.0)
         self.tail_coef = np.array([kept, ev.coef - kept])
@@ -358,16 +379,18 @@ class _Line:
         half = np.concatenate([[0.5 * (b - a) for a, b in pairs], np.full(n, self.h)])[:, None]
         self.graded = 21 * len(pairs)
         self.t = (mid[:, None] + half * _GK_NODES).ravel()
-        self.g, rounding = _g(self.spec, self.inv, self.c + 1j * self.t)
+        s = self.c + 1j * self.t
+        self.g, rounding, ratio = _g(self.spec, self.inv, s)
         weights = (half * _GK_PAIR).reshape(2, -1)
         self.wg = weights * self.g
         # Rows (K21 or difference, local node j), columns the equal panels.
         self.w_mid = self.wg[:, self.graded :].reshape(2, n, 21).transpose(0, 2, 1).reshape(42, n)
         self.phase_nodes = 1j * np.concatenate([self.t[: self.graded], self.mid, self.h * _GK_NODES])
         # The rounding errors of g at different nodes are independent, so
-        # they add in quadrature.
+        # they add in quadrature.  The rounding of log rho is one error at
+        # every node, log_rho_err |s| |lead + g| in g, so it adds linearly.
         noise = weights[0] * rounding
-        self.noise = math.sqrt(noise @ noise)
+        self.noise = math.sqrt(noise @ noise) + self.log_rho_err * float(weights[0] @ (np.abs(s) * ratio))
         wg = np.abs(self.wg[0])
         self.abs_sums = (float(wg.sum()), float(self.t @ wg))
         self.panel = panel
@@ -468,19 +491,20 @@ class _EndpointSeries:
     below the least estimate the contour can return for it,
     _CONTOUR_ROUNDING (pre + |remainder|) with pre = e^(c omega) / pi on
     the density's contour.  The rounding of omega is left out of that
-    comparison: the contour evaluates g with the same rounded log rho and
-    its estimate leaves that out.  The switch is where either omitted term
+    comparison, as the rounding of log rho is left out of that least
+    estimate.  The switch is where either omitted term
     reaches _CONTOUR_ROUNDING of the largest kept one, and at most
     pi min(scales), half the radius of the series.  So the path of a point
     depends on the spec and omega alone.  The error weights are computed at
     the first point below the switch.
     """
 
-    __slots__ = ("spec", "md", "e", "c", "mu", "mu_err", "lead_err", "rising", "coef", "weights", "switch")
+    __slots__ = ("spec", "md", "e", "c", "mu", "psi_mu", "mu_err", "lead_err", "rising", "coef", "weights",
+                 "switch")
 
     def __init__(self, ev: DensityEvaluator, md: np.ndarray, e: np.ndarray):
         # Copies of the evaluator's scalars, not the evaluator: no reference cycle.
-        self.spec, self.md, self.e, self.c, self.mu = ev.spec, md, e, ev.c, ev.inv.mu
+        self.spec, self.md, self.e, self.c, self.mu, self.psi_mu = ev.spec, md, e, ev.c, ev.inv.mu, ev.psi_mu
         self.mu_err, self.lead_err = ev.mu_err, ev.lead_err
         self.rising = np.cumprod(self.mu + _ORDERS)
         self.coef = e / self.rising
@@ -502,13 +526,14 @@ class _EndpointSeries:
 
         The fixed part is the coefficient's rounding (with the k products of
         (mu)_k), the term's (k products for omega^k, those by P and d_k, the
-        rounding of P) and mu's through psi(mu+k).
+        rounding of P) and mu's through psi(mu+k) = psi(mu) + sum_(j<k) 1/(mu+j).
         """
         k, e = _ORDERS[1:-1], self.e[:-2]
         d = np.abs(self.coef[:-2])
+        psi = self.psi_mu + np.cumsum(1.0 / (self.mu + _ORDERS[:-2]))
         weights = np.empty((3, _TAIL_TERMS - 1))
         weights[0] = (_coefficient_errors(self.spec, self.md, self.e)[:-2] + k * _EPS * np.abs(e)) / self.rising[:-2]
-        weights[0] += d * ((k + 3.0) * _EPS + self.lead_err + self.mu_err * np.abs(sc.digamma(self.mu + k)))
+        weights[0] += d * ((k + 3.0) * _EPS + self.lead_err + self.mu_err * np.abs(psi))
         weights[1] = d * (self.mu - 1.0 + k)
         weights[2] = d * self.mu_err
         return weights
@@ -677,8 +702,12 @@ class DensityEvaluator:
         self._md = _md_terms(spec, _TAIL_TERMS + 1)
         self._stirling = _stirling_coefficients(self._md)
         self.coef = inv.stirling_const * self._stirling
-        self.lead_scale = inv.stirling_const / float(sc.gamma(inv.mu))
-        self.psi_mu = float(sc.digamma(inv.mu))
+        try:
+            gamma_mu = math.gamma(inv.mu)
+        except OverflowError:
+            gamma_mu = math.inf
+        self.lead_scale = inv.stirling_const / gamma_mu
+        self.psi_mu = sc._digamma(inv.mu)
         # Rounding of log rho (each A log A to 1.5 eps, then the sums) and of
         # mu (two exact sums and two additions), absolute, and of
         # A*/Gamma(mu), relative: A* = e^(log A*) with log A* summed like log

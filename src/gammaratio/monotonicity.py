@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special as sc
 
 from .errors import DomainError
 from .ratio import (
@@ -30,6 +29,7 @@ from .ratio import (
     cm_kernel,
     derive,
 )
+from .specfun import _digamma
 
 # Condition identifiers used in evidence records and reports.
 NEC_A = "NEC_A"  # sum(A) = sum(B)
@@ -389,8 +389,8 @@ def _bernstein_limit_evidence(spec: RatioSpec) -> ConditionEvidence:
             BERNSTEIN_LIMIT, UNDECIDED, "zero shift present; digamma limit diverges"
         )
     limit = math.fsum(
-        [Ai * sc.digamma(ai) for Ai, ai in zip(spec.A, spec.a)]
-        + [-Bj * sc.digamma(bj) for Bj, bj in zip(spec.B, spec.b)]
+        [Ai * _digamma(ai) for Ai, ai in zip(spec.A, spec.a)]
+        + [-Bj * _digamma(bj) for Bj, bj in zip(spec.B, spec.b)]
     )
     ok = limit >= -REL_TOL * max(1.0, abs(limit))
     return ConditionEvidence(BERNSTEIN_LIMIT, HOLDS if ok else FAILS, f"limit={limit!r}")

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special as sc
 
 from .errors import DomainError
+from .specfun import _BERNOULLI, _digamma, _polygamma
 
 # Supported parameter box.  The mathematics does not bound the parameters;
 # the box keeps every internal evaluation comfortably inside double range.
@@ -207,14 +207,14 @@ def gamma_ratio(spec: RatioSpec, x: float) -> float:
 
 def _gamma_product(spec: RatioSpec, x: float, where: str) -> float:
     """W(x) from one fsum of log-gammas; the caller checks the domain, `where` names x."""
-    log_value = math.fsum(
-        [sc.gammaln(Ai * x + ai) for Ai, ai in zip(spec.A, spec.a)]
-        + [-sc.gammaln(Bj * x + bj) for Bj, bj in zip(spec.B, spec.b)]
-    )
     try:
+        log_value = math.fsum(
+            [math.lgamma(Ai * x + ai) for Ai, ai in zip(spec.A, spec.a)]
+            + [-math.lgamma(Bj * x + bj) for Bj, bj in zip(spec.B, spec.b)]
+        )
         return math.exp(log_value)
     except OverflowError:
-        raise DomainError(f"{where}={x} overflows (log value = {log_value})") from None
+        raise DomainError(f"{where}={x} overflows") from None
 
 
 def log_ratio_derivative(spec: RatioSpec, x: float, order: int) -> float:
@@ -227,13 +227,13 @@ def log_ratio_derivative(spec: RatioSpec, x: float, order: int) -> float:
     _check_arguments(spec, x)
     if order == 1:
         return math.fsum(
-            [Ai * sc.digamma(Ai * x + ai) for Ai, ai in zip(spec.A, spec.a)]
-            + [-Bj * sc.digamma(Bj * x + bj) for Bj, bj in zip(spec.B, spec.b)]
+            [Ai * _digamma(Ai * x + ai) for Ai, ai in zip(spec.A, spec.a)]
+            + [-Bj * _digamma(Bj * x + bj) for Bj, bj in zip(spec.B, spec.b)]
         )
     if order == 2:
         return math.fsum(
-            [Ai * Ai * float(sc.polygamma(1, Ai * x + ai)) for Ai, ai in zip(spec.A, spec.a)]
-            + [-Bj * Bj * float(sc.polygamma(1, Bj * x + bj)) for Bj, bj in zip(spec.B, spec.b)]
+            [Ai * Ai * _polygamma(1, Ai * x + ai) for Ai, ai in zip(spec.A, spec.a)]
+            + [-Bj * Bj * _polygamma(1, Bj * x + bj) for Bj, bj in zip(spec.B, spec.b)]
         )
     raise DomainError(f"order={order} must be 1 or 2")
 
@@ -319,14 +319,6 @@ def cm_kernel_t(spec: RatioSpec, t):
         logt = np.log(tt[direct][:, None])
         out[direct] = _power_sum(logt, spec.A, spec.a) - _power_sum(logt, spec.B, spec.b)
     return float(out[0]) if scalar else out
-
-
-# Bernoulli numbers B_0..B_22 (B_1 = -1/2 convention).
-_BERNOULLI = (
-    1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0,
-    -1.0 / 30.0, 0.0, 5.0 / 66.0, 0.0, -691.0 / 2730.0, 0.0, 7.0 / 6.0, 0.0,
-    -3617.0 / 510.0, 0.0, 43867.0 / 798.0, 0.0, -174611.0 / 330.0, 0.0, 854513.0 / 138.0,
-)
 
 
 def _bernoulli_poly(n: int, x: float) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .foxh import RHO_EXCLUSION, ContourConfig, DEFAULT_CONTOUR, DensityEvaluator
@@ -311,9 +310,9 @@ def beta_product_moments(
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(n_samples))
         log_exact = math.fsum(
-            [gammaln(ak + bk) - gammaln(ak) for ak, bk in zip(al, be)]
+            [math.lgamma(ak + bk) - math.lgamma(ak) for ak, bk in zip(al, be)]
             + [
-                gammaln(Ak * float(x) + ak - Ak) - gammaln(Ak * float(x) + ak + bk - Ak)
+                math.lgamma(Ak * float(x) + ak - Ak) - math.lgamma(Ak * float(x) + ak + bk - Ak)
                 for ak, bk, Ak in zip(al, be, Av)
             ]
         )

@@ -29,13 +29,18 @@ from gammaratio.foxh import (
     HEvaluation,
     _osc_tail_moment,
     gamma_product_ratio_at,
-    subtracted_gamma_ratio,
 )
 
 
 def beta_density(alpha, beta, x):
     """Closed form of the representing density for the p=q=1 unit family."""
     return x**alpha * (1.0 - x) ** (beta - 1.0) / spgamma(beta)
+
+
+def subtracted_gamma_ratio(spec, s):
+    """Gamma-product ratio times rho^-s minus its algebraic leading term at one point,
+    through the engine's vectorized g."""
+    return complex(foxh_mod._g(spec, derive(spec), np.array([complex(s)]))[0][0])
 
 
 def g_40_digits(spec, s):

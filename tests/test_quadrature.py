@@ -110,3 +110,27 @@ def test_import_leaves_out_integrate_and_linalg():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert done.stdout.strip() == ""
+
+
+def test_package_loads_no_scipy():
+    # Start-up, a verdict, a series point (omega = log 2) and a contour point
+    # (omega = 8) of the density, the gamma ratio and its derivatives, and
+    # the Mellin check all run on the package's own special functions.
+    code = (
+        "import math, sys; import gammaratio, gammaratio.cli\n"
+        "from gammaratio import specfun\n"
+        "spec = gammaratio.RatioSpec(A=(2, 3, 1), a=(0.4, 2.4, 0.9), B=(1, 5), b=(2, 6))\n"
+        "gammaratio.classify(spec)\n"
+        "rho = gammaratio.derive(spec).rho\n"
+        "gammaratio.fox_h(spec, rho * math.exp(-math.log(2.0)))\n"
+        "gammaratio.fox_h(spec, rho * math.exp(-8.0))\n"
+        "gammaratio.gamma_ratio(spec, 1.3)\n"
+        "gammaratio.log_ratio_derivative(spec, 1.3, order=2)\n"
+        "specfun.polygamma(12, 0.5)\n"
+        "gammaratio.mellin_check(spec, 2.0)\n"
+        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(gammaratio.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert done.stdout.strip() == ""
