@@ -63,8 +63,7 @@ from .errors import (
 )
 from .quadrature import GK_DIFF, GK_KRONROD, GK_NODES as _GK_NODES
 from .quadrature import OUTER_EPSABS, OUTER_EPSREL, gauss_jacobi, quad
-from .ratio import DerivedInvariants, RatioSpec, _gamma_product, derive
-from .specfun import _BERNOULLI
+from .ratio import DerivedInvariants, RatioSpec, _gamma_product, _stirling_table, derive
 
 # Relative half-width of the excluded neighbourhood of x = rho, where the
 # leading part diverges for mu < 1 and the decomposition loses all digits.
@@ -105,16 +104,6 @@ _TAIL_ROOTS = 1.0 / (_TAIL_TERMS - np.arange(_TAIL_TERMS))
 # grow like omega^(K-k) and omega^(K+1-k), k = 1..K-1.
 _ORDERS = np.arange(_TAIL_TERMS + 1.0)
 _SWITCH_ROOTS = 1.0 / (_TAIL_TERMS + np.array([[0.0], [1.0]]) - _ORDERS[1:-1])
-
-# B_n(x) = sum_j C(n, j) B_(n-j)(1/2) (x - 1/2)^j for n <= K+2, as a matrix
-# acting on the powers (x - 1/2)^j; B_k(1/2) = (2^(1-k) - 1) B_k (DLMF
-# 24.4.12, 24.4.27).  For shifts up to about 3 the monomials about 1/2 sum
-# to about 1/20 of those about 0, and so does their rounding.
-_BERNOULLI_POLY = np.array(
-    [[math.comb(n, j) * (2.0 ** (1 - n + j) - 1.0) * _BERNOULLI[n - j] if j <= n else 0.0
-      for j in range(_TAIL_TERMS + 3)]
-     for n in range(_TAIL_TERMS + 3)]
-)
 
 # Most log-gamma values one line evaluates, which caps its equal head panels
 # at _HEAD_VALUES / (21 (p+q)).  A panel longer than one period of
@@ -221,28 +210,9 @@ def _g(spec: RatioSpec, inv: DerivedInvariants, s: np.ndarray) -> tuple[np.ndarr
     return g, size, ratio
 
 
-def _md_terms(spec: RatioSpec, n: int, magnitudes: bool = False) -> np.ndarray:
-    """m d_m for m = 1..n of the Stirling series of g, or with magnitudes the same sums
-    over the magnitudes of their monomials.
-
-    By the Stirling series with Bernoulli polynomials (DLMF 5.11.8),
-    log W(s) - s log rho - log A* + mu log s = sum_m d_m s^-m with
-    d_m = sum_i (-1)^(m+1) B_(m+1)(a_i) / (m (m+1) A_i^m), minus the same
-    sum over (b_j, B_j).
-    """
-    m = np.arange(1, n + 1)
-    powers = (np.array(spec.a + spec.b) - 0.5) ** np.arange(n + 2)[:, None]
-    inverse_powers = np.array(spec.A + spec.B) ** -m[:, None]
-    if magnitudes:
-        return ((np.abs(_BERNOULLI_POLY[: n + 2, : n + 2]) @ np.abs(powers))[2:] * inverse_powers).sum(axis=1) / (m + 1)
-    signs = np.array([1.0] * spec.p + [-1.0] * spec.q)
-    bern = _BERNOULLI_POLY[: n + 2, : n + 2] @ powers
-    return (-1.0) ** (m + 1) * ((bern[2:] * inverse_powers) @ signs) / (m + 1)
-
-
 def _stirling_coefficients(md: np.ndarray) -> np.ndarray:
-    """e_1..e_n of W(s) rho^-s = A* s^-mu sum_k e_k s^-k (e_0 = 1) from the m d_m of
-    _md_terms: exponentiating gives e_k = (1/k) sum_m m d_m e_(k-m)."""
+    """e_1..e_n of W(s) rho^-s = A* s^-mu sum_k e_k s^-k (e_0 = 1) from the m d_m,
+    m = 1..n, of ratio._stirling_table: exponentiating gives e_k = (1/k) sum_m m d_m e_(k-m)."""
     md = md.tolist()
     e = [1.0]
     for k in range(1, len(md) + 1):
@@ -253,8 +223,9 @@ def _stirling_coefficients(md: np.ndarray) -> np.ndarray:
     return np.array(e[1:])
 
 
-def _coefficient_errors(spec: RatioSpec, md: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Bounds on the rounding of the e_k of _stirling_coefficients.
+def _coefficient_errors(spec: RatioSpec, md: np.ndarray, magnitudes: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Bounds on the rounding of the e_k of _stirling_coefficients, from the m d_m
+    and their monomial magnitudes of ratio._stirling_table, m = 1..n.
 
     m d_m sums m + 2 monomials per factor over p + q factors, so it is off by
     at most (m + p + q + 6) eps times the same sums over the magnitudes of
@@ -266,7 +237,7 @@ def _coefficient_errors(spec: RatioSpec, md: np.ndarray, e: np.ndarray) -> np.nd
     """
     n = len(e)
     m = np.arange(1, n + 1)
-    per_md = _EPS * ((m + spec.p + spec.q + 6) * _md_terms(spec, n, magnitudes=True) / m + np.abs(md))
+    per_md = _EPS * ((m + spec.p + spec.q + 6) * magnitudes / m + np.abs(md))
     return np.convolve(per_md, np.abs(np.concatenate([[1.0], e])))[:n]
 
 
@@ -388,9 +359,13 @@ class _Line:
         self.phase_nodes = 1j * np.concatenate([self.t[: self.graded], self.mid, self.h * _GK_NODES])
         # The rounding errors of g at different nodes are independent, so
         # they add in quadrature.  The rounding of log rho is one error at
-        # every node, log_rho_err |s| |lead + g| in g, so it adds linearly.
+        # every node, log_rho_err |s| |lead + g| in g, so it adds linearly.  An
+        # exact power-of-two scaling keeps the squares from overflowing.
         noise = weights[0] * rounding
-        self.noise = math.sqrt(noise @ noise) + self.log_rho_err * float(weights[0] @ (np.abs(s) * ratio))
+        _, exponent = math.frexp(float(np.abs(noise).max()))
+        noise = np.ldexp(noise, 1 - exponent)
+        self.noise = math.sqrt(noise @ noise) * math.ldexp(1.0, exponent - 1)
+        self.noise += self.log_rho_err * float(weights[0] @ (np.abs(s) * ratio))
         wg = np.abs(self.wg[0])
         self.abs_sums = (float(wg.sum()), float(self.t @ wg))
         self.panel = panel
@@ -499,15 +474,15 @@ class _EndpointSeries:
     the first point below the switch.
     """
 
-    __slots__ = ("spec", "md", "e", "c", "mu", "psi_mu", "mu_err", "lead_err", "rising", "coef", "weights",
-                 "switch")
+    __slots__ = ("spec", "md", "magnitudes", "e", "c", "mu", "psi_mu", "mu_err", "lead_err", "rising", "coef",
+                 "weights", "switch")
 
-    def __init__(self, ev: DensityEvaluator, md: np.ndarray, e: np.ndarray):
-        # Copies of the evaluator's scalars, not the evaluator: no reference cycle.
-        self.spec, self.md, self.e, self.c, self.mu, self.psi_mu = ev.spec, md, e, ev.c, ev.inv.mu, ev.psi_mu
-        self.mu_err, self.lead_err = ev.mu_err, ev.lead_err
+    def __init__(self, ev: DensityEvaluator):
+        # Copies of the evaluator's arrays and scalars, not the evaluator: no reference cycle.
+        self.spec, self.md, self.magnitudes, self.e = ev.spec, ev._md, ev._magnitudes, ev._stirling
+        self.c, self.mu, self.psi_mu, self.mu_err, self.lead_err = ev.c, ev.inv.mu, ev.psi_mu, ev.mu_err, ev.lead_err
         self.rising = np.cumprod(self.mu + _ORDERS)
-        self.coef = e / self.rising
+        self.coef = self.e / self.rising
         self.weights = None
         self.switch = 0.0
         if 0.0 < ev.lead_scale < math.inf and np.isfinite(self.coef).all():
@@ -532,7 +507,8 @@ class _EndpointSeries:
         d = np.abs(self.coef[:-2])
         psi = self.psi_mu + np.cumsum(1.0 / (self.mu + _ORDERS[:-2]))
         weights = np.empty((3, _TAIL_TERMS - 1))
-        weights[0] = (_coefficient_errors(self.spec, self.md, self.e)[:-2] + k * _EPS * np.abs(e)) / self.rising[:-2]
+        weights[0] = _coefficient_errors(self.spec, self.md, self.magnitudes, self.e)[:-2] + k * _EPS * np.abs(e)
+        weights[0] /= self.rising[:-2]
         weights[0] += d * ((k + 3.0) * _EPS + self.lead_err + self.mu_err * np.abs(psi))
         weights[1] = d * (self.mu - 1.0 + k)
         weights[2] = d * self.mu_err
@@ -699,7 +675,7 @@ class DensityEvaluator:
         self.spec = spec
         self.inv = inv
         self.c = max(inv.gamma_pole, 0.0) + 1.0
-        self._md = _md_terms(spec, _TAIL_TERMS + 1)
+        self._md, self._magnitudes = (rows[1:] for rows in _stirling_table(spec, _TAIL_TERMS + 1))
         self._stirling = _stirling_coefficients(self._md)
         self.coef = inv.stirling_const * self._stirling
         try:
@@ -732,7 +708,7 @@ class DensityEvaluator:
     @functools.cached_property
     def series(self) -> _EndpointSeries:
         """The endpoint series, set up at the first point within half its radius."""
-        return _EndpointSeries(self, self._md, self._stirling)
+        return _EndpointSeries(self)
 
     def values(self, xs) -> np.ndarray:
         """Density at every x > 0 of xs (no support-endpoint exclusion), in one batch."""

@@ -24,7 +24,7 @@ from .ratio import (
     DerivedInvariants,
     RatioSpec,
     _power_sum,
-    _series_term,
+    _stirling_table,
     _sums_equal,
     cm_kernel,
     derive,
@@ -57,6 +57,8 @@ DEFAULT_REFINE_TOL = 1e-12
 _GEOMETRIC_POINTS = 64
 MAX_SUBSET_FACTORS = 12
 _SERIES_TERMS = 12
+# k! p_k decides the t -> 1 sign above this fraction of its monomial magnitudes.
+_TAYLOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -276,18 +278,18 @@ def _endpoint_one_sign(spec: RatioSpec) -> tuple[int, str]:
 
     Decided by the 1/u coefficient sum(A) - sum(B) if nonzero, otherwise by
     the first Taylor coefficient p_k of the kernel distinguishable from zero.
-    The coefficients are computed one at a time, p_0 first, and the scan
-    stops at that first decisive one, so k + 1 of them are evaluated.
+    The coefficients come as one table of k! p_k, k < _SERIES_TERMS, built
+    only for equal sums.
     """
     sum_A, sum_B = math.fsum(spec.A), math.fsum(spec.B)
     if not _sums_equal(sum_A, sum_B):
         sum_diff = sum_A - sum_B
         return (1 if sum_diff > 0 else -1), f"t->1: kernel ~ {sum_diff!r}/u"
-    for k in range(_SERIES_TERMS):
-        coef, mag = _series_term(spec, k)
-        if abs(coef) > 1e-10 * max(mag, 1e-300):
+    md, magnitudes = _stirling_table(spec, _SERIES_TERMS - 1)
+    for k, (coef, size) in enumerate(zip(md.tolist(), magnitudes.tolist())):
+        if abs(coef) > _TAYLOR_TOL * size:
             sign = 1 if coef > 0 else -1
-            return sign, f"t->1: first nonzero Taylor coefficient p_{k}={coef!r}"
+            return sign, f"t->1: first nonzero Taylor coefficient p_{k}={coef / math.factorial(k)!r}"
     return 0, f"t->1: Taylor coefficients vanish through order {_SERIES_TERMS - 1}"
 
 

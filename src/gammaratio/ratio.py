@@ -321,23 +321,34 @@ def cm_kernel_t(spec: RatioSpec, t):
     return float(out[0]) if scalar else out
 
 
-def _bernoulli_poly(n: int, x: float) -> float:
-    return math.fsum(
-        math.comb(n, k) * _BERNOULLI[k] * x ** (n - k) for k in range(n + 1)
-    )
+# B_n(1 - x) = sum_j C(n, j) B_(n-j)(1/2) (1/2 - x)^j for n <= 22, as a matrix
+# acting on the powers (x - 1/2)^j; B_k(1/2) = (2^(1-k) - 1) B_k (DLMF
+# 24.4.12, 24.4.27).  For shifts up to about 3 the monomials about 1/2 sum
+# to about 1/20 of those about 0, and so does their rounding.
+_BERNOULLI_POLY = np.array(
+    [[math.comb(n, j) * (2.0 ** (1 - n + j) - 1.0) * _BERNOULLI[n - j] * (-1) ** j if j <= n else 0.0
+      for j in range(len(_BERNOULLI))]
+     for n in range(len(_BERNOULLI))]
+)
 
 
-def _series_term(spec: RatioSpec, k: int) -> tuple[float, float]:
-    """Taylor coefficient p_k of :func:`cm_kernel_series` and its magnitude scale."""
-    fact = math.factorial(k + 1)
-    terms = [
-        _bernoulli_poly(k + 1, 1.0 - ai) / (fact * Ai**k)
-        for ai, Ai in zip(spec.a, spec.A)
-    ] + [
-        -_bernoulli_poly(k + 1, 1.0 - bj) / (fact * Bj**k)
-        for bj, Bj in zip(spec.b, spec.B)
-    ]
-    return math.fsum(terms), math.fsum(abs(v) for v in terms)
+def _stirling_table(spec: RatioSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """m d_m for m = 0..n (n <= 21), and the same sums over the magnitudes of their
+    monomials about 1/2.
+
+    By the Stirling series (DLMF 5.11.8), log W(s) - s log rho - log A* +
+    mu log s = sum_m d_m s^-m with m d_m = sum_i B_(m+1)(1 - a_i) / ((m+1)
+    A_i^m), minus the same sum over (b_j, B_j); at m = 0 that is mu.  By
+    Watson's lemma m d_m / m! is the kernel's Taylor coefficient p_m.
+    """
+    m = np.arange(n + 1)
+    powers = (np.array(spec.a + spec.b) - 0.5) ** np.arange(n + 2)[:, None]
+    inverse_powers = np.array(spec.A + spec.B) ** -m[:, None]
+    poly = _BERNOULLI_POLY[: n + 2, : n + 2]
+    signs = np.array([1.0] * spec.p + [-1.0] * spec.q)
+    md = (((poly @ powers)[1:] * inverse_powers) @ signs) / (m + 1)
+    magnitudes = ((np.abs(poly) @ np.abs(powers))[1:] * inverse_powers).sum(axis=1) / (m + 1)
+    return md, magnitudes
 
 
 def cm_kernel_series(spec: RatioSpec, n_terms: int = 12) -> list[tuple[float, float]]:
@@ -349,15 +360,17 @@ def cm_kernel_series(spec: RatioSpec, n_terms: int = 12) -> list[tuple[float, fl
             - sum_j B_{k+1}(1 - b_j) / ((k+1)! B_j^k),
 
     where B_n(x) are Bernoulli polynomials; p_0 is the decay exponent mu.
-    Returns (coefficient, magnitude_scale) pairs for k = 0..n_terms-1, the
-    scale being the sum of absolute term magnitudes so callers can judge
-    whether a coefficient is numerically distinguishable from zero.  Each
-    coefficient costs O(k (p + q)); a caller that needs only the first
-    nonzero one computes them one at a time with `_series_term`.
+    Returns (k! p_k, magnitude) / k! for k = 0..n_terms-1 from `_stirling_table`,
+    the magnitude summing the coefficient's Bernoulli monomials about 1/2,
+    so callers can judge whether it is numerically distinguishable from zero.
     """
     if not 1 <= n_terms <= 13:
         raise DomainError(f"cm_kernel_series: n_terms={n_terms} outside 1..13")
-    return [_series_term(spec, k) for k in range(n_terms)]
+    md, magnitudes = _stirling_table(spec, n_terms - 1)
+    return [
+        (coef / math.factorial(k), size / math.factorial(k))
+        for k, (coef, size) in enumerate(zip(md.tolist(), magnitudes.tolist()))
+    ]
 
 
 def kernel_positive_part(spec: RatioSpec, t):

@@ -1,7 +1,7 @@
 """The sampled kernel check against its eager reference, and the work it does.
 
-`check_kernel_nonneg` decides the t -> 0 sign first, computes the t -> 1
-Taylor coefficients only up to the first decisive one, and samples on a
+`check_kernel_nonneg` decides the t -> 0 sign first, builds the table of
+t -> 1 Taylor coefficients only when that sign passes, and samples on a
 grid built once per grid_size with the positive part computed once.  The
 reference below is the plain form of the same check: both endpoint signs,
 all twelve coefficients, and `cm_kernel_t / kernel_positive_part` on a
@@ -17,7 +17,7 @@ import pytest
 
 from gammaratio import RatioSpec, build_unweighted, check_kernel_nonneg
 from gammaratio import monotonicity
-from gammaratio.monotonicity import FAILS, HOLDS, Q_NONNEG, UNDECIDED, ConditionEvidence
+from gammaratio.monotonicity import _TAYLOR_TOL, FAILS, HOLDS, Q_NONNEG, UNDECIDED, ConditionEvidence
 from gammaratio.ratio import REL_TOL, cm_kernel_series, cm_kernel_t, kernel_positive_part
 
 
@@ -27,7 +27,7 @@ def _reference_one_sign(spec):
         sum_diff = sum_A - sum_B
         return (1 if sum_diff > 0 else -1), f"t->1: kernel ~ {sum_diff!r}/u"
     for k, (coef, mag) in enumerate(cm_kernel_series(spec, 12)):
-        if abs(coef) > 1e-10 * max(mag, 1e-300):
+        if abs(coef) > _TAYLOR_TOL * mag:
             return (1 if coef > 0 else -1), f"t->1: first nonzero Taylor coefficient p_{k}={coef!r}"
     return 0, "t->1: Taylor coefficients vanish through order 11"
 
@@ -145,28 +145,28 @@ class TestUnderflow:
 
 
 @pytest.fixture
-def term_calls(monkeypatch):
+def table_calls(monkeypatch):
     calls = []
-    helper = monotonicity._series_term
+    helper = monotonicity._stirling_table
 
-    def counting(spec, k):
-        calls.append(k)
-        return helper(spec, k)
+    def counting(spec, n):
+        calls.append(n)
+        return helper(spec, n)
 
-    monkeypatch.setattr(monotonicity, "_series_term", counting)
+    monkeypatch.setattr(monotonicity, "_stirling_table", counting)
     return calls
 
 
 class TestWorkCount:
-    def test_subset_parity_decides_at_p1(self, term_calls):
+    def test_subset_parity_decides_at_p1(self, table_calls):
         spec = build_unweighted([2, 3], [1, 0.5])
         sign, witness = monotonicity._endpoint_one_sign(spec)
         assert sign == 1
         assert "p_1=" in witness
-        assert term_calls == [0, 1]
+        assert table_calls == [11]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_terms_stop_at_first_decisive_order(self, term_calls, n):
+    def test_terms_stop_at_first_decisive_order(self, table_calls, n):
         rng = random.Random(n)
         beta = [rng.uniform(0.0, 3.0) for _ in range(n)]
         spec = build_unweighted([v + rng.uniform(0.05, 3.0) for v in beta], beta)
@@ -174,12 +174,19 @@ class TestWorkCount:
         order = int(re.search(r"p_(\d+)=", witness).group(1))
         # The product of n factors (t^beta - t^alpha) vanishes to order n at t = 1.
         assert order == n - 1
-        assert term_calls == list(range(order + 1))
+        assert table_calls == [11]
 
-    def test_negative_zero_sign_skips_taylor_terms(self, term_calls):
+    def test_unequal_sums_build_no_table(self, table_calls):
+        spec = RatioSpec(A=(2.0,), a=(0.5,), B=(1.0,), b=(0.5,))
+        sign, witness = monotonicity._endpoint_one_sign(spec)
+        assert sign == 1
+        assert witness == "t->1: kernel ~ 1.0/u"
+        assert table_calls == []
+
+    def test_negative_zero_sign_skips_taylor_terms(self, table_calls):
         # Equal scale sums, but the numerator's t^1 loses to the denominator's t^0.5.
         spec = RatioSpec(A=(1.0, 1.0), a=(1.0, 2.0), B=(1.0, 1.0), b=(0.5, 3.0))
         ev = check_kernel_nonneg(spec)
         assert ev.status == FAILS
         assert ev.witness.startswith("t->0")
-        assert term_calls == []
+        assert table_calls == []

@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,8 @@ from gammaratio import (
 )
 from gammaratio.foxh import gamma_product_ratio_at
 from gammaratio.monotonicity import build_unweighted
+from gammaratio.ratio import _stirling_table
+from test_series_path import box_spec
 
 
 class TestRatioSpecValidation:
@@ -232,6 +236,28 @@ class TestKernelSeries:
         u = 1e-3
         series = math.fsum(c * u**k for k, (c, _) in enumerate(coeffs))
         assert cm_kernel(spec_equal_scales, u) == pytest.approx(series, abs=1e-11)
+
+
+class TestStirlingTable:
+    def test_rows_match_bernoulli_polynomials(
+        self, spec_mixed_scale, spec_paired, spec_bernstein_only, spec_equal_scales, spec_inverse_x
+    ):
+        # m d_m = sum_i (-1)^(m+1) B_(m+1)(a_i) / ((m+1) A_i^m), minus the same
+        # sum over (b_j, B_j), at 30 digits; the rounding bound of
+        # foxh._coefficient_errors must hold for every row, m = 0..21.
+        rng = random.Random(20150130)
+        fixtures = [spec_mixed_scale, spec_paired, spec_bernstein_only, spec_equal_scales, spec_inverse_x]
+        for spec in fixtures + [box_spec(rng) for _ in range(200)]:
+            md, magnitudes = _stirling_table(spec, 21)
+            with mpmath.workdps(30):
+                for m in range(22):
+                    exact = (-1) ** (m + 1) * (
+                        mpmath.fsum(mpmath.bernpoly(m + 1, a) / mpmath.mpf(A) ** m for A, a in zip(spec.A, spec.a))
+                        - mpmath.fsum(mpmath.bernpoly(m + 1, b) / mpmath.mpf(B) ** m for B, b in zip(spec.B, spec.b))
+                    ) / (m + 1)
+                    bound = (m + spec.p + spec.q + 6) * np.finfo(float).eps * magnitudes[m]
+                    assert abs(md[m] - exact) <= bound, (spec, m)
+            assert md[0] == pytest.approx(derive(spec).mu, rel=1e-12, abs=1e-12)
 
 
 class TestDerivativeConsistency:

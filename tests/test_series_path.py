@@ -12,6 +12,7 @@ import random
 
 import mpmath
 import numpy as np
+import pytest
 
 import gammaratio.foxh as foxh_mod
 from gammaratio import (
@@ -217,3 +218,15 @@ def test_density_fuzz_box():
                 checked += 1
                 assert abs(ev.value - exact) <= ev.error_estimate, (spec, omega, ev, exact)
     assert checked >= 40
+
+
+def test_contour_rounding_norm_does_not_overflow():
+    # The second box draw of seed 13 (p = 1, mu = 83.7, T at its 1e4 cap):
+    # the squares of its head-node rounding overflowed and warned.  The point
+    # is a package error, and nothing warns.
+    rng = random.Random(13)
+    box_spec(rng)
+    spec = box_spec(rng)
+    for omega in (30.0, 100.0):
+        with pytest.raises(QuadratureAccuracyError):
+            fox_h(spec, math.exp(derive(spec).log_rho - omega))
