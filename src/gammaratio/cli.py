@@ -140,6 +140,7 @@ def parse_config(path: str) -> JobConfig:
 
 
 def _to_jsonable(obj):
+    """Plain JSON values; a non-finite float becomes the string "inf", "-inf" or "nan"."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
@@ -147,7 +148,9 @@ def _to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     return obj
 
 
@@ -157,7 +160,7 @@ def _write_report(out_dir: str, command: str, payload: dict) -> None:
                        "tool_version": __version__}
     path = os.path.join(out_dir, f"{command}.report")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_to_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(_to_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

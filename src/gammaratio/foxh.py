@@ -12,16 +12,27 @@ leading part supported on (0, rho) plus a convergent Fourier-type integral
 of g.  The density vanishes identically for x >= rho, where both parts
 and their error are returned as exactly 0, with no contour.
 
-Near the support endpoint, at omega = log(rho/x) below a per-spec switch,
-the remainder comes from the endpoint series instead: H = A* sum_k e_k
-omega^(mu+k-1) / Gamma(mu+k), whose k = 0 term is the leading part, summed
-to 19 terms with the 20th and 21st as its truncation error
-(_EndpointSeries).  A point takes the series when its estimate beats the
-least estimate the contour could return; it then evaluates no g and builds
-no line.  Every other point takes the contour.  A point given as x or as
-omega goes through one assembly (_density_at), which computes the rounding
-of omega and the leading part once and hands them to the series and to the
-contour's trust rule.
+Each point takes one of three paths, chosen from the spec and omega =
+log(rho/x) before any contour runs:
+
+- near the support endpoint, at omega below a per-spec switch, the endpoint
+  series H = A* sum_k e_k omega^(mu+k-1) / Gamma(mu+k), whose k = 0 term is
+  the leading part, summed to 19 terms with the 20th and 21st as its
+  truncation error (_EndpointSeries), where its estimate beats the least
+  estimate the contour could return;
+- far below it, at omega > _SHIFT_OMEGA, the sum of the residues of W(s) x^-s
+  at the left poles (_ResidueSeries), where the poles are simple, the terms
+  needed fit a cap and the estimate meets the tolerance;
+- every other point, and a point neither series serves, the contour, on a
+  line moved toward the imaginary axis beyond _SHIFT_OMEGA.  Specs with
+  coincident or nearly coincident poles (every shift 0 with two or more
+  numerator factors, or shifts a whole multiple of the scale apart) and
+  scales near the 1e3 bound keep the shifted lines there, which may raise.
+
+Series and residue points evaluate no g and build no line.  A point given
+as x or as omega goes through one assembly (_density_at), which computes
+the rounding of omega and the leading part once and hands them to each
+path; the record's remainder is always the value less the leading part.
 
 The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T,
 the least T >= 5 where the Stirling series of g holds to 1e-15:
@@ -115,10 +126,25 @@ _HEAD_VALUES = 1 << 20
 # seven digits on the highest powers at T = 10.
 _TAIL_STEP = 0.1
 
-# Far below the support endpoint (omega > _SHIFT_OMEGA) the contour moves to
-# the first of these abscissas at most max(0.05, _SHIFT_OMEGA / omega).
+# Far below the support endpoint (omega > _SHIFT_OMEGA) a point takes the
+# residue series (_ResidueSeries); one it does not serve takes the contour,
+# moved to the first of these abscissas at most max(0.05, _SHIFT_OMEGA / omega).
 _SHIFT_OMEGA = 6.0
 _SHIFT_LEVELS = (1.0, 0.3, 0.1, 0.05)
+
+# The residue series: least distance between a pole and the poles of the other
+# numerator factors, most terms per pole row, and the first table length past
+# a row's mandatory prefix (the table doubles as points need more).
+_POLE_GAP = 1e-3
+_RESIDUE_TERMS = 1024
+_RESIDUE_BLOCK = 3
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_RESIDUE_TERMS + 1)])
+_PARITY = np.where(np.arange(_RESIDUE_TERMS + 1) % 2 == 0, 1.0, -1.0)
+_LOG_PI = math.log(math.pi)
+_LOG_2 = math.log(2.0)
+_EXP_MINUS_EULER = math.exp(-0.5772156649015329)
+# A row's omitted terms are at most e^-_TRUNCATION_LOG = eps/4 of the largest term.
+_TRUNCATION_LOG = math.log(4.0 / _EPS)
 
 # Halvings of the Gauss-Jacobi interval of the edge integral before the
 # G10/K21 rule takes over whatever is left.
@@ -474,12 +500,12 @@ class _EndpointSeries:
     the first point below the switch.
     """
 
-    __slots__ = ("spec", "md", "magnitudes", "e", "c", "mu", "psi_mu", "mu_err", "lead_err", "rising", "coef",
-                 "weights", "switch")
+    __slots__ = ("spec", "md", "e", "c", "mu", "psi_mu", "mu_err", "lead_err", "rising", "coef", "weights",
+                 "switch")
 
     def __init__(self, ev: DensityEvaluator):
         # Copies of the evaluator's arrays and scalars, not the evaluator: no reference cycle.
-        self.spec, self.md, self.magnitudes, self.e = ev.spec, ev._md, ev._magnitudes, ev._stirling
+        self.spec, self.md, self.e = ev.spec, ev._md, ev._stirling
         self.c, self.mu, self.psi_mu, self.mu_err, self.lead_err = ev.c, ev.inv.mu, ev.psi_mu, ev.mu_err, ev.lead_err
         self.rising = np.cumprod(self.mu + _ORDERS)
         self.coef = self.e / self.rising
@@ -506,8 +532,9 @@ class _EndpointSeries:
         k, e = _ORDERS[1:-1], self.e[:-2]
         d = np.abs(self.coef[:-2])
         psi = self.psi_mu + np.cumsum(1.0 / (self.mu + _ORDERS[:-2]))
+        magnitudes = _stirling_table(self.spec, _TAIL_TERMS + 1, md=False)[1][1:]
         weights = np.empty((3, _TAIL_TERMS - 1))
-        weights[0] = _coefficient_errors(self.spec, self.md, self.magnitudes, self.e)[:-2] + k * _EPS * np.abs(e)
+        weights[0] = _coefficient_errors(self.spec, self.md, magnitudes, self.e)[:-2] + k * _EPS * np.abs(e)
         weights[0] /= self.rising[:-2]
         weights[0] += d * ((k + 3.0) * _EPS + self.lead_err + self.mu_err * np.abs(psi))
         weights[1] = d * (self.mu - 1.0 + k)
@@ -538,33 +565,227 @@ class _EndpointSeries:
         return out
 
 
-def _remainder_density(ev: DensityEvaluator, x: np.ndarray) -> tuple:
+class _ResidueSeries:
+    """The density far below the support endpoint as the sum of the residues of W(s) x^-s
+    at its left poles (Braaksma, Compositio Math. 1964; Mathai, Saxena & Haubold, The
+    H-Function, 2010, ch. 1).
+
+    Numerator factor i has poles s_k = -(a_i + k)/A_i; where they are simple the
+    residue is c_k x^(-s_k), c_k = (-1)^k / (k! A_i) prod_(l != i) Gamma(A_l s_k +
+    a_l) / prod_j Gamma(B_j s_k + b_j).  With equal scale sums the sum converges
+    on (0, rho), fastest where omega is large: row i falls like e^(-k omega /
+    A_i).  The table holds, per row i and pole k, what depends on the spec
+    alone: s_k, log|c_k| - s_k log rho, the sign of c_k, the rounding of that
+    log, the envelope and ratio bounds below, the distance from s_k to the
+    nearest pole of another numerator factor, and whether the poles up to k are
+    simple.  It grows on demand, and every entry depends on the spec and k
+    alone.  A batch is one (points x rows x poles) exponential, e^(log|c_k| -
+    s_k log rho + s_k omega); each point sums its own terms with math.fsum, so
+    its result does not depend on its batch.
+
+    Each log-gamma is one math.lgamma at a positive argument: at z <= 0 the
+    reflection |Gamma(z)| = pi / (|sin pi z| Gamma(1 - z)), with sin taken at the
+    exact distance d = |z - rint(z)|; a denominator factor at a nonpositive
+    integer makes the term exactly 0.  With F = p + q - 1 other factors, the
+    rounding of log|c_k| adds, per factor, (F + 8) eps (|lgamma| + log pi - log
+    sin) and the rounding of z, eps (5 |z| + 3 shift + 1), times |psi(z)| <=
+    log(2 + |z|) + 1 + 1/d, and (F + 8) eps (2 (F + |s_k log rho|) + |log A_i +
+    log k! + s_k log rho|) for the rest and the sum; a point adds 3 eps
+    |log|c_k|| for the exponent's sum, |s_k| times the rounding of omega plus 6
+    eps omega, and eps for the exponential.  Two close summed poles give large
+    residues of opposite sign; the 1/d carries their cancellation.
+
+    Truncation: from k = start on, where every other argument z is <= 0, the
+    k-th term is at most its envelope, which takes |sin pi z| >= 2 A_l _POLE_GAP
+    in the numerator factors and <= 1 in the denominator ones; and past k the
+    envelope's ratio between neighbours is at most e^(Q_k - omega/A_i).  With c =
+    scale/A_i, lgamma(u + c) - lgamma(u) lies between c psi(u) and c psi(u + c),
+    and log(u + 1/2) - 1/u < psi(u) < log(u + e^-gamma) - 1/u, so with equal
+    scale sums the log k terms and log rho cancel, leaving Q_k = sum_num c
+    (max(-alpha, 0)/(k + alpha) + 1/(1 - z)) + sum_den c max(beta, 0)/k, alpha =
+    a_i + (3/2 - a_l)/c, beta = a_i + 1 + (1 - b_j + e^-gamma)/c, each part
+    falling in k.  A point sums, per row, the terms before the first K where
+    the ratio bound is at most 1/2 and the envelope at most e^-_TRUNCATION_LOG
+    of the largest term of the rows' prefixes up to `start`; twice that
+    envelope bounds the omitted terms.
+
+    A point beyond _SHIFT_OMEGA is served when every row finds its K within
+    _RESIDUE_TERMS, its poles up to K are simple, the pole K lies at least
+    _POLE_GAP from the poles of the other numerator factors, and its estimate
+    meets the tolerance in density units, like a contour point; otherwise it
+    takes the contour.  The estimate adds the truncation, the terms' rounding,
+    the rounding of the split into P and remainder, and at least the least
+    normal double.  The gap is tested at the first omitted pole and taken to
+    hold beyond; for p = 1 there is no other numerator factor and the bound
+    holds unconditionally.  Specs whose rows share poles (every shift 0 with
+    p > 1, or shifts a whole multiple of the scale apart) are never served.  A
+    spec whose `start` passes _RESIDUE_TERMS is never served either, nor a
+    point whose rough count start + A_i _TRUNCATION_LOG / omega does.
+    """
+
+    __slots__ = ("A", "a", "log_A", "log_rho", "start", "usable", "scales", "shifts", "numerator", "weights",
+                 "numerator_c", "alpha", "tail_c", "beta_sum", "dz0", "envelope_const", "gap_weights", "gap_offsets",
+                 "start_column", "table")
+
+    def __init__(self, spec: RatioSpec, log_rho: float):
+        p, scales, shifts = spec.p, spec.A + spec.B, spec.a + spec.b
+        rows = [[f for f in range(p + spec.q) if f != i] for i in range(p)]
+        start = [max(1, math.ceil(max(shifts[f] * A / scales[f] for f in row) - a))
+                 for row, A, a in zip(rows, spec.A, spec.a)]
+        self.usable = max(start) < _RESIDUE_TERMS
+        if not self.usable:
+            return
+        self.start, self.log_rho = start, log_rho
+        self.A, self.a = np.array(spec.A)[:, None], np.array(spec.a)[:, None]
+        self.log_A = np.log(self.A)
+        # Rows i, other factors l, poles k.  Per factor, with c = scale/A_i: scale,
+        # shift, numerator or not, the ratio bound's parts and the envelope's.
+        consts = []
+        for row, A, a in zip(rows, spec.A, spec.a):
+            consts.append([])
+            for f in row:
+                scale, shift, num = scales[f], shifts[f], f < p
+                c = scale / A
+                if num:
+                    alpha = a + (1.5 - shift) / c
+                    parts = (c, alpha, c * max(-alpha, 0.0), 0.0, _LOG_PI - math.log(2.0 * _POLE_GAP * scale))
+                else:
+                    parts = (0.0, 1.0, 0.0, c * max(a + 1.0 + (1.0 - shift + _EXP_MINUS_EULER) / c, 0.0), -_LOG_PI)
+                consts[-1].append((scale, shift, num, 1.0 if num else -1.0, 3.0 * shift + 1.0) + parts)
+        consts = np.array(consts)[..., None]
+        (self.scales, self.shifts, self.numerator, self.weights, self.dz0, self.numerator_c, self.alpha,
+         self.tail_c, beta, envelope) = (consts[:, :, m] for m in range(10))
+        self.numerator = self.numerator == 1.0
+        self.beta_sum, self.envelope_const = beta.sum(axis=1), envelope.sum(axis=1)
+        # The separation in s from the poles of the other numerator factors: d / A_l.
+        self.gap_weights = np.where(self.numerator, 1.0 / self.scales, 0.0)
+        self.gap_offsets = np.where(self.numerator, 0.0, np.inf)
+        self.start_column = np.array(start)[:, None]
+        self.table = None
+
+    def _extend(self, n: int):
+        """Grow the table to the poles k < n of every row."""
+        k0 = 0 if self.table is None else self.table[0].shape[1]
+        k = np.arange(k0, n, dtype=float)
+        s = (self.a + k) / -self.A
+        z = self.shifts + self.scales * s[:, None, :]
+        left = z <= 0.0
+        abs_z = np.abs(z)
+        dist = np.where(left, np.abs(z - np.rint(z)), z)
+        arg = np.where(left, 1.0 + abs_z, z)
+        lg = np.fromiter(map(math.lgamma, arg.ravel().tolist()), float, z.size).reshape(z.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # log|Gamma(z)| = reflection - lgamma at z <= 0, with sin at the exact distance.
+            reflection = np.where(left, _LOG_PI - np.log(np.sin(np.pi * dist)), 0.0)
+            log_gamma = np.where(left, reflection - lg, lg)
+            base = s * self.log_rho
+            abs_slr = np.abs(base)
+            base += self.log_A + _LOG_FACTORIAL[k0:n]
+            log_term = (self.weights * log_gamma).sum(axis=1) - base
+            # sign Gamma(z) = sign sin(pi z) at z <= 0, and k! brings (-1)^k.  A
+            # denominator factor at a nonpositive integer makes the term exactly 0.
+            sign = np.sign(np.where(left, np.sin(np.pi * z), 1.0)).prod(axis=1) * _PARITY[k0:n]
+            zero = ((dist == 0.0) & ~self.numerator).any(axis=1)
+            per_factor = (z.shape[1] + 8.0) * (np.abs(lg) + reflection) + (5.0 * abs_z + self.dz0) * (
+                np.log(2.0 + abs_z) + 1.0 + 1.0 / dist)
+            rounding = _EPS * (per_factor.sum(axis=1) + (z.shape[1] + 8.0) * (2.0 * (z.shape[1] + abs_slr)
+                                                                             + np.abs(base)))
+            sign[zero], rounding[zero], log_term[zero] = 0.0, 0.0, -np.inf
+            envelope = self.envelope_const - (self.weights * lg).sum(axis=1) - base + rounding
+            envelope[~left.all(axis=1)] = np.inf
+            # The least omega at which the ratio bound is at most 1/2.
+            omega_min = self.A * ((self.tail_c / (k + self.alpha) + self.numerator_c / arg).sum(axis=1)
+                              + self.beta_sum / k + _LOG_2)
+            # The exponent's sum: 3 eps |log|c_k| + s_k omega| <= 3 eps (|log|c_k|| + |s_k| omega).
+            rounding[~zero] += 3.0 * _EPS * np.abs(log_term[~zero])
+            gap = (dist * self.gap_weights + self.gap_offsets).min(axis=1)
+        prefix = np.where(k <= self.start_column, log_term, -np.inf)
+        new = [s, log_term, sign, rounding, envelope, omega_min, gap >= _POLE_GAP, np.abs(s), prefix, gap > 0.0]
+        if self.table is not None:
+            new = [np.concatenate([old, part], axis=1) for old, part in zip(self.table, new)]
+        # False from the first double pole on: a row's simple poles end there.
+        new[9] = np.logical_and.accumulate(new[9], axis=1)
+        self.table = new
+
+    def __call__(self, omega: np.ndarray, lead: list, d_omega: list, tol: float) -> list[tuple[float, float, bool]]:
+        """(remainder, error, served) at every omega > _SHIFT_OMEGA, from each point's P and
+        rounding of omega; elementwise, so a point's result does not depend on its batch."""
+        out = [(0.0, math.inf, False)] * len(omega)
+        if not self.usable:
+            return out
+        om = omega.tolist()
+        reach = [max(k + A * _TRUNCATION_LOG / w for k, A in zip(self.start, self.A[:, 0].tolist())) for w in om]
+        idx = [j for j, n in enumerate(reach) if n <= _RESIDUE_TERMS]
+        if not idx:
+            return out
+        size = min(int(max(reach[j] for j in idx)) + _RESIDUE_BLOCK, _RESIDUE_TERMS + 1)
+        w = omega[idx, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                if self.table is None or self.table[0].shape[1] < size:
+                    self._extend(size)
+                s, log_term, sign, rounding, envelope, omega_min, separated, abs_s, prefix, simple = self.table
+                s_w = s * w
+                target = (prefix + s_w).max(axis=(1, 2)) - _TRUNCATION_LOG
+                bound = envelope + s_w
+                ok = (bound <= target[:, None, None]) & (omega_min <= w)
+                found = ok.any(axis=2).all(axis=1)
+                if found.all() or size > _RESIDUE_TERMS:
+                    break
+                size = min(2 * size, _RESIDUE_TERMS + 1)
+            count = ok.argmax(axis=2)
+            pick = (np.arange(len(idx))[:, None], np.arange(len(self.start)), count)
+            served = (found & (separated[pick[1:]] & simple[pick[1:]]).all(axis=1)).tolist()
+            tail = np.exp(bound[pick]).sum(axis=1).tolist()
+            t = sign * np.exp(log_term + s_w)
+            # Rounding of the exponent: the table's, and s_k times that of omega and
+            # of s_k omega and of the sum.
+            spread = np.array([d_omega[j] + 6.0 * _EPS * om[j] for j in idx])[:, None, None]
+            err = np.abs(t) * (np.expm1(rounding + abs_s * spread) + _EPS)
+        for j, ok_j, ks, t_j, e_j, tail_j in zip(idx, served, count.tolist(), t.tolist(), err.tolist(), tail):
+            if not ok_j:
+                continue
+            v = math.fsum(v for row, k in zip(t_j, ks) for v in row[:k])
+            e = math.fsum(v for row, k in zip(e_j, ks) for v in row[:k])
+            p = lead[j]
+            r = v - p
+            e += 2.0 * tail_j + _EPS * (1.5 * abs(v) + abs(r)) + _TINY
+            out[j] = (r, e, math.isfinite(v) and math.isfinite(e) and e <= tol * (abs(p) + abs(r)))
+        return out
+
+
+def _remainder_density(ev: DensityEvaluator, x: np.ndarray, lead_errors: bool = True) -> tuple:
     """_density_at at every finite x > 0 (no exclusion zone): the x entry of the engine,
     which bench/tracer.py wraps by name to count density points."""
     for v in x.tolist():
         if not 0.0 < v < math.inf:
             raise DomainError(f"density: x={v} must be a positive real")
     # x >= rho lies past the support, also where rounding leaves log(rho/x) > 0.
-    return _density_at(ev, ev.c, np.where(x < ev.inv.rho, ev.inv.log_rho - np.log(x), 0.0))
+    return _density_at(ev, ev.c, np.where(x < ev.inv.rho, ev.inv.log_rho - np.log(x), 0.0), lead_errors)
 
 
-def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple[list, list, list, list]:
+def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray,
+                lead_errors: bool = False) -> tuple[list, list, list, list]:
     """(leading part P, its error, remainder, its error) of the density at x = rho e^-omega,
     as four lists of per-point floats; all four are 0.0 past the support, omega <= 0.
 
     Each point computes P = A* omega^(mu-1) / Gamma(mu) and the rounding of
     omega (of log rho, from the terms summed into it, of log x and of the
-    difference) once.  The error of P adds the rounding of A*/Gamma(mu), of
+    difference) once.  The error of P, computed only with lead_errors (a
+    record needs it, a value does not), adds the rounding of A*/Gamma(mu), of
     the power, of mu (amplified by |log omega - psi(mu)|) and of omega
-    (amplified by |mu - 1| / omega).  A point that the endpoint series serves
-    builds no line; every other point takes the contour (_remainder_on_line).
+    (amplified by |mu - 1| / omega).  The path of a point is chosen from the
+    spec and omega before any contour runs: within the endpoint series'
+    switch the series, beyond _SHIFT_OMEGA the residue series, and a point
+    neither serves takes the contour (_remainder_on_line).  Series and
+    residue points build no line.
     """
     om = omega.tolist()
     lead, lead_err, rem, rem_err, d_omega = ([0.0] * len(om) for _ in range(5))
     # Per-point loop: the evaluator's scalars as locals.
     scale, mu1, log_rho, log_rho_err = ev.lead_scale, ev.inv.mu - 1.0, ev.inv.log_rho, ev.log_rho_err
     rel, mu_err, psi_mu, half_radius = 1e-14 + ev.lead_err, ev.mu_err, ev.psi_mu, ev.half_radius
-    near, contour = [], []
+    near, far, contour = [], [], []
     for k, w in enumerate(om):
         if w <= 0.0:
             continue
@@ -574,12 +795,23 @@ def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray) -> tuple[list
             raise UnsupportedParameterError(f"leading part overflows at omega={w} (mu={ev.inv.mu})") from None
         d = log_rho_err + _EPS * (abs(log_rho - w) + w)
         lead[k], d_omega[k] = p, d
-        lead_err[k] = p * (rel + mu_err * abs(math.log(w) - psi_mu) + abs(mu1) * d / w)
+        if lead_errors:
+            lead_err[k] = p * (rel + mu_err * abs(math.log(w) - psi_mu) + abs(mu1) * d / w)
         # Beyond half the radius of the series no point needs its switch.
-        (near if w < half_radius and w < ev.series.switch else contour).append(k)
+        if w < half_radius and w < ev.series.switch:
+            near.append(k)
+        else:
+            (far if w > _SHIFT_OMEGA else contour).append(k)
     if near:
         served = ev.series(omega[near], [lead[k] for k in near], [d_omega[k] for k in near])
         for k, (value, err, ok) in zip(near, served):
+            if ok:
+                rem[k], rem_err[k] = value, err
+            else:
+                (far if om[k] > _SHIFT_OMEGA else contour).append(k)
+    if far:
+        served = ev.residue(omega[far], [lead[k] for k in far], [d_omega[k] for k in far], ev.cfg.quad_rel_tol)
+        for k, (value, err, ok) in zip(far, served):
             if ok:
                 rem[k], rem_err[k] = value, err
             else:
@@ -641,14 +873,16 @@ def _remainder_on_line(ev: DensityEvaluator, c: float, omega: np.ndarray, lead: 
 
 
 class DensityEvaluator:
-    """The density of one spec: its endpoint series, its tail series and one _Line per abscissa.
+    """The density of one spec: its endpoint and residue series, its tail series and one
+    _Line per abscissa.
 
-    Derives and validates the spec, sets the abscissa c = max(gamma_pole, 0)
-    + 1 (right of every integrand pole and clear of the branch cut of s^-mu)
-    and computes the Stirling coefficients of g and the endpoint-series
-    switch once, and the head length T when a point first takes the
-    contour; requires mu > 0 and equal scale sums, and warns once when mu is
-    small enough to slow the contour decay.  Every point evaluated through one
+    Derives and validates the spec and sets the abscissa c = max(gamma_pole,
+    0) + 1 (right of every integrand pole and clear of the branch cut of
+    s^-mu); the Stirling coefficients of g and the endpoint-series switch are
+    computed at the first point that needs them, the residue table at the
+    first point beyond _SHIFT_OMEGA, and the head length T when a point first
+    takes the contour.  Requires mu > 0, equal scale sums and a finite rho and
+    A*, and warns once when mu is small enough to slow the contour decay.  Every point evaluated through one
     evaluator reuses the lines of the points before it, so a whole curve or
     an outer quadrature over x should go through a single evaluator, and
     through as few calls as possible: ``values`` takes an array.
@@ -671,13 +905,15 @@ class DensityEvaluator:
                 RuntimeWarning,
                 stacklevel=3,
             )
+        if math.isinf(inv.rho) or math.isinf(inv.stirling_const):
+            raise UnsupportedParameterError(
+                f"density evaluation needs a finite rho and A*, got log rho={inv.log_rho}, "
+                f"log A*={inv.log_stirling_const}"
+            )
         self.cfg = cfg
         self.spec = spec
         self.inv = inv
         self.c = max(inv.gamma_pole, 0.0) + 1.0
-        self._md, self._magnitudes = (rows[1:] for rows in _stirling_table(spec, _TAIL_TERMS + 1))
-        self._stirling = _stirling_coefficients(self._md)
-        self.coef = inv.stirling_const * self._stirling
         try:
             gamma_mu = math.gamma(inv.mu)
         except OverflowError:
@@ -701,6 +937,22 @@ class DensityEvaluator:
         self._lines: dict[float, _Line] = {}
 
     @functools.cached_property
+    def _md(self) -> np.ndarray:
+        """m d_m, m = 1..K+1, of ratio._stirling_table: built at the first point that takes
+        the endpoint series or the contour."""
+        return _stirling_table(self.spec, _TAIL_TERMS + 1, magnitudes=False)[0][1:]
+
+    @functools.cached_property
+    def _stirling(self) -> np.ndarray:
+        """e_1..e_(K+1) of the Stirling series of g over A*."""
+        return _stirling_coefficients(self._md)
+
+    @functools.cached_property
+    def coef(self) -> np.ndarray:
+        """A* e_k, k = 1..K+1: the tail's Stirling terms."""
+        return self.inv.stirling_const * self._stirling
+
+    @functools.cached_property
     def T(self) -> float:
         """Head length of every line; a spec whose points all take the endpoint series needs none."""
         return _tail_start(self.coef)
@@ -710,9 +962,14 @@ class DensityEvaluator:
         """The endpoint series, set up at the first point within half its radius."""
         return _EndpointSeries(self)
 
+    @functools.cached_property
+    def residue(self) -> _ResidueSeries:
+        """The left-pole residue series, set up at the first point beyond _SHIFT_OMEGA."""
+        return _ResidueSeries(self.spec, self.inv.log_rho)
+
     def values(self, xs) -> np.ndarray:
         """Density at every x > 0 of xs (no support-endpoint exclusion), in one batch."""
-        lead, _, rem, _ = _remainder_density(self, np.asarray(xs, dtype=float).ravel())
+        lead, _, rem, _ = _remainder_density(self, np.asarray(xs, dtype=float).ravel(), lead_errors=False)
         return np.array(lead) + np.array(rem)
 
     def value(self, x: float) -> float:
@@ -766,10 +1023,15 @@ class DensityEvaluator:
         Over (0, tau_c) the edge rule (edge_integral) takes the tau^(mu-1)
         endpoint singularity in one batch; the density beyond is integrated
         by the adaptive rule at omega = tau, so no x underflows.  For c > s
-        the noise e^((c-s) tau) of the remainder is bounded by its estimate
-        at tau_max over the whole range, and a bound above 1e-6 of the result
-        raises QuadratureAccuracyError, as does a weight e^(-s tau) that
-        overflows before tau_max.
+        the noise of the remainder times e^(-s tau) is bounded over the whole
+        range by its largest value at the probes: _SHIFT_OMEGA, where the
+        unshifted contour's noise e^((c-s) tau) peaks, the top of each shifted
+        level and tau_max; beyond _SHIFT_OMEGA the residue series serves most
+        points, with an estimate that falls with the density.  The part past
+        tau_max is taken as |H(tau_max)| e^(-s tau_max) / (s - gamma_pole), the
+        integral of the slowest residue term.  A bound above 1e-6 of the
+        result raises QuadratureAccuracyError, as does a weight e^(-s tau)
+        that overflows before tau_max.
         """
         inv, cfg = self.inv, self.cfg
         if not math.isfinite(s):
@@ -796,9 +1058,12 @@ class DensityEvaluator:
         # One batch at the top of each contour level the bulk crosses
         # (_density_at) and at tau_max sizes every line once for the
         # quadrature's later rounds, whose nodes creep toward those tops.
-        tops = [_SHIFT_OMEGA / lv for lv in _SHIFT_LEVELS[:-1] if tau_c < _SHIFT_OMEGA / lv < tau_max]
-        est_max = _density_at(self, c, np.array(tops + [tau_max]))[3][-1]
-        noise = (tau_max - tau_c) * est_max * math.exp(-s * tau_max) if c > s else 0.0
+        probes = [_SHIFT_OMEGA / lv for lv in _SHIFT_LEVELS[:-1] if tau_c < _SHIFT_OMEGA / lv < tau_max] + [tau_max]
+        lead, _, rem, est = _density_at(self, c, np.array(probes))
+        noise = 0.0
+        if c > s:
+            noise = (tau_max - tau_c) * max(e * math.exp(-s * w) for w, e in zip(probes, est))
+        noise += abs(lead[-1] + rem[-1]) * math.exp(-s * tau_max) / (s - inv.gamma_pole)
         # Resolving the bulk below its noise would only chase the noise.
         bulk = quad(
             lambda tau: self._at_omega(c, tau) * np.exp(-s * tau),
@@ -816,8 +1081,8 @@ class DensityEvaluator:
 
 def density(spec: RatioSpec, xs, cfg: ContourConfig | None = None) -> list[HEvaluation]:
     """Representing density at every x of xs: the closed-form leading part plus the
-    remainder, from the endpoint series near rho and the subtracted contour integral
-    elsewhere.
+    remainder, from the endpoint series near rho, the left-pole residue series far below
+    it and the subtracted contour integral elsewhere.
 
     Requires mu > 0 and equal scale sums.  Every x must be a positive real,
     and points within a relative distance of 1e-6 from the support endpoint

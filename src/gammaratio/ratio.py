@@ -130,6 +130,8 @@ class DerivedInvariants:
     algebraic decay exponent of the gamma ratio along vertical lines,
     gamma_pole the abscissa of the rightmost integrand pole, and
     stirling_const the constant of the leading vertical-line asymptotics.
+    rho and stirling_const are inf where their logs exceed the double range;
+    every decision reads the logs.
     """
 
     sum_A: float
@@ -148,8 +150,16 @@ class DerivedInvariants:
         return _sums_equal(self.sum_A, self.sum_B)
 
     def rho_at_most_one(self) -> bool:
-        """rho <= 1 up to REL_TOL."""
-        return self.rho <= 1.0 + REL_TOL
+        """rho <= 1 up to REL_TOL, decided on log rho."""
+        return self.log_rho <= math.log1p(REL_TOL)
+
+
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where it exceeds the largest double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def derive(spec: RatioSpec) -> DerivedInvariants:
@@ -169,12 +179,12 @@ def derive(spec: RatioSpec) -> DerivedInvariants:
     return DerivedInvariants(
         sum_A=sum_A,
         sum_B=sum_B,
-        rho=math.exp(log_rho),
+        rho=_exp_or_inf(log_rho),
         mu=mu,
         gamma_pole=gamma_pole,
         entropy_A=entropy_A,
         entropy_B=entropy_B,
-        stirling_const=math.exp(log_stirling),
+        stirling_const=_exp_or_inf(log_stirling),
         log_rho=log_rho,
         log_stirling_const=log_stirling,
     )
@@ -332,9 +342,10 @@ _BERNOULLI_POLY = np.array(
 )
 
 
-def _stirling_table(spec: RatioSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _stirling_table(spec: RatioSpec, n: int, md: bool = True,
+                    magnitudes: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """m d_m for m = 0..n (n <= 21), and the same sums over the magnitudes of their
-    monomials about 1/2.
+    monomials about 1/2; either is None where not asked for.
 
     By the Stirling series (DLMF 5.11.8), log W(s) - s log rho - log A* +
     mu log s = sum_m d_m s^-m with m d_m = sum_i B_(m+1)(1 - a_i) / ((m+1)
@@ -345,10 +356,13 @@ def _stirling_table(spec: RatioSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     powers = (np.array(spec.a + spec.b) - 0.5) ** np.arange(n + 2)[:, None]
     inverse_powers = np.array(spec.A + spec.B) ** -m[:, None]
     poly = _BERNOULLI_POLY[: n + 2, : n + 2]
-    signs = np.array([1.0] * spec.p + [-1.0] * spec.q)
-    md = (((poly @ powers)[1:] * inverse_powers) @ signs) / (m + 1)
-    magnitudes = ((np.abs(poly) @ np.abs(powers))[1:] * inverse_powers).sum(axis=1) / (m + 1)
-    return md, magnitudes
+    md_rows = size_rows = None
+    if md:
+        signs = np.array([1.0] * spec.p + [-1.0] * spec.q)
+        md_rows = (((poly @ powers)[1:] * inverse_powers) @ signs) / (m + 1)
+    if magnitudes:
+        size_rows = ((np.abs(poly) @ np.abs(powers))[1:] * inverse_powers).sum(axis=1) / (m + 1)
+    return md_rows, size_rows
 
 
 def cm_kernel_series(spec: RatioSpec, n_terms: int = 12) -> list[tuple[float, float]]:

@@ -135,8 +135,9 @@ class TestEvalH:
         assert "mu" in report["error"]
 
     def test_overflowing_spec_does_not_stop_batch(self, tmp_path):
-        # rho = 1000^1000 overflows a float while the spec is derived.
-        big = {"name": "big", "A": [1000], "a": [0], "B": [1], "b": [0]}
+        # rho = 1000^1000 overflows a float: derive gives rho = inf, and the density
+        # refuses the spec with a package error.
+        big = {"name": "big", "A": [1000], "a": [0], "B": [1] * 1000, "b": [1] * 1000}
         cfg = write_config(
             tmp_path,
             {"specs": [big, INVERSE], "commands": ["eval-h"], "grids": {"x": [0.2, 0.5]}},
@@ -145,7 +146,7 @@ class TestEvalH:
         assert main(["--config", cfg, "--output", str(out)]) == EXIT_CHECK_FAILED
         report = load_report(out, "big", "eval-h")
         assert report["status"] == "error"
-        assert "OverflowError" in report["error"]
+        assert report["error"].startswith("UnsupportedParameterError: density evaluation needs a finite rho")
         assert load_report(out, "inverse", "eval-h")["status"] == "ok"
 
 

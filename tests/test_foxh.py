@@ -278,6 +278,19 @@ def default_grid(spec):
     return [rho * k / 50.0 for k in range(1, 50)]
 
 
+def contour_points(ev, omegas):
+    """The contour remainders and estimates at every omega, each on its _contour_level line:
+    beyond _SHIFT_OMEGA the residue series serves most points, so shifted lines are built here."""
+    omegas = np.asarray(omegas, dtype=float)
+    lead = (ev.lead_scale * omegas ** (ev.inv.mu - 1.0)).tolist()
+    levels = [foxh_mod._contour_level(ev.c, w) for w in omegas.tolist()]
+    out = []
+    for level in sorted(set(levels), key=levels.index):
+        idx = [k for k, lv in enumerate(levels) if lv == level]
+        out += zip(*foxh_mod._remainder_on_line(ev, level, omegas[idx], [lead[k] for k in idx]))
+    return out
+
+
 class TestSumTie:
     """One relative tolerance, REL_TOL, decides sum(A) = sum(B) everywhere."""
 
@@ -304,14 +317,11 @@ class TestDensityCurve:
         # omega in (6, 20] lies on the c = 0.3 line: 20 after 12 halves its
         # head panels once, and 7 then 20 grow its tail lattice at both ends.
         # The held arrays equal ones computed afresh, and every value agrees
-        # with a fresh evaluator within its error estimate.  Every omega lies
-        # above the endpoint-series switch (2.02), so all points take the
-        # contour.
+        # with a fresh evaluator within its error estimate.  The points are
+        # taken on their contour lines one at a time.
         ev = DensityEvaluator(spec_mixed_scale)
         omegas = (3.0, 12.0, 2.5, 7.0, 5.0, 20.0, 4.0, 9.0)
-        assert min(omegas) > ev.series.switch
-        xs = [ev.inv.rho * math.exp(-omega) for omega in omegas]
-        shared = [ev.evaluate(x) for x in xs]
+        shared = [contour_points(ev, [omega])[0] for omega in omegas]
         assert list(ev._lines) == [1.0, 0.3]
         line = ev._lines[0.3]
         assert line.panel == pytest.approx(math.pi / 12.0, rel=1e-12)
@@ -321,9 +331,9 @@ class TestDensityCurve:
         assert np.array_equal(u, u_fresh)
         fresh = line.tail_coef @ powers
         assert np.all(np.abs(rows - fresh) <= 1e-14 * np.abs(fresh))
-        for x, got in zip(xs, shared):
-            alone = fox_h(spec_mixed_scale, x)
-            assert abs(got.value - alone.value) <= got.error_estimate + alone.error_estimate
+        for omega, (got, got_err) in zip(omegas, shared):
+            alone, alone_err = contour_points(DensityEvaluator(spec_mixed_scale), [omega])[0]
+            assert abs(got - alone) <= got_err + alone_err
 
     def test_same_errors_as_fox_h(self, spec_equal_scales):
         rho = derive(spec_equal_scales).rho
@@ -395,7 +405,7 @@ class TestDensityCurve:
             spec = fresh_spec(rng)
             omega = rng.uniform(2.0 * math.pi, 16.0)
             sizes.clear()
-            fox_h(spec, math.exp(derive(spec).log_rho - omega))
+            contour_points(DensityEvaluator(spec), [omega])
             assert len(sizes) == 1, (spec, omega, sizes)
 
     def test_batch_sizes_line_once(self, spec_mixed_scale, monkeypatch):
@@ -410,8 +420,8 @@ class TestDensityCurve:
 
         monkeypatch.setattr(foxh_mod, "_g", counted)
         ev = DensityEvaluator(spec_mixed_scale)
-        ev.values(ev.inv.rho * np.exp(-np.array([7.0, 12.0, 9.0])))
-        ev.values(ev.inv.rho * np.exp(-np.array([10.0, 8.0])))
+        contour_points(ev, [7.0, 12.0, 9.0])
+        contour_points(ev, [10.0, 8.0])
         assert len(sizes) == 1
         assert list(ev._lines) == [0.3]
         assert ev._lines[0.3].panel == pytest.approx(2.0 * math.pi / 12.0, rel=1e-12)
@@ -552,17 +562,19 @@ class TestStirlingSeries:
 
 
 class TestContourColumns:
-    def grid_and_shifted(self, spec):
-        # The last two points move the contour to the abscissas 0.3 and 0.1.
-        rho = derive(spec).rho
-        return default_grid(spec) + [rho * math.exp(-8.0), rho * math.exp(-25.0)]
+    def grid_and_shifted(self, ev):
+        # The grid's contour points build the c = 1 line; omega = 8 and 25
+        # build the lines at the abscissas 0.3 and 0.1 directly.
+        for x in default_grid(ev.spec):
+            ev.evaluate(x)
+        contour_points(ev, [8.0])
+        contour_points(ev, [25.0])
 
     def test_columns_hold_scalar_g(self, spec_mixed_scale):
         # Each line evaluates g on all its head nodes in one vectorized
         # pass; every value is the one-point subtracted_gamma_ratio there.
         ev = DensityEvaluator(spec_mixed_scale)
-        for x in self.grid_and_shifted(spec_mixed_scale):
-            ev.evaluate(x)
+        self.grid_and_shifted(ev)
         assert sorted(ev._lines) == [0.1, 0.3, 1.0]
         for c, line in ev._lines.items():
             scalar = np.array([subtracted_gamma_ratio(spec_mixed_scale, complex(c, t)) for t in line.t])
@@ -573,8 +585,7 @@ class TestContourColumns:
         try:
             ev = DensityEvaluator(spec_mixed_scale)
             ev.evaluate(0.5 * ev.inv.rho)
-            for x in self.grid_and_shifted(spec_mixed_scale):
-                ev.evaluate(x)
+            self.grid_and_shifted(ev)
             assert ev._lines
             ref = weakref.ref(ev)
             del ev

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,12 +12,15 @@ from scipy.special import gamma as spgamma
 from gammaratio import (
     DomainError,
     RatioSpec,
+    UnsupportedParameterError,
     beta_product_moments,
+    classify,
     cm_kernel,
     cm_kernel_series,
     cm_kernel_t,
     derive,
     digamma,
+    fox_h,
     gamma_ratio,
     kernel_positive_part,
     log_gamma,
@@ -28,6 +32,8 @@ from gammaratio.foxh import gamma_product_ratio_at
 from gammaratio.monotonicity import build_unweighted
 from gammaratio.ratio import _stirling_table
 from test_series_path import box_spec
+
+VERDICTS = {"LCM", "NOT_LCM", "BERNSTEIN_DERIVATIVE", "INCONCLUSIVE"}
 
 
 class TestRatioSpecValidation:
@@ -90,6 +96,46 @@ class TestDerive:
         inv = derive(spec_paired)
         assert inv.stirling_const > 0.0
         assert inv.log_stirling_const == pytest.approx(math.log(inv.stirling_const), rel=1e-12)
+
+
+def supported_box_spec(rng):
+    """p, q <= 4, entries log-uniform in [1e-2, 1e3], half the specs with every shift 0."""
+    p, q = rng.randint(1, 4), rng.randint(1, 4)
+    zero = rng.random() < 0.5
+    A, B = ([10.0 ** rng.uniform(-2.0, 3.0) for _ in range(n)] for n in (p, q))
+    a, b = ([0.0 if zero else 10.0 ** rng.uniform(-2.0, 3.0) for _ in range(n)] for n in (p, q))
+    return RatioSpec(A=A, a=a, B=B, b=b)
+
+
+class TestDeriveOverBox:
+    def test_derive_and_classify_total(self):
+        # rho and A* overflow on about a third of the box: derive keeps their
+        # logs and gives inf, and every decision reads the logs.  With warnings
+        # as errors, derive and classify return a verdict or raise a package
+        # error on every spec.
+        rng = random.Random(11)
+        overflowed = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                spec = supported_box_spec(rng)
+                try:
+                    inv = derive(spec)
+                    verdict = classify(spec)
+                except DomainError:
+                    continue
+                overflowed += math.isinf(inv.rho) or math.isinf(inv.stirling_const)
+                assert verdict.classification in VERDICTS
+                assert inv.rho_at_most_one() == (inv.log_rho <= math.log1p(1e-12))
+        assert overflowed >= 50
+
+    def test_infinite_rho_refused_by_density(self):
+        spec = RatioSpec(A=(1000.0,), a=(0.0,), B=(1.0,) * 1000, b=(1.0,) * 1000)
+        inv = derive(spec)
+        assert inv.rho == math.inf and inv.log_rho == pytest.approx(1000.0 * math.log(1000.0))
+        assert classify(spec).classification == "NOT_LCM"
+        with pytest.raises(UnsupportedParameterError):
+            fox_h(spec, 0.5)
 
 
 class TestGammaRatio:

@@ -222,11 +222,21 @@ def test_density_fuzz_box():
 
 def test_contour_rounding_norm_does_not_overflow():
     # The second box draw of seed 13 (p = 1, mu = 83.7, T at its 1e4 cap):
-    # the squares of its head-node rounding overflowed and warned.  The point
-    # is a package error, and nothing warns.
+    # the squares of its head-node rounding overflowed and warned.  Its
+    # shifted lines (c = 0.1 at omega = 30, 0.05 at 100), built directly, give
+    # a package error, and nothing warns.  The density is about 3e-2555 at
+    # omega = 30: fox_h takes the residue series and returns 0.0 within an
+    # estimate of at least the least normal double (the record's estimate
+    # carries the rounding of P = 8e112 and of the split).
     rng = random.Random(13)
     box_spec(rng)
     spec = box_spec(rng)
-    for omega in (30.0, 100.0):
+    ev = DensityEvaluator(spec)
+    for omega, level in ((30.0, 0.1), (100.0, 0.05)):
+        assert foxh_mod._contour_level(ev.c, omega) == level
         with pytest.raises(QuadratureAccuracyError):
-            fox_h(spec, math.exp(derive(spec).log_rho - omega))
+            foxh_mod._remainder_on_line(ev, level, np.array([omega]), [ev.lead_scale * omega ** (ev.inv.mu - 1.0)])
+        got = fox_h(spec, math.exp(derive(spec).log_rho - omega))
+        assert got.value == 0.0
+        assert got.value == got.leading_part + got.remainder_part
+        assert got.error_estimate >= np.finfo(float).tiny
