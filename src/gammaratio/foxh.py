@@ -623,88 +623,97 @@ class _ResidueSeries:
     point whose rough count start + A_i _TRUNCATION_LOG / omega does.
     """
 
-    __slots__ = ("A", "a", "log_A", "log_rho", "start", "usable", "scales", "shifts", "numerator", "weights",
-                 "numerator_c", "alpha", "tail_c", "beta_sum", "dz0", "envelope_const", "gap_weights", "gap_offsets",
-                 "start_column", "table")
+    __slots__ = ("A", "a", "log_A", "neg_A", "log_rho", "start", "start_column", "rows", "usable", "scales",
+                 "shifts", "numerator", "denominator", "weights", "numerator_c", "alpha", "tail_c", "dz0",
+                 "gap_weights", "gap_offsets", "beta_sum", "envelope_const", "table")
 
     def __init__(self, spec: RatioSpec, log_rho: float):
         p, scales, shifts = spec.p, spec.A + spec.B, spec.a + spec.b
-        rows = [[f for f in range(p + spec.q) if f != i] for i in range(p)]
+        others = [[f for f in range(p + spec.q) if f != i] for i in range(p)]
         start = [max(1, math.ceil(max(shifts[f] * A / scales[f] for f in row) - a))
-                 for row, A, a in zip(rows, spec.A, spec.a)]
+                 for row, A, a in zip(others, spec.A, spec.a)]
         self.usable = max(start) < _RESIDUE_TERMS
         if not self.usable:
             return
         self.start, self.log_rho = start, log_rho
-        self.A, self.a = np.array(spec.A)[:, None], np.array(spec.a)[:, None]
-        self.log_A = np.log(self.A)
-        # Rows i, other factors l, poles k.  Per factor, with c = scale/A_i: scale,
-        # shift, numerator or not, the ratio bound's parts and the envelope's.
-        consts = []
-        for row, A, a in zip(rows, spec.A, spec.a):
-            consts.append([])
+        # Per row: A_i, a_i, start, the ratio bound's sum over the denominator
+        # factors and the envelope's constant.  Per other factor, with c =
+        # scale/A_i: scale, shift, numerator or not, its sign in log|c_k|, the
+        # rounding weight of z, the ratio bound's parts, and the weight and offset
+        # that turn its distance d into the separation d / A_l of numerator poles.
+        rows, factors = [], []
+        for row, A, a, k in zip(others, spec.A, spec.a, start):
+            beta_sum, envelope = 0.0, 0.0
             for f in row:
-                scale, shift, num = scales[f], shifts[f], f < p
+                scale, shift = scales[f], shifts[f]
                 c = scale / A
-                if num:
+                if f < p:
                     alpha = a + (1.5 - shift) / c
-                    parts = (c, alpha, c * max(-alpha, 0.0), 0.0, _LOG_PI - math.log(2.0 * _POLE_GAP * scale))
+                    envelope += _LOG_PI - math.log(2.0 * _POLE_GAP * scale)
+                    factors += (scale, shift, 1.0, 1.0, 3.0 * shift + 1.0, c, alpha, c * max(-alpha, 0.0), 1.0 / scale,
+                                0.0)
                 else:
-                    parts = (0.0, 1.0, 0.0, c * max(a + 1.0 + (1.0 - shift + _EXP_MINUS_EULER) / c, 0.0), -_LOG_PI)
-                consts[-1].append((scale, shift, num, 1.0 if num else -1.0, 3.0 * shift + 1.0) + parts)
-        consts = np.array(consts)[..., None]
-        (self.scales, self.shifts, self.numerator, self.weights, self.dz0, self.numerator_c, self.alpha,
-         self.tail_c, beta, envelope) = (consts[:, :, m] for m in range(10))
-        self.numerator = self.numerator == 1.0
-        self.beta_sum, self.envelope_const = beta.sum(axis=1), envelope.sum(axis=1)
-        # The separation in s from the poles of the other numerator factors: d / A_l.
-        self.gap_weights = np.where(self.numerator, 1.0 / self.scales, 0.0)
-        self.gap_offsets = np.where(self.numerator, 0.0, np.inf)
-        self.start_column = np.array(start)[:, None]
+                    beta_sum += c * max(a + 1.0 + (1.0 - shift + _EXP_MINUS_EULER) / c, 0.0)
+                    envelope -= _LOG_PI
+                    factors += (scale, shift, 0.0, -1.0, 3.0 * shift + 1.0, 0.0, 1.0, 0.0, 0.0, math.inf)
+            rows += (A, a, math.log(A), -A, k, beta_sum, envelope)
+        rows = np.array(rows).reshape(p, 7)
+        factors = np.array(factors).reshape(p, len(others[0]), 10, 1)
+        self.A, self.a, self.log_A, self.neg_A, self.start_column, self.beta_sum, self.envelope_const = (
+            rows[:, j : j + 1] for j in range(7))
+        (self.scales, self.shifts, numerator, self.weights, self.dz0, self.numerator_c, self.alpha, self.tail_c,
+         self.gap_weights, self.gap_offsets) = (factors[:, :, j] for j in range(10))
+        self.numerator, self.denominator = numerator == 1.0, numerator == 0.0
         self.table = None
 
     def _extend(self, n: int):
         """Grow the table to the poles k < n of every row."""
         k0 = 0 if self.table is None else self.table[0].shape[1]
         k = np.arange(k0, n, dtype=float)
-        s = (self.a + k) / -self.A
-        z = self.shifts + self.scales * s[:, None, :]
+        s = (self.a + k) / self.neg_A
+        z = self.scales * s[:, None, :]
+        z += self.shifts
         left = z <= 0.0
         abs_z = np.abs(z)
         dist = np.where(left, np.abs(z - np.rint(z)), z)
-        arg = np.where(left, 1.0 + abs_z, z)
+        arg = np.where(left, 1.0 - z, z)
         lg = np.fromiter(map(math.lgamma, arg.ravel().tolist()), float, z.size).reshape(z.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             # log|Gamma(z)| = reflection - lgamma at z <= 0, with sin at the exact distance.
             reflection = np.where(left, _LOG_PI - np.log(np.sin(np.pi * dist)), 0.0)
             log_gamma = np.where(left, reflection - lg, lg)
-            base = s * self.log_rho
-            abs_slr = np.abs(base)
-            base += self.log_A + _LOG_FACTORIAL[k0:n]
-            log_term = (self.weights * log_gamma).sum(axis=1) - base
+            slr = s * self.log_rho
+            base = self.log_A + _LOG_FACTORIAL[k0:n]
+            base += slr
+            log_term = (self.weights * log_gamma).sum(axis=1)
+            log_term -= base
             # sign Gamma(z) = sign sin(pi z) at z <= 0, and k! brings (-1)^k.  A
             # denominator factor at a nonpositive integer makes the term exactly 0.
             sign = np.sign(np.where(left, np.sin(np.pi * z), 1.0)).prod(axis=1) * _PARITY[k0:n]
-            zero = ((dist == 0.0) & ~self.numerator).any(axis=1)
-            per_factor = (z.shape[1] + 8.0) * (np.abs(lg) + reflection) + (5.0 * abs_z + self.dz0) * (
-                np.log(2.0 + abs_z) + 1.0 + 1.0 / dist)
-            rounding = _EPS * (per_factor.sum(axis=1) + (z.shape[1] + 8.0) * (2.0 * (z.shape[1] + abs_slr)
-                                                                             + np.abs(base)))
+            zero = ((dist == 0.0) & self.denominator).any(axis=1)
+            per_factor = (5.0 * abs_z + self.dz0) * (np.log(2.0 + abs_z) + 1.0 + 1.0 / dist)
+            per_factor += (z.shape[1] + 8.0) * (np.abs(lg) + reflection)
+            rounding = (z.shape[1] + 8.0) * (2.0 * (z.shape[1] + np.abs(slr)) + np.abs(base))
+            rounding += per_factor.sum(axis=1)
+            rounding *= _EPS
             sign[zero], rounding[zero], log_term[zero] = 0.0, 0.0, -np.inf
             envelope = self.envelope_const - (self.weights * lg).sum(axis=1) - base + rounding
             envelope[~left.all(axis=1)] = np.inf
-            # The least omega at which the ratio bound is at most 1/2.
-            omega_min = self.A * ((self.tail_c / (k + self.alpha) + self.numerator_c / arg).sum(axis=1)
-                              + self.beta_sum / k + _LOG_2)
             # The exponent's sum: 3 eps |log|c_k| + s_k omega| <= 3 eps (|log|c_k|| + |s_k| omega).
-            rounding[~zero] += 3.0 * _EPS * np.abs(log_term[~zero])
+            rounding += np.where(zero, 0.0, 3.0 * _EPS * np.abs(log_term))
+            # The least omega at which the ratio bound is at most 1/2.
+            ratio = self.tail_c / (k + self.alpha)
+            ratio += self.numerator_c / arg
+            omega_min = (ratio.sum(axis=1) + self.beta_sum / k + _LOG_2) * self.A
             gap = (dist * self.gap_weights + self.gap_offsets).min(axis=1)
         prefix = np.where(k <= self.start_column, log_term, -np.inf)
         new = [s, log_term, sign, rounding, envelope, omega_min, gap >= _POLE_GAP, np.abs(s), prefix, gap > 0.0]
         if self.table is not None:
             new = [np.concatenate([old, part], axis=1) for old, part in zip(self.table, new)]
-        # False from the first double pole on: a row's simple poles end there.
+        # The poles from the first double pole on are not simple; a served point's
+        # poles up to its count are simple, and the first omitted one keeps the gap.
         new[9] = np.logical_and.accumulate(new[9], axis=1)
+        new[6] = new[6] & new[9]
         self.table = new
 
     def __call__(self, omega: np.ndarray, lead: list, d_omega: list, tol: float) -> list[tuple[float, float, bool]]:
@@ -714,19 +723,21 @@ class _ResidueSeries:
         if not self.usable:
             return out
         om = omega.tolist()
-        reach = [max(k + A * _TRUNCATION_LOG / w for k, A in zip(self.start, self.A[:, 0].tolist())) for w in om]
+        scales = [A * _TRUNCATION_LOG for A in self.A[:, 0].tolist()]
+        reach = [max(k + A / w for k, A in zip(self.start, scales)) for w in om]
         idx = [j for j, n in enumerate(reach) if n <= _RESIDUE_TERMS]
         if not idx:
             return out
         size = min(int(max(reach[j] for j in idx)) + _RESIDUE_BLOCK, _RESIDUE_TERMS + 1)
-        w = omega[idx, None, None]
+        w = np.array([om[j] for j in idx])[:, None, None]
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 if self.table is None or self.table[0].shape[1] < size:
                     self._extend(size)
-                s, log_term, sign, rounding, envelope, omega_min, separated, abs_s, prefix, simple = self.table
+                s, log_term, sign, rounding, envelope, omega_min, pole_ok, abs_s, prefix, _ = self.table
                 s_w = s * w
-                target = (prefix + s_w).max(axis=(1, 2)) - _TRUNCATION_LOG
+                target = (prefix + s_w).max(axis=(1, 2))
+                target -= _TRUNCATION_LOG
                 bound = envelope + s_w
                 ok = (bound <= target[:, None, None]) & (omega_min <= w)
                 found = ok.any(axis=2).all(axis=1)
@@ -734,14 +745,16 @@ class _ResidueSeries:
                     break
                 size = min(2 * size, _RESIDUE_TERMS + 1)
             count = ok.argmax(axis=2)
-            pick = (np.arange(len(idx))[:, None], np.arange(len(self.start)), count)
-            served = (found & (separated[pick[1:]] & simple[pick[1:]]).all(axis=1)).tolist()
-            tail = np.exp(bound[pick]).sum(axis=1).tolist()
+            rows = np.arange(len(self.start))
+            served = (found & pole_ok[rows, count].all(axis=1)).tolist()
+            tail = np.exp(bound[np.arange(len(idx))[:, None], rows, count]).sum(axis=1).tolist()
             t = sign * np.exp(log_term + s_w)
             # Rounding of the exponent: the table's, and s_k times that of omega and
             # of s_k omega and of the sum.
             spread = np.array([d_omega[j] + 6.0 * _EPS * om[j] for j in idx])[:, None, None]
-            err = np.abs(t) * (np.expm1(rounding + abs_s * spread) + _EPS)
+            err = np.expm1(abs_s * spread + rounding)
+            err += _EPS
+            err *= np.abs(t)
         for j, ok_j, ks, t_j, e_j, tail_j in zip(idx, served, count.tolist(), t.tolist(), err.tolist(), tail):
             if not ok_j:
                 continue
