@@ -895,10 +895,11 @@ class DensityEvaluator:
     computed at the first point that needs them, the residue table at the
     first point beyond _SHIFT_OMEGA, and the head length T when a point first
     takes the contour.  Requires mu > 0, equal scale sums and a finite rho and
-    A*, and warns once when mu is small enough to slow the contour decay.  Every point evaluated through one
-    evaluator reuses the lines of the points before it, so a whole curve or
-    an outer quadrature over x should go through a single evaluator, and
-    through as few calls as possible: ``values`` takes an array.
+    A*, and warns once when mu is small enough to slow the contour decay.
+    Every point evaluated through one evaluator reuses the lines of the points
+    before it, so a whole curve or an outer quadrature over x should go
+    through a single evaluator, and through as few calls as possible:
+    ``values`` takes an array.
     """
 
     def __init__(self, spec: RatioSpec, cfg: ContourConfig | None = None):
@@ -912,16 +913,16 @@ class DensityEvaluator:
             raise DomainError(
                 f"density evaluation requires sum(A)=sum(B); got {inv.sum_A} and {inv.sum_B}"
             )
+        if math.isinf(inv.rho) or math.isinf(inv.stirling_const):
+            raise UnsupportedParameterError(
+                f"density evaluation needs a finite rho and A*, got log rho={inv.log_rho}, "
+                f"log A*={inv.log_stirling_const}"
+            )
         if inv.mu < _MU_WARN:
             warnings.warn(
                 f"mu={inv.mu} < {_MU_WARN}: slow contour decay, results may need a looser tolerance",
                 RuntimeWarning,
                 stacklevel=3,
-            )
-        if math.isinf(inv.rho) or math.isinf(inv.stirling_const):
-            raise UnsupportedParameterError(
-                f"density evaluation needs a finite rho and A*, got log rho={inv.log_rho}, "
-                f"log A*={inv.log_stirling_const}"
             )
         self.cfg = cfg
         self.spec = spec
@@ -951,8 +952,8 @@ class DensityEvaluator:
 
     @functools.cached_property
     def _md(self) -> np.ndarray:
-        """m d_m, m = 1..K+1, of ratio._stirling_table: built at the first point that takes
-        the endpoint series or the contour."""
+        """m d_m, m = 1..K+1, of ratio._stirling_table: built at the first point within half
+        the endpoint series' radius or on the contour."""
         return _stirling_table(self.spec, _TAIL_TERMS + 1, magnitudes=False)[0][1:]
 
     @functools.cached_property
