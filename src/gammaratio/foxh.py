@@ -138,6 +138,9 @@ _SHIFT_LEVELS = (1.0, 0.3, 0.1, 0.05)
 _POLE_GAP = 1e-3
 _RESIDUE_TERMS = 1024
 _RESIDUE_BLOCK = 3
+# Most factor entries per pole, p (p + q - 1), a table holds: 1,025 poles of
+# them are 2 MB per table array.
+_RESIDUE_FACTORS = 256
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_RESIDUE_TERMS + 1)])
 _PARITY = np.where(np.arange(_RESIDUE_TERMS + 1) % 2 == 0, 1.0, -1.0)
 _LOG_PI = math.log(math.pi)
@@ -619,16 +622,21 @@ class _ResidueSeries:
     hold beyond; for p = 1 there is no other numerator factor and the bound
     holds unconditionally.  Specs whose rows share poles (every shift 0 with
     p > 1, or shifts a whole multiple of the scale apart) are never served.  A
-    spec whose `start` passes _RESIDUE_TERMS is never served either, nor a
-    point whose rough count start + A_i _TRUNCATION_LOG / omega does.
+    spec whose `start` passes _RESIDUE_TERMS, or with more than
+    _RESIDUE_FACTORS factor entries per pole, is never served either, nor a
+    point whose rough count start + A_i _TRUNCATION_LOG / omega passes
+    _RESIDUE_TERMS.
     """
 
-    __slots__ = ("A", "a", "log_A", "neg_A", "log_rho", "start", "start_column", "rows", "usable", "scales",
-                 "shifts", "numerator", "denominator", "weights", "numerator_c", "alpha", "tail_c", "dz0",
-                 "gap_weights", "gap_offsets", "beta_sum", "envelope_const", "table")
+    __slots__ = ("A", "a", "log_A", "neg_A", "log_rho", "start", "start_column", "usable", "scales", "shifts",
+                 "denominator", "weights", "numerator_c", "alpha", "tail_c", "dz0", "gap_weights", "gap_offsets",
+                 "beta_sum", "envelope_const", "table")
 
     def __init__(self, spec: RatioSpec, log_rho: float):
         p, scales, shifts = spec.p, spec.A + spec.B, spec.a + spec.b
+        self.usable = p * (p + spec.q - 1) <= _RESIDUE_FACTORS
+        if not self.usable:
+            return
         others = [[f for f in range(p + spec.q) if f != i] for i in range(p)]
         start = [max(1, math.ceil(max(shifts[f] * A / scales[f] for f in row) - a))
                  for row, A, a in zip(others, spec.A, spec.a)]
@@ -638,9 +646,10 @@ class _ResidueSeries:
         self.start, self.log_rho = start, log_rho
         # Per row: A_i, a_i, start, the ratio bound's sum over the denominator
         # factors and the envelope's constant.  Per other factor, with c =
-        # scale/A_i: scale, shift, numerator or not, its sign in log|c_k|, the
-        # rounding weight of z, the ratio bound's parts, and the weight and offset
-        # that turn its distance d into the separation d / A_l of numerator poles.
+        # scale/A_i: scale, shift, its sign in log|c_k| (+1 numerator, -1
+        # denominator), the rounding weight of z, the ratio bound's parts, and the
+        # weight and offset that turn its distance d into the separation d / A_l
+        # of numerator poles.
         rows, factors = [], []
         for row, A, a, k in zip(others, spec.A, spec.a, start):
             beta_sum, envelope = 0.0, 0.0
@@ -650,20 +659,19 @@ class _ResidueSeries:
                 if f < p:
                     alpha = a + (1.5 - shift) / c
                     envelope += _LOG_PI - math.log(2.0 * _POLE_GAP * scale)
-                    factors += (scale, shift, 1.0, 1.0, 3.0 * shift + 1.0, c, alpha, c * max(-alpha, 0.0), 1.0 / scale,
-                                0.0)
+                    factors += (scale, shift, 1.0, 3.0 * shift + 1.0, c, alpha, c * max(-alpha, 0.0), 1.0 / scale, 0.0)
                 else:
                     beta_sum += c * max(a + 1.0 + (1.0 - shift + _EXP_MINUS_EULER) / c, 0.0)
                     envelope -= _LOG_PI
-                    factors += (scale, shift, 0.0, -1.0, 3.0 * shift + 1.0, 0.0, 1.0, 0.0, 0.0, math.inf)
+                    factors += (scale, shift, -1.0, 3.0 * shift + 1.0, 0.0, 1.0, 0.0, 0.0, math.inf)
             rows += (A, a, math.log(A), -A, k, beta_sum, envelope)
         rows = np.array(rows).reshape(p, 7)
-        factors = np.array(factors).reshape(p, len(others[0]), 10, 1)
+        factors = np.array(factors).reshape(p, len(others[0]), 9, 1)
         self.A, self.a, self.log_A, self.neg_A, self.start_column, self.beta_sum, self.envelope_const = (
             rows[:, j : j + 1] for j in range(7))
-        (self.scales, self.shifts, numerator, self.weights, self.dz0, self.numerator_c, self.alpha, self.tail_c,
-         self.gap_weights, self.gap_offsets) = (factors[:, :, j] for j in range(10))
-        self.numerator, self.denominator = numerator == 1.0, numerator == 0.0
+        (self.scales, self.shifts, self.weights, self.dz0, self.numerator_c, self.alpha, self.tail_c,
+         self.gap_weights, self.gap_offsets) = (factors[:, :, j] for j in range(9))
+        self.denominator = self.weights < 0.0
         self.table = None
 
     def _extend(self, n: int):

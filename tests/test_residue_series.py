@@ -140,6 +140,17 @@ def test_near_coincident_poles_take_the_contour():
     assert ev._lines
 
 
+def test_many_factors_take_the_contour():
+    # 20 numerator and 20 denominator factors: 780 factor entries per pole
+    # exceed the table's budget, so the point builds a shifted line.
+    spec = RatioSpec(A=(1.0,) * 20, a=[0.1 * i + 0.05 for i in range(20)], B=(1.0,) * 20,
+                     b=[0.1 * i + 0.6 for i in range(20)])
+    ev = DensityEvaluator(spec)
+    got = ev.evaluate(math.exp(ev.inv.log_rho - 9.0))
+    assert not ev.residue.usable and ev._lines
+    assert math.isfinite(got.value)
+
+
 def test_batch_equals_single_points(spec_mixed_scale, spec_paired, spec_equal_scales):
     # Residue, endpoint-series and contour points mixed in one batch give
     # bitwise the records they give alone, whatever the order.
