@@ -113,8 +113,9 @@ def test_shift_band_points_within_estimate():
 
 
 def test_far_small_scale_spec_answers():
-    # A scale of 1e-3 needs T = 7,496 on the contour, which raised here; its
-    # poles are simple and the series gives a 40-digit residue sum's value.
+    # A scale of 1e-3 needs T = 7,496 on the contour, whose long head raises
+    # at this omega; the poles are simple, and the series gives the value of
+    # a 40-digit residue sum.
     spec = RatioSpec(A=(1e-3, 1.0), a=(0.5, 0.2), B=(1.001,), b=(2.0,))
     got, residue = served(spec, 40.0)
     assert residue
