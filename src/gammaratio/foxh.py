@@ -115,6 +115,11 @@ _TAIL_ROOTS = 1.0 / (_TAIL_TERMS - np.arange(_TAIL_TERMS))
 # grow like omega^(K-k) and omega^(K+1-k), k = 1..K-1.
 _ORDERS = np.arange(_TAIL_TERMS + 1.0)
 _SWITCH_ROOTS = 1.0 / (_TAIL_TERMS + np.array([[0.0], [1.0]]) - _ORDERS[1:-1])
+# m = 1..K+1, and per kept order k = 1..K-1 eps k and eps (k + 3): the rounding of
+# k and k + 3 products.
+_M = _ORDERS + 1.0
+_K_EPS = _ORDERS[1:-1] * _EPS
+_K3_EPS = (_ORDERS[1:-1] + 3.0) * _EPS
 
 # Most log-gamma values one line evaluates, which caps its equal head panels
 # at _HEAD_VALUES / (21 (p+q)).  A panel longer than one period of
@@ -141,6 +146,7 @@ _RESIDUE_BLOCK = 3
 # Most factor entries per pole, p (p + q - 1), a table holds: 1,025 poles of
 # them are 2 MB per table array.
 _RESIDUE_FACTORS = 256
+_POLES = np.arange(_RESIDUE_TERMS + 1.0)
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_RESIDUE_TERMS + 1)])
 _PARITY = np.where(np.arange(_RESIDUE_TERMS + 1) % 2 == 0, 1.0, -1.0)
 _LOG_PI = math.log(math.pi)
@@ -215,11 +221,18 @@ def _g(spec: RatioSpec, inv: DerivedInvariants, s: np.ndarray) -> tuple[np.ndarr
     d = log_ratio - lead_log
     d -= s * inv.log_rho
     d.imag -= _TWO_PI * np.rint(d.imag / _TWO_PI)
-    lead = np.exp(lead_log)
-    growth = np.expm1(d)
-    g = lead * growth
-    abs_lead = np.abs(lead)
-    ratio = abs_lead * np.exp(d.real)
+    try:
+        with np.errstate(over="raise"):
+            lead = np.exp(lead_log)
+            growth = np.expm1(d)
+            g = lead * growth
+            abs_lead = np.abs(lead)
+            ratio = abs_lead * np.exp(d.real)
+    except FloatingPointError:
+        raise UnsupportedParameterError(
+            f"the contour integrand g overflows on the line Re s = {float(s[0].real)} "
+            f"(|s| up to {float(abs_s.max())}, mu={inv.mu})"
+        ) from None
     # |log lead| <= mu |log s| + |log A*|, and |s log rho| = |s| |log rho|.
     lead_size = np.abs(log_s)
     lead_size *= inv.mu
@@ -239,35 +252,19 @@ def _g(spec: RatioSpec, inv: DerivedInvariants, s: np.ndarray) -> tuple[np.ndarr
     return g, size, ratio
 
 
-def _stirling_coefficients(md: np.ndarray) -> np.ndarray:
-    """e_1..e_n of W(s) rho^-s = A* s^-mu sum_k e_k s^-k (e_0 = 1) from the m d_m,
-    m = 1..n, of ratio._stirling_table: exponentiating gives e_k = (1/k) sum_m m d_m e_(k-m)."""
-    md = md.tolist()
+def _stirling_coefficients(md: list) -> np.ndarray:
+    """e_0..e_n of W(s) rho^-s = A* s^-mu sum_k e_k s^-k (e_0 = 1) from the m d_m,
+    m = 1..n, of ratio._stirling_table: exponentiating gives e_k = (1/k) sum_m m d_m e_(k-m),
+    summed from m = 1 up."""
     e = [1.0]
+    reverse = [1.0]  # e_(k-1), ..., e_0
     for k in range(1, len(md) + 1):
         acc = 0.0
-        for j in range(k):
-            acc += md[j] * e[k - 1 - j]
+        for term, prior in zip(md, reverse):
+            acc += term * prior
         e.append(acc / k)
-    return np.array(e[1:])
-
-
-def _coefficient_errors(spec: RatioSpec, md: np.ndarray, magnitudes: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Bounds on the rounding of the e_k of _stirling_coefficients, from the m d_m
-    and their monomial magnitudes of ratio._stirling_table, m = 1..n.
-
-    m d_m sums m + 2 monomials per factor over p + q factors, so it is off by
-    at most (m + p + q + 6) eps times the same sums over the magnitudes of
-    their terms.  The e_k are the coefficients of exp(sum_m d_m z^m), so
-    that error moves e_k by sum_m |error of m d_m| |e_(k-m)| / m to first
-    order; each step's products and sum add eps sum_m |m d_m e_(k-m)|.  On
-    2,400 seeded specs (scales 0.05-20, shifts up to 60) every e_k, k <= 21,
-    lay within 0.16 of this bound of a 50-digit recursion.
-    """
-    n = len(e)
-    m = np.arange(1, n + 1)
-    per_md = _EPS * ((m + spec.p + spec.q + 6) * magnitudes / m + np.abs(md))
-    return np.convolve(per_md, np.abs(np.concatenate([[1.0], e])))[:n]
+        reverse.insert(0, e[-1])
+    return np.array(e)
 
 
 def _tail_start(coef: np.ndarray) -> float:
@@ -281,7 +278,13 @@ def _tail_start(coef: np.ndarray) -> float:
     nonzero = kept > 0.0
     if not nonzero.any():
         return _HEAD_T_MIN
-    need = (abs(coef[-1]) / (_TAIL_SERIES_TOL * kept[nonzero])) ** _TAIL_ROOTS[nonzero]
+    # A kept term the omitted one exceeds 2^1000-fold (or that underflows when scaled)
+    # would need T far past _TAIL_T_MAX, and sets no bound: the ratio stays finite.
+    scaled = _TAIL_SERIES_TOL * kept[nonzero]
+    usable = abs(coef[-1]) * 2.0**-1000 < scaled
+    if not usable.any():
+        return _TAIL_T_MAX
+    need = (abs(coef[-1]) / scaled[usable]) ** _TAIL_ROOTS[nonzero][usable]
     return max(_HEAD_T_MIN, min(float(need.min()), _TAIL_T_MAX))
 
 
@@ -485,11 +488,10 @@ class _EndpointSeries:
     t_(K+1) are its truncation error: with integer scales the terms can
     alternate between large and small, so one omitted term can be small by
     accident.  The estimate adds the rounding of the terms and of their sum,
-    of the coefficients (_coefficient_errors), of A*/Gamma(mu), of mu
-    (amplified by |log omega| + |psi(mu+k)|) and of omega (amplified by
-    (mu+k-1)/omega), and at least the least normal double.  Cancellation,
-    sum |t_k| >> |sum t_k|, shows in the rounding terms.  P and the rounding
-    of omega come from _density_at.
+    of the coefficients, of A*/Gamma(mu), of mu (amplified by |log omega| +
+    |psi(mu+k)|) and of omega (amplified by (mu+k-1)/omega), and at least the
+    least normal double.  Cancellation, sum |t_k| >> |sum t_k|, shows in the
+    rounding terms.  P and the rounding of omega come from _density_at.
 
     A point with 0 < omega < switch takes the series when its estimate is
     below the least estimate the contour can return for it,
@@ -499,69 +501,99 @@ class _EndpointSeries:
     estimate.  The switch is where either omitted term
     reaches _CONTOUR_ROUNDING of the largest kept one, and at most
     pi min(scales), half the radius of the series.  So the path of a point
-    depends on the spec and omega alone.  The error weights are computed at
-    the first point below the switch.
+    depends on the spec and omega alone.
+
+    The set-up reads the evaluator's one Stirling table (the m d_m, their
+    magnitudes and the e_k, from one ratio._stirling_table): the d_k and the
+    switch at once, and at the first point below the switch the error weights
+    of the kept terms, held with the d_k in one matrix, so that a batch takes
+    one product and one sum for its values and their estimates.
     """
 
-    __slots__ = ("spec", "md", "e", "c", "mu", "psi_mu", "mu_err", "lead_err", "rising", "coef", "weights",
-                 "switch")
+    __slots__ = ("c", "omitted", "switch", "inputs", "terms")
 
     def __init__(self, ev: DensityEvaluator):
-        # Copies of the evaluator's arrays and scalars, not the evaluator: no reference cycle.
-        self.spec, self.md, self.e = ev.spec, ev._md, ev._stirling
-        self.c, self.mu, self.psi_mu, self.mu_err, self.lead_err = ev.c, ev.inv.mu, ev.psi_mu, ev.mu_err, ev.lead_err
-        self.rising = np.cumprod(self.mu + _ORDERS)
-        self.coef = self.e / self.rising
-        self.weights = None
+        md, magnitudes, e = ev._stirling
+        mu = ev.inv.mu
+        self.c = ev.c
+        shifted = mu + _ORDERS
+        rising = np.cumprod(shifted)
+        coef = e[1:] / rising
+        kept = np.abs(coef[:-2])
+        self.omitted = coef[-2:].tolist()
+        top = float(kept.max())
         self.switch = 0.0
-        if 0.0 < ev.lead_scale < math.inf and np.isfinite(self.coef).all():
-            kept = np.abs(self.coef[:-2])
-            nonzero = kept > 0.0
-            # Per kept term, the omega where either omitted term first reaches
-            # _CONTOUR_ROUNDING of it; an omitted term that is 0 sets no bound.
-            bounds = [((_CONTOUR_ROUNDING / omitted) * kept[nonzero]) ** roots[nonzero]
-                      for omitted, roots in zip(np.abs(self.coef[-2:]).tolist(), _SWITCH_ROOTS) if omitted > 0.0]
-            reach = float(np.minimum.reduce(bounds).max()) if bounds and nonzero.any() else math.inf
+        if 0.0 < ev.lead_scale < math.inf and math.isfinite(top) and all(map(math.isfinite, self.omitted)):
+            reach = math.inf
+            rows = [j for j, t in enumerate(self.omitted) if t]
+            if top > 0.0 and rows:
+                # Per kept term, the omega where either omitted term first reaches
+                # _CONTOUR_ROUNDING of it; an omitted term that is 0 sets no bound,
+                # and a kept term that is 0 gives 0.
+                scale = np.array([[_CONTOUR_ROUNDING / abs(self.omitted[j])] for j in rows])
+                reach = float(((scale * kept) ** _SWITCH_ROOTS[rows]).min(axis=0).max())
             self.switch = min(ev.half_radius, reach)
+        # What the error weights need, held until the first point below the switch:
+        # copies of the evaluator's arrays and scalars, not the evaluator (no
+        # reference cycle).
+        self.inputs = (md, magnitudes, e, shifted, rising, coef, kept, ev.spec.p + ev.spec.q, ev.psi_mu, ev.mu_err,
+                       ev.lead_err)
+        self.terms = None
 
-    def _error_weights(self) -> np.ndarray:
-        """Error per unit |P omega^k|, k = 1..K-1: fixed, per unit error of omega over omega,
-        per unit |log omega|.
+    def _terms(self) -> np.ndarray:
+        """The d_k over their error per unit |P omega^k|, k = 1..K-1: fixed, per unit error
+        of omega over omega, per unit |log omega|.
 
         The fixed part is the coefficient's rounding (with the k products of
         (mu)_k), the term's (k products for omega^k, those by P and d_k, the
         rounding of P) and mu's through psi(mu+k) = psi(mu) + sum_(j<k) 1/(mu+j).
+
+        m d_m sums m + 2 monomials per factor over p + q factors, so it is off by
+        at most (m + p + q + 6) eps times the same sums over the magnitudes of
+        their terms.  The e_k are the coefficients of exp(sum_m d_m z^m), so that
+        error moves e_k by sum_m |error of m d_m| |e_(k-m)| / m to first order;
+        each step's products and sum add eps sum_m |m d_m e_(k-m)|.  On 2,400
+        seeded specs (scales 0.05-20, shifts up to 60) every e_k, k <= 21, lay
+        within 0.16 of this bound of a 50-digit recursion.
         """
-        k, e = _ORDERS[1:-1], self.e[:-2]
-        d = np.abs(self.coef[:-2])
-        psi = self.psi_mu + np.cumsum(1.0 / (self.mu + _ORDERS[:-2]))
-        magnitudes = _stirling_table(self.spec, _TAIL_TERMS + 1, md=False)[1][1:]
-        weights = np.empty((3, _TAIL_TERMS - 1))
-        weights[0] = _coefficient_errors(self.spec, self.md, magnitudes, self.e)[:-2] + k * _EPS * np.abs(e)
-        weights[0] /= self.rising[:-2]
-        weights[0] += d * ((k + 3.0) * _EPS + self.lead_err + self.mu_err * np.abs(psi))
-        weights[1] = d * (self.mu - 1.0 + k)
-        weights[2] = d * self.mu_err
-        return weights
+        md, magnitudes, e, shifted, rising, coef, kept, factors, psi_mu, mu_err, lead_err = self.inputs
+        per_md = _EPS * ((_M + (factors + 6.0)) * magnitudes / _M + np.abs(md))
+        fixed = np.convolve(per_md, np.abs(e))[: _TAIL_TERMS - 1]
+        fixed += _K_EPS * np.abs(e[1:-2])
+        fixed /= rising[:-2]
+        # Per unit |d_k|: the rest of the fixed part, mu - 1 + k and the rounding of mu.
+        per_d = np.empty((3, _TAIL_TERMS - 1))
+        np.cumsum(1.0 / shifted[:-2], out=per_d[0])
+        per_d[0] += psi_mu
+        np.abs(per_d[0], out=per_d[0])
+        per_d[0] *= mu_err
+        per_d[0] += _K3_EPS + lead_err
+        np.add(_ORDERS[1:-1], shifted[0] - 1.0, out=per_d[1])
+        per_d[2] = mu_err
+        terms = np.empty((4, _TAIL_TERMS - 1))
+        terms[0] = coef[:-2]
+        np.multiply(kept, per_d, out=terms[1:])
+        terms[1] += fixed
+        return terms
 
     def __call__(self, omega: np.ndarray, lead: list, d_omega: list) -> list[tuple[float, float, bool]]:
         """(remainder, error, served) at every 0 < omega < switch, from each point's P and
         rounding of omega; elementwise, so a point's result does not depend on its batch."""
-        if self.weights is None:
-            self.weights = self._error_weights()
+        if self.terms is None:
+            self.terms = self._terms()
         om = omega.tolist()
         powers = np.empty((len(om), _TAIL_TERMS + 2))
         powers[:, 0] = lead
         powers[:, 1:] = omega[:, None]
         # P omega^k for k = 0..K+1, the running product kept as large as it gets.
+        # Every P omega^k is >= 0, so one product gives a point's sum and the sums
+        # of its error weights.
         np.cumprod(powers, axis=1, out=powers)
-        kept = powers[:, 1:-2]
-        value = (kept * self.coef[:-2]).sum(axis=1).tolist()
-        omitted = np.abs(powers[:, -2:] * self.coef[-2:]).sum(axis=1).tolist()
-        sums = (np.abs(kept)[:, None, :] * self.weights).sum(axis=2).tolist()
+        sums = (powers[:, None, 1:-2] * self.terms).sum(axis=2).tolist()
+        c20, c21 = self.omitted
         out = []
-        for w, d, v, t, (fixed, per_omega, per_log) in zip(om, d_omega, value, omitted, sums):
-            err = t + _EPS * abs(v) + fixed + abs(math.log(w)) * per_log + _TINY
+        for w, d, (v, fixed, per_omega, per_log), (p20, p21) in zip(om, d_omega, sums, powers[:, -2:].tolist()):
+            err = abs(p20 * c20) + abs(p21 * c21) + _EPS * abs(v) + fixed + abs(math.log(w)) * per_log + _TINY
             pre = math.exp(_contour_level(self.c, w) * w) / math.pi
             served = err <= _CONTOUR_ROUNDING * (pre + abs(v))
             out.append((v, err + d / w * per_omega, served))
@@ -628,9 +660,8 @@ class _ResidueSeries:
     _RESIDUE_TERMS.
     """
 
-    __slots__ = ("A", "a", "log_A", "neg_A", "log_rho", "start", "start_column", "usable", "scales", "shifts",
-                 "denominator", "weights", "numerator_c", "alpha", "tail_c", "dz0", "gap_weights", "gap_offsets",
-                 "beta_sum", "envelope_const", "table")
+    __slots__ = ("log_rho", "start", "reach", "usable", "row_consts", "factor_consts", "rows", "table", "simple",
+                 "pole_ok")
 
     def __init__(self, spec: RatioSpec, log_rho: float):
         p, scales, shifts = spec.p, spec.A + spec.B, spec.a + spec.b
@@ -644,12 +675,14 @@ class _ResidueSeries:
         if not self.usable:
             return
         self.start, self.log_rho = start, log_rho
-        # Per row: A_i, a_i, start, the ratio bound's sum over the denominator
-        # factors and the envelope's constant.  Per other factor, with c =
-        # scale/A_i: scale, shift, its sign in log|c_k| (+1 numerator, -1
-        # denominator), the rounding weight of z, the ratio bound's parts, and the
-        # weight and offset that turn its distance d into the separation d / A_l
-        # of numerator poles.
+        self.reach = [A * _TRUNCATION_LOG for A in spec.A]
+        # Per row: A_i, a_i, log A_i, -A_i, start, the ratio bound's sum over the
+        # denominator factors and the envelope's constant.  Per other factor, with
+        # c = scale/A_i: scale, shift, its sign in log|c_k| (+1 numerator, -1
+        # denominator), the rounding weight of z, the ratio bound's parts, the weight
+        # and offset that turn its distance d into the separation d / A_l of
+        # numerator poles, and the offset that leaves the distance of a denominator
+        # factor alone (0 there makes the term exactly 0).
         rows, factors = [], []
         for row, A, a, k in zip(others, spec.A, spec.a, start):
             beta_sum, envelope = 0.0, 0.0
@@ -659,69 +692,137 @@ class _ResidueSeries:
                 if f < p:
                     alpha = a + (1.5 - shift) / c
                     envelope += _LOG_PI - math.log(2.0 * _POLE_GAP * scale)
-                    factors += (scale, shift, 1.0, 3.0 * shift + 1.0, c, alpha, c * max(-alpha, 0.0), 1.0 / scale, 0.0)
+                    factors.append((scale, shift, 1.0, 5.0, 1.0 / scale, 3.0 * shift + 1.0, 0.0, math.inf, c, alpha,
+                                    c * max(-alpha, 0.0)))
                 else:
                     beta_sum += c * max(a + 1.0 + (1.0 - shift + _EXP_MINUS_EULER) / c, 0.0)
                     envelope -= _LOG_PI
-                    factors += (scale, shift, -1.0, 3.0 * shift + 1.0, 0.0, 1.0, 0.0, 0.0, math.inf)
-            rows += (A, a, math.log(A), -A, k, beta_sum, envelope)
-        rows = np.array(rows).reshape(p, 7)
-        factors = np.array(factors).reshape(p, len(others[0]), 9, 1)
-        self.A, self.a, self.log_A, self.neg_A, self.start_column, self.beta_sum, self.envelope_const = (
-            rows[:, j : j + 1] for j in range(7))
-        (self.scales, self.shifts, self.weights, self.dz0, self.numerator_c, self.alpha, self.tail_c,
-         self.gap_weights, self.gap_offsets) = (factors[:, :, j] for j in range(9))
-        self.denominator = self.weights < 0.0
+                    factors.append((scale, shift, -1.0, 5.0, 0.0, 3.0 * shift + 1.0, math.inf, 0.0, 0.0, 1.0, 0.0))
+            rows.append((A, a, math.log(A), -A, k, beta_sum, envelope))
+        self.row_consts = np.array(rows).T[:, :, None]
+        self.factor_consts = np.array(factors).T.reshape(11, p, len(others[0]), 1)
+        self.rows = np.arange(p)
         self.table = None
 
     def _extend(self, n: int):
-        """Grow the table to the poles k < n of every row."""
-        k0 = 0 if self.table is None else self.table[0].shape[1]
-        k = np.arange(k0, n, dtype=float)
-        s = (self.a + k) / self.neg_A
-        z = self.scales * s[:, None, :]
-        z += self.shifts
-        left = z <= 0.0
-        abs_z = np.abs(z)
-        dist = np.where(left, np.abs(z - np.rint(z)), z)
-        arg = np.where(left, 1.0 - z, z)
-        lg = np.fromiter(map(math.lgamma, arg.ravel().tolist()), float, z.size).reshape(z.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # log|Gamma(z)| = reflection - lgamma at z <= 0, with sin at the exact distance.
-            reflection = np.where(left, _LOG_PI - np.log(np.sin(np.pi * dist)), 0.0)
-            log_gamma = np.where(left, reflection - lg, lg)
-            slr = s * self.log_rho
-            base = self.log_A + _LOG_FACTORIAL[k0:n]
-            base += slr
-            log_term = (self.weights * log_gamma).sum(axis=1)
-            log_term -= base
-            # sign Gamma(z) = sign sin(pi z) at z <= 0, and k! brings (-1)^k.  A
-            # denominator factor at a nonpositive integer makes the term exactly 0.
-            sign = np.sign(np.where(left, np.sin(np.pi * z), 1.0)).prod(axis=1) * _PARITY[k0:n]
-            zero = ((dist == 0.0) & self.denominator).any(axis=1)
-            per_factor = (5.0 * abs_z + self.dz0) * (np.log(2.0 + abs_z) + 1.0 + 1.0 / dist)
-            per_factor += (z.shape[1] + 8.0) * (np.abs(lg) + reflection)
-            rounding = (z.shape[1] + 8.0) * (2.0 * (z.shape[1] + np.abs(slr)) + np.abs(base))
-            rounding += per_factor.sum(axis=1)
-            rounding *= _EPS
-            sign[zero], rounding[zero], log_term[zero] = 0.0, 0.0, -np.inf
-            envelope = self.envelope_const - (self.weights * lg).sum(axis=1) - base + rounding
-            envelope[~left.all(axis=1)] = np.inf
-            # The exponent's sum: 3 eps |log|c_k| + s_k omega| <= 3 eps (|log|c_k|| + |s_k| omega).
-            rounding += np.where(zero, 0.0, 3.0 * _EPS * np.abs(log_term))
-            # The least omega at which the ratio bound is at most 1/2.
-            ratio = self.tail_c / (k + self.alpha)
-            ratio += self.numerator_c / arg
-            omega_min = (ratio.sum(axis=1) + self.beta_sum / k + _LOG_2) * self.A
-            gap = (dist * self.gap_weights + self.gap_offsets).min(axis=1)
-        prefix = np.where(k <= self.start_column, log_term, -np.inf)
-        new = [s, log_term, sign, rounding, envelope, omega_min, gap >= _POLE_GAP, np.abs(s), prefix, gap > 0.0]
+        """Grow the table to the poles k < n of every row.  The caller ignores divide and
+        invalid, which the reflection and 1/d meet where two poles coincide.
+
+        The constants are spread over the new poles and every pass writes into a
+        held array, so each is one elementwise loop over the new entries."""
+        k0 = 0 if self.table is None else self.table.shape[2]
+        k = _POLES[k0:n]
+        row = np.repeat(self.row_consts, n - k0, axis=2)
+        factor = np.repeat(self.factor_consts, n - k0, axis=3)
+        others = factor.shape[2]
+        new = np.empty((7,) + row.shape[1:])
+        s, prefix, envelope, log_term, omega_min, sign, rounding = new
+        np.add(row[1], k, s)
+        np.divide(s, row[3], s)
+        # Per (row, other factor, pole): |z|, the distance d from z <= 0 to the nearest
+        # integer (z itself beyond), z, and scratch.
+        work = np.empty((8,) + factor.shape[1:])
+        abs_z, dist, z, t, u = work[0], work[1], work[2], work[6], work[7]
+        np.multiply(factor[0], s[:, None, :], z)
+        np.add(z, factor[1], z)
+        right = z > 0.0
+        np.absolute(z, abs_z)
+        np.rint(z, dist)
+        np.subtract(z, dist, dist)
+        np.absolute(dist, dist)
+        np.copyto(dist, z, where=right)
+        # 1 - z at z <= 0, z beyond: the argument of each lgamma.
+        arg = np.subtract(1.0, z)
+        np.copyto(arg, z, where=right)
+        lg = np.fromiter(map(math.lgamma, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
+        # sin(pi d) and sin(pi z) in one pass; log|Gamma(z)| = reflection - lgamma at
+        # z <= 0, with sin at the exact distance, and sign Gamma(z) = sign sin(pi z).
+        sines = work[3:5]
+        np.multiply(work[1:3], np.pi, sines)
+        np.sin(sines, sines)
+        reflection = work[5]
+        np.log(sines[0], reflection)
+        np.subtract(_LOG_PI, reflection, reflection)
+        np.copyto(reflection, 0.0, where=right)
+        np.copyto(sines[1], 1.0, where=right)
+        # One sum over the other factors of: log|c_k| before its base, the rounding
+        # per factor, (5 |z| + 3 shift + 1) (log(2 + |z|) + 1 + 1/d) + (F + 8)
+        # (|lgamma| + reflection), the envelope's lgamma sum and the ratio bound.
+        per = np.empty((4,) + factor.shape[1:])
+        np.subtract(reflection, lg, per[0])
+        np.copyto(per[0], lg, where=right)
+        np.multiply(per[0], factor[2], per[0])
+        np.multiply(abs_z, factor[3], t)
+        np.add(t, factor[5], t)
+        np.add(abs_z, 2.0, u)
+        np.log(u, u)
+        np.add(u, 1.0, u)
+        np.divide(1.0, dist, per[1])
+        np.add(u, per[1], u)
+        np.multiply(t, u, per[1])
+        np.absolute(lg, t)
+        np.add(t, reflection, t)
+        np.multiply(t, others + 8.0, t)
+        np.add(per[1], t, per[1])
+        np.multiply(factor[2], lg, per[2])
+        np.add(factor[9], k, t)
+        np.divide(factor[10], t, per[3])
+        np.divide(factor[8], arg, t)
+        np.add(per[3], t, per[3])
+        sums = np.add.reduce(per, 2)
+        # One least over the other factors of: a denominator factor's distance (0
+        # makes the term exactly 0), the separation d / A_l from a numerator factor's
+        # poles, and -z (>= 0 where every other argument is <= 0).
+        least = work[5:8]
+        np.add(dist, factor[7], least[0])
+        np.multiply(dist, factor[4], least[1])
+        np.add(least[1], factor[6], least[1])
+        np.negative(z, least[2])
+        least = np.minimum.reduce(least, 2)
+        zero = least[0] == 0.0
+        slr = s * self.log_rho
+        base = np.add(row[2], _LOG_FACTORIAL[k0:n])
+        np.add(base, slr, base)
+        np.subtract(sums[0], base, log_term)
+        # k! brings (-1)^k; a denominator factor at a nonpositive integer makes the
+        # term exactly 0.
+        np.sign(sines[1], sines[1])
+        np.multiply.reduce(sines[1], 1, None, sign)
+        np.multiply(sign, _PARITY[k0:n], sign)
+        np.absolute(slr, rounding)
+        np.add(rounding, others, rounding)
+        np.multiply(rounding, 2.0, rounding)
+        np.absolute(base, slr)
+        np.add(rounding, slr, rounding)
+        np.multiply(rounding, others + 8.0, rounding)
+        np.add(rounding, sums[1], rounding)
+        np.multiply(rounding, _EPS, rounding)
+        sign[zero], rounding[zero], log_term[zero] = 0.0, 0.0, -np.inf
+        np.subtract(row[6], sums[2], envelope)
+        np.subtract(envelope, base, envelope)
+        np.add(envelope, rounding, envelope)
+        envelope[least[2] < 0.0] = np.inf
+        # The exponent's sum: 3 eps |log|c_k| + s_k omega| <= 3 eps (|log|c_k|| + |s_k| omega).
+        np.absolute(log_term, base)
+        np.multiply(base, 3.0 * _EPS, base)
+        base[zero] = 0.0
+        np.add(rounding, base, rounding)
+        # The least omega at which the ratio bound is at most 1/2.
+        np.divide(row[5], k, omega_min)
+        np.add(sums[3], omega_min, omega_min)
+        np.add(omega_min, _LOG_2, omega_min)
+        np.multiply(omega_min, row[0], omega_min)
+        np.copyto(prefix, log_term)
+        prefix[row[4] < k] = -np.inf
+        simple, pole_ok = least[1] > 0.0, least[1] >= _POLE_GAP
         if self.table is not None:
-            new = [np.concatenate([old, part], axis=1) for old, part in zip(self.table, new)]
+            new = np.concatenate([self.table, new], axis=2)
+            simple = np.concatenate([self.simple, simple], axis=1)
         # The poles from the first double pole on are not simple; a served point's
         # poles up to its count are simple, and the first omitted one keeps the gap.
-        new[9] = np.logical_and.accumulate(new[9], axis=1)
-        new[6] = new[6] & new[9]
+        self.simple = np.logical_and.accumulate(simple, axis=1)
+        pole_ok &= self.simple[:, k0:]
+        self.pole_ok = pole_ok if self.table is None else np.concatenate([self.pole_ok, pole_ok], axis=1)
         self.table = new
 
     def __call__(self, omega: np.ndarray, lead: list, d_omega: list, tol: float) -> list[tuple[float, float, bool]]:
@@ -731,36 +832,36 @@ class _ResidueSeries:
         if not self.usable:
             return out
         om = omega.tolist()
-        scales = [A * _TRUNCATION_LOG for A in self.A[:, 0].tolist()]
-        reach = [max(k + A / w for k, A in zip(self.start, scales)) for w in om]
+        reach = [max(k + A / w for k, A in zip(self.start, self.reach)) for w in om]
         idx = [j for j, n in enumerate(reach) if n <= _RESIDUE_TERMS]
         if not idx:
             return out
         size = min(int(max(reach[j] for j in idx)) + _RESIDUE_BLOCK, _RESIDUE_TERMS + 1)
         w = np.array([om[j] for j in idx])[:, None, None]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while True:
-                if self.table is None or self.table[0].shape[1] < size:
+                if self.table is None or self.table.shape[2] < size:
                     self._extend(size)
-                s, log_term, sign, rounding, envelope, omega_min, pole_ok, abs_s, prefix, _ = self.table
+                s, _, _, log_term, omega_min, sign, rounding = self.table
                 s_w = s * w
-                target = (prefix + s_w).max(axis=(1, 2))
+                # Per point: the prefixes' terms, the envelopes and the terms' logs.
+                lifted = self.table[1:4] + s_w[:, None]
+                target = lifted[:, 0].max(axis=(1, 2))
                 target -= _TRUNCATION_LOG
-                bound = envelope + s_w
+                bound = lifted[:, 1]
                 ok = (bound <= target[:, None, None]) & (omega_min <= w)
                 found = ok.any(axis=2).all(axis=1)
                 if found.all() or size > _RESIDUE_TERMS:
                     break
                 size = min(2 * size, _RESIDUE_TERMS + 1)
             count = ok.argmax(axis=2)
-            rows = np.arange(len(self.start))
-            served = (found & pole_ok[rows, count].all(axis=1)).tolist()
-            tail = np.exp(bound[np.arange(len(idx))[:, None], rows, count]).sum(axis=1).tolist()
-            t = sign * np.exp(log_term + s_w)
-            # Rounding of the exponent: the table's, and s_k times that of omega and
-            # of s_k omega and of the sum.
+            served = (found & self.pole_ok[self.rows, count].all(axis=1)).tolist()
+            tail = np.exp(bound[np.arange(len(idx))[:, None], self.rows, count]).sum(axis=1).tolist()
+            t = sign * np.exp(lifted[:, 2])
+            # Rounding of the exponent: the table's, and |s_k| = -s_k times that of
+            # omega and of s_k omega and of the sum.
             spread = np.array([d_omega[j] + 6.0 * _EPS * om[j] for j in idx])[:, None, None]
-            err = np.expm1(abs_s * spread + rounding)
+            err = np.expm1(rounding - s * spread)
             err += _EPS
             err *= np.abs(t)
         for j, ok_j, ks, t_j, e_j, tail_j in zip(idx, served, count.tolist(), t.tolist(), err.tolist(), tail):
@@ -959,20 +1060,28 @@ class DensityEvaluator:
         self._lines: dict[float, _Line] = {}
 
     @functools.cached_property
-    def _md(self) -> np.ndarray:
-        """m d_m, m = 1..K+1, of ratio._stirling_table: built at the first point within half
-        the endpoint series' radius or on the contour."""
-        return _stirling_table(self.spec, _TAIL_TERMS + 1, magnitudes=False)[0][1:]
-
-    @functools.cached_property
-    def _stirling(self) -> np.ndarray:
-        """e_1..e_(K+1) of the Stirling series of g over A*."""
-        return _stirling_coefficients(self._md)
+    def _stirling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """m d_m and their magnitudes, m = 1..K+1, and e_0..e_(K+1) of the Stirling series
+        of g over A*: one ratio._stirling_table, built at the first point within half the
+        endpoint series' radius or on the contour."""
+        md, magnitudes = _stirling_table(self.spec, _TAIL_TERMS + 1)
+        return md[1:], magnitudes[1:], _stirling_coefficients(md[1:].tolist())
 
     @functools.cached_property
     def coef(self) -> np.ndarray:
-        """A* e_k, k = 1..K+1: the tail's Stirling terms."""
-        return self.inv.stirling_const * self._stirling
+        """A* e_k, k = 1..K+1: the tail's Stirling terms; UnsupportedParameterError where
+        they leave the double range."""
+        try:
+            with np.errstate(over="raise"):
+                coef = self.inv.stirling_const * self._stirling[2][1:]
+        except FloatingPointError:
+            coef = None
+        if coef is None or not np.isfinite(coef).all():
+            raise UnsupportedParameterError(
+                f"the tail's Stirling terms A* e_k overflow (log A*={self.inv.log_stirling_const}, "
+                f"largest |e_k|={float(np.abs(self._stirling[2]).max())})"
+            )
+        return coef
 
     @functools.cached_property
     def T(self) -> float:

@@ -340,29 +340,31 @@ _BERNOULLI_POLY = np.array(
       for j in range(len(_BERNOULLI))]
      for n in range(len(_BERNOULLI))]
 )
+# The matrix and its magnitudes, the exponents j and -j, j = 0..22, of the table's
+# powers, and the divisors m + 1, m = 0..21.
+_BERNOULLI_PAIR = np.stack([_BERNOULLI_POLY, np.abs(_BERNOULLI_POLY)])
+_EXPONENTS = np.arange(float(len(_BERNOULLI)))[:, None] * np.array([1.0, -1.0])[:, None, None]
+_ORDERS = np.arange(1.0, len(_BERNOULLI))
 
 
-def _stirling_table(spec: RatioSpec, n: int, md: bool = True,
-                    magnitudes: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _stirling_table(spec: RatioSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """m d_m for m = 0..n (n <= 21), and the same sums over the magnitudes of their
-    monomials about 1/2; either is None where not asked for.
+    monomials about 1/2, from one build of the powers of the shifts and scales.
 
     By the Stirling series (DLMF 5.11.8), log W(s) - s log rho - log A* +
     mu log s = sum_m d_m s^-m with m d_m = sum_i B_(m+1)(1 - a_i) / ((m+1)
     A_i^m), minus the same sum over (b_j, B_j); at m = 0 that is mu.  By
     Watson's lemma m d_m / m! is the kernel's Taylor coefficient p_m.
     """
-    m = np.arange(n + 1)
-    powers = (np.array(spec.a + spec.b) - 0.5) ** np.arange(n + 2)[:, None]
-    inverse_powers = np.array(spec.A + spec.B) ** -m[:, None]
-    poly = _BERNOULLI_POLY[: n + 2, : n + 2]
-    md_rows = size_rows = None
-    if md:
-        signs = np.array([1.0] * spec.p + [-1.0] * spec.q)
-        md_rows = (((poly @ powers)[1:] * inverse_powers) @ signs) / (m + 1)
-    if magnitudes:
-        size_rows = ((np.abs(poly) @ np.abs(powers))[1:] * inverse_powers).sum(axis=1) / (m + 1)
-    return md_rows, size_rows
+    # (shift - 1/2)^j, their magnitudes and scale^-j, j = 0..22, in one power.
+    powers = np.empty((3, len(_BERNOULLI), spec.p + spec.q))
+    np.power(np.array([[v - 0.5 for v in spec.a + spec.b], spec.A + spec.B])[:, None, :], _EXPONENTS,
+             out=powers[::2])
+    np.abs(powers[0], out=powers[1])
+    rows = (_BERNOULLI_PAIR[:, : n + 2, : n + 2] @ powers[:2, : n + 2])[:, 1:]
+    rows *= powers[2, : n + 1]
+    md_rows = rows[0] @ np.array([1.0] * spec.p + [-1.0] * spec.q)
+    return md_rows / _ORDERS[: n + 1], rows[1].sum(axis=1) / _ORDERS[: n + 1]
 
 
 def cm_kernel_series(spec: RatioSpec, n_terms: int = 12) -> list[tuple[float, float]]:
