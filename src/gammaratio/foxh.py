@@ -59,6 +59,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -115,11 +116,6 @@ _TAIL_ROOTS = 1.0 / (_TAIL_TERMS - np.arange(_TAIL_TERMS))
 # grow like omega^(K-k) and omega^(K+1-k), k = 1..K-1.
 _ORDERS = np.arange(_TAIL_TERMS + 1.0)
 _SWITCH_ROOTS = 1.0 / (_TAIL_TERMS + np.array([[0.0], [1.0]]) - _ORDERS[1:-1])
-# m = 1..K+1, and per kept order k = 1..K-1 eps k and eps (k + 3): the rounding of
-# k and k + 3 products.
-_M = _ORDERS + 1.0
-_K_EPS = _ORDERS[1:-1] * _EPS
-_K3_EPS = (_ORDERS[1:-1] + 3.0) * _EPS
 
 # Most log-gamma values one line evaluates, which caps its equal head panels
 # at _HEAD_VALUES / (21 (p+q)).  A panel longer than one period of
@@ -252,7 +248,7 @@ def _g(spec: RatioSpec, inv: DerivedInvariants, s: np.ndarray) -> tuple[np.ndarr
     return g, size, ratio
 
 
-def _stirling_coefficients(md: list) -> np.ndarray:
+def _stirling_coefficients(md: list) -> list:
     """e_0..e_n of W(s) rho^-s = A* s^-mu sum_k e_k s^-k (e_0 = 1) from the m d_m,
     m = 1..n, of ratio._stirling_table: exponentiating gives e_k = (1/k) sum_m m d_m e_(k-m),
     summed from m = 1 up."""
@@ -260,11 +256,12 @@ def _stirling_coefficients(md: list) -> np.ndarray:
     reverse = [1.0]  # e_(k-1), ..., e_0
     for k in range(1, len(md) + 1):
         acc = 0.0
-        for term, prior in zip(md, reverse):
-            acc += term * prior
-        e.append(acc / k)
-        reverse.insert(0, e[-1])
-    return np.array(e)
+        for term in map(operator.mul, md, reverse):
+            acc += term
+        acc /= k
+        e.append(acc)
+        reverse.insert(0, acc)
+    return e
 
 
 def _tail_start(coef: np.ndarray) -> float:
@@ -516,27 +513,32 @@ class _EndpointSeries:
         md, magnitudes, e = ev._stirling
         mu = ev.inv.mu
         self.c = ev.c
-        shifted = mu + _ORDERS
-        rising = np.cumprod(shifted)
-        coef = e[1:] / rising
-        kept = np.abs(coef[:-2])
-        self.omitted = coef[-2:].tolist()
-        top = float(kept.max())
+        # (mu)_k and d_k = e_k / (mu)_k, k = 1..K+1, one product and one quotient a term.
+        rising, coef = [], []
+        step = mu
+        for k, e_k in enumerate(e[1:]):
+            if k:
+                step *= mu + k
+            rising.append(step)
+            coef.append(e_k / step)
+        kept = [abs(d) for d in coef[:-2]]
+        self.omitted = coef[-2:]
         self.switch = 0.0
-        if 0.0 < ev.lead_scale < math.inf and math.isfinite(top) and all(map(math.isfinite, self.omitted)):
+        if 0.0 < ev.lead_scale < math.inf and all(map(math.isfinite, coef)):
             reach = math.inf
-            rows = [j for j, t in enumerate(self.omitted) if t]
-            if top > 0.0 and rows:
+            live = [j for j, t in enumerate(self.omitted) if t]
+            if live and max(kept) > 0.0:
                 # Per kept term, the omega where either omitted term first reaches
                 # _CONTOUR_ROUNDING of it; an omitted term that is 0 sets no bound,
                 # and a kept term that is 0 gives 0.
-                scale = np.array([[_CONTOUR_ROUNDING / abs(self.omitted[j])] for j in rows])
-                reach = float(((scale * kept) ** _SWITCH_ROOTS[rows]).min(axis=0).max())
+                lo, hi = live[0], live[-1] + 1
+                scale = np.array([[_CONTOUR_ROUNDING / abs(t)] for t in self.omitted[lo:hi]])
+                reach = float(((scale * kept) ** _SWITCH_ROOTS[lo:hi]).min(axis=0).max())
             self.switch = min(ev.half_radius, reach)
         # What the error weights need, held until the first point below the switch:
-        # copies of the evaluator's arrays and scalars, not the evaluator (no
+        # copies of the evaluator's lists and scalars, not the evaluator (no
         # reference cycle).
-        self.inputs = (md, magnitudes, e, shifted, rising, coef, kept, ev.spec.p + ev.spec.q, ev.psi_mu, ev.mu_err,
+        self.inputs = (md, magnitudes, e, rising, coef, kept, mu, ev.spec.p + ev.spec.q, ev.psi_mu, ev.mu_err,
                        ev.lead_err)
         self.terms = None
 
@@ -556,25 +558,20 @@ class _EndpointSeries:
         seeded specs (scales 0.05-20, shifts up to 60) every e_k, k <= 21, lay
         within 0.16 of this bound of a 50-digit recursion.
         """
-        md, magnitudes, e, shifted, rising, coef, kept, factors, psi_mu, mu_err, lead_err = self.inputs
-        per_md = _EPS * ((_M + (factors + 6.0)) * magnitudes / _M + np.abs(md))
-        fixed = np.convolve(per_md, np.abs(e))[: _TAIL_TERMS - 1]
-        fixed += _K_EPS * np.abs(e[1:-2])
-        fixed /= rising[:-2]
-        # Per unit |d_k|: the rest of the fixed part, mu - 1 + k and the rounding of mu.
-        per_d = np.empty((3, _TAIL_TERMS - 1))
-        np.cumsum(1.0 / shifted[:-2], out=per_d[0])
-        per_d[0] += psi_mu
-        np.abs(per_d[0], out=per_d[0])
-        per_d[0] *= mu_err
-        per_d[0] += _K3_EPS + lead_err
-        np.add(_ORDERS[1:-1], shifted[0] - 1.0, out=per_d[1])
-        per_d[2] = mu_err
-        terms = np.empty((4, _TAIL_TERMS - 1))
-        terms[0] = coef[:-2]
-        np.multiply(kept, per_d, out=terms[1:])
-        terms[1] += fixed
-        return terms
+        md, magnitudes, e, rising, coef, kept, mu, factors, psi_mu, mu_err, lead_err = self.inputs
+        factors += 6.0
+        per_md = [_EPS * ((m + factors) * size / m + abs(d)) for m, size, d in zip(range(1, len(md) + 1), magnitudes, md)]
+        convolved = np.convolve(per_md, np.abs(e))[: _TAIL_TERMS - 1].tolist()
+        terms = ([], [], [], [])
+        psi = 0.0
+        for k, (error, e_k, step, d, size) in enumerate(zip(convolved, e[1:], rising, coef, kept), 1):
+            psi += 1.0 / (mu + (k - 1))
+            fixed = (error + k * _EPS * abs(e_k)) / step
+            terms[0].append(d)
+            terms[1].append(fixed + size * ((k + 3.0) * _EPS + lead_err + mu_err * abs(psi + psi_mu)))
+            terms[2].append(size * (mu - 1.0 + k))
+            terms[3].append(size * mu_err)
+        return np.array(terms)
 
     def __call__(self, omega: np.ndarray, lead: list, d_omega: list) -> list[tuple[float, float, bool]]:
         """(remainder, error, served) at every 0 < omega < switch, from each point's P and
@@ -1060,12 +1057,13 @@ class DensityEvaluator:
         self._lines: dict[float, _Line] = {}
 
     @functools.cached_property
-    def _stirling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _stirling(self) -> tuple[list, list, list]:
         """m d_m and their magnitudes, m = 1..K+1, and e_0..e_(K+1) of the Stirling series
-        of g over A*: one ratio._stirling_table, built at the first point within half the
-        endpoint series' radius or on the contour."""
+        of g over A*, as lists: one ratio._stirling_table, built at the first point within
+        half the endpoint series' radius or on the contour."""
         md, magnitudes = _stirling_table(self.spec, _TAIL_TERMS + 1)
-        return md[1:], magnitudes[1:], _stirling_coefficients(md[1:].tolist())
+        md = md[1:].tolist()
+        return md, magnitudes[1:].tolist(), _stirling_coefficients(md)
 
     @functools.cached_property
     def coef(self) -> np.ndarray:
@@ -1073,13 +1071,13 @@ class DensityEvaluator:
         they leave the double range."""
         try:
             with np.errstate(over="raise"):
-                coef = self.inv.stirling_const * self._stirling[2][1:]
+                coef = self.inv.stirling_const * np.array(self._stirling[2][1:])
         except FloatingPointError:
             coef = None
         if coef is None or not np.isfinite(coef).all():
             raise UnsupportedParameterError(
                 f"the tail's Stirling terms A* e_k overflow (log A*={self.inv.log_stirling_const}, "
-                f"largest |e_k|={float(np.abs(self._stirling[2]).max())})"
+                f"largest |e_k|={max(map(abs, self._stirling[2]))})"
             )
         return coef
 

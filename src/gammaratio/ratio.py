@@ -39,6 +39,8 @@ _KERNEL_T_SWITCH = 0.9
 # comparisons are done at this relative tolerance.
 REL_TOL = 1e-12
 
+_LOG_2PI = math.log(2.0 * math.pi)
+
 
 def _as_positive_tuple(name: str, values: Sequence[float]) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
@@ -164,24 +166,23 @@ def _exp_or_inf(x: float) -> float:
 
 def derive(spec: RatioSpec) -> DerivedInvariants:
     """Compute all derived invariants of a ratio spec."""
-    sum_A = math.fsum(spec.A)
-    sum_B = math.fsum(spec.B)
-    entropy_A = math.fsum(Ai * math.log(Ai) for Ai in spec.A)
-    entropy_B = math.fsum(Bj * math.log(Bj) for Bj in spec.B)
+    log_A = [math.log(Ai) for Ai in spec.A]
+    log_B = [math.log(Bj) for Bj in spec.B]
+    entropy_A = math.fsum([Ai * v for Ai, v in zip(spec.A, log_A)])
+    entropy_B = math.fsum([Bj * v for Bj, v in zip(spec.B, log_B)])
     log_rho = entropy_A - entropy_B
-    mu = math.fsum(spec.b) - math.fsum(spec.a) + 0.5 * (spec.p - spec.q)
-    gamma_pole = -min(ai / Ai for ai, Ai in zip(spec.a, spec.A))
+    half_pq = 0.5 * (len(log_A) - len(log_B))
     log_stirling = (
-        0.5 * (spec.p - spec.q) * math.log(2.0 * math.pi)
-        + math.fsum((ai - 0.5) * math.log(Ai) for ai, Ai in zip(spec.a, spec.A))
-        + math.fsum((0.5 - bj) * math.log(Bj) for bj, Bj in zip(spec.b, spec.B))
+        half_pq * _LOG_2PI
+        + math.fsum([(ai - 0.5) * v for ai, v in zip(spec.a, log_A)])
+        + math.fsum([(0.5 - bj) * v for bj, v in zip(spec.b, log_B)])
     )
     return DerivedInvariants(
-        sum_A=sum_A,
-        sum_B=sum_B,
+        sum_A=math.fsum(spec.A),
+        sum_B=math.fsum(spec.B),
         rho=_exp_or_inf(log_rho),
-        mu=mu,
-        gamma_pole=gamma_pole,
+        mu=math.fsum(spec.b) - math.fsum(spec.a) + half_pq,
+        gamma_pole=-min([ai / Ai for ai, Ai in zip(spec.a, spec.A)]),
         entropy_A=entropy_A,
         entropy_B=entropy_B,
         stirling_const=_exp_or_inf(log_stirling),
