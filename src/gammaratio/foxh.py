@@ -676,10 +676,10 @@ class _ResidueSeries:
         # Per row: A_i, a_i, log A_i, -A_i, start, the ratio bound's sum over the
         # denominator factors and the envelope's constant.  Per other factor, with
         # c = scale/A_i: scale, shift, its sign in log|c_k| (+1 numerator, -1
-        # denominator), the rounding weight of z, the ratio bound's parts, the weight
-        # and offset that turn its distance d into the separation d / A_l of
-        # numerator poles, and the offset that leaves the distance of a denominator
-        # factor alone (0 there makes the term exactly 0).
+        # denominator), the rounding weight of z, the weight and offset that turn
+        # its distance d into the separation d / A_l of numerator poles, the offset
+        # that leaves the distance of a denominator factor alone (0 there makes the
+        # term exactly 0), and the ratio bound's parts.
         rows, factors = [], []
         for row, A, a, k in zip(others, spec.A, spec.a, start):
             beta_sum, envelope = 0.0, 0.0
@@ -689,129 +689,90 @@ class _ResidueSeries:
                 if f < p:
                     alpha = a + (1.5 - shift) / c
                     envelope += _LOG_PI - math.log(2.0 * _POLE_GAP * scale)
-                    factors.append((scale, shift, 1.0, 5.0, 1.0 / scale, 3.0 * shift + 1.0, 0.0, math.inf, c, alpha,
+                    factors.append((scale, shift, 1.0, 3.0 * shift + 1.0, 1.0 / scale, 0.0, math.inf, c, alpha,
                                     c * max(-alpha, 0.0)))
                 else:
                     beta_sum += c * max(a + 1.0 + (1.0 - shift + _EXP_MINUS_EULER) / c, 0.0)
                     envelope -= _LOG_PI
-                    factors.append((scale, shift, -1.0, 5.0, 0.0, 3.0 * shift + 1.0, math.inf, 0.0, 0.0, 1.0, 0.0))
+                    factors.append((scale, shift, -1.0, 3.0 * shift + 1.0, 0.0, math.inf, 0.0, 0.0, 1.0, 0.0))
             rows.append((A, a, math.log(A), -A, k, beta_sum, envelope))
         self.row_consts = np.array(rows).T[:, :, None]
-        self.factor_consts = np.array(factors).T.reshape(11, p, len(others[0]), 1)
+        self.factor_consts = np.array(factors).T.reshape(10, p, len(others[0]), 1)
         self.rows = np.arange(p)
         self.table = None
 
     def _extend(self, n: int):
         """Grow the table to the poles k < n of every row.  The caller ignores divide and
-        invalid, which the reflection and 1/d meet where two poles coincide.
-
-        The constants are spread over the new poles and every pass writes into a
-        held array, so each is one elementwise loop over the new entries."""
+        invalid, which the reflection and 1/d meet where two poles coincide."""
         k0 = 0 if self.table is None else self.table.shape[2]
         k = _POLES[k0:n]
-        row = np.repeat(self.row_consts, n - k0, axis=2)
-        factor = np.repeat(self.factor_consts, n - k0, axis=3)
-        others = factor.shape[2]
-        new = np.empty((7,) + row.shape[1:])
-        s, prefix, envelope, log_term, omega_min, sign, rounding = new
-        np.add(row[1], k, s)
-        np.divide(s, row[3], s)
-        # Per (row, other factor, pole): |z|, the distance d from z <= 0 to the nearest
-        # integer (z itself beyond), z, and scratch.
-        work = np.empty((8,) + factor.shape[1:])
-        abs_z, dist, z, t, u = work[0], work[1], work[2], work[6], work[7]
-        np.multiply(factor[0], s[:, None, :], z)
-        np.add(z, factor[1], z)
+        A, a, log_A, neg_A, start_column, beta_sum, envelope_const = self.row_consts
+        (scales, shifts, weights, dz0, gap_weights, gap_offsets, zero_offsets, numerator_c, alpha,
+         tail_c) = self.factor_consts
+        others = scales.shape[1]
+        # The new columns: s, prefix, envelope, log_term, omega_min, sign, rounding,
+        # and the exponent's rounding.
+        new = np.empty((8, len(a), n - k0))
+        s = np.divide(a + k, neg_A, out=new[0])
+        # z and its distance d from z <= 0 to the nearest integer (z itself beyond).
+        zd = np.empty((2, len(a), others, n - k0))
+        z, dist = zd
+        np.multiply(scales, s[:, None, :], out=z)
+        z += shifts
         right = z > 0.0
-        np.absolute(z, abs_z)
-        np.rint(z, dist)
-        np.subtract(z, dist, dist)
-        np.absolute(dist, dist)
+        np.subtract(z, np.rint(z), out=dist)
+        np.abs(dist, out=dist)
         np.copyto(dist, z, where=right)
+        abs_z = np.abs(z)
         # 1 - z at z <= 0, z beyond: the argument of each lgamma.
-        arg = np.subtract(1.0, z)
-        np.copyto(arg, z, where=right)
+        arg = np.where(right, z, 1.0 - z)
         lg = np.fromiter(map(math.lgamma, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
-        # sin(pi d) and sin(pi z) in one pass; log|Gamma(z)| = reflection - lgamma at
+        # sin(pi z) and sin(pi d) in one pass.  log|Gamma(z)| = reflection - lgamma at
         # z <= 0, with sin at the exact distance, and sign Gamma(z) = sign sin(pi z).
-        sines = work[3:5]
-        np.multiply(work[1:3], np.pi, sines)
-        np.sin(sines, sines)
-        reflection = work[5]
-        np.log(sines[0], reflection)
-        np.subtract(_LOG_PI, reflection, reflection)
-        np.copyto(reflection, 0.0, where=right)
-        np.copyto(sines[1], 1.0, where=right)
+        sines = np.sin(np.pi * zd)
+        reflection = np.where(right, 0.0, _LOG_PI - np.log(sines[1]))
+        sign = np.sign(np.where(right, 1.0, sines[0])).prod(axis=1)
         # One sum over the other factors of: log|c_k| before its base, the rounding
-        # per factor, (5 |z| + 3 shift + 1) (log(2 + |z|) + 1 + 1/d) + (F + 8)
-        # (|lgamma| + reflection), the envelope's lgamma sum and the ratio bound.
-        per = np.empty((4,) + factor.shape[1:])
-        np.subtract(reflection, lg, per[0])
-        np.copyto(per[0], lg, where=right)
-        np.multiply(per[0], factor[2], per[0])
-        np.multiply(abs_z, factor[3], t)
-        np.add(t, factor[5], t)
-        np.add(abs_z, 2.0, u)
-        np.log(u, u)
-        np.add(u, 1.0, u)
-        np.divide(1.0, dist, per[1])
-        np.add(u, per[1], u)
-        np.multiply(t, u, per[1])
-        np.absolute(lg, t)
-        np.add(t, reflection, t)
-        np.multiply(t, others + 8.0, t)
-        np.add(per[1], t, per[1])
-        np.multiply(factor[2], lg, per[2])
-        np.add(factor[9], k, t)
-        np.divide(factor[10], t, per[3])
-        np.divide(factor[8], arg, t)
-        np.add(per[3], t, per[3])
-        sums = np.add.reduce(per, 2)
-        # One least over the other factors of: a denominator factor's distance (0
-        # makes the term exactly 0), the separation d / A_l from a numerator factor's
-        # poles, and -z (>= 0 where every other argument is <= 0).
-        least = work[5:8]
-        np.add(dist, factor[7], least[0])
-        np.multiply(dist, factor[4], least[1])
-        np.add(least[1], factor[6], least[1])
-        np.negative(z, least[2])
-        least = np.minimum.reduce(least, 2)
-        zero = least[0] == 0.0
+        # per factor, the envelope's lgamma sum and the ratio bound.
+        per = np.empty((4,) + z.shape)
+        np.multiply(weights, np.where(right, lg, reflection - lg), out=per[0])
+        np.multiply(5.0 * abs_z + dz0, np.log(2.0 + abs_z) + 1.0 + 1.0 / dist, out=per[1])
+        per[1] += (others + 8.0) * (np.abs(lg) + reflection)
+        np.multiply(weights, lg, out=per[2])
+        np.divide(tail_c, k + alpha, out=per[3])
+        per[3] += numerator_c / arg
+        log_c, per_factor, log_envelope, ratio = per.sum(axis=2)
+        # One least over the other factors of: a denominator factor's distance, the
+        # separation from a numerator factor's poles, and -z (>= 0 where every other
+        # argument is <= 0).
+        np.multiply(dist, gap_weights, out=per[1])
+        per[1] += gap_offsets
+        np.add(dist, zero_offsets, out=per[0])
+        np.negative(z, out=per[2])
+        zero, gap, all_left = per[:3].min(axis=2)
+        zero = zero == 0.0
         slr = s * self.log_rho
-        base = np.add(row[2], _LOG_FACTORIAL[k0:n])
-        np.add(base, slr, base)
-        np.subtract(sums[0], base, log_term)
+        base = log_A + _LOG_FACTORIAL[k0:n]
+        base += slr
+        log_term = np.subtract(log_c, base, out=new[3])
         # k! brings (-1)^k; a denominator factor at a nonpositive integer makes the
         # term exactly 0.
-        np.sign(sines[1], sines[1])
-        np.multiply.reduce(sines[1], 1, None, sign)
-        np.multiply(sign, _PARITY[k0:n], sign)
-        np.absolute(slr, rounding)
-        np.add(rounding, others, rounding)
-        np.multiply(rounding, 2.0, rounding)
-        np.absolute(base, slr)
-        np.add(rounding, slr, rounding)
-        np.multiply(rounding, others + 8.0, rounding)
-        np.add(rounding, sums[1], rounding)
-        np.multiply(rounding, _EPS, rounding)
-        sign[zero], rounding[zero], log_term[zero] = 0.0, 0.0, -np.inf
-        np.subtract(row[6], sums[2], envelope)
-        np.subtract(envelope, base, envelope)
-        np.add(envelope, rounding, envelope)
-        envelope[least[2] < 0.0] = np.inf
+        np.multiply(sign, _PARITY[k0:n], out=new[5])
+        rounding = np.multiply(others + 8.0, 2.0 * (others + np.abs(slr)) + np.abs(base), out=new[6])
+        rounding += per_factor
+        rounding *= _EPS
         # The exponent's sum: 3 eps |log|c_k| + s_k omega| <= 3 eps (|log|c_k|| + |s_k| omega).
-        np.absolute(log_term, base)
-        np.multiply(base, 3.0 * _EPS, base)
-        base[zero] = 0.0
-        np.add(rounding, base, rounding)
+        np.multiply(3.0 * _EPS, np.abs(log_term), out=new[7])
+        np.copyto(new[5:], 0.0, where=zero)
+        log_term[zero] = -np.inf
+        envelope = np.add(envelope_const - log_envelope - base, rounding, out=new[2])
+        envelope[all_left < 0.0] = np.inf
+        rounding += new[7]
         # The least omega at which the ratio bound is at most 1/2.
-        np.divide(row[5], k, omega_min)
-        np.add(sums[3], omega_min, omega_min)
-        np.add(omega_min, _LOG_2, omega_min)
-        np.multiply(omega_min, row[0], omega_min)
-        np.copyto(prefix, log_term)
-        prefix[row[4] < k] = -np.inf
-        simple, pole_ok = least[1] > 0.0, least[1] >= _POLE_GAP
+        np.multiply(ratio + beta_sum / k + _LOG_2, A, out=new[4])
+        np.copyto(new[1], np.where(k <= start_column, log_term, -np.inf))
+        simple, pole_ok = gap > 0.0, gap >= _POLE_GAP
+        new = new[:7]
         if self.table is not None:
             new = np.concatenate([self.table, new], axis=2)
             simple = np.concatenate([self.simple, simple], axis=1)
