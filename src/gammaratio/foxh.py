@@ -34,6 +34,16 @@ as x or as omega goes through one assembly (_density_at), which computes
 the rounding of omega and the leading part once and hands them to each
 path; the record's remainder is always the value less the leading part.
 
+A point on a spec seen for the first time pays its path's set-up.  The
+endpoint series builds one Stirling table (one set of Bernoulli powers gives
+the m d_m and their magnitudes, ratio._stirling_table), and handles its 21
+coefficients and error weights as Python floats, where arrays of 21 entries
+cost more in numpy calls than in arithmetic (the switch's powers stay one
+array pass).  The residue series
+builds its pole table in one pass of array operations over (rows, factors,
+poles), with one sum and one least over the factors, and stores it as one
+array; a batch is contracted in one set of passes for every batch size.
+
 The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T,
 the least T >= 5 where the Stirling series of g holds to 1e-15:
 Gauss-Kronrod G10/K21 panels on [0, T], whose K21 - G10 difference is their
@@ -611,9 +621,13 @@ class _ResidueSeries:
     log, the envelope and ratio bounds below, the distance from s_k to the
     nearest pole of another numerator factor, and whether the poles up to k are
     simple.  It grows on demand, and every entry depends on the spec and k
-    alone.  A batch is one (points x rows x poles) exponential, e^(log|c_k| -
-    s_k log rho + s_k omega); each point sums its own terms with math.fsum, so
-    its result does not depend on its batch.
+    alone: one (7, rows, poles) array (s_k, the prefix's log|c_k| - s_k log
+    rho, the envelope, that log, the ratio bound's least omega, the sign and
+    the rounding), built by one `_extend` pass over (rows, other factors,
+    poles) with one sum and one least over the factors.  A batch is one
+    (points x rows x poles) exponential, e^(log|c_k| - s_k log rho + s_k
+    omega); each point sums its own terms with math.fsum, so its result does
+    not depend on its batch.
 
     Each log-gamma is one math.lgamma at a positive argument: at z <= 0 the
     reflection |Gamma(z)| = pi / (|sin pi z| Gamma(1 - z)), with sin taken at the
