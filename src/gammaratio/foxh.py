@@ -39,10 +39,8 @@ endpoint series builds one Stirling table (one set of Bernoulli powers gives
 the m d_m and their magnitudes, ratio._stirling_table), and handles its 21
 coefficients and error weights as Python floats, where arrays of 21 entries
 cost more in numpy calls than in arithmetic (the switch's powers stay one
-array pass).  The residue series
-builds its pole table in one pass of array operations over (rows, factors,
-poles), with one sum and one least over the factors, and stores it as one
-array; a batch is contracted in one set of passes for every batch size.
+array pass).  The residue series builds its pole table in one _extend of
+about a hundred array passes, each over every (row, factor, pole) entry.
 
 The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T,
 the least T >= 5 where the Stirling series of g holds to 1e-15:
@@ -152,7 +150,6 @@ _RESIDUE_BLOCK = 3
 # Most factor entries per pole, p (p + q - 1), a table holds: 1,025 poles of
 # them are 2 MB per table array.
 _RESIDUE_FACTORS = 256
-_POLES = np.arange(_RESIDUE_TERMS + 1.0)
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_RESIDUE_TERMS + 1)])
 _PARITY = np.where(np.arange(_RESIDUE_TERMS + 1) % 2 == 0, 1.0, -1.0)
 _LOG_PI = math.log(math.pi)
@@ -282,16 +279,13 @@ def _tail_start(coef: np.ndarray) -> float:
     spec_mixed_scale and 26 on spec_paired.
     """
     kept = np.abs(coef[:-1])
-    nonzero = kept > 0.0
-    if not nonzero.any():
-        return _HEAD_T_MIN
+    scaled = _TAIL_SERIES_TOL * kept
     # A kept term the omitted one exceeds 2^1000-fold (or that underflows when scaled)
     # would need T far past _TAIL_T_MAX, and sets no bound: the ratio stays finite.
-    scaled = _TAIL_SERIES_TOL * kept[nonzero]
-    usable = abs(coef[-1]) * 2.0**-1000 < scaled
+    usable = scaled > abs(coef[-1]) * 2.0**-1000
     if not usable.any():
-        return _TAIL_T_MAX
-    need = (abs(coef[-1]) / scaled[usable]) ** _TAIL_ROOTS[nonzero][usable]
+        return _TAIL_T_MAX if kept.any() else _HEAD_T_MIN
+    need = (abs(coef[-1]) / scaled[usable]) ** _TAIL_ROOTS[usable]
     return max(_HEAD_T_MIN, min(float(need.min()), _TAIL_T_MAX))
 
 
@@ -621,13 +615,9 @@ class _ResidueSeries:
     log, the envelope and ratio bounds below, the distance from s_k to the
     nearest pole of another numerator factor, and whether the poles up to k are
     simple.  It grows on demand, and every entry depends on the spec and k
-    alone: one (7, rows, poles) array (s_k, the prefix's log|c_k| - s_k log
-    rho, the envelope, that log, the ratio bound's least omega, the sign and
-    the rounding), built by one `_extend` pass over (rows, other factors,
-    poles) with one sum and one least over the factors.  A batch is one
-    (points x rows x poles) exponential, e^(log|c_k| - s_k log rho + s_k
-    omega); each point sums its own terms with math.fsum, so its result does
-    not depend on its batch.
+    alone.  A batch is one (points x rows x poles) exponential, e^(log|c_k| -
+    s_k log rho + s_k omega); each point sums its own terms with math.fsum, so
+    its result does not depend on its batch.
 
     Each log-gamma is one math.lgamma at a positive argument: at z <= 0 the
     reflection |Gamma(z)| = pi / (|sin pi z| Gamma(1 - z)), with sin taken at the
@@ -671,8 +661,9 @@ class _ResidueSeries:
     _RESIDUE_TERMS.
     """
 
-    __slots__ = ("log_rho", "start", "reach", "usable", "row_consts", "factor_consts", "rows", "table", "simple",
-                 "pole_ok")
+    __slots__ = ("A", "a", "log_A", "neg_A", "log_rho", "start", "start_column", "usable", "scales", "shifts",
+                 "denominator", "weights", "numerator_c", "alpha", "tail_c", "dz0", "gap_weights", "gap_offsets",
+                 "beta_sum", "envelope_const", "table")
 
     def __init__(self, spec: RatioSpec, log_rho: float):
         p, scales, shifts = spec.p, spec.A + spec.B, spec.a + spec.b
@@ -686,14 +677,12 @@ class _ResidueSeries:
         if not self.usable:
             return
         self.start, self.log_rho = start, log_rho
-        self.reach = [A * _TRUNCATION_LOG for A in spec.A]
-        # Per row: A_i, a_i, log A_i, -A_i, start, the ratio bound's sum over the
-        # denominator factors and the envelope's constant.  Per other factor, with
-        # c = scale/A_i: scale, shift, its sign in log|c_k| (+1 numerator, -1
-        # denominator), the rounding weight of z, the weight and offset that turn
-        # its distance d into the separation d / A_l of numerator poles, the offset
-        # that leaves the distance of a denominator factor alone (0 there makes the
-        # term exactly 0), and the ratio bound's parts.
+        # Per row: A_i, a_i, start, the ratio bound's sum over the denominator
+        # factors and the envelope's constant.  Per other factor, with c =
+        # scale/A_i: scale, shift, its sign in log|c_k| (+1 numerator, -1
+        # denominator), the rounding weight of z, the ratio bound's parts, and the
+        # weight and offset that turn its distance d into the separation d / A_l
+        # of numerator poles.
         rows, factors = [], []
         for row, A, a, k in zip(others, spec.A, spec.a, start):
             beta_sum, envelope = 0.0, 0.0
@@ -703,98 +692,69 @@ class _ResidueSeries:
                 if f < p:
                     alpha = a + (1.5 - shift) / c
                     envelope += _LOG_PI - math.log(2.0 * _POLE_GAP * scale)
-                    factors.append((scale, shift, 1.0, 3.0 * shift + 1.0, 1.0 / scale, 0.0, math.inf, c, alpha,
-                                    c * max(-alpha, 0.0)))
+                    factors += (scale, shift, 1.0, 3.0 * shift + 1.0, c, alpha, c * max(-alpha, 0.0), 1.0 / scale, 0.0)
                 else:
                     beta_sum += c * max(a + 1.0 + (1.0 - shift + _EXP_MINUS_EULER) / c, 0.0)
                     envelope -= _LOG_PI
-                    factors.append((scale, shift, -1.0, 3.0 * shift + 1.0, 0.0, math.inf, 0.0, 0.0, 1.0, 0.0))
-            rows.append((A, a, math.log(A), -A, k, beta_sum, envelope))
-        self.row_consts = np.array(rows).T[:, :, None]
-        self.factor_consts = np.array(factors).T.reshape(10, p, len(others[0]), 1)
-        self.rows = np.arange(p)
+                    factors += (scale, shift, -1.0, 3.0 * shift + 1.0, 0.0, 1.0, 0.0, 0.0, math.inf)
+            rows += (A, a, math.log(A), -A, k, beta_sum, envelope)
+        rows = np.array(rows).reshape(p, 7)
+        factors = np.array(factors).reshape(p, len(others[0]), 9, 1)
+        self.A, self.a, self.log_A, self.neg_A, self.start_column, self.beta_sum, self.envelope_const = (
+            rows[:, j : j + 1] for j in range(7))
+        (self.scales, self.shifts, self.weights, self.dz0, self.numerator_c, self.alpha, self.tail_c,
+         self.gap_weights, self.gap_offsets) = (factors[:, :, j] for j in range(9))
+        self.denominator = self.weights < 0.0
         self.table = None
 
     def _extend(self, n: int):
-        """Grow the table to the poles k < n of every row.  The caller ignores divide and
-        invalid, which the reflection and 1/d meet where two poles coincide."""
-        k0 = 0 if self.table is None else self.table.shape[2]
-        k = _POLES[k0:n]
-        A, a, log_A, neg_A, start_column, beta_sum, envelope_const = self.row_consts
-        (scales, shifts, weights, dz0, gap_weights, gap_offsets, zero_offsets, numerator_c, alpha,
-         tail_c) = self.factor_consts
-        others = scales.shape[1]
-        # The new columns: s, prefix, envelope, log_term, omega_min, sign, rounding,
-        # and the exponent's rounding.
-        new = np.empty((8, len(a), n - k0))
-        s = np.divide(a + k, neg_A, out=new[0])
-        # z and its distance d from z <= 0 to the nearest integer (z itself beyond).
-        zd = np.empty((2, len(a), others, n - k0))
-        z, dist = zd
-        np.multiply(scales, s[:, None, :], out=z)
-        z += shifts
-        right = z > 0.0
-        np.subtract(z, np.rint(z), out=dist)
-        np.abs(dist, out=dist)
-        np.copyto(dist, z, where=right)
+        """Grow the table to the poles k < n of every row."""
+        k0 = 0 if self.table is None else self.table[0].shape[1]
+        k = np.arange(k0, n, dtype=float)
+        s = (self.a + k) / self.neg_A
+        z = self.scales * s[:, None, :]
+        z += self.shifts
+        left = z <= 0.0
         abs_z = np.abs(z)
-        # 1 - z at z <= 0, z beyond: the argument of each lgamma.
-        arg = np.where(right, z, 1.0 - z)
-        lg = np.fromiter(map(math.lgamma, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
-        # sin(pi z) and sin(pi d) in one pass.  log|Gamma(z)| = reflection - lgamma at
-        # z <= 0, with sin at the exact distance, and sign Gamma(z) = sign sin(pi z).
-        sines = np.sin(np.pi * zd)
-        reflection = np.where(right, 0.0, _LOG_PI - np.log(sines[1]))
-        sign = np.sign(np.where(right, 1.0, sines[0])).prod(axis=1)
-        # One sum over the other factors of: log|c_k| before its base, the rounding
-        # per factor, the envelope's lgamma sum and the ratio bound.
-        per = np.empty((4,) + z.shape)
-        np.multiply(weights, np.where(right, lg, reflection - lg), out=per[0])
-        np.multiply(5.0 * abs_z + dz0, np.log(2.0 + abs_z) + 1.0 + 1.0 / dist, out=per[1])
-        per[1] += (others + 8.0) * (np.abs(lg) + reflection)
-        np.multiply(weights, lg, out=per[2])
-        np.divide(tail_c, k + alpha, out=per[3])
-        per[3] += numerator_c / arg
-        log_c, per_factor, log_envelope, ratio = per.sum(axis=2)
-        # One least over the other factors of: a denominator factor's distance, the
-        # separation from a numerator factor's poles, and -z (>= 0 where every other
-        # argument is <= 0).
-        np.multiply(dist, gap_weights, out=per[1])
-        per[1] += gap_offsets
-        np.add(dist, zero_offsets, out=per[0])
-        np.negative(z, out=per[2])
-        zero, gap, all_left = per[:3].min(axis=2)
-        zero = zero == 0.0
-        slr = s * self.log_rho
-        base = log_A + _LOG_FACTORIAL[k0:n]
-        base += slr
-        log_term = np.subtract(log_c, base, out=new[3])
-        # k! brings (-1)^k; a denominator factor at a nonpositive integer makes the
-        # term exactly 0.
-        np.multiply(sign, _PARITY[k0:n], out=new[5])
-        rounding = np.multiply(others + 8.0, 2.0 * (others + np.abs(slr)) + np.abs(base), out=new[6])
-        rounding += per_factor
-        rounding *= _EPS
-        # The exponent's sum: 3 eps |log|c_k| + s_k omega| <= 3 eps (|log|c_k|| + |s_k| omega).
-        np.multiply(3.0 * _EPS, np.abs(log_term), out=new[7])
-        np.copyto(new[5:], 0.0, where=zero)
-        log_term[zero] = -np.inf
-        envelope = np.add(envelope_const - log_envelope - base, rounding, out=new[2])
-        envelope[all_left < 0.0] = np.inf
-        rounding += new[7]
-        # The least omega at which the ratio bound is at most 1/2.
-        np.multiply(ratio + beta_sum / k + _LOG_2, A, out=new[4])
-        np.copyto(new[1], np.where(k <= start_column, log_term, -np.inf))
-        simple, pole_ok = gap > 0.0, gap >= _POLE_GAP
-        new = new[:7]
+        dist = np.where(left, np.abs(z - np.rint(z)), z)
+        arg = np.where(left, 1.0 - z, z)
+        lg = np.fromiter(map(math.lgamma, arg.ravel().tolist()), float, z.size).reshape(z.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # log|Gamma(z)| = reflection - lgamma at z <= 0, with sin at the exact distance.
+            reflection = np.where(left, _LOG_PI - np.log(np.sin(np.pi * dist)), 0.0)
+            log_gamma = np.where(left, reflection - lg, lg)
+            slr = s * self.log_rho
+            base = self.log_A + _LOG_FACTORIAL[k0:n]
+            base += slr
+            log_term = (self.weights * log_gamma).sum(axis=1)
+            log_term -= base
+            # sign Gamma(z) = sign sin(pi z) at z <= 0, and k! brings (-1)^k.  A
+            # denominator factor at a nonpositive integer makes the term exactly 0.
+            sign = np.sign(np.where(left, np.sin(np.pi * z), 1.0)).prod(axis=1) * _PARITY[k0:n]
+            zero = ((dist == 0.0) & self.denominator).any(axis=1)
+            per_factor = (5.0 * abs_z + self.dz0) * (np.log(2.0 + abs_z) + 1.0 + 1.0 / dist)
+            per_factor += (z.shape[1] + 8.0) * (np.abs(lg) + reflection)
+            rounding = (z.shape[1] + 8.0) * (2.0 * (z.shape[1] + np.abs(slr)) + np.abs(base))
+            rounding += per_factor.sum(axis=1)
+            rounding *= _EPS
+            sign[zero], rounding[zero], log_term[zero] = 0.0, 0.0, -np.inf
+            envelope = self.envelope_const - (self.weights * lg).sum(axis=1) - base + rounding
+            envelope[~left.all(axis=1)] = np.inf
+            # The exponent's sum: 3 eps |log|c_k| + s_k omega| <= 3 eps (|log|c_k|| + |s_k| omega).
+            rounding += np.where(zero, 0.0, 3.0 * _EPS * np.abs(log_term))
+            # The least omega at which the ratio bound is at most 1/2.
+            ratio = self.tail_c / (k + self.alpha)
+            ratio += self.numerator_c / arg
+            omega_min = (ratio.sum(axis=1) + self.beta_sum / k + _LOG_2) * self.A
+            gap = (dist * self.gap_weights + self.gap_offsets).min(axis=1)
+        prefix = np.where(k <= self.start_column, log_term, -np.inf)
+        new = [s, log_term, sign, rounding, envelope, omega_min, gap >= _POLE_GAP, np.abs(s), prefix, gap > 0.0]
         if self.table is not None:
-            new = np.concatenate([self.table, new], axis=2)
-            simple = np.concatenate([self.simple, simple], axis=1)
+            new = [np.concatenate([old, part], axis=1) for old, part in zip(self.table, new)]
         # The poles from the first double pole on are not simple; a served point's
         # poles up to its count are simple, and the first omitted one keeps the gap.
-        self.simple = np.logical_and.accumulate(simple, axis=1)
-        pole_ok &= self.simple[:, k0:]
-        self.pole_ok = pole_ok if self.table is None else np.concatenate([self.pole_ok, pole_ok], axis=1)
+        new[9] = np.logical_and.accumulate(new[9], axis=1)
+        new[6] = new[6] & new[9]
         self.table = new
 
     def __call__(self, omega: np.ndarray, lead: list, d_omega: list, tol: float) -> list[tuple[float, float, bool]]:
@@ -804,36 +764,36 @@ class _ResidueSeries:
         if not self.usable:
             return out
         om = omega.tolist()
-        reach = [max(k + A / w for k, A in zip(self.start, self.reach)) for w in om]
+        scales = [A * _TRUNCATION_LOG for A in self.A[:, 0].tolist()]
+        reach = [max(k + A / w for k, A in zip(self.start, scales)) for w in om]
         idx = [j for j, n in enumerate(reach) if n <= _RESIDUE_TERMS]
         if not idx:
             return out
         size = min(int(max(reach[j] for j in idx)) + _RESIDUE_BLOCK, _RESIDUE_TERMS + 1)
         w = np.array([om[j] for j in idx])[:, None, None]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             while True:
-                if self.table is None or self.table.shape[2] < size:
+                if self.table is None or self.table[0].shape[1] < size:
                     self._extend(size)
-                s, _, _, log_term, omega_min, sign, rounding = self.table
+                s, log_term, sign, rounding, envelope, omega_min, pole_ok, abs_s, prefix, _ = self.table
                 s_w = s * w
-                # Per point: the prefixes' terms, the envelopes and the terms' logs.
-                lifted = self.table[1:4] + s_w[:, None]
-                target = lifted[:, 0].max(axis=(1, 2))
+                target = (prefix + s_w).max(axis=(1, 2))
                 target -= _TRUNCATION_LOG
-                bound = lifted[:, 1]
+                bound = envelope + s_w
                 ok = (bound <= target[:, None, None]) & (omega_min <= w)
                 found = ok.any(axis=2).all(axis=1)
                 if found.all() or size > _RESIDUE_TERMS:
                     break
                 size = min(2 * size, _RESIDUE_TERMS + 1)
             count = ok.argmax(axis=2)
-            served = (found & self.pole_ok[self.rows, count].all(axis=1)).tolist()
-            tail = np.exp(bound[np.arange(len(idx))[:, None], self.rows, count]).sum(axis=1).tolist()
-            t = sign * np.exp(lifted[:, 2])
-            # Rounding of the exponent: the table's, and |s_k| = -s_k times that of
-            # omega and of s_k omega and of the sum.
+            rows = np.arange(len(self.start))
+            served = (found & pole_ok[rows, count].all(axis=1)).tolist()
+            tail = np.exp(bound[np.arange(len(idx))[:, None], rows, count]).sum(axis=1).tolist()
+            t = sign * np.exp(log_term + s_w)
+            # Rounding of the exponent: the table's, and s_k times that of omega and
+            # of s_k omega and of the sum.
             spread = np.array([d_omega[j] + 6.0 * _EPS * om[j] for j in idx])[:, None, None]
-            err = np.expm1(rounding - s * spread)
+            err = np.expm1(abs_s * spread + rounding)
             err += _EPS
             err *= np.abs(t)
         for j, ok_j, ks, t_j, e_j, tail_j in zip(idx, served, count.tolist(), t.tolist(), err.tolist(), tail):
@@ -1044,17 +1004,14 @@ class DensityEvaluator:
     def coef(self) -> np.ndarray:
         """A* e_k, k = 1..K+1: the tail's Stirling terms; UnsupportedParameterError where
         they leave the double range."""
-        try:
-            with np.errstate(over="raise"):
-                coef = self.inv.stirling_const * np.array(self._stirling[2][1:])
-        except FloatingPointError:
-            coef = None
-        if coef is None or not np.isfinite(coef).all():
+        e = self._stirling[2][1:]
+        largest = max(map(abs, e))
+        if not math.isfinite(largest * self.inv.stirling_const):
             raise UnsupportedParameterError(
                 f"the tail's Stirling terms A* e_k overflow (log A*={self.inv.log_stirling_const}, "
-                f"largest |e_k|={max(map(abs, self._stirling[2]))})"
+                f"largest |e_k|={largest})"
             )
-        return coef
+        return self.inv.stirling_const * np.array(e)
 
     @functools.cached_property
     def T(self) -> float:
