@@ -40,7 +40,7 @@ the m d_m and their magnitudes, ratio._stirling_table), and handles its 21
 coefficients and error weights as Python floats, where arrays of 21 entries
 cost more in numpy calls than in arithmetic (the switch's powers stay one
 array pass).  The residue series builds its pole table in one _extend of
-about a hundred array passes, each over every (row, factor, pole) entry.
+about a hundred array passes over its (row, factor, pole) entries.
 
 The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T,
 the least T >= 5 where the Stirling series of g holds to 1e-15:
@@ -564,7 +564,8 @@ class _EndpointSeries:
         """
         md, magnitudes, e, rising, coef, kept, mu, factors, psi_mu, mu_err, lead_err = self.inputs
         factors += 6.0
-        per_md = [_EPS * ((m + factors) * size / m + abs(d)) for m, size, d in zip(range(1, len(md) + 1), magnitudes, md)]
+        per_md = [_EPS * ((m + factors) * size / m + abs(d))
+                  for m, size, d in zip(range(1, len(md) + 1), magnitudes, md)]
         convolved = np.convolve(per_md, np.abs(e))[: _TAIL_TERMS - 1].tolist()
         terms = ([], [], [], [])
         psi = 0.0

@@ -345,7 +345,7 @@ _BERNOULLI_POLY = np.array(
 # powers, and the divisors m + 1, m = 0..21.
 _BERNOULLI_PAIR = np.stack([_BERNOULLI_POLY, np.abs(_BERNOULLI_POLY)])
 _EXPONENTS = np.arange(float(len(_BERNOULLI)))[:, None] * np.array([1.0, -1.0])[:, None, None]
-_ORDERS = np.arange(1.0, len(_BERNOULLI))
+_DIVISORS = np.arange(1.0, len(_BERNOULLI))
 
 
 def _stirling_table(spec: RatioSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +365,7 @@ def _stirling_table(spec: RatioSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     rows = (_BERNOULLI_PAIR[:, : n + 2, : n + 2] @ powers[:2, : n + 2])[:, 1:]
     rows *= powers[2, : n + 1]
     md_rows = rows[0] @ np.array([1.0] * spec.p + [-1.0] * spec.q)
-    return md_rows / _ORDERS[: n + 1], rows[1].sum(axis=1) / _ORDERS[: n + 1]
+    return md_rows / _DIVISORS[: n + 1], rows[1].sum(axis=1) / _DIVISORS[: n + 1]
 
 
 def cm_kernel_series(spec: RatioSpec, n_terms: int = 12) -> list[tuple[float, float]]:
