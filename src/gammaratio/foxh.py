@@ -212,7 +212,9 @@ def _g(spec: RatioSpec, inv: DerivedInvariants, s: np.ndarray) -> tuple[np.ndarr
     and that of log lead times |lead|.  Both grow with |s|: the magnitudes
     summed into d are those of the Stirling sums, |s log rho| and |log
     lead| <= mu |log s| + |log A*|, and those into log lead are the same
-    plus mu, the rounding of |s| taken to the log.
+    plus mu, the rounding of |s| taken to the log.  Where lead or g leaves the
+    double range on the line the spec is outside what the contour can
+    evaluate, and UnsupportedParameterError says so.
     """
     z = np.array(spec.A + spec.B)[:, None] * s
     z += np.array(spec.a + spec.b)[:, None]
