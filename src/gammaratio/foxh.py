@@ -666,7 +666,7 @@ class _ResidueSeries:
 
     __slots__ = ("A", "a", "log_A", "neg_A", "log_rho", "start", "start_column", "usable", "scales", "shifts",
                  "denominator", "weights", "numerator_c", "alpha", "tail_c", "dz0", "gap_weights", "gap_offsets",
-                 "beta_sum", "envelope_const", "table")
+                 "beta_sum", "envelope_const", "reach", "table")
 
     def __init__(self, spec: RatioSpec, log_rho: float):
         p, scales, shifts = spec.p, spec.A + spec.B, spec.a + spec.b
@@ -701,13 +701,13 @@ class _ResidueSeries:
                     envelope -= _LOG_PI
                     factors += (scale, shift, -1.0, 3.0 * shift + 1.0, 0.0, 1.0, 0.0, 0.0, math.inf)
             rows += (A, a, math.log(A), -A, k, beta_sum, envelope)
-        rows = np.array(rows).reshape(p, 7)
-        factors = np.array(factors).reshape(p, len(others[0]), 9, 1)
         self.A, self.a, self.log_A, self.neg_A, self.start_column, self.beta_sum, self.envelope_const = (
-            rows[:, j : j + 1] for j in range(7))
+            np.array(rows).reshape(p, 7, 1).transpose(1, 0, 2))
+        factors = np.array(factors).reshape(p, len(others[0]), 9, 1)
         (self.scales, self.shifts, self.weights, self.dz0, self.numerator_c, self.alpha, self.tail_c,
-         self.gap_weights, self.gap_offsets) = (factors[:, :, j] for j in range(9))
+         self.gap_weights, self.gap_offsets) = factors.transpose(2, 0, 1, 3)
         self.denominator = self.weights < 0.0
+        self.reach = [A * _TRUNCATION_LOG for A in spec.A]
         self.table = None
 
     def _extend(self, n: int):
@@ -767,8 +767,7 @@ class _ResidueSeries:
         if not self.usable:
             return out
         om = omega.tolist()
-        scales = [A * _TRUNCATION_LOG for A in self.A[:, 0].tolist()]
-        reach = [max(k + A / w for k, A in zip(self.start, scales)) for w in om]
+        reach = [max(k + A / w for k, A in zip(self.start, self.reach)) for w in om]
         idx = [j for j, n in enumerate(reach) if n <= _RESIDUE_TERMS]
         if not idx:
             return out
@@ -838,7 +837,8 @@ def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray,
     residue points build no line.
     """
     om = omega.tolist()
-    lead, lead_err, rem, rem_err, d_omega = ([0.0] * len(om) for _ in range(5))
+    n = len(om)
+    lead, lead_err, rem, rem_err, d_omega = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     # Per-point loop: the evaluator's scalars as locals.
     scale, mu1, log_rho, log_rho_err = ev.lead_scale, ev.inv.mu - 1.0, ev.inv.log_rho, ev.log_rho_err
     rel, mu_err, psi_mu, half_radius = 1e-14 + ev.lead_err, ev.mu_err, ev.psi_mu, ev.half_radius
