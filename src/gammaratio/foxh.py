@@ -831,10 +831,11 @@ def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray,
     record needs it, a value does not), adds the rounding of A*/Gamma(mu), of
     the power, of mu (amplified by |log omega - psi(mu)|) and of omega
     (amplified by |mu - 1| / omega).  The path of a point is chosen from the
-    spec and omega before any contour runs: within the endpoint series'
-    switch the series, beyond _SHIFT_OMEGA the residue series, and a point
-    neither serves takes the contour (_remainder_on_line).  Series and
-    residue points build no line.
+    spec and omega before any contour runs: beyond _SHIFT_OMEGA the residue
+    series, within the endpoint series' switch (also where the residue
+    series refuses) the series, and a point neither serves takes the contour
+    (_remainder_on_line).  Series and residue points build no line, and the
+    endpoint series is set up only for a point that asks it.
     """
     om = omega.tolist()
     n = len(om)
@@ -854,21 +855,25 @@ def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray,
         lead[k], d_omega[k] = p, d
         if lead_errors:
             lead_err[k] = p * (rel + mu_err * abs(math.log(w) - psi_mu) + abs(mu1) * d / w)
+        if w > _SHIFT_OMEGA:
+            far.append(k)
         # Beyond half the radius of the series no point needs its switch.
-        if w < half_radius and w < ev.series.switch:
+        elif w < half_radius and w < ev.series.switch:
             near.append(k)
         else:
-            (far if w > _SHIFT_OMEGA else contour).append(k)
-    if near:
-        served = ev.series(omega[near], [lead[k] for k in near], [d_omega[k] for k in near])
-        for k, (value, err, ok) in zip(near, served):
-            if ok:
-                rem[k], rem_err[k] = value, err
-            else:
-                (far if om[k] > _SHIFT_OMEGA else contour).append(k)
+            contour.append(k)
     if far:
         served = ev.residue(omega[far], [lead[k] for k in far], [d_omega[k] for k in far], ev.cfg.quad_rel_tol)
         for k, (value, err, ok) in zip(far, served):
+            if ok:
+                rem[k], rem_err[k] = value, err
+            elif om[k] < half_radius and om[k] < ev.series.switch:
+                near.append(k)
+            else:
+                contour.append(k)
+    if near:
+        served = ev.series(omega[near], [lead[k] for k in near], [d_omega[k] for k in near])
+        for k, (value, err, ok) in zip(near, served):
             if ok:
                 rem[k], rem_err[k] = value, err
             else:

@@ -23,10 +23,11 @@ from .ratio import (
     REL_TOL,
     DerivedInvariants,
     RatioSpec,
-    _power_sum,
+    _factors,
+    _kernel_u,
+    _power_terms,
     _stirling_table,
     _sums_equal,
-    cm_kernel,
     derive,
 )
 from .specfun import _digamma
@@ -310,6 +311,15 @@ def _sample_grid(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return grid, logt, near_one
 
 
+@functools.lru_cache(maxsize=8)
+def _near_one_u(grid_size: int) -> np.ndarray:
+    """Read-only u = -log t at the samples t >= _KERNEL_T_SWITCH of _sample_grid(grid_size)."""
+    _, logt, near_one = _sample_grid(grid_size)
+    u = -logt[near_one, 0]
+    u.flags.writeable = False
+    return u
+
+
 def check_kernel_nonneg(
     spec: RatioSpec,
     grid_size: int = DEFAULT_GRID_SIZE,
@@ -332,6 +342,8 @@ def check_kernel_nonneg(
     A negative t -> 0 sign fails before any t -> 1 work.  The grid is cached
     per grid_size, and the positive part is both the kernel's first sum and
     the envelope (point by point `cm_kernel_t` and `kernel_positive_part`).
+    The samples take one pass over all p + q factors, with one denominator
+    column per distinct scale, and are not validated again.
     """
     if grid_size < 64:
         raise DomainError(f"check_kernel_nonneg: grid_size={grid_size} must be >= 64")
@@ -348,9 +360,11 @@ def check_kernel_nonneg(
         return ConditionEvidence(Q_NONNEG, FAILS, wit1)
 
     grid, logt, near_one = _sample_grid(grid_size)
-    positive = _power_sum(logt, spec.A, spec.a)
-    kernel = positive - _power_sum(logt, spec.B, spec.b)
-    kernel[near_one] = cm_kernel(spec, -logt[near_one, 0])
+    f = _factors(spec)
+    terms = _power_terms(f, logt)
+    positive = terms[:, : spec.p].sum(axis=1)
+    kernel = positive - terms[:, spec.p :].sum(axis=1)
+    kernel[near_one] = _kernel_u(f, _near_one_u(grid_size))
     underflow = positive == 0.0
     # Where the positive part underflows there is no envelope: the sample reads 0,
     # so it can neither fail the check nor certify it.

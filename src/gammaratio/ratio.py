@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,15 +253,72 @@ def _phi(t: np.ndarray) -> np.ndarray:
     """Bounded part 1/(1 - e^-t) - 1/t of the geometric kernel factor.
 
     Series coefficients are the even Bernoulli numbers; the series branch
-    keeps full precision where the direct form would cancel.
+    keeps full precision where the direct form would cancel, and the direct
+    form is evaluated only on the entries at or past the cutoff.
     """
-    t = np.asarray(t, dtype=float)
     small = t < _PHI_SERIES_CUTOFF
     ts = np.where(small, t, 0.0)
-    series = 0.5 + ts * (1.0 / 12.0 + ts * ts * (-1.0 / 720.0 + ts * ts / 30240.0))
-    td = np.where(small, 1.0, t)
-    direct = 1.0 / (-np.expm1(-td)) - 1.0 / td
-    return np.where(small, series, direct)
+    ts2 = ts * ts
+    out = 0.5 + ts * (1.0 / 12.0 + ts2 * (-1.0 / 720.0 + ts2 / 30240.0))
+    direct = ~small
+    td = t[direct]
+    out[direct] = 1.0 / (-np.expm1(-td)) - 1.0 / td
+    return out
+
+
+class _Factors(NamedTuple):
+    """The p + q factors of a spec as kernel columns, numerator first: scales, shifts,
+    their distinct scales and each factor's column among them, and sum(A) - sum(B)."""
+
+    p: int
+    scales: np.ndarray
+    shifts: np.ndarray
+    distinct: np.ndarray
+    column: np.ndarray
+    sum_diff: float
+
+
+def _factors(spec: RatioSpec) -> _Factors:
+    scales = spec.A + spec.B
+    index: dict[float, int] = {}
+    column = [index.setdefault(s, len(index)) for s in scales]
+    return _Factors(spec.p, np.array(scales), np.array(spec.a + spec.b), np.array(list(index)),
+                    np.array(column), math.fsum(spec.A) - math.fsum(spec.B))
+
+
+def _samples(x, lo: float, hi: float, message: str) -> tuple[np.ndarray, bool]:
+    """x as an array of at least one dimension, and whether it was a scalar;
+    DomainError(message) unless lo < x < hi everywhere (so NaN is refused)."""
+    x_in = np.asarray(x, dtype=float)
+    if not np.all((x_in > lo) & (x_in < hi)):
+        raise DomainError(message)
+    return np.atleast_1d(x_in), x_in.ndim == 0
+
+
+def _kernel_u(f: _Factors, u: np.ndarray) -> np.ndarray:
+    """cm_kernel at a 1-d array of u > 0, unchecked: one expm1 and one exp over all
+    p + q columns, one _phi per distinct scale.  The arrays summed over their rows
+    are built C-ordered (a gathered array is not): numpy sums a C-ordered row
+    pairwise and an F-ordered array column by column, which differ from 8
+    columns on."""
+    uu = u[:, None]
+    x = -f.shifts * (uu / f.scales)
+    singular = f.scales * np.expm1(x)
+    bounded = np.exp(x)
+    bounded *= _phi(uu / f.distinct)[:, f.column]
+    p = f.p
+    return ((f.sum_diff + singular[:, :p].sum(axis=1) - singular[:, p:].sum(axis=1)) / u
+            + (bounded[:, :p].sum(axis=1) - bounded[:, p:].sum(axis=1)))
+
+
+def _power_terms(f: _Factors, logt: np.ndarray) -> np.ndarray:
+    """t^(shift/scale) / (1 - t^(1/scale)) for a column of log t, one column per factor:
+    one exp over all p + q columns, one expm1 per distinct scale, gathered into a
+    C-ordered division in place (see _kernel_u).  The numerator columns sum to the
+    positive part, and the kernel is that sum minus the rest."""
+    terms = np.exp(logt * (f.shifts / f.scales))
+    terms /= (-np.expm1(logt / f.distinct))[:, f.column]
+    return terms
 
 
 def cm_kernel(spec: RatioSpec, u):
@@ -272,63 +329,30 @@ def cm_kernel(spec: RatioSpec, u):
     terms are combined analytically (via expm1), so the evaluation stays
     accurate down to u ~ 1e-300 even when sum(A) = sum(B) makes them cancel.
 
-    Accepts a scalar or an ndarray of evaluation points.
+    Accepts a scalar or a 1-d ndarray of evaluation points.
     """
-    u_in = np.asarray(u, dtype=float)
-    if np.any(u_in <= 0.0) or not np.all(np.isfinite(u_in)):
-        raise DomainError("cm_kernel: u must be positive and finite")
-    scalar = u_in.ndim == 0
-    uu = np.atleast_1d(u_in)[:, None]
-
-    A = np.asarray(spec.A)
-    a = np.asarray(spec.a)
-    B = np.asarray(spec.B)
-    b = np.asarray(spec.b)
-
-    tA = uu / A
-    tB = uu / B
-    expA = np.exp(-a * tA)
-    expB = np.exp(-b * tB)
-
-    sum_diff = math.fsum(spec.A) - math.fsum(spec.B)
-    singular = (
-        sum_diff
-        + (A * np.expm1(-a * tA)).sum(axis=1)
-        - (B * np.expm1(-b * tB)).sum(axis=1)
-    ) / uu[:, 0]
-    bounded = (expA * _phi(tA)).sum(axis=1) - (expB * _phi(tB)).sum(axis=1)
-    out = singular + bounded
+    uu, scalar = _samples(u, 0.0, math.inf, "cm_kernel: u must be positive and finite")
+    out = _kernel_u(_factors(spec), uu)
     return float(out[0]) if scalar else out
-
-
-def _power_sum(logt: np.ndarray, scales, shifts) -> np.ndarray:
-    """Row sums of t^(shift/scale) / (1 - t^(1/scale)) for a column of log t."""
-    scales = np.asarray(scales)
-    shifts = np.asarray(shifts)
-    return (np.exp(logt * (shifts / scales)) / (-np.expm1(logt / scales))).sum(axis=1)
 
 
 def cm_kernel_t(spec: RatioSpec, t):
     """The same kernel in the multiplicative variable t = e^-u, 0 < t < 1.
 
-    Away from t = 1 the power-sum form is evaluated directly; near t = 1 it
-    delegates to :func:`cm_kernel` at u = -log t, whose cancellation-free
-    form is stable there.
+    Away from t = 1 the power-sum form is evaluated directly; near t = 1 the
+    form of :func:`cm_kernel` at u = -log t, whose cancellation-free form is
+    stable there.
     """
-    t_in = np.asarray(t, dtype=float)
-    if np.any((t_in <= 0.0) | (t_in >= 1.0)) or not np.all(np.isfinite(t_in)):
-        raise DomainError("cm_kernel_t: t must lie in (0, 1)")
-    scalar = t_in.ndim == 0
-    tt = np.atleast_1d(t_in)
-
+    tt, scalar = _samples(t, 0.0, 1.0, "cm_kernel_t: t must lie in (0, 1)")
+    f = _factors(spec)
     out = np.empty_like(tt)
     near_one = tt >= _KERNEL_T_SWITCH
     if np.any(near_one):
-        out[near_one] = np.atleast_1d(cm_kernel(spec, -np.log(tt[near_one])))
+        out[near_one] = _kernel_u(f, -np.log(tt[near_one]))
     direct = ~near_one
     if np.any(direct):
-        logt = np.log(tt[direct][:, None])
-        out[direct] = _power_sum(logt, spec.A, spec.a) - _power_sum(logt, spec.B, spec.b)
+        terms = _power_terms(f, np.log(tt[direct][:, None]))
+        out[direct] = terms[:, : f.p].sum(axis=1) - terms[:, f.p :].sum(axis=1)
     return float(out[0]) if scalar else out
 
 
@@ -397,11 +421,9 @@ def kernel_positive_part(spec: RatioSpec, t):
     signs: both sums forming the kernel are positive and cancellation-free,
     so sign decisions are reliable relative to this scale.
     """
-    t_in = np.asarray(t, dtype=float)
-    if not np.all((t_in > 0.0) & (t_in < 1.0)):
-        raise DomainError("kernel_positive_part: t must lie in (0, 1)")
-    scalar = t_in.ndim == 0
-    out = _power_sum(np.log(np.atleast_1d(t_in)[:, None]), spec.A, spec.a)
+    tt, scalar = _samples(t, 0.0, 1.0, "kernel_positive_part: t must lie in (0, 1)")
+    f = _factors(spec)
+    out = _power_terms(f, np.log(tt[:, None]))[:, : f.p].sum(axis=1)
     return float(out[0]) if scalar else out
 
 

@@ -2,7 +2,8 @@
 
 An endpoint-series point builds one Stirling table (the m d_m and their
 magnitudes from one set of Bernoulli powers); a residue point grows its pole
-table in one pass.  Specs whose contour integrand or tail terms leave the
+table in one pass and sets up no endpoint series, also within half the
+series' radius.  Specs whose contour integrand or tail terms leave the
 double range raise a package error that names the quantity, with no
 floating-point warning on the way.
 """
@@ -73,6 +74,29 @@ def test_residue_point_grows_its_table_once(spec, omega, table_calls, extend_cal
     assert ev._lines == {}
     assert len(extend_calls) == 1
     assert table_calls == []
+    assert got.value == got.leading_part + got.remainder_part
+
+
+# Points beyond _SHIFT_OMEGA that also lie within half the endpoint series'
+# radius (pi min(scales) > omega), above the series' switch; density-scatter
+# draws such points.
+NEAR_AND_FAR_POINTS = [
+    (RatioSpec(A=(3.0,), a=(1.9949436966042144,), B=(3.0,), b=(4.948348422197944,)), 6.447995847486446),
+    (RatioSpec(A=(5.0,), a=(2.8561944036367817,), B=(5.0,), b=(4.647981215004401,)), 11.126448251329448),
+    (RatioSpec(A=(3.0, 2.0), a=(0.3355731762103895, 1.4054740559230092), B=(5.0,), b=(4.564992949059811,)),
+     6.036267331777168),
+]
+
+
+@pytest.mark.parametrize("spec, omega", NEAR_AND_FAR_POINTS)
+def test_residue_point_within_series_radius_sets_up_no_series(spec, omega, table_calls, extend_calls):
+    ev = DensityEvaluator(spec)
+    got = ev.evaluate(ev.inv.rho * math.exp(-omega))
+    assert foxh_mod._SHIFT_OMEGA < omega < ev.half_radius
+    assert "series" not in ev.__dict__
+    assert table_calls == []
+    assert len(extend_calls) == 1
+    assert ev._lines == {}
     assert got.value == got.leading_part + got.remainder_part
 
 

@@ -6,6 +6,10 @@ grid built once per grid_size with the positive part computed once.  The
 reference below is the plain form of the same check: both endpoint signs,
 all twelve coefficients, and `cm_kernel_t / kernel_positive_part` on a
 freshly built grid.  Their evidence must agree exactly.
+
+The kernel takes one pass over all p + q factors, with one denominator
+column per distinct scale; the per-side reference formulas further down
+(numerator and denominator summed separately) must give the same bits.
 """
 
 import math
@@ -16,9 +20,9 @@ import numpy as np
 import pytest
 
 from gammaratio import RatioSpec, build_unweighted, check_kernel_nonneg
-from gammaratio import monotonicity
+from gammaratio import monotonicity, ratio
 from gammaratio.monotonicity import _TAYLOR_TOL, FAILS, HOLDS, Q_NONNEG, UNDECIDED, ConditionEvidence
-from gammaratio.ratio import REL_TOL, cm_kernel_series, cm_kernel_t, kernel_positive_part
+from gammaratio.ratio import REL_TOL, cm_kernel, cm_kernel_series, cm_kernel_t, kernel_positive_part
 
 
 def _reference_one_sign(spec):
@@ -190,3 +194,146 @@ class TestWorkCount:
         assert ev.status == FAILS
         assert ev.witness.startswith("t->0")
         assert table_calls == []
+
+
+# Per-side reference forms of the kernel: each side's factors in their own
+# arrays, the denominators 1 - t^(1/scale) and the bounded parts evaluated per
+# factor, and each side summed on its own.
+
+
+def _side_power_sum(logt, scales, shifts):
+    scales = np.asarray(scales)
+    shifts = np.asarray(shifts)
+    return (np.exp(logt * (shifts / scales)) / (-np.expm1(logt / scales))).sum(axis=1)
+
+
+def _side_phi(t):
+    small = t < 0.1
+    ts = np.where(small, t, 0.0)
+    series = 0.5 + ts * (1.0 / 12.0 + ts * ts * (-1.0 / 720.0 + ts * ts / 30240.0))
+    td = np.where(small, 1.0, t)
+    return np.where(small, series, 1.0 / (-np.expm1(-td)) - 1.0 / td)
+
+
+def _side_cm_kernel(spec, u):
+    uu = np.asarray(u, dtype=float)[:, None]
+    A, a, B, b = (np.asarray(v) for v in (spec.A, spec.a, spec.B, spec.b))
+    tA, tB = uu / A, uu / B
+    singular = (
+        math.fsum(spec.A) - math.fsum(spec.B)
+        + (A * np.expm1(-a * tA)).sum(axis=1)
+        - (B * np.expm1(-b * tB)).sum(axis=1)
+    ) / uu[:, 0]
+    bounded = (np.exp(-a * tA) * _side_phi(tA)).sum(axis=1) - (np.exp(-b * tB) * _side_phi(tB)).sum(axis=1)
+    return singular + bounded
+
+
+def _side_cm_kernel_t(spec, t):
+    near = t >= ratio._KERNEL_T_SWITCH
+    out = np.empty_like(t)
+    out[near] = _side_cm_kernel(spec, -np.log(t[near]))
+    logt = np.log(t[~near][:, None])
+    out[~near] = _side_power_sum(logt, spec.A, spec.a) - _side_power_sum(logt, spec.B, spec.b)
+    return out
+
+
+def _wide_specs():
+    """p, q up to 8, scales drawn partly from a few shared values so that the
+    number of distinct scales runs from 1 to p + q."""
+    rng = random.Random(20261019)
+    specs = []
+    for k in range(150):
+        p, q = rng.randint(1, 8), rng.randint(1, 8)
+        # All scales from a shared pool, all drawn afresh, or a mixture.
+        shared = (1.0, 0.6, 0.0)[k % 3]
+        pool = [1.0, 2.0, 0.5, rng.uniform(0.05, 20.0)]
+        A = [rng.choice(pool) if rng.random() < shared else rng.uniform(0.05, 20.0) for _ in range(p)]
+        B = [rng.choice(pool) if rng.random() < shared else rng.uniform(0.05, 20.0) for _ in range(q)]
+        a = [rng.uniform(0.0, 6.0) for _ in range(p)]
+        b = [rng.uniform(0.0, 6.0) for _ in range(q)]
+        specs.append(RatioSpec(A=A, a=a, B=B, b=b))
+    specs.append(build_unweighted([1.5, 2.5, 3.5, 0.7], [0.2, 0.3, 1.0, 0.1]))
+    return specs
+
+
+T_SAMPLES = np.concatenate([
+    np.geomspace(1e-8, 0.5, 40), 1.0 - np.geomspace(1e-9, 0.5, 40), np.linspace(0.01, 0.99, 99),
+    monotonicity._sample_grid(512)[0],
+])
+U_SAMPLES = np.geomspace(1e-300, 1e3, 120)
+
+
+class TestFusedKernel:
+    def test_bitwise_equal_to_per_side_sums(self):
+        for spec in _equivalence_specs() + _wide_specs():
+            assert cm_kernel(spec, U_SAMPLES).tobytes() == _side_cm_kernel(spec, U_SAMPLES).tobytes(), spec
+            assert cm_kernel_t(spec, T_SAMPLES).tobytes() == _side_cm_kernel_t(spec, T_SAMPLES).tobytes(), spec
+            positive = _side_power_sum(np.log(T_SAMPLES)[:, None], spec.A, spec.a)
+            assert kernel_positive_part(spec, T_SAMPLES).tobytes() == positive.tobytes(), spec
+            for t in (0.3, 0.95):
+                assert cm_kernel_t(spec, t) == float(_side_cm_kernel_t(spec, np.array([t]))[0])
+            assert cm_kernel(spec, 0.2) == float(_side_cm_kernel(spec, [0.2])[0])
+
+    def test_wide_specs_reach_many_and_one_distinct_scales(self):
+        counts = {(len(set(s.A + s.B)), s.p + s.q) for s in _wide_specs()}
+        assert any(d == 1 and n > 8 for d, n in counts)
+        assert any(d == n and n >= 8 for d, n in counts)
+        assert any(1 < d < n for d, n in counts)
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """Per call: the distinct scales a kernel evaluation builds its columns from,
+    the width of each _phi (the near-one denominators) and each validation."""
+    work = {"distinct": [], "phi": [], "validated": 0}
+    factors, phi, samples = ratio._factors, ratio._phi, ratio._samples
+
+    def counting_factors(spec):
+        f = factors(spec)
+        work["distinct"].append(len(f.distinct))
+        return f
+
+    def counting_phi(t):
+        work["phi"].append(t.shape[1])
+        return phi(t)
+
+    def counting_samples(*args):
+        work["validated"] += 1
+        return samples(*args)
+
+    monkeypatch.setattr(ratio, "_factors", counting_factors)
+    monkeypatch.setattr(monotonicity, "_factors", counting_factors)
+    monkeypatch.setattr(ratio, "_phi", counting_phi)
+    monkeypatch.setattr(ratio, "_samples", counting_samples)
+    return work
+
+
+class TestKernelWork:
+    def test_unit_scales_evaluate_one_denominator_column(self, kernel_work):
+        spec = build_unweighted([1.5, 2.5, 3.5, 0.7], [0.2, 0.3, 1.0, 0.1])
+        assert spec.p + spec.q == 16
+        ev = check_kernel_nonneg(spec)
+        assert ev.witness.startswith("min normalized")
+        assert kernel_work == {"distinct": [1], "phi": [1], "validated": 0}
+
+    def test_distinct_scales_evaluate_every_column(self, kernel_work):
+        spec = RatioSpec(A=(1.3, 2.2, 0.7), a=(0.5, 1.5, 2.0), B=(2.1, 1.9, 0.2), b=(1.0, 2.5, 0.9))
+        ev = check_kernel_nonneg(spec)
+        assert ev.witness.startswith(("min normalized", "margin", "kernel("))
+        assert kernel_work == {"distinct": [6], "phi": [6], "validated": 0}
+
+    def test_shared_scales_share_columns(self, kernel_work):
+        spec = RatioSpec(A=(2.0, 1.0, 2.0), a=(0.5, 1.5, 2.0), B=(1.0, 4.0), b=(1.0, 2.5))
+        check_kernel_nonneg(spec)
+        assert kernel_work["distinct"] == [3]
+        assert kernel_work["phi"] == [3]
+
+    def test_public_kernels_validate_once(self, kernel_work):
+        spec = RatioSpec(A=(1.3, 2.2, 0.7), a=(0.5, 1.5, 2.0), B=(2.1, 2.1), b=(1.0, 2.5))
+        # Points on both sides of the switch to the u form.
+        cm_kernel_t(spec, np.array([0.2, 0.5, 0.95, 0.999]))
+        assert kernel_work["validated"] == 1
+        cm_kernel(spec, np.array([0.01, 1.0]))
+        kernel_positive_part(spec, 0.5)
+        assert kernel_work["validated"] == 3
+        assert kernel_work["distinct"] == [4, 4, 4]
