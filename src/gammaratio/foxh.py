@@ -13,34 +13,38 @@ of g.  The density vanishes identically for x >= rho, where both parts
 and their error are returned as exactly 0, with no contour.
 
 Each point takes one of three paths, chosen from the spec and omega =
-log(rho/x) before any contour runs:
+log(rho/x) before any contour runs, and runs each at most once:
 
-- near the support endpoint, at omega below a per-spec switch, the endpoint
-  series H = A* sum_k e_k omega^(mu+k-1) / Gamma(mu+k), whose k = 0 term is
-  the leading part, summed to 19 terms with the 20th and 21st as its
-  truncation error (_EndpointSeries), where its estimate beats the least
-  estimate the contour could return;
-- far below it, at omega > _SHIFT_OMEGA, the sum of the residues of W(s) x^-s
-  at the left poles (_ResidueSeries), where the poles are simple, the terms
-  needed fit a cap and the estimate meets the tolerance;
-- every other point, and a point neither series serves, the contour, on a
-  line moved toward the imaginary axis beyond _SHIFT_OMEGA.  Specs with
-  coincident or nearly coincident poles (every shift 0 with two or more
-  numerator factors, or shifts a whole multiple of the scale apart) and
-  scales near the 1e3 bound keep the shifted lines there, which may raise.
+- near the support endpoint, at omega below a per-spec switch (and at most
+  _SHIFT_OMEGA), the endpoint series H = A* sum_k e_k omega^(mu+k-1) /
+  Gamma(mu+k), whose k = 0 term is the leading part, summed to 19 terms
+  with the 20th and 21st as its truncation error (_EndpointSeries), where
+  its estimate beats the least estimate a line could return;
+- every other point, the Bromwich integral H = (1/2 pi i) int F(s) e^(omega
+  s) ds, F = W(s) rho^-s, on the hyperbola of the point's omega bin
+  (_Hyperbola), where its a-priori bound (strip, truncation and rounding)
+  meets the tolerance; the hyperbola wraps every pole, coincident or not;
+- the rest, the subtracted integral on the line Re s = c (_Line), which
+  raises where it cannot be trusted.  On the coverage sets these are
+  shifted specs (largest shift 30 to 60), mostly with mu above 15.
 
-Series and residue points evaluate no g and build no line.  A point given
-as x or as omega goes through one assembly (_density_at), which computes
-the rounding of omega and the leading part once and hands them to each
-path; the record's remainder is always the value less the leading part.
+A spec whose factors pair as Gamma(A s) / Gamma(A s + 1) has W(s) rho^-s =
+A* s^-mu exactly, and past the series its points take the leading part.
+
+Series points evaluate no F or g and build no contour.  A point given as x
+or as omega goes through one assembly (_density_at), which computes the
+rounding of omega and the leading part once and hands them to each path.  A
+series or line point returns P + R, R its remainder; a hyperbola point
+returns H itself and reports R = H - P, so H keeps its digits where P >> H.
 
 A point on a spec seen for the first time pays its path's set-up.  The
 endpoint series builds one Stirling table (one set of Bernoulli powers gives
 the m d_m and their magnitudes, ratio._stirling_table), and handles its 21
 coefficients and error weights as Python floats, where arrays of 21 entries
 cost more in numpy calls than in arithmetic (the switch's powers stay one
-array pass).  The residue series builds its pole table in one _extend of
-about a hundred array passes over its (row, factor, pole) entries.
+array pass).  A hyperbola evaluates log F with one specfun.log_gamma_plane
+call over the p + q factors of its 52 nodes (the contour's 26 and 13 on
+each strip edge), whose cost is mostly the fixed cost of its numpy calls.
 
 The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T,
 the least T >= 5 where the Stirling series of g holds to 1e-15:
@@ -51,15 +55,19 @@ first omitted term is its error.  A point whose estimate, in density units,
 exceeds the tolerance raises QuadratureAccuracyError with its value as the
 best estimate.
 
-g does not depend on x.  A DensityEvaluator derives a spec once and keeps
-one _Line per abscissa c, holding g on the head nodes (one vectorized pass)
-and the tail terms.  The engine takes an array of points: a batch sizes each
+F and g do not depend on x.  A DensityEvaluator derives a spec once and
+keeps one _Hyperbola per omega bin, holding log F on its nodes, and one
+_Line per abscissa c, holding g on the head nodes (one vectorized pass) and
+the tail terms.  The engine takes an array of points: a batch sizes each
 line once, for its largest omega, computes its phases elementwise and
 contracts each point with a few small matrix-vector products, so a curve or
 one round of an outer quadrature costs one call.  The outer quadratures
 (Mellin transform, edge integral) use the vectorized rules of
 ``quadrature``: adaptive G10/K21 panels, and a Gauss-Jacobi rule for the
 w^(mu-1) endpoint singularity.  ``fox_h`` is the one-point case.
+
+``mpmath`` (for _osc_tail_moment), ``sc.loggamma``, ``quad`` and
+``_remainder_density`` stay names of this module: bench/tracer.py wraps them.
 """
 
 from __future__ import annotations
@@ -135,28 +143,50 @@ _HEAD_VALUES = 1 << 20
 # seven digits on the highest powers at T = 10.
 _TAIL_STEP = 0.1
 
-# Far below the support endpoint (omega > _SHIFT_OMEGA) a point takes the
-# residue series (_ResidueSeries); one it does not serve takes the contour,
-# moved to the first of these abscissas at most max(0.05, _SHIFT_OMEGA / omega).
+# Beyond _SHIFT_OMEGA no point asks the endpoint series: a far point has never been
+# found below its switch, and asking would set up its Stirling table for nothing.
 _SHIFT_OMEGA = 6.0
-_SHIFT_LEVELS = (1.0, 0.3, 0.1, 0.05)
 
-# The residue series: least distance between a pole and the poles of the other
-# numerator factors, most terms per pole row, and the first table length past
-# a row's mandatory prefix (the table doubles as points need more).
-_POLE_GAP = 1e-3
-_RESIDUE_TERMS = 1024
-_RESIDUE_BLOCK = 3
-# Most factor entries per pole, p (p + q - 1), a table holds: 1,025 poles of
-# them are 2 MB per table array.
-_RESIDUE_FACTORS = 256
-_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_RESIDUE_TERMS + 1)])
-_PARITY = np.where(np.arange(_RESIDUE_TERMS + 1) % 2 == 0, 1.0, -1.0)
-_LOG_PI = math.log(math.pi)
-_LOG_2 = math.log(2.0)
-_EXP_MINUS_EULER = math.exp(-0.5772156649015329)
-# A row's omitted terms are at most e^-_TRUNCATION_LOG = eps/4 of the largest term.
-_TRUNCATION_LOG = math.log(4.0 / _EPS)
+# The hyperbolic contour: N = _HYP_NODES nodes on each side of the real axis,
+# step h = 1.0818 / N, alpha = 1.1721 and mu_h = 4.4921 N / omega_top
+# (Weideman & Trefethen, Math. Comp. 76, 2007); the strip bound takes the
+# edges alpha + _HYP_UP (toward the poles) and alpha - _HYP_DOWN, the widest
+# whose integrand falls off within the nodes.
+_HYP_NODES = 24
+_HYP_ALPHA = 1.1721
+_HYP_STEP = 1.0818 / _HYP_NODES
+_HYP_MU = 4.4921 * _HYP_NODES
+_HYP_UP = 0.3
+_HYP_DOWN = 0.5
+
+
+def _hyperbola_shapes():
+    """(z - sigma) / mu_h and log(z' / mu_h) on the contour (nodes k = 0..N+1) and on its
+    edges alpha + _HYP_UP and alpha - _HYP_DOWN (every other node, k = 0, 2, .., N); the
+    weights of the terms (h/pi, halved at k = 0) and of the estimate's rows (_Hyperbola)
+    before the per-spec factors."""
+    n = _HYP_NODES + 1
+    u = _HYP_STEP * np.arange(n + 1.0)
+    shape, dshape = [], []
+    for alpha, nodes in ((_HYP_ALPHA, u), (_HYP_ALPHA + _HYP_UP, u[:n:2]), (_HYP_ALPHA - _HYP_DOWN, u[:n:2])):
+        sin, cos = math.sin(alpha), math.cos(alpha)
+        cosh, sinh = np.cosh(nodes), np.sinh(nodes)
+        shape.append((1.0 - sin * cosh) + 1j * (cos * sinh))
+        dshape.append(-sin * sinh + 1j * (cos * cosh))
+    terms = np.full(n, _HYP_STEP / math.pi)
+    terms[0] *= 0.5
+    edge = 2.0 * terms[::2]
+    weights = np.zeros((3, n + 1 + 2 * len(edge)))
+    weights[0, :n] = 2.0 * _EPS * terms
+    weights[0, n] = 2.0 * _HYP_STEP / math.pi
+    weights[0, n + 1 : n + 1 + len(edge)] = edge / math.expm1(2.0 * math.pi * _HYP_UP / _HYP_STEP)
+    weights[0, n + 1 + len(edge) :] = edge / math.expm1(2.0 * math.pi * _HYP_DOWN / _HYP_STEP)
+    weights[1, :n] = 2.0 * _EPS * terms
+    weights[2, :n] = terms
+    return np.concatenate(shape), sc.clog(np.concatenate(dshape)), terms, weights
+
+
+_HYP_SHAPE, _HYP_LOG_DSHAPE, _HYP_TERM_WEIGHTS, _HYP_WEIGHTS = _hyperbola_shapes()
 
 # Halvings of the Gauss-Jacobi interval of the edge integral before the
 # G10/K21 rule takes over whatever is left.
@@ -171,6 +201,7 @@ _CONTOUR_ROUNDING = 1e-14
 # Least normal double: a density below it comes back as 0.0 or a subnormal,
 # and every endpoint-series estimate carries at least this much.
 _TINY = float(np.finfo(float).tiny)
+_LOG_TINY = math.log(_TINY)
 _SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
@@ -598,215 +629,95 @@ class _EndpointSeries:
         out = []
         for w, d, (v, fixed, per_omega, per_log), (p20, p21) in zip(om, d_omega, sums, powers[:, -2:].tolist()):
             err = abs(p20 * c20) + abs(p21 * c21) + _EPS * abs(v) + fixed + abs(math.log(w)) * per_log + _TINY
-            pre = math.exp(_contour_level(self.c, w) * w) / math.pi
+            pre = math.exp(self.c * w) / math.pi
             served = err <= _CONTOUR_ROUNDING * (pre + abs(v))
             out.append((v, err + d / w * per_omega, served))
         return out
 
 
-class _ResidueSeries:
-    """The density far below the support endpoint as the sum of the residues of W(s) x^-s
-    at its left poles (Braaksma, Compositio Math. 1964; Mathai, Saxena & Haubold, The
-    H-Function, 2010, ch. 1).
+class _Hyperbola:
+    """F = W(s) rho^-s on the hyperbolic contour of one omega bin and on its two strip edges.
 
-    Numerator factor i has poles s_k = -(a_i + k)/A_i; where they are simple the
-    residue is c_k x^(-s_k), c_k = (-1)^k / (k! A_i) prod_(l != i) Gamma(A_l s_k +
-    a_l) / prod_j Gamma(B_j s_k + b_j).  With equal scale sums the sum converges
-    on (0, rho), fastest where omega is large: row i falls like e^(-k omega /
-    A_i).  The table holds, per row i and pole k, what depends on the spec
-    alone: s_k, log|c_k| - s_k log rho, the sign of c_k, the rounding of that
-    log, the envelope and ratio bounds below, the distance from s_k to the
-    nearest pole of another numerator factor, and whether the poles up to k are
-    simple.  It grows on demand, and every entry depends on the spec and k
-    alone.  A batch is one (points x rows x poles) exponential, e^(log|c_k| -
-    s_k log rho + s_k omega); each point sums its own terms with math.fsum, so
-    its result does not depend on its batch.
+    H(rho e^-omega) = (1/2 pi i) int F(s) e^(omega s) ds on any contour that
+    wraps the poles of W, all on (-inf, sigma], sigma = gamma_pole.  The
+    hyperbola z(u) = sigma + mu_h (1 + sin(i u - alpha)) crosses the real axis
+    right of sigma and opens to the left, where e^(omega z) decays, so the
+    trapezoidal rule in u converges geometrically (Weideman & Trefethen, Math.
+    Comp. 76, 2007).  z(-u) is the conjugate of z(u), so with h = 1.0818/N and
+    the nodes u_k = k h, |k| <= N, H = (h/pi) sum_(k=0..N) Im(F e^(omega z) z'),
+    the k = 0 term halved.  The points of one bin (top/2, top], top a power of
+    two, share mu_h = 4.4921 N / top, so a curve evaluates F on a few contours.
+    F e^(omega z) z' is one exponential of log F + log z' + omega z, with log F
+    from one specfun.log_gamma_plane call over the p + q factors of every node
+    of the contour and of its edges.
 
-    Each log-gamma is one math.lgamma at a positive argument: at z <= 0 the
-    reflection |Gamma(z)| = pi / (|sin pi z| Gamma(1 - z)), with sin taken at the
-    exact distance d = |z - rint(z)|; a denominator factor at a nonpositive
-    integer makes the term exactly 0.  With F = p + q - 1 other factors, the
-    rounding of log|c_k| adds, per factor, (F + 8) eps (|lgamma| + log pi - log
-    sin) and the rounding of z, eps (5 |z| + 3 shift + 1), times |psi(z)| <=
-    log(2 + |z|) + 1 + 1/d, and (F + 8) eps (2 (F + |s_k log rho|) + |log A_i +
-    log k! + s_k log rho|) for the rest and the sum; a point adds 3 eps
-    |log|c_k|| for the exponent's sum, |s_k| times the rounding of omega plus 6
-    eps omega, and eps for the exponential.  Two close summed poles give large
-    residues of opposite sign; the 1/d carries their cancellation.
+    The estimate is a bound, never a difference of two rules:
+    - the strip bound of the trapezoidal rule (Trefethen & Weideman, SIAM Rev.
+      56, 2014, Thm. 5.1, with each edge of the strip taken on its own): u +
+      i d_up and u - i d_down are the hyperbolas alpha + d_up and alpha -
+      d_down, and with M the integral of |F e^(omega z) z'| / (2 pi) along
+      each, summed on every other node (step 2h), the error is at most
+      M_up / (e^(2 pi d_up / h) - 1) + M_down / (e^(2 pi d_down / h) - 1); a
+      pole near the contour shows in M_up;
+    - the truncation, twice the first omitted pair of terms, which bounds the
+      rest where each term is at most half the one before (the integrand falls
+      like e^(-omega mu_h sin(alpha) cosh u));
+    - the rounding: each term carries 2 eps times the magnitudes of its
+      log-gammas, of z log rho and of log z', 2 eps |omega z| for its
+      exponent and |z| times the rounding of omega, and the sum eps |H|.
 
-    Truncation: from k = start on, where every other argument z is <= 0, the
-    k-th term is at most its envelope, which takes |sin pi z| >= 2 A_l _POLE_GAP
-    in the numerator factors and <= 1 in the denominator ones; and past k the
-    envelope's ratio between neighbours is at most e^(Q_k - omega/A_i).  With c =
-    scale/A_i, lgamma(u + c) - lgamma(u) lies between c psi(u) and c psi(u + c),
-    and log(u + 1/2) - 1/u < psi(u) < log(u + e^-gamma) - 1/u, so with equal
-    scale sums the log k terms and log rho cancel, leaving Q_k = sum_num c
-    (max(-alpha, 0)/(k + alpha) + 1/(1 - z)) + sum_den c max(beta, 0)/k, alpha =
-    a_i + (3/2 - a_l)/c, beta = a_i + 1 + (1 - b_j + e^-gamma)/c, each part
-    falling in k.  A point sums, per row, the terms before the first K where
-    the ratio bound is at most 1/2 and the envelope at most e^-_TRUNCATION_LOG
-    of the largest term of the rows' prefixes up to `start`; twice that
-    envelope bounds the omitted terms.
-
-    A point beyond _SHIFT_OMEGA is served when every row finds its K within
-    _RESIDUE_TERMS, its poles up to K are simple, the pole K lies at least
-    _POLE_GAP from the poles of the other numerator factors, and its estimate
-    meets the tolerance in density units, like a contour point; otherwise it
-    takes the contour.  The estimate adds the truncation, the terms' rounding,
-    the rounding of the split into P and remainder, and at least the least
-    normal double.  The gap is tested at the first omitted pole and taken to
-    hold beyond; for p = 1 there is no other numerator factor and the bound
-    holds unconditionally.  Specs whose rows share poles (every shift 0 with
-    p > 1, or shifts a whole multiple of the scale apart) are never served.  A
-    spec whose `start` passes _RESIDUE_TERMS, or with more than
-    _RESIDUE_FACTORS factor entries per pole, is never served either, nor a
-    point whose rough count start + A_i _TRUNCATION_LOG / omega passes
-    _RESIDUE_TERMS.
+    The F values depend on the spec and the bin alone, the sums of a point
+    are its own (math.fsum for H, a row sum for the estimate, no matrix
+    product), so a point's result does not depend on its batch.  Holds arrays
+    only, never the evaluator.
     """
 
-    __slots__ = ("A", "a", "log_A", "neg_A", "log_rho", "start", "start_column", "usable", "scales", "shifts",
-                 "denominator", "weights", "numerator_c", "alpha", "tail_c", "dz0", "gap_weights", "gap_offsets",
-                 "beta_sum", "envelope_const", "reach", "table")
+    __slots__ = ("z", "log_f", "weights")
 
-    def __init__(self, spec: RatioSpec, log_rho: float):
-        p, scales, shifts = spec.p, spec.A + spec.B, spec.a + spec.b
-        self.usable = p * (p + spec.q - 1) <= _RESIDUE_FACTORS
-        if not self.usable:
-            return
-        others = [[f for f in range(p + spec.q) if f != i] for i in range(p)]
-        start = [max(1, math.ceil(max(shifts[f] * A / scales[f] for f in row) - a))
-                 for row, A, a in zip(others, spec.A, spec.a)]
-        self.usable = max(start) < _RESIDUE_TERMS
-        if not self.usable:
-            return
-        self.start, self.log_rho = start, log_rho
-        # Per row: A_i, a_i, start, the ratio bound's sum over the denominator
-        # factors and the envelope's constant.  Per other factor, with c =
-        # scale/A_i: scale, shift, its sign in log|c_k| (+1 numerator, -1
-        # denominator), the rounding weight of z, the ratio bound's parts, and the
-        # weight and offset that turn its distance d into the separation d / A_l
-        # of numerator poles.
-        rows, factors = [], []
-        for row, A, a, k in zip(others, spec.A, spec.a, start):
-            beta_sum, envelope = 0.0, 0.0
-            for f in row:
-                scale, shift = scales[f], shifts[f]
-                c = scale / A
-                if f < p:
-                    alpha = a + (1.5 - shift) / c
-                    envelope += _LOG_PI - math.log(2.0 * _POLE_GAP * scale)
-                    factors += (scale, shift, 1.0, 3.0 * shift + 1.0, c, alpha, c * max(-alpha, 0.0), 1.0 / scale, 0.0)
-                else:
-                    beta_sum += c * max(a + 1.0 + (1.0 - shift + _EXP_MINUS_EULER) / c, 0.0)
-                    envelope -= _LOG_PI
-                    factors += (scale, shift, -1.0, 3.0 * shift + 1.0, 0.0, 1.0, 0.0, 0.0, math.inf)
-            rows += (A, a, math.log(A), -A, k, beta_sum, envelope)
-        self.A, self.a, self.log_A, self.neg_A, self.start_column, self.beta_sum, self.envelope_const = (
-            np.array(rows).reshape(p, 7, 1).transpose(1, 0, 2))
-        factors = np.array(factors).reshape(p, len(others[0]), 9, 1)
-        (self.scales, self.shifts, self.weights, self.dz0, self.numerator_c, self.alpha, self.tail_c,
-         self.gap_weights, self.gap_offsets) = factors.transpose(2, 0, 1, 3)
-        self.denominator = self.weights < 0.0
-        self.reach = [A * _TRUNCATION_LOG for A in spec.A]
-        self.table = None
-
-    def _extend(self, n: int):
-        """Grow the table to the poles k < n of every row."""
-        k0 = 0 if self.table is None else self.table[0].shape[1]
-        k = np.arange(k0, n, dtype=float)
-        s = (self.a + k) / self.neg_A
-        z = self.scales * s[:, None, :]
-        z += self.shifts
-        left = z <= 0.0
-        abs_z = np.abs(z)
-        dist = np.where(left, np.abs(z - np.rint(z)), z)
-        arg = np.where(left, 1.0 - z, z)
-        lg = np.fromiter(map(math.lgamma, arg.ravel().tolist()), float, z.size).reshape(z.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # log|Gamma(z)| = reflection - lgamma at z <= 0, with sin at the exact distance.
-            reflection = np.where(left, _LOG_PI - np.log(np.sin(np.pi * dist)), 0.0)
-            log_gamma = np.where(left, reflection - lg, lg)
-            slr = s * self.log_rho
-            base = self.log_A + _LOG_FACTORIAL[k0:n]
-            base += slr
-            log_term = (self.weights * log_gamma).sum(axis=1)
-            log_term -= base
-            # sign Gamma(z) = sign sin(pi z) at z <= 0, and k! brings (-1)^k.  A
-            # denominator factor at a nonpositive integer makes the term exactly 0.
-            sign = np.sign(np.where(left, np.sin(np.pi * z), 1.0)).prod(axis=1) * _PARITY[k0:n]
-            zero = ((dist == 0.0) & self.denominator).any(axis=1)
-            per_factor = (5.0 * abs_z + self.dz0) * (np.log(2.0 + abs_z) + 1.0 + 1.0 / dist)
-            per_factor += (z.shape[1] + 8.0) * (np.abs(lg) + reflection)
-            rounding = (z.shape[1] + 8.0) * (2.0 * (z.shape[1] + np.abs(slr)) + np.abs(base))
-            rounding += per_factor.sum(axis=1)
-            rounding *= _EPS
-            sign[zero], rounding[zero], log_term[zero] = 0.0, 0.0, -np.inf
-            envelope = self.envelope_const - (self.weights * lg).sum(axis=1) - base + rounding
-            envelope[~left.all(axis=1)] = np.inf
-            # The exponent's sum: 3 eps |log|c_k| + s_k omega| <= 3 eps (|log|c_k|| + |s_k| omega).
-            rounding += np.where(zero, 0.0, 3.0 * _EPS * np.abs(log_term))
-            # The least omega at which the ratio bound is at most 1/2.
-            ratio = self.tail_c / (k + self.alpha)
-            ratio += self.numerator_c / arg
-            omega_min = (ratio.sum(axis=1) + self.beta_sum / k + _LOG_2) * self.A
-            gap = (dist * self.gap_weights + self.gap_offsets).min(axis=1)
-        prefix = np.where(k <= self.start_column, log_term, -np.inf)
-        new = [s, log_term, sign, rounding, envelope, omega_min, gap >= _POLE_GAP, np.abs(s), prefix, gap > 0.0]
-        if self.table is not None:
-            new = [np.concatenate([old, part], axis=1) for old, part in zip(self.table, new)]
-        # The poles from the first double pole on are not simple; a served point's
-        # poles up to its count are simple, and the first omitted one keeps the gap.
-        new[9] = np.logical_and.accumulate(new[9], axis=1)
-        new[6] = new[6] & new[9]
-        self.table = new
+    def __init__(self, ev: DensityEvaluator, top: float):
+        spec, inv = ev.spec, ev.inv
+        n = _HYP_NODES + 1
+        mu_h = _HYP_MU / top
+        self.z = z = mu_h * _HYP_SHAPE
+        z += inv.gamma_pole
+        arg = np.array(spec.A + spec.B)[:, None] * z
+        arg += np.array(spec.a + spec.b)[:, None]
+        log_gamma, size = sc.log_gamma_plane(arg)
+        log_gamma[spec.p :] *= -1.0
+        s_log_rho = z * inv.log_rho
+        log_dz = _HYP_LOG_DSHAPE + math.log(mu_h)
+        self.log_f = np.add.accumulate(log_gamma, axis=0)[-1]
+        self.log_f -= s_log_rho
+        self.log_f += log_dz
+        rounding = np.add.accumulate(size[:, :n], axis=0)[-1]
+        rounding += np.abs(s_log_rho[:n])
+        rounding += np.abs(log_dz[:n])
+        rounding += 3.0
+        abs_z = np.abs(z[:n])
+        # Rows: the fixed part of the estimate, its part per unit |omega| and per unit
+        # rounding of omega; columns the contour's nodes, the omitted one, the edges'.
+        self.weights = _HYP_WEIGHTS.copy()
+        self.weights[0, :n] *= rounding
+        self.weights[1:, :n] *= abs_z
 
     def __call__(self, omega: np.ndarray, lead: list, d_omega: list, tol: float) -> list[tuple[float, float, bool]]:
-        """(remainder, error, served) at every omega > _SHIFT_OMEGA, from each point's P and
-        rounding of omega; elementwise, so a point's result does not depend on its batch."""
-        out = [(0.0, math.inf, False)] * len(omega)
-        if not self.usable:
-            return out
-        om = omega.tolist()
-        reach = [max(k + A / w for k, A in zip(self.start, self.reach)) for w in om]
-        idx = [j for j, n in enumerate(reach) if n <= _RESIDUE_TERMS]
-        if not idx:
-            return out
-        size = min(int(max(reach[j] for j in idx)) + _RESIDUE_BLOCK, _RESIDUE_TERMS + 1)
-        w = np.array([om[j] for j in idx])[:, None, None]
+        """(H, error, served) at every omega of the bin, from each point's P and rounding of
+        omega: served where the estimate is at most tol (|P| + |H - P|), the size of the two
+        parts of the record, like a contour point."""
+        n = _HYP_NODES + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                if self.table is None or self.table[0].shape[1] < size:
-                    self._extend(size)
-                s, log_term, sign, rounding, envelope, omega_min, pole_ok, abs_s, prefix, _ = self.table
-                s_w = s * w
-                target = (prefix + s_w).max(axis=(1, 2))
-                target -= _TRUNCATION_LOG
-                bound = envelope + s_w
-                ok = (bound <= target[:, None, None]) & (omega_min <= w)
-                found = ok.any(axis=2).all(axis=1)
-                if found.all() or size > _RESIDUE_TERMS:
-                    break
-                size = min(2 * size, _RESIDUE_TERMS + 1)
-            count = ok.argmax(axis=2)
-            rows = np.arange(len(self.start))
-            served = (found & pole_ok[rows, count].all(axis=1)).tolist()
-            tail = np.exp(bound[np.arange(len(idx))[:, None], rows, count]).sum(axis=1).tolist()
-            t = sign * np.exp(log_term + s_w)
-            # Rounding of the exponent: the table's, and s_k times that of omega and
-            # of s_k omega and of the sum.
-            spread = np.array([d_omega[j] + 6.0 * _EPS * om[j] for j in idx])[:, None, None]
-            err = np.expm1(abs_s * spread + rounding)
-            err += _EPS
-            err *= np.abs(t)
-        for j, ok_j, ks, t_j, e_j, tail_j in zip(idx, served, count.tolist(), t.tolist(), err.tolist(), tail):
-            if not ok_j:
+            g = np.exp(omega[:, None] * self.z + self.log_f)
+            parts = (np.abs(g)[:, None, :] * self.weights).sum(axis=2).tolist()
+        terms = (g[:, :n].imag * _HYP_TERM_WEIGHTS).tolist()
+        out = []
+        for w, p, d, row, (fixed, per_omega, per_d) in zip(omega.tolist(), lead, d_omega, terms, parts):
+            if not math.isfinite(fixed):
+                out.append((0.0, math.inf, False))
                 continue
-            v = math.fsum(v for row, k in zip(t_j, ks) for v in row[:k])
-            e = math.fsum(v for row, k in zip(e_j, ks) for v in row[:k])
-            p = lead[j]
-            r = v - p
-            e += 2.0 * tail_j + _EPS * (1.5 * abs(v) + abs(r)) + _TINY
-            out[j] = (r, e, math.isfinite(v) and math.isfinite(e) and e <= tol * (abs(p) + abs(r)))
+            # |terms| <= (h/pi) |F e^(omega z) z'| < max/25 each: fsum cannot overflow.
+            v = math.fsum(row)
+            err = fixed + w * per_omega + d * per_d + _EPS * abs(v) + _TINY
+            out.append((v, err, err <= tol * (abs(p) + abs(v - p))))
         return out
 
 
@@ -821,9 +732,9 @@ def _remainder_density(ev: DensityEvaluator, x: np.ndarray, lead_errors: bool = 
 
 
 def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray,
-                lead_errors: bool = False) -> tuple[list, list, list, list]:
-    """(leading part P, its error, remainder, its error) of the density at x = rho e^-omega,
-    as four lists of per-point floats; all four are 0.0 past the support, omega <= 0.
+                lead_errors: bool = False) -> tuple[list, list, list, list, list]:
+    """(leading part P, its error, remainder, value H, its error) of the density at x = rho
+    e^-omega, as five lists of per-point floats; all five are 0.0 past the support, omega <= 0.
 
     Each point computes P = A* omega^(mu-1) / Gamma(mu) and the rounding of
     omega (of log rho, from the terms summed into it, of log x and of the
@@ -831,19 +742,21 @@ def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray,
     record needs it, a value does not), adds the rounding of A*/Gamma(mu), of
     the power, of mu (amplified by |log omega - psi(mu)|) and of omega
     (amplified by |mu - 1| / omega).  The path of a point is chosen from the
-    spec and omega before any contour runs: beyond _SHIFT_OMEGA the residue
-    series, within the endpoint series' switch (also where the residue
-    series refuses) the series, and a point neither serves takes the contour
-    (_remainder_on_line).  Series and residue points build no line, and the
-    endpoint series is set up only for a point that asks it.
+    spec and omega before any contour runs, and a point runs each path at most
+    once: within the endpoint series' switch (and omega <= _SHIFT_OMEGA) the
+    series, then (unless ev.lead_exact makes P the density) the hyperbola of
+    the point's bin where its bound meets the tolerance, and the line Re s = c
+    (_remainder_on_line) for the rest, which raises where it cannot be trusted.  Series and line points return H = P +
+    R and the error of R plus that of P; a hyperbola point returns H itself,
+    R = H - P and the error of H, so H keeps its digits where P >> H.
     """
     om = omega.tolist()
     n = len(om)
-    lead, lead_err, rem, rem_err, d_omega = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    lead, lead_err, rem, value, err, d_omega = ([0.0] * n for _ in range(6))
     # Per-point loop: the evaluator's scalars as locals.
     scale, mu1, log_rho, log_rho_err = ev.lead_scale, ev.inv.mu - 1.0, ev.inv.log_rho, ev.log_rho_err
     rel, mu_err, psi_mu, half_radius = 1e-14 + ev.lead_err, ev.mu_err, ev.psi_mu, ev.half_radius
-    near, far, contour = [], [], []
+    near, rest = [], []
     for k, w in enumerate(om):
         if w <= 0.0:
             continue
@@ -855,49 +768,42 @@ def _density_at(ev: DensityEvaluator, c: float, omega: np.ndarray,
         lead[k], d_omega[k] = p, d
         if lead_errors:
             lead_err[k] = p * (rel + mu_err * abs(math.log(w) - psi_mu) + abs(mu1) * d / w)
-        if w > _SHIFT_OMEGA:
-            far.append(k)
         # Beyond half the radius of the series no point needs its switch.
-        elif w < half_radius and w < ev.series.switch:
+        if w <= _SHIFT_OMEGA and w < half_radius and w < ev.series.switch:
             near.append(k)
         else:
-            contour.append(k)
-    if far:
-        served = ev.residue(omega[far], [lead[k] for k in far], [d_omega[k] for k in far], ev.cfg.quad_rel_tol)
-        for k, (value, err, ok) in zip(far, served):
-            if ok:
-                rem[k], rem_err[k] = value, err
-            elif om[k] < half_radius and om[k] < ev.series.switch:
-                near.append(k)
-            else:
-                contour.append(k)
+            rest.append(k)
     if near:
         served = ev.series(omega[near], [lead[k] for k in near], [d_omega[k] for k in near])
-        for k, (value, err, ok) in zip(near, served):
+        for k, (r, e, ok) in zip(near, served):
             if ok:
-                rem[k], rem_err[k] = value, err
+                rem[k], value[k], err[k] = r, lead[k] + r, e + lead_err[k]
             else:
-                contour.append(k)
-    # The prefactor e^(c omega) amplifies quadrature roundoff; far below the
-    # support endpoint the contour is moved toward the imaginary axis (all
-    # integrand poles sit at abscissas <= 0) to keep that amplification
-    # bounded.  Quantized to a few levels so few lines are built.
-    by_line: dict[float, list] = {}
-    for k in sorted(contour):
-        by_line.setdefault(_contour_level(c, om[k]), []).append(k)
-    for level, idx in by_line.items():
-        for k, value, err in zip(idx, *_remainder_on_line(ev, level, omega[idx], [lead[k] for k in idx])):
-            rem[k], rem_err[k] = value, err
-    return lead, lead_err, rem, rem_err
-
-
-def _contour_level(c: float, w: float) -> float:
-    """The abscissa of the point omega = w on a contour at c: c itself, or far below the
-    support endpoint the first of _SHIFT_LEVELS at most max(0.05, _SHIFT_OMEGA / w)."""
-    if w <= _SHIFT_OMEGA:
-        return c
-    target = max(_SHIFT_LEVELS[-1], _SHIFT_OMEGA / w)
-    return min(c, next((lv for lv in _SHIFT_LEVELS if lv <= target), _SHIFT_LEVELS[-1]))
+                rest.append(k)
+    if ev.lead_exact:
+        for k in rest:
+            value[k], err[k] = lead[k], lead_err[k]
+        rest = []
+    bins: dict[float, list] = {}
+    for k in sorted(rest):
+        m, e = math.frexp(om[k])
+        bins.setdefault(math.ldexp(1.0, e - (m == 0.5)), []).append(k)
+    line = []
+    for top, idx in bins.items():
+        hyperbola = ev._hyperbolas.get(top)
+        if hyperbola is None:
+            hyperbola = ev._hyperbolas[top] = _Hyperbola(ev, top)
+        served = hyperbola(omega[idx], [lead[k] for k in idx], [d_omega[k] for k in idx], ev.cfg.quad_rel_tol)
+        for k, (v, e, ok) in zip(idx, served):
+            if ok:
+                rem[k], value[k], err[k] = v - lead[k], v, e
+            else:
+                line.append(k)
+    if line:
+        line.sort()
+        for k, r, e in zip(line, *_remainder_on_line(ev, c, omega[line], [lead[k] for k in line])):
+            rem[k], value[k], err[k] = r, lead[k] + r, e + lead_err[k]
+    return lead, lead_err, rem, value, err
 
 
 def _remainder_on_line(ev: DensityEvaluator, c: float, omega: np.ndarray, lead: list) -> tuple[list, list]:
@@ -935,18 +841,18 @@ def _remainder_on_line(ev: DensityEvaluator, c: float, omega: np.ndarray, lead: 
 
 
 class DensityEvaluator:
-    """The density of one spec: its endpoint and residue series, its tail series and one
-    _Line per abscissa.
+    """The density of one spec: its endpoint series, one _Hyperbola per omega bin, its tail
+    series and one _Line per abscissa.
 
     Derives and validates the spec and sets the abscissa c = max(gamma_pole,
     0) + 1 (right of every integrand pole and clear of the branch cut of
     s^-mu); the Stirling coefficients of g and the endpoint-series switch are
-    computed at the first point that needs them, the residue table at the
-    first point beyond _SHIFT_OMEGA, and the head length T when a point first
-    takes the contour.  Requires mu > 0, equal scale sums and a finite rho and
+    computed at the first point that needs them, a bin's hyperbola at the
+    first point in the bin, and the head length T when a point first takes
+    a line.  Requires mu > 0, equal scale sums and a finite rho and
     A*, and warns once when mu is small enough to slow the contour decay.
-    Every point evaluated through one evaluator reuses the lines of the points
-    before it, so a whole curve or an outer quadrature over x should go
+    Every point evaluated through one evaluator reuses the hyperbolas and lines
+    of the points before it, so a whole curve or an outer quadrature over x should go
     through a single evaluator, and through as few calls as possible:
     ``values`` takes an array.
     """
@@ -997,7 +903,12 @@ class DensityEvaluator:
         self.mu_err = _EPS * (shift_sum + inv.mu)
         self.lead_err = _EPS * (2.0 * log_a_star_size + 6.0)
         self.half_radius = math.pi * min(spec.A + spec.B)
+        # Factors that pair as Gamma(A s) / Gamma(A s + 1) = 1 / (A s) make W(s) rho^-s =
+        # A* s^-mu exactly: the leading part is then the density at every omega > 0.
+        self.lead_exact = not any(spec.a) and sorted(zip(spec.A, spec.a)) == sorted(
+            (B, b - 1.0) for B, b in zip(spec.B, spec.b))
         self._lines: dict[float, _Line] = {}
+        self._hyperbolas: dict[float, _Hyperbola] = {}
 
     @functools.cached_property
     def _stirling(self) -> tuple[list, list, list]:
@@ -1031,15 +942,9 @@ class DensityEvaluator:
         """The endpoint series, set up at the first point within half its radius."""
         return _EndpointSeries(self)
 
-    @functools.cached_property
-    def residue(self) -> _ResidueSeries:
-        """The left-pole residue series, set up at the first point beyond _SHIFT_OMEGA."""
-        return _ResidueSeries(self.spec, self.inv.log_rho)
-
     def values(self, xs) -> np.ndarray:
         """Density at every x > 0 of xs (no support-endpoint exclusion), in one batch."""
-        lead, _, rem, _ = _remainder_density(self, np.asarray(xs, dtype=float).ravel(), lead_errors=False)
-        return np.array(lead) + np.array(rem)
+        return np.array(_remainder_density(self, np.asarray(xs, dtype=float).ravel(), lead_errors=False)[3])
 
     def value(self, x: float) -> float:
         """Density at any x > 0 (no support-endpoint exclusion)."""
@@ -1051,24 +956,25 @@ class DensityEvaluator:
 
     def _records(self, xs: np.ndarray) -> list[HEvaluation]:
         return [
-            HEvaluation(value=lv + rv, leading_part=lv, remainder_part=rv, error_estimate=re + le)
-            for lv, le, rv, re in zip(*_remainder_density(self, xs))
+            HEvaluation(value=v, leading_part=lv, remainder_part=rv, error_estimate=e)
+            for lv, _, rv, v, e in zip(*_remainder_density(self, xs))
         ]
 
     def _at_omega(self, c: float, omega: np.ndarray) -> np.ndarray:
         """Density H(rho e^-omega) at every omega > 0, the remainder taken on the abscissa c."""
-        lead, _, rem, _ = _density_at(self, c, omega)
-        return np.array(lead) + np.array(rem)
+        return np.array(_density_at(self, c, omega)[3])
 
     def edge_integral(self, f, w_hi: float) -> float:
         """int_0^w_hi H(rho e^-w) f(w) dw for f bounded on [0, w_hi], f taking an array.
 
-        H(rho e^-w) / w^(mu-1) = lead_scale + remainder / w^(mu-1) is analytic
-        at w = 0 (the endpoint series), so near 0 one Gauss-Jacobi rule of
-        weight w^(mu-1) integrates it, on at most pi min(scales), half the
-        radius of that series; |Q20 - Q10| is its error, and the interval
-        halves until that is below the outer tolerance, max(OUTER_EPSABS,
-        OUTER_EPSREL |Q20|).  The adaptive G10/K21 rule takes the rest.
+        H(rho e^-w) / w^(mu-1) is analytic at w = 0 (the endpoint series), so
+        near 0 one Gauss-Jacobi rule of weight w^(mu-1) integrates it, on at
+        most pi min(scales), half the radius of that series; |Q20 - Q10| is its
+        error, and the interval halves until that is below the outer
+        tolerance, max(OUTER_EPSABS, OUTER_EPSREL |Q20|).  The adaptive G10/K21
+        rule takes the rest.  A spec whose w^(mu-1) at a node, or w^mu at the
+        interval's end, falls below the least normal double is refused with
+        UnsupportedParameterError before any point is evaluated.
         """
         mu = self.inv.mu
         (y10, w10), (y20, w20) = (gauss_jacobi(mu - 1.0, n) for n in (10, 20))
@@ -1076,7 +982,10 @@ class DensityEvaluator:
         for _ in range(_EDGE_HALVINGS):
             # Both rules' nodes in one batch.
             w = w_gj * np.concatenate([y10, y20])
-            vals = (self.lead_scale + np.array(_density_at(self, self.c, w)[2]) / w ** (mu - 1.0)) * f(w)
+            if min(mu * math.log(w_gj), (mu - 1.0) * math.log(float(w.min()))) < _LOG_TINY:
+                raise UnsupportedParameterError(
+                    f"edge integral: w^(mu-1) leaves the double range on (0, {w_gj}] (mu={mu})")
+            vals = np.array(_density_at(self, self.c, w)[3]) / w ** (mu - 1.0) * f(w)
             q10, q20 = w_gj**mu * (w10 @ vals[:10]), w_gj**mu * (w20 @ vals[10:])
             if abs(q20 - q10) <= max(OUTER_EPSABS, OUTER_EPSREL * abs(q20)):
                 break
@@ -1092,13 +1001,12 @@ class DensityEvaluator:
         Over (0, tau_c) the edge rule (edge_integral) takes the tau^(mu-1)
         endpoint singularity in one batch; the density beyond is integrated
         by the adaptive rule at omega = tau, so no x underflows.  For c > s
-        the noise of the remainder times e^(-s tau) is bounded over the whole
-        range by its largest value at the probes: _SHIFT_OMEGA, where the
-        unshifted contour's noise e^((c-s) tau) peaks, the top of each shifted
-        level and tau_max; beyond _SHIFT_OMEGA the residue series serves most
-        points, with an estimate that falls with the density.  The part past
-        tau_max is taken as |H(tau_max)| e^(-s tau_max) / (s - gamma_pole), the
-        integral of the slowest residue term.  A bound above 1e-6 of the
+        the error of the density times e^(-s tau) is bounded over the whole
+        range by its largest value at the probes: the top of each hyperbola bin
+        the bulk crosses, and tau_max; the hyperbolas serve the bulk with an
+        estimate that falls with the density.  The part past tau_max is taken
+        as |H(tau_max)| e^(-s tau_max) / (s - gamma_pole), the integral of the
+        term of the rightmost pole.  A bound above 1e-6 of the
         result raises QuadratureAccuracyError, as does a weight e^(-s tau)
         that overflows before tau_max.
         """
@@ -1124,15 +1032,14 @@ class DensityEvaluator:
                 best_estimate=inv.rho**s * near,
                 error_estimate=math.inf,
             )
-        # One batch at the top of each contour level the bulk crosses
-        # (_density_at) and at tau_max sizes every line once for the
-        # quadrature's later rounds, whose nodes creep toward those tops.
-        probes = [_SHIFT_OMEGA / lv for lv in _SHIFT_LEVELS[:-1] if tau_c < _SHIFT_OMEGA / lv < tau_max] + [tau_max]
-        lead, _, rem, est = _density_at(self, c, np.array(probes))
+        # One batch at the top of each bin the bulk crosses and at tau_max
+        # builds the hyperbolas of the quadrature's later rounds.
+        probes = [2.0**j for j in range(math.ceil(math.log2(tau_c)), math.ceil(math.log2(tau_max)))] + [tau_max]
+        _, _, _, value, est = _density_at(self, c, np.array(probes))
         noise = 0.0
         if c > s:
             noise = (tau_max - tau_c) * max(e * math.exp(-s * w) for w, e in zip(probes, est))
-        noise += abs(lead[-1] + rem[-1]) * math.exp(-s * tau_max) / (s - inv.gamma_pole)
+        noise += abs(value[-1]) * math.exp(-s * tau_max) / (s - inv.gamma_pole)
         # Resolving the bulk below its noise would only chase the noise.
         bulk = quad(
             lambda tau: self._at_omega(c, tau) * np.exp(-s * tau),
@@ -1149,9 +1056,9 @@ class DensityEvaluator:
 
 
 def density(spec: RatioSpec, xs, cfg: ContourConfig | None = None) -> list[HEvaluation]:
-    """Representing density at every x of xs: the closed-form leading part plus the
-    remainder, from the endpoint series near rho, the left-pole residue series far below
-    it and the subtracted contour integral elsewhere.
+    """Representing density at every x of xs, with its closed-form leading part and the
+    remainder: from the endpoint series near rho, the hyperbolic contour elsewhere, and
+    the subtracted line integral where the hyperbola's bound refuses.
 
     Requires mu > 0 and equal scale sums.  Every x must be a positive real,
     and points within a relative distance of 1e-6 from the support endpoint

@@ -44,6 +44,11 @@ _BERNOULLI = (
 )
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+
+# Beyond |Im f| = 200, sin(pi f) nears the double range and log_gamma_plane takes
+# its asymptotic form.
+_SIN_FAR = 200.0
 
 # log Gamma(w) = (w - 1/2) log w - w + log(2 pi)/2 + sum_k B_2k / (2k (2k-1) w^(2k-1)),
 # k = 1..8, highest first for Horner's rule in 1/w^2.
@@ -140,6 +145,72 @@ def loggamma(z) -> np.ndarray:
     if u is not None:
         value[small] -= clog(u) + clog(u + 6.0) + clog(u + 10.0) + clog(u + 12.0)
     return value
+
+
+def log_gamma_plane(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Gamma modulo 2 pi i at every entry of a complex array off the poles, and the
+    magnitude of the terms summed into each.
+
+    Every entry is mapped to v with Re v >= 1/2: v = z, or left of Re z = 1/2,
+    v = 1 - z for the reflection log Gamma(z) = log pi - log sin(pi z) - log
+    Gamma(1 - z) (DLMF 5.5.3).  log Gamma(v) is the Stirling series at v + 8
+    less the log of the shift product (v)_8, one log per entry (the product
+    stays within the double range for |v| < 1e30), so the result is exact
+    only modulo 2 pi i.  sin(pi z) = (-1)^k sin(pi f), f = z - k, k the
+    integer nearest Re z; where |Im z| > 20, log sin(pi f) is its asymptotic
+    form pi |Im f| - log 2 + i (pi/2 - pi Re f) sign(Im f), whose omitted part
+    is below e^-125, so sin never overflows.  The magnitude of a reflected
+    entry adds |log sin| and |z| pi (1 + 1/|sin(pi f)|) >= |z pi cot(pi f)|,
+    the reach of the rounding of z near a pole.  An entry at a pole gives
+    +inf (0 for its reciprocal) with magnitude 0.
+    """
+    left = z.real < 0.5
+    v = z.copy()
+    np.subtract(1.0, z, out=v, where=left)
+    u = v * (v + 7.0)
+    product = (u + 6.0) * (u + 10.0)
+    product *= u * (u + 12.0)
+    v += 8.0
+    value, size = _stirling(v)
+    abs_product = np.abs(product)
+    if abs_product.max() < math.inf:
+        shift = clog(product, abs_product)
+    else:
+        shift = clog(u) + clog(u + 6.0) + clog(u + 10.0) + clog(u + 12.0)
+    value -= shift
+    value += _HALF_LOG_2PI
+    size += np.abs(shift)
+    if not left.any():
+        return value, size
+    k = np.rint(z.real)
+    f = z - k
+    f[~left] = 0.5
+    far = np.abs(f.imag) > _SIN_FAR
+    if far.any():
+        f[far] = 0.5
+    sin = np.sin(np.pi * f)
+    abs_sin = np.abs(sin)
+    with np.errstate(divide="ignore"):
+        log_sin = clog(sin, abs_sin)
+        reach = 1.0 / abs_sin
+    # sin(pi z) = (-1)^k sin(pi f); modulo 2 pi i that is i pi k.
+    log_sin.imag += np.pi * k
+    if far.any():
+        y, x = z.imag[far], (z.real - k)[far]
+        phase = np.sign(y) * (0.5 * np.pi - np.pi * x) + np.pi * k[far]
+        log_sin[far] = np.pi * np.abs(y) - math.log(2.0) + 1j * phase
+        reach[far] = 0.0
+    pole = abs_sin == 0.0
+    log_sin -= _LOG_PI
+    log_sin += value
+    np.negative(log_sin, out=value, where=left)
+    reach += 1.0
+    reach *= np.pi * np.abs(z)
+    reach += np.abs(log_sin)
+    np.add(size, reach, out=size, where=left)
+    if pole.any():
+        value[pole], size[pole] = np.inf, 0.0
+    return value, size
 
 
 def _pochhammer_pairs(z: np.ndarray, p: int) -> list[tuple[int, int, int]]:

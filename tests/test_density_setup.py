@@ -1,11 +1,12 @@
 """The per-spec set-up of a density point on a spec seen for the first time.
 
 An endpoint-series point builds one Stirling table (the m d_m and their
-magnitudes from one set of Bernoulli powers); a residue point grows its pole
-table in one pass and sets up no endpoint series, also within half the
-series' radius.  Specs whose contour integrand or tail terms leave the
-double range raise a package error that names the quantity, with no
-floating-point warning on the way.
+magnitudes from one set of Bernoulli powers); a far point (omega > 6, where
+the residue series served before the hyperbola replaced it) builds one
+hyperbola and sets up no endpoint series, also within half the series'
+radius.  Specs whose line integrand or tail terms leave the double range
+raise a package error that names the quantity, with no floating-point
+warning on the way.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import gammaratio.foxh as foxh_mod
-from gammaratio import RatioSpec, UnsupportedParameterError, fox_h
+from gammaratio import QuadratureAccuracyError, RatioSpec, UnsupportedParameterError, fox_h
 from gammaratio.foxh import DensityEvaluator
 
 
@@ -33,14 +34,15 @@ def table_calls(monkeypatch):
 
 @pytest.fixture
 def extend_calls(monkeypatch):
+    """The bins of the hyperbolas built, one entry per _Hyperbola."""
     calls = []
-    helper = foxh_mod._ResidueSeries._extend
+    helper = foxh_mod._Hyperbola.__init__
 
-    def counting(self, n):
-        calls.append(n)
-        return helper(self, n)
+    def counting(self, ev, top):
+        calls.append(top)
+        return helper(self, ev, top)
 
-    monkeypatch.setattr(foxh_mod._ResidueSeries, "_extend", counting)
+    monkeypatch.setattr(foxh_mod._Hyperbola, "__init__", counting)
     return calls
 
 
@@ -69,17 +71,18 @@ def test_series_point_builds_one_stirling_table(spec, omega, table_calls):
 
 @pytest.mark.parametrize("spec, omega", RESIDUE_POINTS)
 def test_residue_point_grows_its_table_once(spec, omega, table_calls, extend_calls):
+    # The far point evaluates F on one hyperbola, and builds no line and no Stirling table.
     ev = DensityEvaluator(spec)
     got = ev.evaluate(ev.inv.rho * math.exp(-omega))
     assert ev._lines == {}
     assert len(extend_calls) == 1
     assert table_calls == []
-    assert got.value == got.leading_part + got.remainder_part
+    assert got.remainder_part == got.value - got.leading_part
 
 
 # Points beyond _SHIFT_OMEGA that also lie within half the endpoint series'
 # radius (pi min(scales) > omega), above the series' switch; density-scatter
-# draws such points.
+# draws such points.  They ask no endpoint series.
 NEAR_AND_FAR_POINTS = [
     (RatioSpec(A=(3.0,), a=(1.9949436966042144,), B=(3.0,), b=(4.948348422197944,)), 6.447995847486446),
     (RatioSpec(A=(5.0,), a=(2.8561944036367817,), B=(5.0,), b=(4.647981215004401,)), 11.126448251329448),
@@ -97,13 +100,13 @@ def test_residue_point_within_series_radius_sets_up_no_series(spec, omega, table
     assert table_calls == []
     assert len(extend_calls) == 1
     assert ev._lines == {}
-    assert got.value == got.leading_part + got.remainder_part
+    assert got.remainder_part == got.value - got.leading_part
 
 
 # Two specs of the full box (p, q <= 4, entries log-uniform in [1e-2, 1e3],
-# equal sums) the residue series refuses, at omega in the shifted band: the
-# first overflows the contour integrand g on its line, the second the tail's
-# Stirling terms A* e_k.
+# equal sums) at omega in the far band: on the line Re s = c the first
+# overflows the contour integrand g, the second the tail's Stirling terms
+# A* e_k.  fox_h answers the second from the hyperbola.
 OVERFLOWING = [
     (
         RatioSpec(
@@ -131,10 +134,15 @@ OVERFLOWING = [
 @pytest.mark.parametrize("spec, omega, quantity", OVERFLOWING)
 def test_overflow_raises_package_error_naming_the_quantity(spec, omega, quantity):
     # Warnings are errors in this suite, so a floating-point warning on the way fails.
-    x = math.exp(DensityEvaluator(spec).inv.log_rho - omega)
+    ev = DensityEvaluator(spec)
     with pytest.raises(UnsupportedParameterError, match=quantity) as info:
-        fox_h(spec, x)
+        foxh_mod._remainder_on_line(ev, ev.c, np.array([omega]), [ev.lead_scale * omega ** (ev.inv.mu - 1.0)])
     assert "nan" not in str(info.value).lower()
+    try:
+        got = fox_h(spec, math.exp(ev.inv.log_rho - omega))
+    except (UnsupportedParameterError, QuadratureAccuracyError):
+        return
+    assert math.isfinite(got.value) and got.error_estimate < math.inf
 
 
 @pytest.mark.parametrize(

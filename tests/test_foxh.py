@@ -32,6 +32,16 @@ from gammaratio.foxh import (
 )
 
 
+@pytest.fixture
+def line_only(monkeypatch):
+    """Every hyperbola refuses its points, so that each point past the endpoint series takes
+    the line Re s = c."""
+    def refuse(self, omega, *args):
+        return [(0.0, math.inf, False)] * len(omega)
+
+    monkeypatch.setattr(foxh_mod._Hyperbola, "__call__", refuse)
+
+
 def beta_density(alpha, beta, x):
     """Closed form of the representing density for the p=q=1 unit family."""
     return x**alpha * (1.0 - x) ** (beta - 1.0) / spgamma(beta)
@@ -248,13 +258,13 @@ class TestFoxH:
         ev = fox_h(spec_equal_scales, 0.4)
         assert ev.value == ev.leading_part + ev.remainder_part
 
-    def test_quadrature_failure_raises_with_estimate(self, spec_equal_scales, monkeypatch):
+    def test_quadrature_failure_raises_with_estimate(self, spec_equal_scales, monkeypatch, line_only):
         from gammaratio import QuadratureAccuracyError
 
         # Every head result has an error far past the tolerance, so the
         # point raises at once with its prefactored value as the best
         # estimate.  x = 0.1 (omega = 2.3) lies above the endpoint-series
-        # switch, so it takes the contour.
+        # switch, and the hyperbola refuses it, so it takes the line.
         calls = []
 
         def untrusted(line, omega):
@@ -278,12 +288,21 @@ def default_grid(spec):
     return [rho * k / 50.0 for k in range(1, 50)]
 
 
+def line_level(c, w):
+    """c, or beyond omega = 6 the first of 1, 0.3, 0.1, 0.05 at most max(0.05, 6 / w): lines
+    at the abscissas mellin_transform takes for s < 1."""
+    if w <= 6.0:
+        return c
+    target = max(0.05, 6.0 / w)
+    return min(c, next((lv for lv in (1.0, 0.3, 0.1, 0.05) if lv <= target), 0.05))
+
+
 def contour_points(ev, omegas):
-    """The contour remainders and estimates at every omega, each on its _contour_level line:
-    beyond _SHIFT_OMEGA the residue series serves most points, so shifted lines are built here."""
+    """The line remainders and estimates at every omega, each on its line_level line, built
+    here directly: the hyperbola serves such points in the density."""
     omegas = np.asarray(omegas, dtype=float)
     lead = (ev.lead_scale * omegas ** (ev.inv.mu - 1.0)).tolist()
-    levels = [foxh_mod._contour_level(ev.c, w) for w in omegas.tolist()]
+    levels = [line_level(ev.c, w) for w in omegas.tolist()]
     out = []
     for level in sorted(set(levels), key=levels.index):
         idx = [k for k, lv in enumerate(levels) if lv == level]
@@ -354,9 +373,9 @@ class TestDensityCurve:
             density(spec, [0.3, 0.5])
         assert len([w for w in record if "slow contour decay" in str(w.message)]) == 1
 
-    def test_curve_g_evaluations(self, spec_mixed_scale, monkeypatch):
-        # The curve evaluates g once, on the head nodes of its one line: 8
-        # panels of 21 nodes.
+    def test_curve_g_evaluations(self, spec_mixed_scale, monkeypatch, line_only):
+        # Past the endpoint series the curve evaluates g once, on the head
+        # nodes of its one line: 8 panels of 21 nodes.
         sizes = []
         g = foxh_mod._g
 
@@ -368,7 +387,7 @@ class TestDensityCurve:
         density(spec_mixed_scale, default_grid(spec_mixed_scale))
         assert sizes == [8 * 21]
 
-    def test_curve_extends_tail_lattice_rarely(self, spec_mixed_scale, monkeypatch):
+    def test_curve_extends_tail_lattice_rarely(self, spec_mixed_scale, monkeypatch, line_only):
         # Each short end of a held lattice grows by at least its length, so
         # a curve builds its tail rows a few times, and every held row equals
         # one fresh contraction of its whole range.
@@ -426,7 +445,7 @@ class TestDensityCurve:
         assert list(ev._lines) == [0.3]
         assert ev._lines[0.3].panel == pytest.approx(2.0 * math.pi / 12.0, rel=1e-12)
 
-    def test_one_point_builds_tail_rows_once(self, spec_mixed_scale, monkeypatch):
+    def test_one_point_builds_tail_rows_once(self, spec_mixed_scale, monkeypatch, line_only):
         # A fresh line builds only the range its first point needs; x =
         # rho / 20 (omega = 3.0) lies above the endpoint-series switch.
         calls = []
@@ -563,10 +582,12 @@ class TestStirlingSeries:
 
 class TestContourColumns:
     def grid_and_shifted(self, ev):
-        # The grid's contour points build the c = 1 line; omega = 8 and 25
-        # build the lines at the abscissas 0.3 and 0.1 directly.
+        # The grid's points build hyperbolas; omega = 3, 8 and 25 build the
+        # lines at the abscissas 1, 0.3 and 0.1 directly.
         for x in default_grid(ev.spec):
             ev.evaluate(x)
+        assert ev._hyperbolas
+        contour_points(ev, [3.0])
         contour_points(ev, [8.0])
         contour_points(ev, [25.0])
 

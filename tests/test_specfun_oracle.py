@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gammaratio import digamma, log_gamma, polygamma
-from gammaratio.specfun import log_gamma_sum, loggamma
+from gammaratio.specfun import log_gamma_plane, log_gamma_sum, loggamma
 
 EPS = float(np.finfo(float).eps)
 
@@ -81,6 +81,29 @@ def test_log_gamma_sum_within_magnitude(p):
             diff = complex(total[k]) - complex(exact)
             diff = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
             assert abs(diff) <= 2.0 * EPS * size[k], (p, t[k], diff, size[k])
+
+
+def test_log_gamma_plane_within_magnitude():
+    # The reflection log-gamma of the hyperbolic contour, modulo 2 pi i, within
+    # 2 eps times its magnitude: -Re z and |Im z| log-uniform up to 1e3 (the
+    # asymptotic log sin past |Im z| = 200 included), points right of 1/2,
+    # near the poles and on the real axis.
+    rng = random.Random(20150133)
+    points = [complex(-log_uniform(rng, 1e-3, 1e3), rng.choice((-1.0, 1.0)) * log_uniform(rng, 1e-3, 1e3))
+              for _ in range(600)]
+    points += [complex(log_uniform(rng, 1e-3, 1e3), rng.choice((-1.0, 1.0)) * log_uniform(rng, 1e-3, 1e3))
+               for _ in range(100)]
+    points += [complex(-3.0 + 1e-9, 0.0), complex(-7.5, 0.0), complex(0.2, 0.0), complex(-2.0, 1e-12),
+               complex(0.49, -30.0), complex(-150.25, 200.5), complex(-0.3, -999.0)]
+    value, size = log_gamma_plane(np.array(points))
+    with mpmath.workdps(30):
+        for z, v, m in zip(points, value.tolist(), size.tolist()):
+            diff = v - complex(mpmath.loggamma(mpmath.mpc(z)))
+            diff = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
+            assert abs(diff) <= 2.0 * EPS * m, (z, v, diff, m)
+    # At a pole: +inf, whose reciprocal is 0, with magnitude 0.
+    value, size = log_gamma_plane(np.array([-4.0 + 0j, 1.5 + 0j]))
+    assert value[0] == math.inf and size[0] == 0.0
 
 
 def test_digamma_within_estimate():
