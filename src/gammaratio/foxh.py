@@ -43,8 +43,8 @@ the m d_m and their magnitudes, ratio._stirling_table), and handles its 21
 coefficients and error weights as Python floats, where arrays of 21 entries
 cost more in numpy calls than in arithmetic (the switch's powers stay one
 array pass).  A hyperbola evaluates log F with one specfun.log_gamma_plane
-call over the p + q factors of its 52 nodes (the contour's 26 and 13 on
-each strip edge), whose cost is mostly the fixed cost of its numpy calls.
+call over the p + q factors of its 52 nodes (the contour's 26 and 13 on each
+strip edge), whose cost is mostly the fixed cost of its numpy calls.
 
 The Fourier integrals Re int_0^inf g(c+it) e^{i omega t} dt split at t = T,
 the least T >= 5 where the Stirling series of g holds to 1e-15:
@@ -164,7 +164,8 @@ def _hyperbola_shapes():
     """(z - sigma) / mu_h and log(z' / mu_h) on the contour (nodes k = 0..N+1) and on its
     edges alpha + _HYP_UP and alpha - _HYP_DOWN (every other node, k = 0, 2, .., N); the
     weights of the terms (h/pi, halved at k = 0) and of the estimate's rows (_Hyperbola)
-    before the per-spec factors."""
+    before the per-spec factors; and the last node and the one before it of the contour
+    and of each edge."""
     n = _HYP_NODES + 1
     u = _HYP_STEP * np.arange(n + 1.0)
     shape, dshape = [], []
@@ -175,18 +176,23 @@ def _hyperbola_shapes():
         dshape.append(-sin * sinh + 1j * (cos * cosh))
     terms = np.full(n, _HYP_STEP / math.pi)
     terms[0] *= 0.5
-    edge = 2.0 * terms[::2]
-    weights = np.zeros((3, n + 1 + 2 * len(edge)))
+    # The strip terms are doubled against the sampling of M; the last node of an
+    # edge stands for the rest of it too (see _Hyperbola).
+    up, down = 4.0 * terms[::2], 4.0 * terms[::2]
+    up[-1] *= 2.0
+    down[-1] *= 2.0
+    weights = np.zeros((3, n + 1 + len(up) + len(down)))
     weights[0, :n] = 2.0 * _EPS * terms
     weights[0, n] = 2.0 * _HYP_STEP / math.pi
-    weights[0, n + 1 : n + 1 + len(edge)] = edge / math.expm1(2.0 * math.pi * _HYP_UP / _HYP_STEP)
-    weights[0, n + 1 + len(edge) :] = edge / math.expm1(2.0 * math.pi * _HYP_DOWN / _HYP_STEP)
+    weights[0, n + 1 : n + 1 + len(up)] = up / math.expm1(2.0 * math.pi * _HYP_UP / _HYP_STEP)
+    weights[0, n + 1 + len(up) :] = down / math.expm1(2.0 * math.pi * _HYP_DOWN / _HYP_STEP)
     weights[1, :n] = 2.0 * _EPS * terms
     weights[2, :n] = terms
-    return np.concatenate(shape), sc.clog(np.concatenate(dshape)), terms, weights
+    ends = np.array([n, n + len(up), weights.shape[1] - 1])
+    return np.concatenate(shape), sc.clog(np.concatenate(dshape)), terms, weights, np.stack([ends, ends - 1])
 
 
-_HYP_SHAPE, _HYP_LOG_DSHAPE, _HYP_TERM_WEIGHTS, _HYP_WEIGHTS = _hyperbola_shapes()
+_HYP_SHAPE, _HYP_LOG_DSHAPE, _HYP_TERM_WEIGHTS, _HYP_WEIGHTS, _HYP_ENDS = _hyperbola_shapes()
 
 # Halvings of the Gauss-Jacobi interval of the edge integral before the
 # G10/K21 rule takes over whatever is left.
@@ -655,13 +661,18 @@ class _Hyperbola:
     - the strip bound of the trapezoidal rule (Trefethen & Weideman, SIAM Rev.
       56, 2014, Thm. 5.1, with each edge of the strip taken on its own): u +
       i d_up and u - i d_down are the hyperbolas alpha + d_up and alpha -
-      d_down, and with M the integral of |F e^(omega z) z'| / (2 pi) along
-      each, summed on every other node (step 2h), the error is at most
-      M_up / (e^(2 pi d_up / h) - 1) + M_down / (e^(2 pi d_down / h) - 1); a
-      pole near the contour shows in M_up;
+      d_down, which keep every pole outside the strip, and with M the integral
+      of |F e^(omega z) z'| / (2 pi) along each, the error is at most M_up /
+      (e^(2 pi d_up / h) - 1) + M_down / (e^(2 pi d_down / h) - 1).  A pole near
+      the contour shows in M_up, and the bound is then nearly attained, so M,
+      summed on every other node, is taken twice;
     - the truncation, twice the first omitted pair of terms, which bounds the
       rest where each term is at most half the one before (the integrand falls
-      like e^(-omega mu_h sin(alpha) cosh u));
+      like e^(-omega mu_h sin(alpha) cosh u) once F stops growing); the last
+      node of each edge stands for the rest of its edge likewise.  A point
+      whose integrand does not fall at least twofold over the last step of
+      the contour and of each edge (F still growing there, as with large
+      shifts) is refused;
     - the rounding: each term carries 2 eps times the magnitudes of its
       log-gammas, of z log rho and of log z', 2 eps |omega z| for its
       exponent and |z| times the rounding of omega, and the sum eps |H|.
@@ -707,11 +718,14 @@ class _Hyperbola:
         n = _HYP_NODES + 1
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.exp(omega[:, None] * self.z + self.log_f)
-            parts = (np.abs(g)[:, None, :] * self.weights).sum(axis=2).tolist()
+            abs_g = np.abs(g)
+            parts = (abs_g[:, None, :] * self.weights).sum(axis=2).tolist()
+            last, before = abs_g[:, _HYP_ENDS[0]], abs_g[:, _HYP_ENDS[1]]
+            decays = (2.0 * last <= before).all(axis=1).tolist()
         terms = (g[:, :n].imag * _HYP_TERM_WEIGHTS).tolist()
         out = []
-        for w, p, d, row, (fixed, per_omega, per_d) in zip(omega.tolist(), lead, d_omega, terms, parts):
-            if not math.isfinite(fixed):
+        for w, p, d, row, (fixed, per_omega, per_d), ok in zip(omega.tolist(), lead, d_omega, terms, parts, decays):
+            if not (ok and math.isfinite(fixed)):
                 out.append((0.0, math.inf, False))
                 continue
             # |terms| <= (h/pi) |F e^(omega z) z'| < max/25 each: fsum cannot overflow.

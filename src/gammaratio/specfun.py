@@ -182,11 +182,12 @@ def log_gamma_plane(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size += np.abs(shift)
     if not left.any():
         return value, size
-    k = np.rint(z.real)
-    f = z - k
-    f[~left] = 0.5
+    zl = z[left]
+    k = np.rint(zl.real)
+    f = zl - k
     far = np.abs(f.imag) > _SIN_FAR
-    if far.any():
+    any_far = far.any()
+    if any_far:
         f[far] = 0.5
     sin = np.sin(np.pi * f)
     abs_sin = np.abs(sin)
@@ -195,21 +196,22 @@ def log_gamma_plane(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         reach = 1.0 / abs_sin
     # sin(pi z) = (-1)^k sin(pi f); modulo 2 pi i that is i pi k.
     log_sin.imag += np.pi * k
-    if far.any():
-        y, x = z.imag[far], (z.real - k)[far]
+    if any_far:
+        y, x = zl.imag[far], (zl.real - k)[far]
         phase = np.sign(y) * (0.5 * np.pi - np.pi * x) + np.pi * k[far]
         log_sin[far] = np.pi * np.abs(y) - math.log(2.0) + 1j * phase
         reach[far] = 0.0
-    pole = abs_sin == 0.0
     log_sin -= _LOG_PI
-    log_sin += value
-    np.negative(log_sin, out=value, where=left)
+    log_sin += value[left]
     reach += 1.0
-    reach *= np.pi * np.abs(z)
+    reach *= np.pi * np.abs(zl)
     reach += np.abs(log_sin)
-    np.add(size, reach, out=size, where=left)
+    np.negative(log_sin, out=log_sin)
+    pole = abs_sin == 0.0
     if pole.any():
-        value[pole], size[pole] = np.inf, 0.0
+        log_sin[pole], reach[pole] = np.inf, 0.0
+    value[left] = log_sin
+    size[left] = np.where(pole, 0.0, size[left] + reach)
     return value, size
 
 

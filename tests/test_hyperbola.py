@@ -197,6 +197,21 @@ def test_refused_point_takes_the_line(paths):
     assert math.isfinite(got.value) and got.value == got.leading_part + got.remainder_part
 
 
+def test_growing_integrand_is_refused(paths):
+    # F still grows at the contour's last node here (shifts up to 50): the
+    # omitted nodes are not small, and without the decay check the sum lay
+    # 1.4 times its estimate off the 40-digit residue sum.  The bound refuses
+    # the point, and the line takes it.
+    spec = RatioSpec(A=(1.0, 4.0, 3.0), a=(12.430531173085406, 50.60609519108384, 23.15753578413368),
+                     B=(5.0, 2.0, 1.0), b=(7.6326577677911605, 52.017542011936854, 42.89712381507301))
+    ev = DensityEvaluator(spec)
+    try:
+        ev.evaluate(math.exp(ev.inv.log_rho - 9.431323665864351))
+    except QuadratureAccuracyError:
+        pass
+    assert paths == [("hyperbola", [False]), ("line", 1)]
+
+
 def test_no_hyperbola_after_the_line_raises(paths):
     ev = DensityEvaluator(RAISING)
     x = math.exp(ev.inv.log_rho - 0.2073070718125844)
