@@ -157,9 +157,9 @@ def log_gamma_plane(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     less the log of the shift product (v)_8, one log per entry (the product
     stays within the double range for |v| < 1e30), so the result is exact
     only modulo 2 pi i.  sin(pi z) = (-1)^k sin(pi f), f = z - k, k the
-    integer nearest Re z; where |Im z| > 20, log sin(pi f) is its asymptotic
-    form pi |Im f| - log 2 + i (pi/2 - pi Re f) sign(Im f), whose omitted part
-    is below e^-125, so sin never overflows.  The magnitude of a reflected
+    integer nearest Re z; where |Im z| > _SIN_FAR, log sin(pi f) is its
+    asymptotic form pi |Im f| - log 2 + i (pi/2 - pi Re f) sign(Im f), whose
+    omitted part is below e^-1200, so sin never overflows.  The magnitude of a reflected
     entry adds |log sin| and |z| pi (1 + 1/|sin(pi f)|) >= |z pi cot(pi f)|,
     the reach of the rounding of z near a pole.  An entry at a pole gives
     +inf (0 for its reciprocal) with magnitude 0.
