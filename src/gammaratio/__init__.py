@@ -47,16 +47,33 @@ from .monotonicity import (
     weak_supermajorization,
 )
 from .foxh import ContourConfig, HEvaluation, density, fox_h, meijer_g, mellin_check
-from .verification import (
-    ResidualReport,
-    ZeroCountReport,
-    beta_product_moments,
-    cm_probe,
-    count_zeros,
-    fox_identity_residual,
-    laplace_reconstruct,
-    meijer_identity_residual,
-)
+
+# The identity checks load on first use (PEP 562): classify and fox_h run
+# without them.  The names are looked up in gammaratio.verification on every
+# access, so they stay the module's own bindings.
+_VERIFICATION = frozenset({
+    "ResidualReport",
+    "ZeroCountReport",
+    "beta_product_moments",
+    "cm_probe",
+    "count_zeros",
+    "fox_identity_residual",
+    "laplace_reconstruct",
+    "meijer_identity_residual",
+})
+
+
+def __getattr__(name: str):
+    if name in _VERIFICATION:
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _VERIFICATION)
+
 
 __all__ = [
     "__version__",

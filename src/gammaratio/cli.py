@@ -9,11 +9,8 @@ errored numerically.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import dataclasses
 import datetime
-import json
 import math
 import os
 import sys
@@ -25,20 +22,10 @@ from .errors import DomainError
 from .foxh import ContourConfig, DensityEvaluator, density
 from .monotonicity import classify, identical_factor_multisets
 from .ratio import RatioSpec, cm_kernel_t, derive, gamma_ratio
-from .verification import (
-    CM_PROBE_TOL,
-    FOX_IDENTITY_TOL,
-    LAPLACE_TOL,
-    MC_TOL_SE,
-    MEIJER_IDENTITY_TOL,
-    _fox_report,
-    _laplace_report,
-    _make_report,
-    _meijer_report,
-    beta_product_moments,
-    cm_probe,
-    count_zeros,
-)
+
+# The verification module and argparse, csv and json are imported by the
+# handlers and functions that use them, so that classify and eval-h jobs
+# start without them.
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -79,6 +66,8 @@ def _parse_grid(name: str, values) -> tuple[float, ...]:
 
 
 def parse_config(path: str) -> JobConfig:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -155,6 +144,8 @@ def _to_jsonable(obj):
 
 
 def _write_report(out_dir: str, command: str, payload: dict) -> None:
+    import json
+
     payload = dict(payload)
     payload["meta"] = {"created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                        "tool_version": __version__}
@@ -165,6 +156,8 @@ def _write_report(out_dir: str, command: str, payload: dict) -> None:
 
 
 def _write_csv(out_dir: str, command: str, header: list[str], rows: list[tuple]) -> None:
+    import csv
+
     path = os.path.join(out_dir, f"{command}.csv")
     # newline="" so the csv module emits RFC 4180 CRLF terminators itself.
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -211,6 +204,8 @@ def _eval_h(spec: RatioSpec, inv, job: JobConfig, payload: dict):
 
 
 def _verify_measure(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    from .verification import CM_PROBE_TOL, LAPLACE_TOL, _laplace_report, _make_report, cm_probe
+
     cfg, scale = job.contour, job.tol_scale
     xs = job.grids.get("x") or (0.5, 1.0, 2.0, 4.0)
     if identical_factor_multisets(spec):
@@ -234,6 +229,8 @@ def _verify_measure(spec: RatioSpec, inv, job: JobConfig, payload: dict):
 
 
 def _identities(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    from .verification import FOX_IDENTITY_TOL, MEIJER_IDENTITY_TOL, _fox_report, _meijer_report
+
     cfg, scale = job.contour, job.tol_scale
     checks = []
     # One evaluator serves both integral equations: with unit scales the
@@ -248,6 +245,8 @@ def _identities(spec: RatioSpec, inv, job: JobConfig, payload: dict):
 
 
 def _zeros(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    from .verification import count_zeros
+
     report = count_zeros(spec, job.contour, grid_size=256)
     payload["results"] = dataclasses.asdict(report)
     if report.conjecture_consistent is False:
@@ -258,6 +257,8 @@ def _zeros(spec: RatioSpec, inv, job: JobConfig, payload: dict):
 
 
 def _mc_moments(spec: RatioSpec, inv, job: JobConfig, payload: dict):
+    from .verification import MC_TOL_SE, beta_product_moments
+
     if not (spec.p == spec.q and spec.A == spec.B and all(bj > aj for aj, bj in zip(spec.a, spec.b))):
         payload["results"] = {
             "reason": "requires p=q, A=B elementwise and b>a elementwise "
@@ -319,6 +320,8 @@ def run(job: JobConfig, output: str) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gammaratio",
         description="Analyze weighted gamma-function ratios: monotonicity "

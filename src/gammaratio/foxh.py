@@ -60,14 +60,18 @@ keeps one _Hyperbola per omega bin, holding log F on its nodes, and one
 _Line per abscissa c, holding g on the head nodes (one vectorized pass) and
 the tail terms.  The engine takes an array of points: a batch sizes each
 line once, for its largest omega, computes its phases elementwise and
-contracts each point with a few small matrix-vector products, so a curve or
-one round of an outer quadrature costs one call.  The outer quadratures
+contracts each point with a few row sums (no matrix products, whose sums
+move with the BLAS threads), so a curve or one round of an outer quadrature
+costs one call.  The outer quadratures
 (Mellin transform, edge integral) use the vectorized rules of
 ``quadrature``: adaptive G10/K21 panels, and a Gauss-Jacobi rule for the
 w^(mu-1) endpoint singularity.  ``fox_h`` is the one-point case.
 
-``mpmath`` (for _osc_tail_moment), ``sc.loggamma``, ``quad`` and
-``_remainder_density`` stay names of this module: bench/tracer.py wraps them.
+``sc.loggamma``, ``quad`` and ``_remainder_density`` stay names of this
+module: bench/tracer.py wraps them.  The tracer also wraps
+``mpmath.gammainc`` through this module, which the density never calls; so
+``mpmath`` resolves here on first access (module ``__getattr__``) and is not
+imported with the package, whose only run-time dependency is numpy.
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ import operator
 import warnings
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from . import specfun as sc
@@ -328,19 +331,6 @@ def _tail_start(coef: np.ndarray) -> float:
     return max(_HEAD_T_MIN, min(float(need.min()), _TAIL_T_MAX))
 
 
-def _osc_tail_moment(omega: float, nu: float, z0: complex) -> complex:
-    """int_0^inf (z0 + i t)^-nu e^{i omega t} dt for Re z0 > 0, nu > 1, omega > 0.
-
-    Derived by rotating the integration ray; the result is an upper
-    incomplete gamma evaluated at a complex point off the principal cut.
-    The mpmath reference for the log-u rule of the tail (_Line.tail); the
-    density never calls it.
-    """
-    m = nu - 1.0
-    val = complex(mpmath.gammainc(-m, -omega * z0))
-    return -1j * cmath.exp(-omega * z0) * (omega**m) * cmath.exp(-1j * math.pi * m) * val
-
-
 def _tail_lattice(omega: float, z0: complex) -> tuple[int, int]:
     """Range j0 <= j < j1 of the nodes l = j h, on one lattice for every omega > 0.
 
@@ -385,14 +375,13 @@ class _Line:
     spec, never the evaluator, so it forms no reference cycle.
     """
 
-    __slots__ = ("spec", "inv", "log_rho_err", "c", "T", "max_panels", "tail_coef", "panel", "t", "g", "graded",
+    __slots__ = ("spec", "inv", "log_rho_err", "c", "T", "max_panels", "coef", "panel", "t", "g", "graded",
                  "mid", "h", "wg", "w_mid", "phase_nodes", "noise", "abs_sums", "rows")
 
     def __init__(self, ev: DensityEvaluator, c: float, omega: float):
         self.spec, self.inv, self.log_rho_err, self.c, self.T = ev.spec, ev.inv, ev.log_rho_err, c, ev.T
         self.max_panels = _HEAD_VALUES // (21 * (ev.spec.p + ev.spec.q))
-        kept = np.append(ev.coef[:-1], 0.0)
-        self.tail_coef = np.array([kept, ev.coef - kept])
+        self.coef = ev.coef
         self.rows: tuple | None = None
         self._place(self._panel_for(omega))
 
@@ -436,10 +425,10 @@ class _Line:
         noise = weights[0] * rounding
         _, exponent = math.frexp(float(np.abs(noise).max()))
         noise = np.ldexp(noise, 1 - exponent)
-        self.noise = math.sqrt(noise @ noise) * math.ldexp(1.0, exponent - 1)
-        self.noise += self.log_rho_err * float(weights[0] @ (np.abs(s) * ratio))
+        self.noise = math.sqrt(float((noise * noise).sum())) * math.ldexp(1.0, exponent - 1)
+        self.noise += self.log_rho_err * float((weights[0] * (np.abs(s) * ratio)).sum())
         wg = np.abs(self.wg[0])
-        self.abs_sums = (float(wg.sum()), float(self.t @ wg))
+        self.abs_sums = (float(wg.sum()), float((self.t * wg).sum()))
         self.panel = panel
 
     def head(self, omega: np.ndarray) -> tuple[list, list]:
@@ -451,14 +440,17 @@ class _Line:
             self._place(panel)
         ng, nm = self.graded, self.graded + len(self.mid)
         # The graded nodes, the equal-panel midpoints and the 21 local nodes
-        # in one exponential; then one matrix-vector product per point
-        # (stacked matmul), so a point's sums do not depend on its batch.
+        # in one exponential; then each point's products summed along rows
+        # (numpy's pairwise order, fixed by the row length), so a point's sums
+        # depend neither on its batch nor on the BLAS threads a matrix product
+        # would use.
         phases = np.exp(omega[:, None] * self.phase_nodes)
-        sums = self.wg[:, :ng] @ phases[:, :ng, None]
-        sums += (self.w_mid @ phases[:, ng:nm, None]).reshape(len(om), 2, 21) @ phases[:, nm:, None]
+        wg, w_mid = self.wg[:, :ng], self.w_mid
         a, b = self.abs_sums
         value, err = [], []
-        for (kronrod, diff), w in zip(sums[:, :, 0].tolist(), om):
+        for ph, w in zip(phases, om):
+            local = (w_mid * ph[ng:nm]).sum(axis=1).reshape(2, 21)
+            kronrod, diff = ((wg * ph[:ng]).sum(axis=1) + (local * ph[nm:]).sum(axis=1)).tolist()
             value.append(kronrod.real)
             err.append(abs(diff.real) + self.noise + _EPS * (a + abs(w) * b))
         return value, err
@@ -487,7 +479,7 @@ class _Line:
         scale = 1j * _TAIL_STEP
         value, err = [], []
         for w, r, j0, j1 in zip(om, weights, j0s, j1s):
-            kept, omitted = (rows[:, j0 - k0 : j1 - k0] @ r[j0 - lo : j1 - lo]).tolist()
+            kept, omitted = (rows[:, j0 - k0 : j1 - k0] * r[j0 - lo : j1 - lo]).sum(axis=1).tolist()
             value.append((cmath.exp(1j * w * self.T) * (scale * kept)).real)
             err.append(abs(scale * omitted))
         return value, err
@@ -505,15 +497,25 @@ class _Line:
                 lo = min(j0, k0 - held)
                 lo_u, powers = _ray_powers(z0, self.inv.mu, lo, k0)
                 us.insert(0, lo_u)
-                blocks.insert(0, self.tail_coef @ powers)
+                blocks.insert(0, self._tail_terms(powers))
                 k0 = lo
             if j1 > k1:
                 hi_u, powers = _ray_powers(z0, self.inv.mu, k1, max(j1, k1 + held))
                 us.append(hi_u)
-                blocks.append(self.tail_coef @ powers)
+                blocks.append(self._tail_terms(powers))
             u, rows = np.concatenate(us), np.concatenate(blocks, axis=1)
             self.rows = (k0, u, rows)
         return k0, u, rows
+
+    def _tail_terms(self, powers: np.ndarray) -> np.ndarray:
+        """The rows (kept Stirling terms summed, first omitted term) on the nodes of powers
+        (_ray_powers), the kept ones summed in order k = 1..K, so that a node's sums do not
+        depend on the block that holds it."""
+        coef = self.coef.tolist()
+        kept = coef[0] * powers[0]
+        for c, row in zip(coef[1:-1], powers[1:-1]):
+            kept += c * row
+        return np.stack([kept, coef[-1] * powers[-1]])
 
 
 class _EndpointSeries:
@@ -1144,3 +1146,13 @@ def mellin_check(spec: RatioSpec, s: float, cfg: ContourConfig | None = None) ->
     rhs = gamma_product_ratio_at(spec, s)
     lhs = DensityEvaluator(spec, cfg).mellin_transform(s)
     return lhs, rhs
+
+
+def __getattr__(name: str):
+    # bench/tracer.py wraps foxh.mpmath.gammainc; the name resolves on first
+    # access so that importing the package does not import mpmath.
+    if name == "mpmath":
+        import mpmath
+
+        return mpmath
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

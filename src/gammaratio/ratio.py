@@ -268,13 +268,14 @@ def _phi(t: np.ndarray) -> np.ndarray:
 
 class _Factors(NamedTuple):
     """The p + q factors of a spec as kernel columns, numerator first: scales, shifts,
-    their distinct scales and each factor's column among them, and sum(A) - sum(B)."""
+    their distinct scales and each factor's column among them (None where every scale
+    is distinct, so the columns are the factors themselves), and sum(A) - sum(B)."""
 
     p: int
     scales: np.ndarray
     shifts: np.ndarray
     distinct: np.ndarray
-    column: np.ndarray
+    column: np.ndarray | None
     sum_diff: float
 
 
@@ -283,7 +284,15 @@ def _factors(spec: RatioSpec) -> _Factors:
     index: dict[float, int] = {}
     column = [index.setdefault(s, len(index)) for s in scales]
     return _Factors(spec.p, np.array(scales), np.array(spec.a + spec.b), np.array(list(index)),
-                    np.array(column), math.fsum(spec.A) - math.fsum(spec.B))
+                    np.array(column) if len(index) < len(scales) else None,
+                    math.fsum(spec.A) - math.fsum(spec.B))
+
+
+def _gather(f: _Factors, columns: np.ndarray) -> np.ndarray:
+    """Per-distinct-scale columns as one column per factor.  Without a repeated scale
+    they are already that, C-ordered; a gathered array is F-ordered, and an in-place
+    operation with it is slower."""
+    return columns if f.column is None else columns[:, f.column]
 
 
 def _samples(x, lo: float, hi: float, message: str) -> tuple[np.ndarray, bool]:
@@ -305,7 +314,7 @@ def _kernel_u(f: _Factors, u: np.ndarray) -> np.ndarray:
     x = -f.shifts * (uu / f.scales)
     singular = f.scales * np.expm1(x)
     bounded = np.exp(x)
-    bounded *= _phi(uu / f.distinct)[:, f.column]
+    bounded *= _gather(f, _phi(uu / f.distinct))
     p = f.p
     return ((f.sum_diff + singular[:, :p].sum(axis=1) - singular[:, p:].sum(axis=1)) / u
             + (bounded[:, :p].sum(axis=1) - bounded[:, p:].sum(axis=1)))
@@ -317,7 +326,7 @@ def _power_terms(f: _Factors, logt: np.ndarray) -> np.ndarray:
     C-ordered division in place (see _kernel_u).  The numerator columns sum to the
     positive part, and the kernel is that sum minus the rest."""
     terms = np.exp(logt * (f.shifts / f.scales))
-    terms /= (-np.expm1(logt / f.distinct))[:, f.column]
+    terms /= _gather(f, -np.expm1(logt / f.distinct))
     return terms
 
 

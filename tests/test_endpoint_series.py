@@ -26,8 +26,9 @@ OMEGAS = (0.02, 0.05, 0.15, 0.4, 0.8, 1.5)
 
 @functools.cache
 def bernoulli_rows():
-    """C(n, j) B_(n-j) for j = n, ..., 0 and n <= TERMS, at 50 digits."""
-    with mpmath.workdps(50):
+    """C(n, j) B_(n-j) for j = n, ..., 0 and n <= TERMS, at 80 digits (enough for the
+    40-digit endpoint series of test_series_path and the digits its terms cancel)."""
+    with mpmath.workdps(80):
         bern = [mpmath.bernoulli(n) for n in range(TERMS + 1)]
         return [[math.comb(n, j) * bern[n - j] for j in range(n, -1, -1)] for n in range(TERMS + 1)]
 

@@ -1,6 +1,10 @@
+import cmath
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import mpmath
@@ -24,12 +28,7 @@ from gammaratio import (
     meijer_g,
     mellin_check,
 )
-from gammaratio.foxh import (
-    DensityEvaluator,
-    HEvaluation,
-    _osc_tail_moment,
-    gamma_product_ratio_at,
-)
+from gammaratio.foxh import DensityEvaluator, HEvaluation, gamma_product_ratio_at
 
 
 @pytest.fixture
@@ -79,10 +78,22 @@ def tail_moments(omega, mu, z0):
     return (1j * foxh_mod._TAIL_STEP) * (powers @ (u * np.exp(-omega * u)))
 
 
+def osc_tail_moment(omega, nu, z0):
+    """int_0^inf (z0 + i t)^-nu e^{i omega t} dt for Re z0 > 0, nu > 1, omega > 0, at the
+    working precision of mpmath.
+
+    Rotating the integration ray makes it an upper incomplete gamma at a
+    complex point off the principal cut.
+    """
+    m = nu - 1.0
+    val = complex(mpmath.gammainc(-m, -omega * z0))
+    return -1j * cmath.exp(-omega * z0) * (omega**m) * cmath.exp(-1j * math.pi * m) * val
+
+
 def recurrence_moments(omega, mu, z0, n=21):
     """I_nu = int_0^inf (z0 + i t)^-nu e^{i omega t} dt, nu = mu+1..mu+n, at 40 digits.
 
-    One incomplete gamma, as in _osc_tail_moment, gives the end that is stable
+    One incomplete gamma, as in osc_tail_moment, gives the end that is stable
     to start from, and parts integration, I_(nu+1) = (z0^-nu + i omega I_nu) /
     (i nu), gives the rest: run backward from nu = mu + n when |omega z0| >= 1,
     forward from mu + 1 otherwise.
@@ -348,7 +359,8 @@ class TestDensityCurve:
         k0, u, rows = line.rows
         u_fresh, powers = foxh_mod._ray_powers(complex(0.3, ev.T), ev.inv.mu, k0, k0 + len(u))
         assert np.array_equal(u, u_fresh)
-        fresh = line.tail_coef @ powers
+        kept = np.append(ev.coef[:-1], 0.0)
+        fresh = np.array([kept, ev.coef - kept]) @ powers
         assert np.all(np.abs(rows - fresh) <= 1e-14 * np.abs(fresh))
         for omega, (got, got_err) in zip(omegas, shared):
             alone, alone_err = contour_points(DensityEvaluator(spec_mixed_scale), [omega])[0]
@@ -406,7 +418,8 @@ class TestDensityCurve:
         line = ev._lines[1.0]
         k0, u, rows = line.rows
         _, powers = ray_powers(complex(1.0, ev.T), ev.inv.mu, k0, k0 + len(u))
-        assert np.array_equal(rows, line.tail_coef @ powers)
+        # The rows held, built block by block, equal one build over all their nodes.
+        assert np.array_equal(rows, line._tail_terms(powers))
 
     def test_fresh_point_places_head_once(self, monkeypatch):
         # One panel rule sizes a fresh line and decides on halving it, so a
@@ -490,6 +503,54 @@ class TestFactoredHead:
             assert err >= rounding
 
 
+LINE_RECORDS = """
+import random, sys
+import numpy as np
+from gammaratio import QuadratureAccuracyError, foxh
+from test_series_path import box_spec
+rng = random.Random(7)
+specs = [box_spec(rng) for _ in range(23)]
+for spec in (specs[0], specs[22]):
+    for omega in (0.5, 2.0, 8.0, 31.32):
+        ev = foxh.DensityEvaluator(spec)
+        lead = [ev.lead_scale * omega ** (ev.inv.mu - 1.0)]
+        try:
+            print(foxh._remainder_on_line(ev, ev.c, np.array([omega]), lead))
+        except QuadratureAccuracyError as exc:
+            print(exc.best_estimate, exc.error_estimate)
+"""
+
+
+class TestLineSums:
+    def test_records_do_not_depend_on_blas_threads(self):
+        # Two box specs (seed 7) whose line records moved with the BLAS thread
+        # count at omega = 31.32 while the line summed with matrix products.
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(foxh_mod.__file__)))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            done = subprocess.run([sys.executable, "-c", LINE_RECORDS], capture_output=True, text=True, env=env,
+                                  timeout=300, check=True)
+            out.append(done.stdout)
+        assert len(out[0].splitlines()) == 8
+        assert out[0] == out[1]
+
+    def test_point_sums_do_not_depend_on_batch(self, spec_mixed_scale):
+        # One line serves a batch and then each of its points alone: head and
+        # tail give bitwise the same sums.
+        ev = DensityEvaluator(spec_mixed_scale)
+        omegas = np.array([0.3, 1.7, 4.0, 9.5, 23.0])
+        line = foxh_mod._Line(ev, 0.3, float(omegas.max()))
+        batch = line.head(omegas), line.tail(omegas)
+        for k, omega in enumerate(omegas.tolist()):
+            (head, head_err), (tail, tail_err) = line.head(np.array([omega])), line.tail(np.array([omega]))
+            assert (head, head_err, tail, tail_err) == ([batch[0][0][k]], [batch[0][1][k]],
+                                                        [batch[1][0][k]], [batch[1][1][k]])
+
+
 class TestEdgeIntegral:
     @pytest.mark.parametrize("alpha, beta", [(0.7, 2.2), (1.3, 1.8), (0.5, 4.0)])
     @pytest.mark.parametrize("w_hi", [0.05, 0.3, 1.0])
@@ -538,7 +599,7 @@ class TestTailMoments:
                 got = tail_moments(omega, mu, z0)
                 with mpmath.workdps(20):
                     for k, moment in enumerate(got, start=1):
-                        direct = _osc_tail_moment(omega, mu + k, z0)
+                        direct = osc_tail_moment(omega, mu + k, z0)
                         assert abs(moment - direct) <= 1e-13 * abs(direct), (c, mu, omega, k)
 
     def test_line_tail_contracts_moments(self, spec_equal_scales):

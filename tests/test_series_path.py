@@ -24,7 +24,7 @@ from gammaratio import (
     fox_h,
 )
 from gammaratio.foxh import DensityEvaluator, _remainder_density
-from test_endpoint_series import OMEGAS, bernoulli_rows, scaled_spec
+from test_endpoint_series import OMEGAS, TERMS, bernoulli_rows, scaled_spec
 
 PACKAGE_ERRORS = (DomainError, QuadratureAccuracyError, SingularPointError)
 
@@ -122,26 +122,40 @@ def box_spec(rng):
 
 
 class EndpointSeries40:
-    """H(rho e^-omega) = A* sum_k e_k omega^(mu+k-1) / Gamma(mu+k) at 40 digits, terms
-    made as needed; None where 100 terms do not converge or cancel past 1e25."""
+    """H(rho e^-omega) = A* sum_k e_k omega^(mu+k-1) / Gamma(mu+k), terms made as needed and
+    summed until one falls below 1e-30 of the sum; None where TERMS terms do not get there or
+    the terms cancel past 1e25.
+
+    The sum runs at 40 digits plus the digits its terms cancel (their sum of
+    magnitudes over the sum), with log rho, mu, A* and the coefficients made
+    at that precision, so that it keeps 40 digits where the terms cancel.
+    """
 
     def __init__(self, spec):
-        with mpmath.workdps(40):
-            half = mpmath.mpf(1) / 2
-            self.num = [(mpmath.mpf(A), mpmath.mpf(a)) for A, a in zip(spec.A, spec.a)]
-            self.den = [(mpmath.mpf(B), mpmath.mpf(b)) for B, b in zip(spec.B, spec.b)]
-            self.log_rho = mpmath.fsum(A * mpmath.log(A) for A, _ in self.num) - mpmath.fsum(
-                B * mpmath.log(B) for B, _ in self.den)
-            self.mu = mpmath.fsum(b for _, b in self.den) - mpmath.fsum(a for _, a in self.num) + half * (
-                spec.p - spec.q)
-            self.a_star = (
-                (2 * mpmath.pi) ** (half * (spec.p - spec.q))
-                * mpmath.fprod(A ** (a - half) for A, a in self.num)
-                * mpmath.fprod(B ** (half - b) for B, b in self.den)
-            )
-        self.md, self.e = [], [mpmath.mpf(1)]
+        self.spec = spec
+        self.at = {}  # digits -> [log rho, mu, A*, factors, m d_m, e_k]
 
-    def _coefficient(self, k):
+    def _setup(self, dps):
+        if dps not in self.at:
+            spec = self.spec
+            with mpmath.workdps(dps):
+                half = mpmath.mpf(1) / 2
+                num = [(mpmath.mpf(A), mpmath.mpf(a)) for A, a in zip(spec.A, spec.a)]
+                den = [(mpmath.mpf(B), mpmath.mpf(b)) for B, b in zip(spec.B, spec.b)]
+                log_rho = mpmath.fsum(A * mpmath.log(A) for A, _ in num) - mpmath.fsum(
+                    B * mpmath.log(B) for B, _ in den)
+                mu = mpmath.fsum(b for _, b in den) - mpmath.fsum(a for _, a in num) + half * (spec.p - spec.q)
+                a_star = (
+                    (2 * mpmath.pi) ** (half * (spec.p - spec.q))
+                    * mpmath.fprod(A ** (a - half) for A, a in num)
+                    * mpmath.fprod(B ** (half - b) for B, b in den)
+                )
+            self.at[dps] = [log_rho, mu, a_star, num, den, [], [mpmath.mpf(1)]]
+        return self.at[dps]
+
+    @staticmethod
+    def _coefficient(k, num, den, md, e):
+        """e_k, extending the held m d_m and e_j; called at the working precision."""
         rows = bernoulli_rows()
 
         def bernpoly(n, x):
@@ -151,27 +165,39 @@ class EndpointSeries40:
                 total = total * x + coefficient
             return total
 
-        while len(self.e) <= k:
-            m = len(self.md) + 1
-            self.md.append((-1) ** (m + 1) / mpmath.mpf(m + 1) * (
-                mpmath.fsum(bernpoly(m + 1, a) / A**m for A, a in self.num)
-                - mpmath.fsum(bernpoly(m + 1, b) / B**m for B, b in self.den)))
-            n = len(self.e)
-            self.e.append(mpmath.fsum(self.md[j - 1] * self.e[n - j] for j in range(1, n + 1)) / n)
-        return self.e[k]
+        while len(e) <= k:
+            m = len(md) + 1
+            md.append((-1) ** (m + 1) / mpmath.mpf(m + 1) * (
+                mpmath.fsum(bernpoly(m + 1, a) / A**m for A, a in num)
+                - mpmath.fsum(bernpoly(m + 1, b) / B**m for B, b in den)))
+            n = len(e)
+            e.append(mpmath.fsum(md[j - 1] * e[n - j] for j in range(1, n + 1)) / n)
+        return e[k]
+
+    def _sum(self, x, dps):
+        """(sum, sum of |terms|) at dps digits, or None where TERMS terms do not converge."""
+        log_rho, mu, a_star, num, den, md, e = self._setup(dps)
+        with mpmath.workdps(dps):
+            omega = log_rho - mpmath.log(mpmath.mpf(x))
+            power = omega ** (mu - 1) / mpmath.gamma(mu)
+            total = size = mpmath.mpf(0)
+            for k in range(TERMS):
+                term = a_star * self._coefficient(k, num, den, md, e) * power
+                total, size = total + term, size + abs(term)
+                if k >= 5 and abs(term) <= 1e-30 * abs(total):
+                    return total, size
+                power *= omega / (mu + k)
+        return None
 
     def __call__(self, x):
-        with mpmath.workdps(40):
-            omega = self.log_rho - mpmath.log(mpmath.mpf(x))
-            power = omega ** (self.mu - 1) / mpmath.gamma(self.mu)
-            total = size = mpmath.mpf(0)
-            for k in range(100):
-                term = self.a_star * self._coefficient(k) * power
-                total, size = total + term, size + abs(term)
-                if k >= 5 and abs(term) <= 1e-30 * size:
-                    return total if size <= 1e25 * abs(total) else None
-                power *= omega / (self.mu + k)
-        return None
+        summed = self._sum(x, 40)
+        if summed is None or not summed[1] <= 1e25 * abs(summed[0]):
+            return None
+        total, size = summed
+        lost = math.ceil(math.log10(size / abs(total)))
+        if lost > 0:
+            total = self._sum(x, 40 + lost)[0]
+        return total
 
 
 def meijer_density(spec, x):
