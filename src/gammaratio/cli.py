@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import io
 import math
 import os
 import sys
@@ -149,22 +150,23 @@ def _write_report(out_dir: str, command: str, payload: dict) -> None:
     payload = dict(payload)
     payload["meta"] = {"created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                        "tool_version": __version__}
-    path = os.path.join(out_dir, f"{command}.report")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_to_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    # Formatted whole and written once: json.dump would write each chunk of the
+    # indenting encoder on its own.
+    text = json.dumps(_to_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    with open(os.path.join(out_dir, f"{command}.report"), "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _write_csv(out_dir: str, command: str, header: list[str], rows: list[tuple]) -> None:
     import csv
 
-    path = os.path.join(out_dir, f"{command}.csv")
-    # newline="" so the csv module emits RFC 4180 CRLF terminators itself.
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    # newline="" so the CRLF terminators of the csv module are written as they are.
+    with open(os.path.join(out_dir, f"{command}.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(buffer.getvalue())
 
 
 def _default_x_grid(rho: float) -> list[float]:

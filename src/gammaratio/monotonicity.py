@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .ratio import (
     _factors,
     _kernel_u,
     _power_terms,
+    _row_sums,
     _stirling_table,
-    _sums_equal,
     derive,
 )
 from .specfun import _digamma
@@ -71,6 +71,10 @@ class ConditionEvidence:
     witness: str | None = None
 
 
+# The kernel evidence of a spec whose two factor multisets are identical.
+_IDENTICAL = ConditionEvidence(Q_NONNEG, HOLDS, "numerator and denominator factors identical; kernel vanishes")
+
+
 @dataclass(frozen=True)
 class Verdict:
     classification: str
@@ -91,13 +95,55 @@ def check_necessary(spec: RatioSpec) -> list[ConditionEvidence]:
     mu >= 0, (D) rightmost numerator pole not to the right of the rightmost
     denominator pole.  Ties are resolved at REL_TOL in favour of `holds`.
     """
-    return _necessary(spec, derive(spec))
+    return _necessary(_summary(spec))
 
 
-def _necessary(spec: RatioSpec, inv: DerivedInvariants) -> list[ConditionEvidence]:
+class _Summary(NamedTuple):
+    """What the condition checks read of a spec's factors, built once per classify:
+    derive's invariants and their equal-sum test, the ratios a/A, b/B and (b - 1)/B,
+    the reciprocals 1/A and 1/B, the least a/A and b/B with how many factors come
+    within REL_TOL of them, the first index of the greatest a/A and of the least
+    (b - 1)/B, and whether the two factor multisets are identical.  Each float is
+    the expression a check would evaluate on its own, so the evidence is the same
+    whether a check reads a shared summary or builds one."""
+
+    inv: DerivedInvariants
+    sums_equal: bool
+    ratio_a: list[float]
+    ratio_b: list[float]
+    ratio_b1: list[float]
+    recip_A: list[float]
+    recip_B: list[float]
+    min_a: float
+    min_b: float
+    count_min_a: int
+    count_min_b: int
+    i_max_a: int
+    j_min_b1: int
+    identical: bool
+
+
+def _summary(spec: RatioSpec) -> _Summary:
+    inv = derive(spec)
+    ratio_a = [ai / Ai for ai, Ai in zip(spec.a, spec.A)]
+    ratio_b = [bj / Bj for bj, Bj in zip(spec.b, spec.B)]
+    ratio_b1 = [(bj - 1.0) / Bj for bj, Bj in zip(spec.b, spec.B)]
+    min_a, min_b = min(ratio_a), min(ratio_b)
+    return _Summary(
+        inv, inv.sums_equal(), ratio_a, ratio_b, ratio_b1,
+        [1.0 / Ai for Ai in spec.A], [1.0 / Bj for Bj in spec.B], min_a, min_b,
+        len([r for r in ratio_a if r <= min_a + REL_TOL]), len([r for r in ratio_b if r <= min_b + REL_TOL]),
+        ratio_a.index(max(ratio_a)), ratio_b1.index(min(ratio_b1)),
+        # fsum rounds the exact sum, so identical multisets have equal sums to the bit.
+        inv.sum_A == inv.sum_B and identical_factor_multisets(spec),
+    )
+
+
+def _necessary(s: _Summary) -> list[ConditionEvidence]:
+    inv = s.inv
     out = []
 
-    ok = inv.sums_equal()
+    ok = s.sums_equal
     out.append(
         ConditionEvidence(NEC_A, HOLDS if ok else FAILS, f"sum_A={inv.sum_A!r}, sum_B={inv.sum_B!r}")
     )
@@ -108,8 +154,7 @@ def _necessary(spec: RatioSpec, inv: DerivedInvariants) -> list[ConditionEvidenc
     ok = inv.mu >= -REL_TOL
     out.append(ConditionEvidence(NEC_C, HOLDS if ok else FAILS, f"mu={inv.mu!r}"))
 
-    min_a = min(ai / Ai for ai, Ai in zip(spec.a, spec.A))
-    min_b = min(bj / Bj for bj, Bj in zip(spec.b, spec.B))
+    min_a, min_b = s.min_a, s.min_b
     ok = min_a <= min_b + REL_TOL
     out.append(
         ConditionEvidence(NEC_D, HOLDS if ok else FAILS, f"min(a/A)={min_a!r}, min(b/B)={min_b!r}")
@@ -123,18 +168,16 @@ def check_sufficient_a(spec: RatioSpec) -> ConditionEvidence:
     Requires max(a_i/A_i) <= min((b_j - 1)/B_j) together with
     sum(A) = sum(B).
     """
-    return _sufficient_a(spec, derive(spec))
+    return _sufficient_a(_summary(spec))
 
 
-def _sufficient_a(spec: RatioSpec, inv: DerivedInvariants) -> ConditionEvidence:
-    if not inv.sums_equal():
+def _sufficient_a(s: _Summary) -> ConditionEvidence:
+    if not s.sums_equal:
         return ConditionEvidence(
-            SUF_A, FAILS, f"sum_A={inv.sum_A!r} != sum_B={inv.sum_B!r}"
+            SUF_A, FAILS, f"sum_A={s.inv.sum_A!r} != sum_B={s.inv.sum_B!r}"
         )
-    i_max = max(range(spec.p), key=lambda i: spec.a[i] / spec.A[i])
-    j_min = min(range(spec.q), key=lambda j: (spec.b[j] - 1.0) / spec.B[j])
-    lhs = spec.a[i_max] / spec.A[i_max]
-    rhs = (spec.b[j_min] - 1.0) / spec.B[j_min]
+    i_max, j_min = s.i_max_a, s.j_min_b1
+    lhs, rhs = s.ratio_a[i_max], s.ratio_b1[j_min]
     ok = lhs <= rhs + REL_TOL
     witness = f"max(a/A)={lhs!r} at i={i_max}, min((b-1)/B)={rhs!r} at j={j_min}"
     return ConditionEvidence(SUF_A, HOLDS if ok else FAILS, witness)
@@ -146,31 +189,31 @@ def check_sufficient_b(spec: RatioSpec) -> ConditionEvidence:
     Requires p = q, equal scale sums, A_i >= B_i for i < p,
     max_{k<p} b_k/B_k <= (b_p - 1)/B_p and a_i/A_i <= (b_i - 1)/B_i for all i.
     """
-    return _sufficient_b(spec, derive(spec) if spec.p == spec.q else None)
+    return _sufficient_b(spec, _summary(spec))
 
 
-def _sufficient_b(spec: RatioSpec, inv: DerivedInvariants | None) -> ConditionEvidence:
+def _sufficient_b(spec: RatioSpec, s: _Summary) -> ConditionEvidence:
     if spec.p != spec.q:
         return ConditionEvidence(SUF_B, NOT_APPLICABLE, f"p={spec.p} != q={spec.q}")
-    if not inv.sums_equal():
+    if not s.sums_equal:
         return ConditionEvidence(
-            SUF_B, FAILS, f"sum_A={inv.sum_A!r} != sum_B={inv.sum_B!r}"
+            SUF_B, FAILS, f"sum_A={s.inv.sum_A!r} != sum_B={s.inv.sum_B!r}"
         )
     p = spec.p
     for i in range(p - 1):
         if spec.A[i] < spec.B[i] - REL_TOL:
             return ConditionEvidence(SUF_B, FAILS, f"A[{i}]={spec.A[i]!r} < B[{i}]={spec.B[i]!r}")
-    last = (spec.b[p - 1] - 1.0) / spec.B[p - 1]
+    ratio_a, ratio_b, ratio_b1 = s.ratio_a, s.ratio_b, s.ratio_b1
+    last = ratio_b1[p - 1]
     for k in range(p - 1):
-        if spec.b[k] / spec.B[k] > last + REL_TOL:
+        if ratio_b[k] > last + REL_TOL:
             return ConditionEvidence(
-                SUF_B, FAILS, f"b[{k}]/B[{k}]={spec.b[k] / spec.B[k]!r} > (b[p-1]-1)/B[p-1]={last!r}"
+                SUF_B, FAILS, f"b[{k}]/B[{k}]={ratio_b[k]!r} > (b[p-1]-1)/B[p-1]={last!r}"
             )
     for i in range(p):
-        bound = (spec.b[i] - 1.0) / spec.B[i]
-        if spec.a[i] / spec.A[i] > bound + REL_TOL:
+        if ratio_a[i] > ratio_b1[i] + REL_TOL:
             return ConditionEvidence(
-                SUF_B, FAILS, f"a[{i}]/A[{i}]={spec.a[i] / spec.A[i]!r} > (b[{i}]-1)/B[{i}]={bound!r}"
+                SUF_B, FAILS, f"a[{i}]/A[{i}]={ratio_a[i]!r} > (b[{i}]-1)/B[{i}]={ratio_b1[i]!r}"
             )
     return ConditionEvidence(SUF_B, HOLDS, f"all {p} factor inequalities satisfied")
 
@@ -191,16 +234,15 @@ def check_sufficient_c(spec: RatioSpec) -> ConditionEvidence:
     sum_{i<=k} a_i/A_i <= sum_{i<=k} b_i/B_i and
     sum_{i<=k} 1/A_i <= sum_{i<=k} 1/B_i for every k.
     """
+    return _sufficient_c(spec, _summary(spec))
+
+
+def _sufficient_c(spec: RatioSpec, s: _Summary) -> ConditionEvidence:
     if spec.p != spec.q:
         return ConditionEvidence(SUF_C, NOT_APPLICABLE, f"p={spec.p} != q={spec.q}")
     p = spec.p
-    chains = {
-        "a/A": [ai / Ai for ai, Ai in zip(spec.a, spec.A)],
-        "b/B": [bj / Bj for bj, Bj in zip(spec.b, spec.B)],
-        "1/A": [1.0 / Ai for Ai in spec.A],
-        "1/B": [1.0 / Bj for Bj in spec.B],
-    }
-    for name, vals in chains.items():
+    chains = (("a/A", s.ratio_a), ("b/B", s.ratio_b), ("1/A", s.recip_A), ("1/B", s.recip_B))
+    for name, vals in chains:
         idx = _is_ascending(vals)
         if idx is not None:
             return ConditionEvidence(
@@ -208,14 +250,14 @@ def check_sufficient_c(spec: RatioSpec) -> ConditionEvidence:
             )
     pref_a = pref_b = pref_ia = pref_ib = 0.0
     for k in range(p):
-        pref_a += chains["a/A"][k]
-        pref_b += chains["b/B"][k]
+        pref_a += s.ratio_a[k]
+        pref_b += s.ratio_b[k]
         if pref_a > pref_b + REL_TOL * max(1.0, pref_b):
             return ConditionEvidence(
                 SUF_C, FAILS, f"prefix sum a/A up to k={k}: {pref_a!r} > {pref_b!r}"
             )
-        pref_ia += chains["1/A"][k]
-        pref_ib += chains["1/B"][k]
+        pref_ia += s.recip_A[k]
+        pref_ib += s.recip_B[k]
         if pref_ia > pref_ib + REL_TOL * max(1.0, pref_ib):
             return ConditionEvidence(
                 SUF_C, FAILS, f"prefix sum 1/A up to k={k}: {pref_ia!r} > {pref_ib!r}"
@@ -247,26 +289,24 @@ def weak_supermajorization(x: Sequence[float], y: Sequence[float]) -> bool:
 
 def identical_factor_multisets(spec: RatioSpec) -> bool:
     """True when the numerator and denominator gamma factors coincide."""
-    return sorted(zip(spec.A, spec.a)) == sorted(zip(spec.B, spec.b))
+    return spec.p == spec.q and sorted(zip(spec.A, spec.a)) == sorted(zip(spec.B, spec.b))
 
 
-def _endpoint_zero_sign(spec: RatioSpec) -> tuple[int, str]:
+def _endpoint_zero_sign(spec: RatioSpec, s: _Summary | None = None) -> tuple[int, str]:
     """Analytic sign of the kernel as t -> 0.
 
     The kernel behaves like m_a t^alpha* - m_b t^beta* with alpha*, beta*
     the smallest shift-to-scale ratios and m the multiplicities; a strict
     gap or a multiplicity imbalance decides the sign.  Returns (+1, 0, -1)
-    and a witness; 0 means undecided.
+    and a witness; 0 means undecided.  s is the spec's summary, built here if not given.
     """
-    ra = [ai / Ai for ai, Ai in zip(spec.a, spec.A)]
-    rb = [bj / Bj for bj, Bj in zip(spec.b, spec.B)]
-    alpha, beta = min(ra), min(rb)
+    s = _summary(spec) if s is None else s
+    alpha, beta = s.min_a, s.min_b
     if alpha < beta - REL_TOL:
         return 1, f"t->0: kernel ~ t^{alpha!r} dominates t^{beta!r}"
     if alpha > beta + REL_TOL:
         return -1, f"t->0: kernel ~ -t^{beta!r} dominates t^{alpha!r}"
-    m_a = sum(1 for r in ra if r <= alpha + REL_TOL)
-    m_b = sum(1 for r in rb if r <= beta + REL_TOL)
+    m_a, m_b = s.count_min_a, s.count_min_b
     if m_a > m_b:
         return 1, f"t->0: tied exponents, multiplicities {m_a} > {m_b}"
     if m_a < m_b:
@@ -274,17 +314,17 @@ def _endpoint_zero_sign(spec: RatioSpec) -> tuple[int, str]:
     return 0, f"t->0: tied exponents and multiplicities ({m_a})"
 
 
-def _endpoint_one_sign(spec: RatioSpec) -> tuple[int, str]:
+def _endpoint_one_sign(spec: RatioSpec, s: _Summary | None = None) -> tuple[int, str]:
     """Analytic sign of the kernel as t -> 1 (u -> 0 in the Laplace variable).
 
     Decided by the 1/u coefficient sum(A) - sum(B) if nonzero, otherwise by
     the first Taylor coefficient p_k of the kernel distinguishable from zero.
     The coefficients come as one table of k! p_k, k < _SERIES_TERMS, built
-    only for equal sums.
+    only for equal sums.  s is the spec's summary, built here if not given.
     """
-    sum_A, sum_B = math.fsum(spec.A), math.fsum(spec.B)
-    if not _sums_equal(sum_A, sum_B):
-        sum_diff = sum_A - sum_B
+    s = _summary(spec) if s is None else s
+    if not s.sums_equal:
+        sum_diff = s.inv.sum_A - s.inv.sum_B
         return (1 if sum_diff > 0 else -1), f"t->1: kernel ~ {sum_diff!r}/u"
     md, magnitudes = _stirling_table(spec, _SERIES_TERMS - 1)
     for k, (coef, size) in enumerate(zip(md.tolist(), magnitudes.tolist())):
@@ -296,7 +336,7 @@ def _endpoint_one_sign(spec: RatioSpec) -> tuple[int, str]:
 
 @functools.lru_cache(maxsize=8)
 def _sample_grid(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only samples t of check_kernel_nonneg, a column of log t, and the t >= _KERNEL_T_SWITCH mask.
+    """Read-only samples t of check_kernel_nonneg, their log t, and the t >= _KERNEL_T_SWITCH mask.
 
     The first grid_size - 1 points are the uniform interior grid k/grid_size;
     the geometric tails toward t = 0 and t = 1 follow.
@@ -304,7 +344,7 @@ def _sample_grid(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     uniform = np.arange(1, grid_size) / grid_size
     geo = np.geomspace(1e-6, 1.0 / grid_size, _GEOMETRIC_POINTS)
     grid = np.concatenate([uniform, geo, 1.0 - geo])
-    logt = np.log(grid)[:, None]
+    logt = np.log(grid)
     near_one = grid >= _KERNEL_T_SWITCH
     for arr in (grid, logt, near_one):
         arr.flags.writeable = False
@@ -315,7 +355,7 @@ def _sample_grid(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _near_one_u(grid_size: int) -> np.ndarray:
     """Read-only u = -log t at the samples t >= _KERNEL_T_SWITCH of _sample_grid(grid_size)."""
     _, logt, near_one = _sample_grid(grid_size)
-    u = -logt[near_one, 0]
+    u = -logt[near_one]
     u.flags.writeable = False
     return u
 
@@ -345,32 +385,34 @@ def check_kernel_nonneg(
     The samples take one pass over all p + q factors, with one denominator
     column per distinct scale, and are not validated again.
     """
+    return _kernel_nonneg(spec, _summary(spec), grid_size, refine_tol)
+
+
+def _kernel_nonneg(spec: RatioSpec, s: _Summary, grid_size: int, refine_tol: float) -> ConditionEvidence:
     if grid_size < 64:
         raise DomainError(f"check_kernel_nonneg: grid_size={grid_size} must be >= 64")
-    if identical_factor_multisets(spec):
-        return ConditionEvidence(
-            Q_NONNEG, HOLDS, "numerator and denominator factors identical; kernel vanishes"
-        )
+    if s.identical:
+        return _IDENTICAL
 
-    sign0, wit0 = _endpoint_zero_sign(spec)
+    sign0, wit0 = _endpoint_zero_sign(spec, s)
     if sign0 < 0:
         return ConditionEvidence(Q_NONNEG, FAILS, wit0)
-    sign1, wit1 = _endpoint_one_sign(spec)
+    sign1, wit1 = _endpoint_one_sign(spec, s)
     if sign1 < 0:
         return ConditionEvidence(Q_NONNEG, FAILS, wit1)
 
     grid, logt, near_one = _sample_grid(grid_size)
     f = _factors(spec)
     terms = _power_terms(f, logt)
-    positive = terms[:, : spec.p].sum(axis=1)
-    kernel = positive - terms[:, spec.p :].sum(axis=1)
+    positive = _row_sums(terms, 0, spec.p)
+    kernel = positive - _row_sums(terms, spec.p, len(f.scales))
     kernel[near_one] = _kernel_u(f, _near_one_u(grid_size))
     underflow = positive == 0.0
     # Where the positive part underflows there is no envelope: the sample reads 0,
     # so it can neither fail the check nor certify it.
     normalized = kernel / np.where(underflow, np.inf, positive)
 
-    i_min = int(np.argmin(normalized))
+    i_min = int(normalized.argmin())
     if normalized[i_min] < -10.0 * refine_tol:
         return ConditionEvidence(
             Q_NONNEG, FAILS, f"kernel({float(grid[i_min])!r}) = {float(kernel[i_min])!r} < 0"
@@ -381,7 +423,7 @@ def check_kernel_nonneg(
         return ConditionEvidence(
             Q_NONNEG, UNDECIDED, f"positive part underflows to 0 at t={t_zero!r}; no sign can be read"
         )
-    i_int = int(np.argmin(normalized[:n_interior]))
+    i_int = int(normalized[:n_interior].argmin())
     interior_min = float(normalized[i_int])
     t_int = float(grid[i_int])
     if interior_min >= refine_tol and sign0 > 0 and sign1 > 0:
@@ -426,27 +468,20 @@ def classify(
     check coming back undecided never rejects on its own; only a certified
     negative kernel sample or a failed necessary condition can.
     """
-    inv = derive(spec)
-    evidence: list[ConditionEvidence] = []
+    s = _summary(spec)
+    inv = s.inv
+    necessary = _necessary(s)
+    if s.identical:
+        return Verdict(LCM, (*necessary, _IDENTICAL), inv)
 
-    if identical_factor_multisets(spec):
-        evidence.extend(_necessary(spec, inv))
-        evidence.append(
-            ConditionEvidence(
-                Q_NONNEG, HOLDS, "numerator and denominator factors identical; kernel vanishes"
-            )
-        )
-        return Verdict(LCM, tuple(evidence), inv)
-
-    necessary = _necessary(spec, inv)
-    evidence.extend(necessary)
-    sufficient = [_sufficient_a(spec, inv), _sufficient_b(spec, inv), check_sufficient_c(spec)]
+    evidence = list(necessary)
+    sufficient = [_sufficient_a(s), _sufficient_b(spec, s), _sufficient_c(spec, s)]
     evidence.extend(sufficient)
 
     if any(ev.status == HOLDS for ev in sufficient):
         kernel_status = HOLDS
     else:
-        kernel_ev = check_kernel_nonneg(spec, grid_size=grid_size, refine_tol=refine_tol)
+        kernel_ev = _kernel_nonneg(spec, s, grid_size, refine_tol)
         evidence.append(kernel_ev)
         kernel_status = kernel_ev.status
 

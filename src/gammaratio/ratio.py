@@ -254,22 +254,44 @@ def _phi(t: np.ndarray) -> np.ndarray:
 
     Series coefficients are the even Bernoulli numbers; the series branch
     keeps full precision where the direct form would cancel, and the direct
-    form is evaluated only on the entries at or past the cutoff.
+    form is evaluated only on the entries at or past the cutoff, if any.
     """
     small = t < _PHI_SERIES_CUTOFF
     ts = np.where(small, t, 0.0)
     ts2 = ts * ts
-    out = 0.5 + ts * (1.0 / 12.0 + ts2 * (-1.0 / 720.0 + ts2 / 30240.0))
+    # 0.5 + ts (1/12 + ts2 (-1/720 + ts2 / 30240)), each step in place.
+    out = ts2 / 30240.0
+    out += -1.0 / 720.0
+    out *= ts2
+    out += 1.0 / 12.0
+    out *= ts
+    out += 0.5
     direct = ~small
     td = t[direct]
-    out[direct] = 1.0 / (-np.expm1(-td)) - 1.0 / td
+    if td.size:
+        # -1/expm1(-t) is 1/(1 - e^-t) to the bit: division is symmetric in sign.
+        out[direct] = -1.0 / np.expm1(-td) - 1.0 / td
     return out
+
+
+def _row_sums(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """a[..., lo:hi].sum(axis=-1) bit for bit as numpy sums a C-ordered array, whatever
+    the layout of a.  Below 8 columns numpy adds a C-ordered row left to right from
+    0.0, and so it adds whole columns where they are contiguous, as in the kernels'
+    arrays (built factor by factor), at a fraction of the cost of its per-row sums.
+    From 8 columns on it sums a C-ordered row pairwise, so a block of another layout
+    is copied C-ordered first."""
+    block = a[..., lo:hi]
+    if hi - lo >= 8 and not a.flags.c_contiguous:
+        block = np.ascontiguousarray(block)
+    return block.sum(axis=-1)
 
 
 class _Factors(NamedTuple):
     """The p + q factors of a spec as kernel columns, numerator first: scales, shifts,
     their distinct scales and each factor's column among them (None where every scale
-    is distinct, so the columns are the factors themselves), and sum(A) - sum(B)."""
+    is distinct, so the columns are the factors themselves, or where there is one
+    scale, whose column broadcasts), and sum(A) - sum(B)."""
 
     p: int
     scales: np.ndarray
@@ -284,14 +306,14 @@ def _factors(spec: RatioSpec) -> _Factors:
     index: dict[float, int] = {}
     column = [index.setdefault(s, len(index)) for s in scales]
     return _Factors(spec.p, np.array(scales), np.array(spec.a + spec.b), np.array(list(index)),
-                    np.array(column) if len(index) < len(scales) else None,
+                    np.array(column) if 1 < len(index) < len(scales) else None,
                     math.fsum(spec.A) - math.fsum(spec.B))
 
 
 def _gather(f: _Factors, columns: np.ndarray) -> np.ndarray:
-    """Per-distinct-scale columns as one column per factor.  Without a repeated scale
-    they are already that, C-ordered; a gathered array is F-ordered, and an in-place
-    operation with it is slower."""
+    """Per-distinct-scale columns as one column per factor, or a single column that
+    broadcasts.  A gathered array is F-ordered, as are the arrays it multiplies or
+    divides in place (an in-place operation across layouts is slower)."""
     return columns if f.column is None else columns[:, f.column]
 
 
@@ -306,27 +328,33 @@ def _samples(x, lo: float, hi: float, message: str) -> tuple[np.ndarray, bool]:
 
 def _kernel_u(f: _Factors, u: np.ndarray) -> np.ndarray:
     """cm_kernel at a 1-d array of u > 0, unchecked: one expm1 and one exp over all
-    p + q columns, one _phi per distinct scale.  The arrays summed over their rows
-    are built C-ordered (a gathered array is not): numpy sums a C-ordered row
-    pairwise and an F-ordered array column by column, which differ from 8
-    columns on."""
-    uu = u[:, None]
-    x = -f.shifts * (uu / f.scales)
-    singular = f.scales * np.expm1(x)
-    bounded = np.exp(x)
-    bounded *= _gather(f, _phi(uu / f.distinct))
-    p = f.p
-    return ((f.sum_diff + singular[:, :p].sum(axis=1) - singular[:, p:].sum(axis=1)) / u
-            + (bounded[:, :p].sum(axis=1) - bounded[:, p:].sum(axis=1)))
+    p + q columns and one _phi per distinct scale, each built factor by factor (see
+    _power_terms), and the singular and bounded parts summed together, as the two
+    layers of one array."""
+    x = (u / f.scales[:, None]).T
+    x *= -f.shifts
+    parts = np.empty((2, len(f.scales), len(u))).transpose(0, 2, 1)
+    singular, bounded = parts
+    np.expm1(x, out=singular)
+    singular *= f.scales
+    np.exp(x, out=bounded)
+    bounded *= _gather(f, _phi((u / f.distinct[:, None]).T))
+    sums = _row_sums(parts, 0, f.p)
+    sums[0] += f.sum_diff
+    sums -= _row_sums(parts, f.p, len(f.scales))
+    out = sums[0] / u
+    out += sums[1]
+    return out
 
 
 def _power_terms(f: _Factors, logt: np.ndarray) -> np.ndarray:
-    """t^(shift/scale) / (1 - t^(1/scale)) for a column of log t, one column per factor:
-    one exp over all p + q columns, one expm1 per distinct scale, gathered into a
-    C-ordered division in place (see _kernel_u).  The numerator columns sum to the
-    positive part, and the kernel is that sum minus the rest."""
-    terms = np.exp(logt * (f.shifts / f.scales))
-    terms /= _gather(f, -np.expm1(logt / f.distinct))
+    """t^(shift/scale) / (1 - t^(1/scale)) at a 1-d array of log t, one column per factor:
+    one exp over all p + q columns and one expm1 per distinct scale, each built factor
+    by factor (an F-ordered array, whose products take one numpy loop per factor, not
+    one per sample), divided in place.  The numerator columns sum to the positive
+    part, and the kernel is that sum minus the rest (see _row_sums)."""
+    terms = np.exp(np.multiply.outer(f.shifts / f.scales, logt).T)
+    terms /= _gather(f, -np.expm1(logt / f.distinct[:, None]).T)
     return terms
 
 
@@ -360,8 +388,8 @@ def cm_kernel_t(spec: RatioSpec, t):
         out[near_one] = _kernel_u(f, -np.log(tt[near_one]))
     direct = ~near_one
     if np.any(direct):
-        terms = _power_terms(f, np.log(tt[direct][:, None]))
-        out[direct] = terms[:, : f.p].sum(axis=1) - terms[:, f.p :].sum(axis=1)
+        terms = _power_terms(f, np.log(tt[direct]))
+        out[direct] = _row_sums(terms, 0, f.p) - _row_sums(terms, f.p, len(f.scales))
     return float(out[0]) if scalar else out
 
 
@@ -432,7 +460,7 @@ def kernel_positive_part(spec: RatioSpec, t):
     """
     tt, scalar = _samples(t, 0.0, 1.0, "kernel_positive_part: t must lie in (0, 1)")
     f = _factors(spec)
-    out = _power_terms(f, np.log(tt[:, None]))[:, : f.p].sum(axis=1)
+    out = _row_sums(_power_terms(f, np.log(tt)), 0, f.p)
     return float(out[0]) if scalar else out
 
 

@@ -225,6 +225,50 @@ class TestDeterminism:
                 assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+class TestWriters:
+    """The report and CSV writers format whole and write once; their bytes are those
+    of json.dump and of csv.writer writing row by row into the file."""
+
+    PAYLOAD = {
+        "status": "ok",
+        "results": {"value": 0.1, "estimate": math.inf, "parts": [-math.inf, math.nan, 2, None]},
+        "checks": [
+            {"check_id": "laplace", "max_residual": 1.5e-13, "passed": True, "points": [0.5, 1.0]},
+            {"check_id": "mellin", "max_residual": math.nan, "passed": False, "nested": {"x": [[1, 2], []]}},
+        ],
+    }
+
+    def test_report_bytes_equal_streamed_json(self, tmp_path):
+        from gammaratio import cli
+
+        cli._write_report(str(tmp_path), "identities", self.PAYLOAD)
+        got = (tmp_path / "identities.report").read_bytes()
+        expected = tmp_path / "expected.report"
+        with open(expected, "w", encoding="utf-8") as fh:
+            payload = {**self.PAYLOAD, "meta": json.loads(got)["meta"]}
+            json.dump(cli._to_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        assert got == expected.read_bytes()
+        assert b'"inf"' in got and b'"-inf"' in got and b'"nan"' in got
+
+    def test_csv_bytes_equal_row_by_row_writer(self, tmp_path):
+        from gammaratio import cli
+
+        rows = [(0.02 * k, math.exp(-k) / 3.0, 1e-15 * k) for k in range(1, 50)]
+        rows[3] = (rows[3][0], math.inf, "a, quoted\nfield")
+        header = ["x", "value", "error_estimate"]
+        cli._write_csv(str(tmp_path), "eval-h", header, rows)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        got = (tmp_path / "eval-h.csv").read_bytes()
+        assert got == expected.read_bytes()
+        assert got.count(b"\r\n") == 50
+
+
 class TestInputValidation:
     def test_missing_config(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "--output", str(tmp_path)]) == EXIT_INPUT_ERROR

@@ -337,3 +337,50 @@ class TestKernelWork:
         kernel_positive_part(spec, 0.5)
         assert kernel_work["validated"] == 3
         assert kernel_work["distinct"] == [4, 4, 4]
+
+
+def _spread(rng, shape):
+    """Entries of mixed sign with magnitudes log-uniform over 1e-300 to 1e300, and some zeros of either sign."""
+    a = 10.0 ** rng.uniform(-300.0, 300.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    a[rng.random(shape) < 0.05] = -0.0
+    a[rng.random(shape) < 0.05] = 0.0
+    return a
+
+
+class TestRowSums:
+    """ratio._row_sums against numpy's own sums of a C-ordered array, bit for bit."""
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_c_ordered(self, width):
+        rng = np.random.default_rng(width)
+        for rows in (1, 115, 639):
+            # Spread magnitudes, and close ones, where the order of the additions shows.
+            close = rng.standard_normal((rows, width + 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, width + 3))
+            for a in (_spread(rng, (rows, width + 3)), close):
+                for block in (a, np.stack([a, -a]), np.ascontiguousarray(a[:, :width])):
+                    for lo in (0, 3) if block.shape[-1] > width else (0,):
+                        expected = block[..., lo:lo + width].sum(axis=-1)
+                        assert ratio._row_sums(block, lo, lo + width).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_other_layouts_sum_as_c_ordered(self, width):
+        # A gathered array is F-ordered, and the kernels build theirs factor by factor
+        # (a transposed view); the sums must still be those of the C-ordered copy.
+        rng = np.random.default_rng(100 + width)
+        columns = rng.standard_normal((639, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(639, 3))
+        gathered = (columns * np.array([1.0, -3.0, 7.0]))[:, rng.integers(0, 3, size=width + 2)]
+        assert gathered.flags.f_contiguous and not gathered.flags.c_contiguous
+        layers = np.empty((2, width + 2, 115)).transpose(0, 2, 1)
+        layers[...] = _spread(rng, (2, 115, width + 2))
+        for a in (gathered, layers):
+            for lo in (0, 2):
+                hi = lo + width
+                expected = np.ascontiguousarray(a)[..., lo:hi].sum(axis=-1)
+                assert ratio._row_sums(a, lo, hi).tobytes() == expected.tobytes()
+
+    def test_f_ordered_numpy_sum_differs_from_eight_columns(self):
+        # Why an F-ordered block is copied: numpy sums it column by column, not pairwise.
+        rng = np.random.default_rng(7)
+        a = np.asfortranarray(rng.standard_normal((639, 8)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(639, 8)))
+        assert a.sum(axis=1).tobytes() != np.ascontiguousarray(a).sum(axis=1).tobytes()
+        assert ratio._row_sums(a, 0, 8).tobytes() == np.ascontiguousarray(a).sum(axis=1).tobytes()

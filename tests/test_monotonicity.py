@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -222,6 +223,71 @@ class TestClassify:
             verdict = classify(spec)
             assert calls == [spec]
             assert verdict.derived == derive(spec)
+
+
+def _survey_specs():
+    """Seeded specs of the classify-survey strata: subset-parity up to n = 4, random
+    specs with and without equal scale sums, and entries up to 1e3."""
+    rng = random.Random(20261019)
+    specs = []
+    for _ in range(60):
+        beta = [rng.uniform(0.0, 3.0) for _ in range(rng.randint(1, 4))]
+        specs.append(build_unweighted([v + rng.uniform(0.05, 3.0) for v in beta], beta))
+    for equal in (True, False) * 60:
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        A = [rng.uniform(0.2, 5.0) for _ in range(p)]
+        if equal:
+            weights = [rng.uniform(0.2, 1.0) for _ in range(q)]
+            B = [math.fsum(A) * w / math.fsum(weights) for w in weights]
+        else:
+            B = [rng.uniform(0.2, 5.0) for _ in range(q)]
+        specs.append(RatioSpec(A=A, a=[rng.uniform(0.0, 4.0) for _ in A], B=B, b=[rng.uniform(0.0, 4.0) for _ in B]))
+    for _ in range(40):
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        A, a, B, b = ([10.0 ** rng.uniform(-1.0, 3.0) for _ in range(n)] for n in (p, p, q, q))
+        specs.append(RatioSpec(A=A, a=a, B=B, b=b))
+    return specs
+
+
+class TestSharedSummary:
+    def test_classify_evidence_equals_public_checks(
+        self, spec_mixed_scale, spec_paired, spec_bernstein_only, spec_equal_scales, spec_inverse_x
+    ):
+        # classify shares one factor summary between its checks; each public check
+        # builds its own.  Their records must agree exactly, witness strings included.
+        fixtures = [spec_mixed_scale, spec_paired, spec_bernstein_only, spec_equal_scales, spec_inverse_x]
+        identical = RatioSpec(A=(2, 1), a=(0.4, 2.4), B=(1, 2), b=(2.4, 0.4))
+        seen = set()
+        for spec in _survey_specs() + fixtures + [identical]:
+            evidence = classify(spec).evidence
+            expected = check_necessary(spec)
+            if monotonicity.identical_factor_multisets(spec):
+                expected.append(check_kernel_nonneg(spec))
+            else:
+                sufficient = [check_sufficient_a(spec), check_sufficient_b(spec), check_sufficient_c(spec)]
+                expected += sufficient
+                if all(ev.status != HOLDS for ev in sufficient):
+                    expected.append(check_kernel_nonneg(spec))
+            assert evidence[: len(expected)] == tuple(expected), spec
+            assert [ev.condition_id for ev in evidence[len(expected):]] in ([], ["BERNSTEIN_LIMIT"])
+            seen.update((ev.condition_id, ev.status) for ev in evidence)
+        # Every condition is reached, and each decides both ways somewhere.
+        for cid in ("NEC_A", "NEC_B", "NEC_C", "NEC_D", "SUF_A", "SUF_C", Q_NONNEG):
+            assert {(cid, HOLDS), (cid, FAILS)} <= seen, cid
+        assert ("SUF_B", HOLDS) in seen and ("SUF_B", NOT_APPLICABLE) in seen
+
+    @pytest.mark.parametrize(
+        "b, sign, witness",
+        [
+            ((0.5, 0.8), 1, "t->0: tied exponents, multiplicities 2 > 1"),
+            ((0.5 + 1e-13, 0.5), 0, "t->0: tied exponents and multiplicities (2)"),
+            ((0.5, 0.5, 0.5), -1, "t->0: tied exponents, multiplicities 2 < 3"),
+        ],
+    )
+    def test_zero_sign_counts_tied_factors(self, b, sign, witness):
+        # The summary counts the factors within REL_TOL of the least a/A and b/B.
+        spec = RatioSpec(A=(1.0, 1.0), a=(0.5, 0.5 + 1e-13), B=(1.0,) * len(b), b=b)
+        assert monotonicity._endpoint_zero_sign(spec) == (sign, witness)
 
 
 class TestBuildUnweighted:
