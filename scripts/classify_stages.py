@@ -6,7 +6,11 @@ Run from the root of a checkout (or name another checkout's src with --src):
 
 It takes the ops of bench/workloads.py's classify-survey for each seed (40
 cycles of 24 ops by default), runs each op --best-of times in this process
-and keeps its least time, and prints the mean per op by stratum.  Then
+and keeps its least time, and prints the mean per op by stratum.  Each of
+those passes also times the op once more with every witness of its verdict
+read, which is what a reader of the text pays where witnesses are formatted
+on first read.  One counting pass prints the records built per op: condition
+evidence, verdicts and derived invariants.  Then
 --best-of instrumented passes wrap the stages of `classify` with timers; each
 stage's share is its least inclusive time over the passes divided by the least
 instrumented total.  The rows marked with a dash are parts of the kernel check,
@@ -48,6 +52,34 @@ STAGES = {
     "summary (with derive, identical test)": ("_summary",),
     "identical-multisets test": ("identical_factor_multisets",),
 }
+
+
+# The record classes whose constructions are counted, by module attribute.
+RECORDS = (("monotonicity", "ConditionEvidence"), ("monotonicity", "Verdict"), ("ratio", "DerivedInvariants"))
+
+
+def count_records(gr, modules, ops) -> dict:
+    """Records of each RECORDS class built per op over one pass of classify."""
+    counts = collections.Counter()
+    patches = []
+
+    def counting(name, init):
+        def wrapped(self, *args, **kwargs):
+            counts[name] += 1
+            init(self, *args, **kwargs)
+        return wrapped
+
+    try:
+        for module_name, name in RECORDS:
+            cls = getattr(modules[module_name], name)
+            patches.append((cls, cls.__dict__["__init__"]))
+            cls.__init__ = counting(name, cls.__init__)
+        for op in ops:
+            gr.classify(op.spec)
+    finally:
+        for cls, init in patches:
+            cls.__init__ = init
+    return {name: counts[name] / len(ops) for _, name in RECORDS}
 
 
 class Stages:
@@ -112,11 +144,18 @@ def main(argv=None) -> int:
     warnings.simplefilter("ignore", RuntimeWarning)
     ops = [op for seed in args.seeds for op in workloads.first_ops("classify-survey", seed, args.cycles)]
     best = [math.inf] * len(ops)
+    best_read = [math.inf] * len(ops)
     for _ in range(args.best_of):
         for i, op in enumerate(ops):
             t0 = perf_counter()
             gr.classify(op.spec)
-            best[i] = min(best[i], perf_counter() - t0)
+            t1 = perf_counter()
+            for ev in gr.classify(op.spec).evidence:
+                ev.witness
+            t2 = perf_counter()
+            best[i] = min(best[i], t1 - t0)
+            best_read[i] = min(best_read[i], t2 - t1)
+    records = count_records(gr, {"monotonicity": monotonicity, "ratio": ratio}, ops)
     by_stratum = collections.defaultdict(list)
     for op, t in zip(ops, best):
         by_stratum["fixtures" if op.stratum.startswith("spec_") else op.stratum].append(t)
@@ -145,6 +184,9 @@ def main(argv=None) -> int:
     tables = {
         "src": os.path.abspath(args.src), "seeds": args.seeds, "best_of": args.best_of, "ops": len(ops),
         "per_op_us": {"mean": 1e6 * statistics.fmean(best), "median": 1e6 * statistics.median(best)},
+        "per_op_us_reading_witnesses": {"mean": 1e6 * statistics.fmean(best_read),
+                                        "median": 1e6 * statistics.median(best_read)},
+        "records_per_op": records,
         "per_op_us_by_stratum": {k: 1e6 * statistics.fmean(v) for k, v in sorted(by_stratum.items())},
         "ops_by_stratum": {k: len(v) for k, v in sorted(by_stratum.items())},
         "stage_share": {k: stage_time[k] / total for k in STAGES if k in stage_time},
@@ -157,6 +199,9 @@ def main(argv=None) -> int:
           f"median {tables['per_op_us']['median']:.1f} us (best of {args.best_of})")
     for k, v in tables["per_op_us_by_stratum"].items():
         print(f"  {k:14s} {tables['ops_by_stratum'][k]:5d} ops  {v:7.1f} us/op")
+    print(f"with every witness read: mean {tables['per_op_us_reading_witnesses']['mean']:.1f} us, "
+          f"median {tables['per_op_us_reading_witnesses']['median']:.1f} us")
+    print("records built per op: " + ", ".join(f"{k} {v:.2f}" for k, v in records.items()))
     print(f"stages (instrumented pass, {tables['instrumented_us_per_op']:.1f} us/op):")
     for k, v in tables["stage_share"].items():
         print(f"  {k:38s} {100 * v:5.1f}%  reached by {tables['ops_reaching_stage'][k]} ops")

@@ -62,24 +62,67 @@ _SERIES_TERMS = 12
 _TAYLOR_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConditionEvidence:
-    """Outcome of one condition check with a human-readable witness."""
+    """Outcome of one condition check with a human-readable witness.
 
+    ``ConditionEvidence(condition_id, status, witness=None)`` holds a finished
+    witness.  Given values after it, the witness is a ``str.format`` template,
+    formatted with them on the first read of ``.witness`` and kept: most callers
+    read only the statuses, and formatting floats costs more than the check.
+    Equality, hashing, repr, ``dataclasses.asdict`` and pickling read the
+    witness, so they see the finished text either way.
+    """
+
+    # No default here: a class attribute would answer for a witness not yet formatted.
     condition_id: str
     status: str
-    witness: str | None = None
+    witness: str | None
+
+    def __init__(self, condition_id: str, status: str, witness: str | None = None, *values) -> None:
+        # Written to the instance dict: the frozen dataclass's own __init__ sets
+        # each field through object.__setattr__, at several times the cost.
+        d = self.__dict__
+        d["condition_id"] = condition_id
+        d["status"] = status
+        if values:
+            d["_deferred"] = witness, values
+        else:
+            d["witness"] = witness
+
+    def __getattr__(self, name: str):
+        # Reached only for a name missing from the instance dict.  A concurrent
+        # reader may format the same text too; the last store wins, unchanged.
+        d = self.__dict__
+        if name == "witness":
+            deferred = d.get("_deferred")
+            if deferred is not None:
+                d["witness"] = deferred[0].format(*deferred[1])
+                d.pop("_deferred", None)
+            if "witness" in d:
+                return d["witness"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self) -> dict:
+        return {"condition_id": self.condition_id, "status": self.status, "witness": self.witness}
 
 
 # The kernel evidence of a spec whose two factor multisets are identical.
 _IDENTICAL = ConditionEvidence(Q_NONNEG, HOLDS, "numerator and denominator factors identical; kernel vanishes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     classification: str
     evidence: tuple[ConditionEvidence, ...]
     derived: DerivedInvariants
+
+    def __init__(self, classification: str, evidence: tuple[ConditionEvidence, ...],
+                 derived: DerivedInvariants) -> None:
+        d = self.__dict__
+        d["classification"] = classification
+        d["evidence"] = evidence
+        d["derived"] = derived
 
     def find(self, condition_id: str) -> ConditionEvidence | None:
         for ev in self.evidence:
@@ -144,21 +187,17 @@ def _necessary(s: _Summary) -> list[ConditionEvidence]:
     out = []
 
     ok = s.sums_equal
-    out.append(
-        ConditionEvidence(NEC_A, HOLDS if ok else FAILS, f"sum_A={inv.sum_A!r}, sum_B={inv.sum_B!r}")
-    )
+    out.append(ConditionEvidence(NEC_A, HOLDS if ok else FAILS, "sum_A={!r}, sum_B={!r}", inv.sum_A, inv.sum_B))
 
     ok = inv.rho_at_most_one()
-    out.append(ConditionEvidence(NEC_B, HOLDS if ok else FAILS, f"rho={inv.rho!r}"))
+    out.append(ConditionEvidence(NEC_B, HOLDS if ok else FAILS, "rho={!r}", inv.rho))
 
     ok = inv.mu >= -REL_TOL
-    out.append(ConditionEvidence(NEC_C, HOLDS if ok else FAILS, f"mu={inv.mu!r}"))
+    out.append(ConditionEvidence(NEC_C, HOLDS if ok else FAILS, "mu={!r}", inv.mu))
 
     min_a, min_b = s.min_a, s.min_b
     ok = min_a <= min_b + REL_TOL
-    out.append(
-        ConditionEvidence(NEC_D, HOLDS if ok else FAILS, f"min(a/A)={min_a!r}, min(b/B)={min_b!r}")
-    )
+    out.append(ConditionEvidence(NEC_D, HOLDS if ok else FAILS, "min(a/A)={!r}, min(b/B)={!r}", min_a, min_b))
     return out
 
 
@@ -173,14 +212,13 @@ def check_sufficient_a(spec: RatioSpec) -> ConditionEvidence:
 
 def _sufficient_a(s: _Summary) -> ConditionEvidence:
     if not s.sums_equal:
-        return ConditionEvidence(
-            SUF_A, FAILS, f"sum_A={s.inv.sum_A!r} != sum_B={s.inv.sum_B!r}"
-        )
+        return ConditionEvidence(SUF_A, FAILS, "sum_A={!r} != sum_B={!r}", s.inv.sum_A, s.inv.sum_B)
     i_max, j_min = s.i_max_a, s.j_min_b1
     lhs, rhs = s.ratio_a[i_max], s.ratio_b1[j_min]
     ok = lhs <= rhs + REL_TOL
-    witness = f"max(a/A)={lhs!r} at i={i_max}, min((b-1)/B)={rhs!r} at j={j_min}"
-    return ConditionEvidence(SUF_A, HOLDS if ok else FAILS, witness)
+    return ConditionEvidence(
+        SUF_A, HOLDS if ok else FAILS, "max(a/A)={!r} at i={}, min((b-1)/B)={!r} at j={}", lhs, i_max, rhs, j_min
+    )
 
 
 def check_sufficient_b(spec: RatioSpec) -> ConditionEvidence:
@@ -194,28 +232,24 @@ def check_sufficient_b(spec: RatioSpec) -> ConditionEvidence:
 
 def _sufficient_b(spec: RatioSpec, s: _Summary) -> ConditionEvidence:
     if spec.p != spec.q:
-        return ConditionEvidence(SUF_B, NOT_APPLICABLE, f"p={spec.p} != q={spec.q}")
+        return ConditionEvidence(SUF_B, NOT_APPLICABLE, "p={} != q={}", spec.p, spec.q)
     if not s.sums_equal:
-        return ConditionEvidence(
-            SUF_B, FAILS, f"sum_A={s.inv.sum_A!r} != sum_B={s.inv.sum_B!r}"
-        )
+        return ConditionEvidence(SUF_B, FAILS, "sum_A={!r} != sum_B={!r}", s.inv.sum_A, s.inv.sum_B)
     p = spec.p
     for i in range(p - 1):
         if spec.A[i] < spec.B[i] - REL_TOL:
-            return ConditionEvidence(SUF_B, FAILS, f"A[{i}]={spec.A[i]!r} < B[{i}]={spec.B[i]!r}")
+            return ConditionEvidence(SUF_B, FAILS, "A[{0}]={1!r} < B[{0}]={2!r}", i, spec.A[i], spec.B[i])
     ratio_a, ratio_b, ratio_b1 = s.ratio_a, s.ratio_b, s.ratio_b1
     last = ratio_b1[p - 1]
     for k in range(p - 1):
         if ratio_b[k] > last + REL_TOL:
-            return ConditionEvidence(
-                SUF_B, FAILS, f"b[{k}]/B[{k}]={ratio_b[k]!r} > (b[p-1]-1)/B[p-1]={last!r}"
-            )
+            return ConditionEvidence(SUF_B, FAILS, "b[{0}]/B[{0}]={1!r} > (b[p-1]-1)/B[p-1]={2!r}", k, ratio_b[k], last)
     for i in range(p):
         if ratio_a[i] > ratio_b1[i] + REL_TOL:
             return ConditionEvidence(
-                SUF_B, FAILS, f"a[{i}]/A[{i}]={ratio_a[i]!r} > (b[{i}]-1)/B[{i}]={ratio_b1[i]!r}"
+                SUF_B, FAILS, "a[{0}]/A[{0}]={1!r} > (b[{0}]-1)/B[{0}]={2!r}", i, ratio_a[i], ratio_b1[i]
             )
-    return ConditionEvidence(SUF_B, HOLDS, f"all {p} factor inequalities satisfied")
+    return ConditionEvidence(SUF_B, HOLDS, "all {} factor inequalities satisfied", p)
 
 
 def _is_ascending(vals: Sequence[float]) -> int | None:
@@ -239,30 +273,26 @@ def check_sufficient_c(spec: RatioSpec) -> ConditionEvidence:
 
 def _sufficient_c(spec: RatioSpec, s: _Summary) -> ConditionEvidence:
     if spec.p != spec.q:
-        return ConditionEvidence(SUF_C, NOT_APPLICABLE, f"p={spec.p} != q={spec.q}")
+        return ConditionEvidence(SUF_C, NOT_APPLICABLE, "p={} != q={}", spec.p, spec.q)
     p = spec.p
     chains = (("a/A", s.ratio_a), ("b/B", s.ratio_b), ("1/A", s.recip_A), ("1/B", s.recip_B))
     for name, vals in chains:
         idx = _is_ascending(vals)
         if idx is not None:
             return ConditionEvidence(
-                SUF_C, FAILS, f"chain {name} not ascending at index {idx}: {vals[idx]!r} > {vals[idx + 1]!r}"
+                SUF_C, FAILS, "chain {} not ascending at index {}: {!r} > {!r}", name, idx, vals[idx], vals[idx + 1]
             )
     pref_a = pref_b = pref_ia = pref_ib = 0.0
     for k in range(p):
         pref_a += s.ratio_a[k]
         pref_b += s.ratio_b[k]
         if pref_a > pref_b + REL_TOL * max(1.0, pref_b):
-            return ConditionEvidence(
-                SUF_C, FAILS, f"prefix sum a/A up to k={k}: {pref_a!r} > {pref_b!r}"
-            )
+            return ConditionEvidence(SUF_C, FAILS, "prefix sum a/A up to k={}: {!r} > {!r}", k, pref_a, pref_b)
         pref_ia += s.recip_A[k]
         pref_ib += s.recip_B[k]
         if pref_ia > pref_ib + REL_TOL * max(1.0, pref_ib):
-            return ConditionEvidence(
-                SUF_C, FAILS, f"prefix sum 1/A up to k={k}: {pref_ia!r} > {pref_ib!r}"
-            )
-    return ConditionEvidence(SUF_C, HOLDS, f"all chains and {p} prefix sums satisfied")
+            return ConditionEvidence(SUF_C, FAILS, "prefix sum 1/A up to k={}: {!r} > {!r}", k, pref_ia, pref_ib)
+    return ConditionEvidence(SUF_C, HOLDS, "all chains and {} prefix sums satisfied", p)
 
 
 def weak_supermajorization(x: Sequence[float], y: Sequence[float]) -> bool:
@@ -292,46 +322,48 @@ def identical_factor_multisets(spec: RatioSpec) -> bool:
     return spec.p == spec.q and sorted(zip(spec.A, spec.a)) == sorted(zip(spec.B, spec.b))
 
 
-def _endpoint_zero_sign(spec: RatioSpec, s: _Summary | None = None) -> tuple[int, str]:
+def _endpoint_zero_sign(spec: RatioSpec, s: _Summary | None = None) -> tuple[int, str, tuple]:
     """Analytic sign of the kernel as t -> 0.
 
     The kernel behaves like m_a t^alpha* - m_b t^beta* with alpha*, beta*
     the smallest shift-to-scale ratios and m the multiplicities; a strict
-    gap or a multiplicity imbalance decides the sign.  Returns (+1, 0, -1)
-    and a witness; 0 means undecided.  s is the spec's summary, built here if not given.
+    gap or a multiplicity imbalance decides the sign.  Returns (+1, 0, -1),
+    0 meaning undecided, and a witness as a str.format template and its values,
+    as ConditionEvidence takes them.  s is the spec's summary, built here if not given.
     """
     s = _summary(spec) if s is None else s
     alpha, beta = s.min_a, s.min_b
     if alpha < beta - REL_TOL:
-        return 1, f"t->0: kernel ~ t^{alpha!r} dominates t^{beta!r}"
+        return 1, "t->0: kernel ~ t^{!r} dominates t^{!r}", (alpha, beta)
     if alpha > beta + REL_TOL:
-        return -1, f"t->0: kernel ~ -t^{beta!r} dominates t^{alpha!r}"
+        return -1, "t->0: kernel ~ -t^{!r} dominates t^{!r}", (beta, alpha)
     m_a, m_b = s.count_min_a, s.count_min_b
     if m_a > m_b:
-        return 1, f"t->0: tied exponents, multiplicities {m_a} > {m_b}"
+        return 1, "t->0: tied exponents, multiplicities {} > {}", (m_a, m_b)
     if m_a < m_b:
-        return -1, f"t->0: tied exponents, multiplicities {m_a} < {m_b}"
-    return 0, f"t->0: tied exponents and multiplicities ({m_a})"
+        return -1, "t->0: tied exponents, multiplicities {} < {}", (m_a, m_b)
+    return 0, "t->0: tied exponents and multiplicities ({})", (m_a,)
 
 
-def _endpoint_one_sign(spec: RatioSpec, s: _Summary | None = None) -> tuple[int, str]:
+def _endpoint_one_sign(spec: RatioSpec, s: _Summary | None = None) -> tuple[int, str, tuple]:
     """Analytic sign of the kernel as t -> 1 (u -> 0 in the Laplace variable).
 
     Decided by the 1/u coefficient sum(A) - sum(B) if nonzero, otherwise by
     the first Taylor coefficient p_k of the kernel distinguishable from zero.
     The coefficients come as one table of k! p_k, k < _SERIES_TERMS, built
-    only for equal sums.  s is the spec's summary, built here if not given.
+    only for equal sums.  Returns the sign and a witness template and its
+    values, as _endpoint_zero_sign.  s is the spec's summary, built here if not given.
     """
     s = _summary(spec) if s is None else s
     if not s.sums_equal:
         sum_diff = s.inv.sum_A - s.inv.sum_B
-        return (1 if sum_diff > 0 else -1), f"t->1: kernel ~ {sum_diff!r}/u"
+        return (1 if sum_diff > 0 else -1), "t->1: kernel ~ {!r}/u", (sum_diff,)
     md, magnitudes = _stirling_table(spec, _SERIES_TERMS - 1)
     for k, (coef, size) in enumerate(zip(md.tolist(), magnitudes.tolist())):
         if abs(coef) > _TAYLOR_TOL * size:
             sign = 1 if coef > 0 else -1
-            return sign, f"t->1: first nonzero Taylor coefficient p_{k}={coef / math.factorial(k)!r}"
-    return 0, f"t->1: Taylor coefficients vanish through order {_SERIES_TERMS - 1}"
+            return sign, "t->1: first nonzero Taylor coefficient p_{}={!r}", (k, coef / math.factorial(k))
+    return 0, "t->1: Taylor coefficients vanish through order {}", (_SERIES_TERMS - 1,)
 
 
 @functools.lru_cache(maxsize=8)
@@ -394,12 +426,12 @@ def _kernel_nonneg(spec: RatioSpec, s: _Summary, grid_size: int, refine_tol: flo
     if s.identical:
         return _IDENTICAL
 
-    sign0, wit0 = _endpoint_zero_sign(spec, s)
+    sign0, wit0, val0 = _endpoint_zero_sign(spec, s)
     if sign0 < 0:
-        return ConditionEvidence(Q_NONNEG, FAILS, wit0)
-    sign1, wit1 = _endpoint_one_sign(spec, s)
+        return ConditionEvidence(Q_NONNEG, FAILS, wit0, *val0)
+    sign1, wit1, val1 = _endpoint_one_sign(spec, s)
     if sign1 < 0:
-        return ConditionEvidence(Q_NONNEG, FAILS, wit1)
+        return ConditionEvidence(Q_NONNEG, FAILS, wit1, *val1)
 
     grid, logt, near_one = _sample_grid(grid_size)
     f = _factors(spec)
@@ -414,26 +446,26 @@ def _kernel_nonneg(spec: RatioSpec, s: _Summary, grid_size: int, refine_tol: flo
 
     i_min = int(normalized.argmin())
     if normalized[i_min] < -10.0 * refine_tol:
-        return ConditionEvidence(
-            Q_NONNEG, FAILS, f"kernel({float(grid[i_min])!r}) = {float(kernel[i_min])!r} < 0"
-        )
+        return ConditionEvidence(Q_NONNEG, FAILS, "kernel({!r}) = {!r} < 0", float(grid[i_min]), float(kernel[i_min]))
     n_interior = grid_size - 1
     if underflow[:n_interior].any():
         t_zero = float(grid[int(np.argmax(underflow))])
         return ConditionEvidence(
-            Q_NONNEG, UNDECIDED, f"positive part underflows to 0 at t={t_zero!r}; no sign can be read"
+            Q_NONNEG, UNDECIDED, "positive part underflows to 0 at t={!r}; no sign can be read", t_zero
         )
     i_int = int(normalized[:n_interior].argmin())
     interior_min = float(normalized[i_int])
     t_int = float(grid[i_int])
     if interior_min >= refine_tol and sign0 > 0 and sign1 > 0:
         return ConditionEvidence(
-            Q_NONNEG,
-            HOLDS,
-            f"min normalized interior sample {interior_min!r} at t={t_int!r}; {wit0}; {wit1}",
+            Q_NONNEG, HOLDS, "min normalized interior sample {!r} at t={!r}; " + wit0 + "; " + wit1,
+            interior_min, t_int, *val0, *val1,
         )
-    reason = wit0 if sign0 == 0 else (wit1 if sign1 == 0 else f"margin {interior_min!r} at t={t_int!r}")
-    return ConditionEvidence(Q_NONNEG, UNDECIDED, reason)
+    if sign0 == 0:
+        return ConditionEvidence(Q_NONNEG, UNDECIDED, wit0, *val0)
+    if sign1 == 0:
+        return ConditionEvidence(Q_NONNEG, UNDECIDED, wit1, *val1)
+    return ConditionEvidence(Q_NONNEG, UNDECIDED, "margin {!r} at t={!r}", interior_min, t_int)
 
 
 def _bernstein_limit_evidence(spec: RatioSpec) -> ConditionEvidence:
@@ -451,7 +483,7 @@ def _bernstein_limit_evidence(spec: RatioSpec) -> ConditionEvidence:
         + [-Bj * _digamma(bj) for Bj, bj in zip(spec.B, spec.b)]
     )
     ok = limit >= -REL_TOL * max(1.0, abs(limit))
-    return ConditionEvidence(BERNSTEIN_LIMIT, HOLDS if ok else FAILS, f"limit={limit!r}")
+    return ConditionEvidence(BERNSTEIN_LIMIT, HOLDS if ok else FAILS, "limit={!r}", limit)
 
 
 def classify(

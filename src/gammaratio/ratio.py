@@ -124,7 +124,7 @@ def _sums_equal(sum_A: float, sum_B: float) -> bool:
     return abs(sum_A - sum_B) <= REL_TOL * max(sum_A, sum_B)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DerivedInvariants:
     """Quantities derived from a RatioSpec, all computed in log space.
 
@@ -146,6 +146,22 @@ class DerivedInvariants:
     stirling_const: float
     log_rho: float
     log_stirling_const: float
+
+    def __init__(self, sum_A: float, sum_B: float, rho: float, mu: float, gamma_pole: float, entropy_A: float,
+                 entropy_B: float, stirling_const: float, log_rho: float, log_stirling_const: float) -> None:
+        # Written to the instance dict: the frozen dataclass's own __init__ sets
+        # each field through object.__setattr__, at several times the cost.
+        d = self.__dict__
+        d["sum_A"] = sum_A
+        d["sum_B"] = sum_B
+        d["rho"] = rho
+        d["mu"] = mu
+        d["gamma_pole"] = gamma_pole
+        d["entropy_A"] = entropy_A
+        d["entropy_B"] = entropy_B
+        d["stirling_const"] = stirling_const
+        d["log_rho"] = log_rho
+        d["log_stirling_const"] = log_stirling_const
 
     def sums_equal(self) -> bool:
         """sum(A) = sum(B) up to REL_TOL relative."""
@@ -279,12 +295,26 @@ def _row_sums(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
     the layout of a.  Below 8 columns numpy adds a C-ordered row left to right from
     0.0, and so it adds whole columns where they are contiguous, as in the kernels'
     arrays (built factor by factor), at a fraction of the cost of its per-row sums.
-    From 8 columns on it sums a C-ordered row pairwise, so a block of another layout
-    is copied C-ordered first."""
+    From 8 to 128 columns it keeps eight running sums over columns 8 apart, adds them
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then adds the leftover
+    columns in order; this does the same, eight columns per call.  Past 128 columns
+    it splits a row in halves, so a block of another layout is copied C-ordered."""
     block = a[..., lo:hi]
-    if hi - lo >= 8 and not a.flags.c_contiguous:
-        block = np.ascontiguousarray(block)
-    return block.sum(axis=-1)
+    width = hi - lo
+    if width < 8 or a.flags.c_contiguous:
+        return block.sum(axis=-1)
+    if width >= 128:
+        return np.ascontiguousarray(block).sum(axis=-1)
+    tail = width - width % 8
+    r = block[..., :8]
+    for i in range(8, tail, 8):
+        r = r + block[..., i:i + 8]
+    r = r[..., 0::2] + r[..., 1::2]
+    r = r[..., 0::2] + r[..., 1::2]
+    out = r[..., 0] + r[..., 1]
+    for i in range(tail, width):
+        out += block[..., i]
+    return out
 
 
 class _Factors(NamedTuple):
@@ -418,12 +448,12 @@ def _stirling_table(spec: RatioSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     A_i^m), minus the same sum over (b_j, B_j); at m = 0 that is mu.  By
     Watson's lemma m d_m / m! is the kernel's Taylor coefficient p_m.
     """
-    # (shift - 1/2)^j, their magnitudes and scale^-j, j = 0..22, in one power.
-    powers = np.empty((3, len(_BERNOULLI), spec.p + spec.q))
-    np.power(np.array([[v - 0.5 for v in spec.a + spec.b], spec.A + spec.B])[:, None, :], _EXPONENTS,
-             out=powers[::2])
+    # (shift - 1/2)^j, their magnitudes and scale^-j, j = 0..n+1 (the rows read), in one power.
+    powers = np.empty((3, n + 2, spec.p + spec.q))
+    np.power(np.array([[v - 0.5 for v in spec.a + spec.b], spec.A + spec.B])[:, None, :],
+             _EXPONENTS[:, : n + 2], out=powers[::2])
     np.abs(powers[0], out=powers[1])
-    rows = (_BERNOULLI_PAIR[:, : n + 2, : n + 2] @ powers[:2, : n + 2])[:, 1:]
+    rows = (_BERNOULLI_PAIR[:, : n + 2, : n + 2] @ powers[:2])[:, 1:]
     rows *= powers[2, : n + 1]
     md_rows = rows[0] @ np.array([1.0] * spec.p + [-1.0] * spec.q)
     return md_rows / _DIVISORS[: n + 1], rows[1].sum(axis=1) / _DIVISORS[: n + 1]

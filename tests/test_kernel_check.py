@@ -42,7 +42,8 @@ def _reference_check(spec, grid_size, refine_tol=1e-12):
         return ConditionEvidence(
             Q_NONNEG, HOLDS, "numerator and denominator factors identical; kernel vanishes"
         ), False
-    sign0, wit0 = monotonicity._endpoint_zero_sign(spec)
+    sign0, template, values = monotonicity._endpoint_zero_sign(spec)
+    wit0 = template.format(*values)
     sign1, wit1 = _reference_one_sign(spec)
     if sign0 < 0:
         return ConditionEvidence(Q_NONNEG, FAILS, wit0), False
@@ -164,9 +165,9 @@ def table_calls(monkeypatch):
 class TestWorkCount:
     def test_subset_parity_decides_at_p1(self, table_calls):
         spec = build_unweighted([2, 3], [1, 0.5])
-        sign, witness = monotonicity._endpoint_one_sign(spec)
+        sign, template, values = monotonicity._endpoint_one_sign(spec)
         assert sign == 1
-        assert "p_1=" in witness
+        assert "p_1=" in template.format(*values)
         assert table_calls == [11]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -174,17 +175,17 @@ class TestWorkCount:
         rng = random.Random(n)
         beta = [rng.uniform(0.0, 3.0) for _ in range(n)]
         spec = build_unweighted([v + rng.uniform(0.05, 3.0) for v in beta], beta)
-        _, witness = monotonicity._endpoint_one_sign(spec)
-        order = int(re.search(r"p_(\d+)=", witness).group(1))
+        _, template, values = monotonicity._endpoint_one_sign(spec)
+        order = int(re.search(r"p_(\d+)=", template.format(*values)).group(1))
         # The product of n factors (t^beta - t^alpha) vanishes to order n at t = 1.
         assert order == n - 1
         assert table_calls == [11]
 
     def test_unequal_sums_build_no_table(self, table_calls):
         spec = RatioSpec(A=(2.0,), a=(0.5,), B=(1.0,), b=(0.5,))
-        sign, witness = monotonicity._endpoint_one_sign(spec)
+        sign, template, values = monotonicity._endpoint_one_sign(spec)
         assert sign == 1
-        assert witness == "t->1: kernel ~ 1.0/u"
+        assert template.format(*values) == "t->1: kernel ~ 1.0/u"
         assert table_calls == []
 
     def test_negative_zero_sign_skips_taylor_terms(self, table_calls):
@@ -384,3 +385,21 @@ class TestRowSums:
         a = np.asfortranarray(rng.standard_normal((639, 8)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(639, 8)))
         assert a.sum(axis=1).tobytes() != np.ascontiguousarray(a).sum(axis=1).tobytes()
         assert ratio._row_sums(a, 0, 8).tobytes() == np.ascontiguousarray(a).sum(axis=1).tobytes()
+
+
+class TestRowSumsPairwise:
+    """_row_sums from 8 to 127 columns of another layout adds whole columns in numpy's
+    pairwise order; from 128 on it copies.  Both match the C-ordered sums bit for bit."""
+
+    @pytest.mark.parametrize("width", [8, 9, 15, 16, 17, 23, 24, 39, 64, 100, 127, 128, 129, 200])
+    def test_wide_blocks_sum_as_c_ordered(self, width):
+        rng = np.random.default_rng(200 + width)
+        # Spread magnitudes, and close ones, where the order of the additions shows.
+        close = rng.standard_normal((639, width + 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(639, width + 2))
+        layers = np.empty((2, width + 2, 115)).transpose(0, 2, 1)
+        layers[...] = _spread(rng, (2, 115, width + 2))
+        for a in (np.asfortranarray(close), np.asfortranarray(_spread(rng, (639, width + 2))), layers):
+            for lo in (0, 2):
+                hi = lo + width
+                expected = np.ascontiguousarray(a)[..., lo:hi].sum(axis=-1)
+                assert ratio._row_sums(a, lo, hi).tobytes() == expected.tobytes()

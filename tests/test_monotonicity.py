@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -29,7 +31,12 @@ from gammaratio.monotonicity import (
     NOT_APPLICABLE,
     NOT_LCM,
     Q_NONNEG,
+    UNDECIDED,
+    ConditionEvidence,
+    Verdict,
 )
+from gammaratio.ratio import derive
+from test_kernel_check import _equivalence_specs
 
 
 def _status(evidences, cid):
@@ -287,7 +294,118 @@ class TestSharedSummary:
     def test_zero_sign_counts_tied_factors(self, b, sign, witness):
         # The summary counts the factors within REL_TOL of the least a/A and b/B.
         spec = RatioSpec(A=(1.0, 1.0), a=(0.5, 0.5 + 1e-13), B=(1.0,) * len(b), b=b)
-        assert monotonicity._endpoint_zero_sign(spec) == (sign, witness)
+        got, template, values = monotonicity._endpoint_zero_sign(spec)
+        assert (got, template.format(*values)) == (sign, witness)
+
+
+# Specs for the kernel witnesses the seeded sets do not reach: tied exponents with
+# multiplicities 2 > 1, 2 < 3 and 2 = 2, Taylor coefficients that vanish to order 11,
+# an underflowing positive part, identical factors, and a zero shift.
+_EDGE_SPECS = [
+    RatioSpec(A=(1, 1), a=(0.5, 0.5 + 1e-13), B=(1, 1), b=(0.5, 0.8)),
+    RatioSpec(A=(1, 1), a=(0.5, 0.5 + 1e-13), B=(1, 1, 1), b=(0.5, 0.5, 0.5)),
+    RatioSpec(A=(1, 1), a=(0.5, 0.5), B=(1, 1), b=(0.5, 0.5 + 1e-13)),
+    RatioSpec(A=(1, 1), a=(0.5 - 5e-11, 1.5), B=(1, 1), b=(0.5, 1.5 - 5e-11)),
+    RatioSpec(A=(0.01,), a=(999.0,), B=(0.01,), b=(1000.0,)),
+    RatioSpec(A=(2, 1), a=(0.4, 2.4), B=(1, 2), b=(2.4, 0.4)),
+    RatioSpec(A=(1,), a=(0,), B=(1,), b=(1,)),
+]
+
+
+def _records(spec):
+    """The records of classify and of every public check on spec, built afresh."""
+    return [
+        *classify(spec).evidence, *check_necessary(spec), check_sufficient_a(spec), check_sufficient_b(spec),
+        check_sufficient_c(spec), check_kernel_nonneg(spec), monotonicity._bernstein_limit_evidence(spec),
+    ]
+
+
+def _eager(condition_id, status, witness=None, *values):
+    """A record built from its finished witness, formatted where it is built."""
+    return ConditionEvidence(condition_id, status, witness.format(*values) if values else witness)
+
+
+class TestDeferredWitness:
+    @pytest.fixture(scope="class")
+    def specs(self):
+        return _survey_specs() + _equivalence_specs() + _EDGE_SPECS
+
+    @pytest.fixture(scope="class")
+    def finished(self, specs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monotonicity, "ConditionEvidence", _eager)
+            return [ev for spec in specs for ev in _records(spec)]
+
+    def test_sites_and_statuses_reached(self, specs, monkeypatch):
+        sites = set()
+
+        def recording(condition_id, status, witness=None, *values):
+            sites.add((condition_id, witness))
+            return ConditionEvidence(condition_id, status, witness, *values)
+
+        monkeypatch.setattr(monotonicity, "ConditionEvidence", recording)
+        seen = {(ev.condition_id, ev.status) for spec in specs for ev in _records(spec)}
+        both = {HOLDS, FAILS}
+        expected = {(cid, st) for cid in ("NEC_A", "NEC_B", "NEC_C", "NEC_D", "SUF_A") for st in both}
+        expected |= {(cid, st) for cid in ("SUF_B", "SUF_C") for st in both | {NOT_APPLICABLE}}
+        expected |= {(cid, st) for cid in (Q_NONNEG, "BERNSTEIN_LIMIT") for st in both | {UNDECIDED}}
+        assert seen == expected
+        # Every witness site: 4 necessary, 2 (a), 6 (b), 5 (c), 2 Bernstein, and 12 of the
+        # kernel (its HOLDS in three endpoint forms; the identical-factors record is prebuilt).
+        assert len(sites) == 31
+
+    def test_deferred_text_equals_eager_text(self, specs, finished):
+        deferred = [ev for spec in specs for ev in _records(spec)]
+        assert any("_deferred" in vars(ev) for ev in deferred)
+        assert all("_deferred" not in vars(ev) for ev in finished)
+        assert [ev.witness for ev in deferred] == [ev.witness for ev in finished]
+
+    @pytest.mark.parametrize("read", [
+        lambda ev, other: ev == other and not ev != other,
+        lambda ev, other: hash(ev) == hash(other),
+        lambda ev, other: repr(ev) == repr(other),
+        lambda ev, other: dataclasses.asdict(ev) == dataclasses.asdict(other),
+        lambda ev, other: pickle.dumps(ev) == pickle.dumps(other),
+        lambda ev, other: vars(pickle.loads(pickle.dumps(ev))) == vars(other),
+        lambda ev, other: dataclasses.replace(ev) == other,
+    ], ids=["eq", "hash", "repr", "asdict", "pickle", "pickle_round_trip", "replace"])
+    def test_unread_record_behaves_as_finished(self, specs, finished, read):
+        # Each deferred record is fresh: the operation is the first to read its witness.
+        deferred = [ev for spec in specs for ev in _records(spec)]
+        for ev, other in zip(deferred, finished):
+            assert read(ev, other), (ev, other)
+            assert vars(ev) == vars(other)
+
+    def test_records_stay_frozen(self):
+        ev = ConditionEvidence(Q_NONNEG, HOLDS, "t={!r}", 0.1)
+        for name in ("condition_id", "status", "witness", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ev, name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del ev.witness
+        with pytest.raises(AttributeError):
+            ev.other
+        assert ev.witness == "t=0.1"
+        spec = RatioSpec(A=(1,), a=(0,), B=(1,), b=(1,))
+        verdict = classify(spec)
+        for record, name in ((verdict, "classification"), (verdict.derived, "mu")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+        assert pickle.loads(pickle.dumps(verdict)) == verdict
+        assert dataclasses.replace(verdict) == verdict
+        assert dataclasses.replace(verdict.derived, mu=1.0).mu == 1.0
+        assert Verdict(verdict.classification, verdict.evidence, derived=derive(spec)) == verdict
+
+    def test_classify_formats_no_witness_until_read(self):
+        # A 16-factor subset-parity spec reaches the sampled kernel check.
+        spec = build_unweighted([1.7, 2.9, 0.8, 3.3], [0.2, 1.1, 0.3, 2.0])
+        evidence = classify(spec).evidence
+        ids = ["NEC_A", "NEC_B", "NEC_C", "NEC_D", "SUF_A", "SUF_B", "SUF_C", Q_NONNEG]
+        assert [ev.condition_id for ev in evidence] == ids
+        assert all("witness" not in vars(ev) and "_deferred" in vars(ev) for ev in evidence)
+        texts = [ev.witness for ev in evidence]
+        assert all(vars(ev)["witness"] is text and "_deferred" not in vars(ev) for ev, text in zip(evidence, texts))
+        assert evidence[-1].witness.startswith("min normalized interior sample")
 
 
 class TestBuildUnweighted:

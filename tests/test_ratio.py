@@ -28,6 +28,7 @@ from gammaratio import (
     polygamma,
     power_sum_diff,
 )
+from gammaratio import ratio
 from gammaratio.foxh import gamma_product_ratio_at
 from gammaratio.monotonicity import build_unweighted
 from gammaratio.ratio import _stirling_table
@@ -304,6 +305,30 @@ class TestStirlingTable:
                     bound = (m + spec.p + spec.q + 6) * np.finfo(float).eps * magnitudes[m]
                     assert abs(md[m] - exact) <= bound, (spec, m)
             assert md[0] == pytest.approx(derive(spec).mu, rel=1e-12, abs=1e-12)
+
+
+    @pytest.mark.parametrize("n", [0, 5, 11, 21])
+    def test_powers_cut_to_the_rows_read(self, n):
+        # The table raises the shifts and scales only to the n + 2 exponents its rows
+        # read; the rows are those of a build with all 23 powers, bit for bit.
+        def full_power_table(spec, n):
+            powers = np.empty((3, len(ratio._EXPONENTS[0]), spec.p + spec.q))
+            np.power(np.array([[v - 0.5 for v in spec.a + spec.b], spec.A + spec.B])[:, None, :],
+                     ratio._EXPONENTS, out=powers[::2])
+            np.abs(powers[0], out=powers[1])
+            rows = (ratio._BERNOULLI_PAIR[:, : n + 2, : n + 2] @ powers[:2, : n + 2])[:, 1:]
+            rows *= powers[2, : n + 1]
+            md_rows = rows[0] @ np.array([1.0] * spec.p + [-1.0] * spec.q)
+            return md_rows / ratio._DIVISORS[: n + 1], rows[1].sum(axis=1) / ratio._DIVISORS[: n + 1]
+
+        rng = random.Random(20261020 + n)
+        specs = [box_spec(rng) for _ in range(100)]
+        for k in range(1, 5):
+            beta = [rng.uniform(0.0, 3.0) for _ in range(k)]
+            specs.append(build_unweighted([v + rng.uniform(0.05, 3.0) for v in beta], beta))
+        for spec in specs:
+            got, expected = _stirling_table(spec, n), full_power_table(spec, n)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in expected], spec
 
 
 class TestDerivativeConsistency:
