@@ -7,9 +7,9 @@ Run from the root of a checkout (or name another checkout's src with --src):
 It takes the ops of bench/workloads.py's classify-survey for each seed (40
 cycles of 24 ops by default), runs each op --best-of times in this process
 and keeps its least time, and prints the mean per op by stratum.  Each of
-those passes also times the op once more with every witness of its verdict
-read, which is what a reader of the text pays where witnesses are formatted
-on first read.  One counting pass prints the records built per op: condition
+those passes is followed by one that also reads every witness of the verdict,
+which is what a reader of the text pays where witnesses are formatted on
+first read.  One counting pass prints the records built per op: condition
 evidence, verdicts and derived invariants.  Then
 --best-of instrumented passes wrap the stages of `classify` with timers; each
 stage's share is its least inclusive time over the passes divided by the least
@@ -149,12 +149,12 @@ def main(argv=None) -> int:
         for i, op in enumerate(ops):
             t0 = perf_counter()
             gr.classify(op.spec)
-            t1 = perf_counter()
+            best[i] = min(best[i], perf_counter() - t0)
+        for i, op in enumerate(ops):
+            t0 = perf_counter()
             for ev in gr.classify(op.spec).evidence:
                 ev.witness
-            t2 = perf_counter()
-            best[i] = min(best[i], t1 - t0)
-            best_read[i] = min(best_read[i], t2 - t1)
+            best_read[i] = min(best_read[i], perf_counter() - t0)
     records = count_records(gr, {"monotonicity": monotonicity, "ratio": ratio}, ops)
     by_stratum = collections.defaultdict(list)
     for op, t in zip(ops, best):
