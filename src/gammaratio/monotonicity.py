@@ -62,6 +62,27 @@ _SERIES_TERMS = 12
 _TAYLOR_TOL = 1e-10
 
 
+class _Witness:
+    """The witness field of ConditionEvidence.  A deferred template is formatted on
+    the first read and the text stored in the instance dict, which answers every
+    later read: a descriptor without __set__ yields to the instance dict.  Read on
+    the class it raises AttributeError, so the dataclass field has no default."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError("witness")
+        d = obj.__dict__
+        deferred = d.get("_deferred")
+        if deferred is not None:
+            # A concurrent reader may format the same text too; the last store wins, unchanged.
+            d["witness"] = deferred[0].format(*deferred[1])
+            d.pop("_deferred", None)
+        try:
+            return d["witness"]
+        except KeyError:
+            raise AttributeError("witness") from None
+
+
 @dataclass(frozen=True, init=False)
 class ConditionEvidence:
     """Outcome of one condition check with a human-readable witness.
@@ -74,10 +95,9 @@ class ConditionEvidence:
     witness, so they see the finished text either way.
     """
 
-    # No default here: a class attribute would answer for a witness not yet formatted.
     condition_id: str
     status: str
-    witness: str | None
+    witness: str | None = _Witness()
 
     def __init__(self, condition_id: str, status: str, witness: str | None = None, *values) -> None:
         # Written to the instance dict: the frozen dataclass's own __init__ sets
@@ -89,19 +109,6 @@ class ConditionEvidence:
             d["_deferred"] = witness, values
         else:
             d["witness"] = witness
-
-    def __getattr__(self, name: str):
-        # Reached only for a name missing from the instance dict.  A concurrent
-        # reader may format the same text too; the last store wins, unchanged.
-        d = self.__dict__
-        if name == "witness":
-            deferred = d.get("_deferred")
-            if deferred is not None:
-                d["witness"] = deferred[0].format(*deferred[1])
-                d.pop("_deferred", None)
-            if "witness" in d:
-                return d["witness"]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __getstate__(self) -> dict:
         return {"condition_id": self.condition_id, "status": self.status, "witness": self.witness}
