@@ -1,0 +1,178 @@
+"""Which path serves each density point of three seeded coverage sets, and which points raise.
+
+Run from the root of a checkout (or name another checkout's src with --src):
+
+    python3 scripts/coverage.py [--src SRC] [--sets fuzz far box] [--oracle] [--records FILE]
+
+The sets:
+
+- fuzz: 400 points, each on a fresh spec of tests/test_series_path.box_spec
+  (random.Random(7)) at omega log-uniform in [1e-3, 30];
+- far: 600 such points (random.Random(11)) at omega log-uniform in [6, 60];
+- box: the 300 specs of tests/test_hyperbola.py's
+  test_full_box_answers_or_raises_package_errors, with its fox_h, density
+  and mellin_check(spec, 1) calls.
+
+A fuzz or far point is one fox_h call at x = rho e^-omega.  It is counted
+under the path that served it, as scripts/density_paths.py counts paths:
+the endpoint series; the hyperbola, by rung (rung 0 in checkouts with a
+single hyperbola); the endpoint series again after every rung refused it
+(series fallback); the line Re s = c (older checkouts); or the leading
+part, where it is exact.  A point that raises a package error is counted
+under that error, whatever path it tried.  For the
+box set every density point of every call is counted by path, and each call
+by its outcome.  Warnings other than the documented small-mu one are
+counted as they arise.
+
+--oracle checks every fuzz or far point served past rung 0 (series fallback
+included) against tests/test_series_path.EndpointSeries40 within half the
+series' radius, else meijer_density for integer scales, and reports the
+largest error over the estimate.  --records writes one JSON line per fuzz or
+far point (set, index, omega, path, value, estimate).  The last line of
+stdout is one JSON object with every count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import math
+import os
+import random
+import sys
+import time
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+POINT_SETS = {"fuzz": (7, 400, 1e-3, 30.0), "far": (11, 600, 6.0, 60.0)}
+
+
+def served(counts) -> dict:
+    """The points by path (density_paths.count_paths), with those no path counted, which
+    took the leading part, added."""
+    out = {k: v for k, v in counts.items() if k != "points" and v}
+    out["leading part"] = counts["points"] - sum(out.values())
+    return {k: v for k, v in sorted(out.items()) if v}
+
+
+def point_set(gr, counts, name, check, records):
+    """Counts by path and by raise over one set of fox_h points, and the oracle's verdicts."""
+    from test_series_path import box_spec
+
+    seed, n, lo, hi = POINT_SETS[name]
+    rng = random.Random(seed)
+    by_path: collections.Counter = collections.Counter()
+    warned, worst, checked, outside = 0, 0.0, 0, []
+    for index in range(n):
+        spec = box_spec(rng)
+        omega = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        counts.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                x = math.exp(gr.derive(spec).log_rho - omega)
+                got = gr.fox_h(spec, x)
+                (path,) = served(counts)
+            except (gr.DomainError, gr.SingularPointError, gr.QuadratureAccuracyError) as exc:
+                got, path = None, f"raised {type(exc).__name__}"
+        warned += sum("mu=" not in str(w.message) for w in caught)
+        by_path[path] += 1
+        if records is not None:
+            records.write(json.dumps({"set": name, "index": index, "omega": omega, "path": path,
+                                      "value": got and got.value, "estimate": got and got.error_estimate}) + "\n")
+        if check and got is not None and path not in ("series", "hyperbola rung 0", "leading part"):
+            exact = check(spec, x, omega)
+            if exact is not None:
+                checked += 1
+                ratio = abs(got.value - exact) / got.error_estimate if got.error_estimate else math.inf
+                worst = max(worst, ratio)
+                if ratio > 1.0:
+                    outside.append([index, omega, path])
+    out = {"points": n, "by_path": dict(sorted(by_path.items())), "warned": warned}
+    if check:
+        out["oracle"] = {"checked": checked, "max_err_over_estimate": worst, "outside": outside}
+    return out
+
+
+def box_set(gr, counts):
+    """Per-path point counts and per-call outcomes over the full box of tests/test_hyperbola.py."""
+    from test_hyperbola import full_box_spec
+
+    rng = random.Random(2026)
+    calls: collections.Counter = collections.Counter()
+    counts.clear()
+    warned = 0
+    for _ in range(300):
+        A, a, B, b = full_box_spec(rng)
+        omega = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+        try:
+            spec = gr.RatioSpec(A=A, a=a, B=B, b=b)
+            log_rho = gr.derive(spec).log_rho
+        except gr.DomainError:
+            calls["spec refused"] += 1
+            continue
+        if abs(log_rho) > 600.0:
+            calls["x out of range"] += 1
+            continue
+        xs = [math.exp(log_rho - w) for w in (omega / 3.0, omega, 3.0 * omega)]
+        for kind, call in (("fox_h", lambda: gr.fox_h(spec, xs[1])), ("density", lambda: gr.density(spec, xs)),
+                           ("mellin_check", lambda: gr.mellin_check(spec, 1.0))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    call()
+                    calls[f"{kind} answered"] += 1
+                except (gr.DomainError, gr.SingularPointError, gr.QuadratureAccuracyError) as exc:
+                    calls[f"{kind} raised {type(exc).__name__}"] += 1
+            warned += sum("mu=" not in str(w.message) for w in caught)
+    return {"calls": dict(sorted(calls.items())), "points_by_path": served(counts), "warned": warned}
+
+
+def oracle(spec, x, omega):
+    """The 40-digit endpoint series within half its radius, else the Meijer G-function for
+    integer scales, else None."""
+    from test_series_path import EndpointSeries40, meijer_density
+
+    exact = EndpointSeries40(spec)(x) if omega < math.pi * min(spec.A + spec.B) else None
+    if exact is None and all(v == int(v) for v in spec.A + spec.B):
+        exact = meijer_density(spec, x)
+    return None if exact is None else float(exact)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    parser.add_argument("--sets", nargs="+", default=["fuzz", "far", "box"], choices=["fuzz", "far", "box"])
+    parser.add_argument("--oracle", action="store_true", help="check points served past rung 0")
+    parser.add_argument("--records", default=None, help="write one JSON line per fuzz or far point")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    import gammaratio as gr
+    from gammaratio import foxh
+    from density_paths import count_paths
+
+    counts: collections.Counter = collections.Counter()
+    count_paths(foxh, counts)
+    out: dict = {"src": os.path.abspath(args.src)}
+    records = open(args.records, "w", encoding="utf-8") if args.records else None
+    try:
+        for name in args.sets:
+            t0 = time.perf_counter()
+            if name == "box":
+                out[name] = box_set(gr, counts)
+            else:
+                out[name] = point_set(gr, counts, name, oracle if args.oracle else None, records)
+            out[name]["seconds"] = round(time.perf_counter() - t0, 1)
+            print(f"{name}: {out[name]}", file=sys.stderr)
+    finally:
+        if records is not None:
+            records.close()
+    print(json.dumps(out, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

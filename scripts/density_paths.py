@@ -8,12 +8,15 @@ For density-scatter, density-grid and identity-checks it takes the ops of
 bench/workloads.py for each seed (the cycles a `--seconds 20` benchmark run
 times, or --cycles), runs each op --best-of times in this process and keeps
 its least time, and counts the density points each path serves: the
-endpoint series, the hyperbola (or, in older checkouts, the residue series),
-the contour line, the points past the support, and the rest, which take the
-leading part as the density (DensityEvaluator.lead_exact).  A point the line
-cannot trust raises; it is counted as a line point.  density-scatter ops are one
-point each, so its per-op times are also given by path.  The last line of
-stdout is one JSON object with every table.
+endpoint series, each rung of the hyperbola ladder (rung 0 alone in
+checkouts with one hyperbola), the series asked again after every rung
+refused a point (series fallback), the line Re s = c of older checkouts,
+the points past the support, and the rest, which take the leading part as
+the density (DensityEvaluator.lead_exact).  The line and the series
+fallback count every point they are asked for: a point they do not serve
+raises.  density-scatter ops are one point each, so its per-op times are
+also given by path.  The last line of stdout is one JSON object with every
+table.
 """
 
 from __future__ import annotations
@@ -29,41 +32,55 @@ import tempfile
 import warnings
 from time import perf_counter
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("density-scatter", "density-grid", "identity-checks")
 # Cycles a --seconds 20 run of bench/run.py times.
 CYCLES = {"density-scatter": 100, "density-grid": 6, "identity-checks": 2}
-# The per-point entry of each path, by class name; absent classes are skipped.
-PATHS = {"_EndpointSeries": "series", "_ResidueSeries": "residue", "_Hyperbola": "hyperbola"}
-PATH_ORDER = ("series", "residue", "hyperbola", "line", "past support")
+PATH_ORDER = ("series", "hyperbola rung 0", "hyperbola rung 1", "hyperbola rung 2", "hyperbola rung 3",
+              "series fallback", "line", "past support")
 
 
 def count_paths(foxh, counts: collections.Counter):
     """Wrap each path's per-batch call so that every served point adds one to its path."""
-    for cls_name, path in PATHS.items():
-        cls = getattr(foxh, cls_name, None)
-        if cls is None:
-            continue
+    rungs, asked = {}, {"hyperbola": False}
+    series, hyperbola = foxh._EndpointSeries, foxh._Hyperbola
 
-        def served(self, *args, _call=cls.__call__, _path=path):
-            out = _call(self, *args)
-            counts[_path] += sum(bool(ok) for *_, ok in out)
-            return out
+    def series_call(self, omega, *args, _call=series.__call__):
+        out = _call(self, omega, *args)
+        # A series asked after a rung is the fallback, which raises where it does not serve.
+        counts["series fallback" if asked["hyperbola"] else "series"] += (
+            len(omega) if asked["hyperbola"] else sum(bool(ok) for *_, ok in out))
+        return out
 
-        cls.__call__ = served
-    line = foxh._remainder_on_line
+    def hyperbola_init(self, ev, top, *args, _init=hyperbola.__init__):
+        rungs[id(self)] = args[0] if args else 0
+        _init(self, ev, top, *args)
 
-    def on_line(ev, c, omega, lead):
-        counts["line"] += len(omega)
-        return line(ev, c, omega, lead)
+    def hyperbola_call(self, omega, *args, _call=hyperbola.__call__):
+        out = _call(self, omega, *args)
+        asked["hyperbola"] = True
+        counts[f"hyperbola rung {rungs[id(self)]}"] += sum(bool(ok) for *_, ok in out)
+        return out
 
-    foxh._remainder_on_line = on_line
+    series.__call__, hyperbola.__init__, hyperbola.__call__ = series_call, hyperbola_init, hyperbola_call
+    line = getattr(foxh, "_remainder_on_line", None)
+    if line is not None:
+        def on_line(ev, c, omega, *args):
+            counts["line"] += len(omega)
+            return line(ev, c, omega, *args)
+
+        foxh._remainder_on_line = on_line
     density_at = foxh._density_at
 
-    def points(ev, c, omega, *args):
+    def points(ev, *args):
+        # (c, omega, ...) in checkouts with the line, (omega, ...) after it.
+        omega = next(a for a in args if isinstance(a, np.ndarray))
+        asked["hyperbola"] = False
         counts["points"] += len(omega)
         counts["past support"] += int((omega <= 0.0).sum())
-        return density_at(ev, c, omega, *args)
+        return density_at(ev, *args)
 
     foxh._density_at = points
 

@@ -13,8 +13,8 @@ imported.
   where |z| < 10, with the recurrence Gamma(z+1) = z Gamma(z) (DLMF 5.5.2)
   for the shift product (z)_8.  At |w| >= 8 the first omitted term is below
   1e-16.  Left of Re z = 1/2 the scalar ``log_gamma`` reflects (DLMF
-  5.5.3).  ``log_gamma_sum`` fuses the signed row sums of the density's
-  contour.
+  5.5.3), and ``log_gamma_plane`` reflects every entry of an array for the
+  density's hyperbolic contours.
 - Digamma and polygamma recur upward to x >= 7 and x >= 8 + n, then sum
   the asymptotic series (DLMF 5.11.2, 5.15.8), whose first omitted term is
   below 2e-15 and 1e-17 relative there.
@@ -138,7 +138,8 @@ def loggamma(z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     if z.size == 1:
-        # A lone entry as two, as in log_gamma_sum.
+        # A lone entry as two: numpy rounds an in-place complex product of one
+        # element unlike that of a longer array (no fused multiply-add).
         return loggamma(np.repeat(z.reshape(1), 2))[:1].reshape(z.shape)
     w, small, u = _shifted(z)
     value = _stirling(w)[0] + _HALF_LOG_2PI
@@ -213,82 +214,6 @@ def log_gamma_plane(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value[left] = log_sin
     size[left] = np.where(pole, 0.0, size[left] + reach)
     return value, size
-
-
-def _pochhammer_pairs(z: np.ndarray, p: int) -> list[tuple[int, int, int]]:
-    """(i, j, k) for rows i < p and j >= p with z_j = z_i + k at every column, k a nonzero
-    integer, |k| <= 8, each row in at most one pair."""
-    first = z[:, 0].tolist()
-    pairs, used = [], set()
-    for i in range(p):
-        for j in range(p, len(first)):
-            k = first[j] - first[i]
-            if (i not in used and j not in used and k.imag == 0.0 and k.real == round(k.real)
-                    and 0 < abs(k.real) <= _SHIFT and np.array_equal(z[j], z[i] + k.real)):
-                pairs.append((i, j, int(k.real)))
-                used.update((i, j))
-    return pairs
-
-
-def log_gamma_sum(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_(i<p) log Gamma(z_i) - sum_(i>=p) log Gamma(z_i) over the rows of a complex
-    array with Re z > 0, modulo 2 pi i, and the magnitude of the terms summed into
-    each column.
-
-    A numerator row i and a denominator row j with z_j = z_i + k, k a
-    nonzero integer, cancel to -log (z_i)_k (or log (z_j)_-k) exactly.
-    Every other entry with |z| < 10 moves to w = z + 8 and the Stirling
-    series is summed at w.  The shift products (z)_8 of a column, those of
-    the subtracted rows inverted, take one log of their product; where that
-    leaves the double range, each entry takes its own log.  Each log is principal, so the
-    sum is exact only modulo 2 pi i.  A product is at most 18^8.  Every
-    column is summed row by row in one fixed order, so its result does not
-    depend on the other columns.
-    """
-    if z.shape[1] == 1:
-        # numpy rounds an in-place complex product of one element unlike
-        # that of a longer array (no fused multiply-add): a lone column
-        # goes through as two.
-        total, size = log_gamma_sum(np.repeat(z, 2, axis=1), p)
-        return total[:1], size[:1]
-    total = np.zeros(z.shape[1], dtype=complex)
-    size = np.zeros(z.shape[1])
-    pairs = _pochhammer_pairs(z, p)
-    for i, j, k in pairs:
-        # log Gamma(z_i) - log Gamma(z_i + k) = -log (z_i)_k for k > 0, and
-        # log (z_j)_-k for k < 0.
-        base, sign = (z[i], -1.0) if k > 0 else (z[j], 1.0)
-        product = base
-        for m in range(1, abs(k)):
-            product = product * (base + m)
-        log_product = clog(product)
-        total += sign * log_product
-        size += np.abs(log_product) + 2.0 * abs(k)
-    if pairs:
-        rows = sorted(set(range(len(z))) - {r for i, j, _ in pairs for r in (i, j)})
-        p = sum(r < p for r in rows)
-        z = z[rows]
-        if not len(z):
-            return total, size
-    w, small, u = _shifted(z)
-    value, magnitude = _stirling(w)
-    value[p:] *= -1.0
-    total += np.add.accumulate(value, axis=0)[-1]
-    total += (2 * p - len(z)) * _HALF_LOG_2PI
-    size += np.add.accumulate(magnitude, axis=0)[-1]
-    if u is not None:
-        product = (u + 6.0) * (u + 10.0)
-        product = product * (u * (u + 12.0))
-        products = np.ones_like(z)
-        products[small] = product
-        products[p:] = 1.0 / products[p:]
-        ratio = np.multiply.accumulate(products, axis=0)[-1]
-        abs_ratio = np.abs(ratio)
-        if 0.0 < abs_ratio.min() and abs_ratio.max() < math.inf:
-            total -= clog(ratio, abs_ratio)
-        else:
-            total -= np.add.accumulate(clog(products), axis=0)[-1]
-    return total, size
 
 
 def _log_sin_pi(z: complex) -> complex:

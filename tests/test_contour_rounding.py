@@ -1,58 +1,19 @@
-"""Rounding estimates of the contour integrand g and of the contour points.
+"""Density points of zero-shift specs just above the endpoint series' switch.
 
-g = W(s) rho^-s - A* s^-mu is evaluated from the package's own fused
-log-gamma sum; the rounding `_g` returns with it must bound its distance
-to the same function at 30 digits, given the same double-precision log
-rho, mu and log A*.  The rounding of log rho itself is one error at every
-head node and is carried linearly in the line's noise; contour points of
-zero-shift specs, where it weighs most, must stay within their estimates
-of the 50-digit endpoint series.
+With every shift 0 the numerator poles coincide at s = 0 and the rounding of
+log rho weighs most; every point the hyperbola ladder serves there must lie
+within its estimate of the 50-digit endpoint series.
 """
 
 import math
 import random
 
 import mpmath
-import numpy as np
-import pytest
 
 from gammaratio import QuadratureAccuracyError, fox_h
-from gammaratio.foxh import DensityEvaluator, _g, _Line
+from gammaratio.foxh import DensityEvaluator
 from test_endpoint_series import series_terms
 from test_series_path import box_spec
-
-FIXTURES = ("spec_mixed_scale", "spec_paired", "spec_equal_scales", "spec_inverse_x")
-
-
-def g_30_digits(spec, inv, s):
-    """g at s from mpmath loggamma at 30 digits, with the package's log rho, mu and log A*."""
-    with mpmath.workdps(30):
-        s = mpmath.mpc(s)
-        log_w = mpmath.fsum([mpmath.loggamma(A * s + a) for A, a in zip(spec.A, spec.a)]) - mpmath.fsum(
-            [mpmath.loggamma(B * s + b) for B, b in zip(spec.B, spec.b)]
-        )
-        lead_log = mpmath.mpf(inv.log_stirling_const) - mpmath.mpf(inv.mu) * mpmath.log(s)
-        return complex(mpmath.exp(lead_log) * mpmath.expm1(log_w - s * mpmath.mpf(inv.log_rho) - lead_log))
-
-
-def assert_rounding_bounds_head(spec, nodes=40):
-    ev = DensityEvaluator(spec)
-    line = _Line(ev, ev.c, 1.0)
-    s = ev.c + 1j * line.t
-    g, rounding, _ = _g(spec, ev.inv, s)
-    for k in range(0, len(s), max(1, len(s) // nodes)):
-        assert abs(g[k] - g_30_digits(spec, ev.inv, s[k])) <= rounding[k], (spec, s[k], g[k], rounding[k])
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-def test_g_rounding_bounds_error_on_fixture_heads(name, request):
-    assert_rounding_bounds_head(request.getfixturevalue(name))
-
-
-def test_g_rounding_bounds_error_on_box_heads():
-    rng = random.Random(20150127)
-    for _ in range(20):
-        assert_rounding_bounds_head(box_spec(rng), nodes=20)
 
 
 def zero_shift_spec(rng):
@@ -66,8 +27,8 @@ def zero_shift_spec(rng):
 
 
 def test_zero_shift_contour_points_within_estimate():
-    # Points just above the switch take the contour; the series at 50
-    # digits still converges there (omega below half its radius).
+    # Points just above the switch take the hyperbola ladder; the series at
+    # 50 digits still converges there (omega below half its radius).
     rng = random.Random(20150128)
     checked = 0
     for _ in range(25):

@@ -4,14 +4,12 @@ An endpoint-series point builds one Stirling table (the m d_m and their
 magnitudes from one set of Bernoulli powers); a far point (omega > 6, where
 the residue series served before the hyperbola replaced it) builds one
 hyperbola and sets up no endpoint series, also within half the series'
-radius.  Specs whose line integrand or tail terms leave the double range
-raise a package error that names the quantity, with no floating-point
-warning on the way.
+radius.  Specs whose integrand or Stirling terms leave the double range
+answer or raise a package error, with no floating-point warning on the way.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 import gammaratio.foxh as foxh_mod
@@ -34,13 +32,13 @@ def table_calls(monkeypatch):
 
 @pytest.fixture
 def extend_calls(monkeypatch):
-    """The bins of the hyperbolas built, one entry per _Hyperbola."""
+    """The bin and rung of the hyperbolas built, one entry per _Hyperbola."""
     calls = []
     helper = foxh_mod._Hyperbola.__init__
 
-    def counting(self, ev, top):
-        calls.append(top)
-        return helper(self, ev, top)
+    def counting(self, ev, top, rung, sigma):
+        calls.append((top, rung))
+        return helper(self, ev, top, rung, sigma)
 
     monkeypatch.setattr(foxh_mod._Hyperbola, "__init__", counting)
     return calls
@@ -64,18 +62,17 @@ def test_series_point_builds_one_stirling_table(spec, omega, table_calls):
     ev = DensityEvaluator(spec)
     got = ev.evaluate(ev.inv.rho * math.exp(-omega))
     assert omega < ev.series.switch
-    assert ev._lines == {}
+    assert ev._hyperbolas == {}
     assert table_calls == [21]
     assert got.value == got.leading_part + got.remainder_part
 
 
 @pytest.mark.parametrize("spec, omega", RESIDUE_POINTS)
 def test_residue_point_grows_its_table_once(spec, omega, table_calls, extend_calls):
-    # The far point evaluates F on one hyperbola, and builds no line and no Stirling table.
+    # The far point evaluates F on rung 0 of one bin, and builds no Stirling table.
     ev = DensityEvaluator(spec)
     got = ev.evaluate(ev.inv.rho * math.exp(-omega))
-    assert ev._lines == {}
-    assert len(extend_calls) == 1
+    assert [rung for _, rung in extend_calls] == [0]
     assert table_calls == []
     assert got.remainder_part == got.value - got.leading_part
 
@@ -98,15 +95,16 @@ def test_residue_point_within_series_radius_sets_up_no_series(spec, omega, table
     assert foxh_mod._SHIFT_OMEGA < omega < ev.half_radius
     assert "series" not in ev.__dict__
     assert table_calls == []
-    assert len(extend_calls) == 1
-    assert ev._lines == {}
+    assert [rung for _, rung in extend_calls] == [0]
     assert got.remainder_part == got.value - got.leading_part
 
 
 # Two specs of the full box (p, q <= 4, entries log-uniform in [1e-2, 1e3],
-# equal sums) at omega in the far band: on the line Re s = c the first
-# overflows the contour integrand g, the second the tail's Stirling terms
-# A* e_k.  fox_h answers the second from the hyperbola.
+# equal sums) at omega in the far band: on the line Re s = c, before the
+# hyperbola ladder replaced it, the first overflowed the contour integrand g
+# and the second the Stirling terms A* e_k of its tail, the quantity each
+# case names.  The ladder evaluates log F, so neither overflows: fox_h answers
+# finitely or raises a package error.
 OVERFLOWING = [
     (
         RatioSpec(
@@ -135,24 +133,9 @@ OVERFLOWING = [
 def test_overflow_raises_package_error_naming_the_quantity(spec, omega, quantity):
     # Warnings are errors in this suite, so a floating-point warning on the way fails.
     ev = DensityEvaluator(spec)
-    with pytest.raises(UnsupportedParameterError, match=quantity) as info:
-        foxh_mod._remainder_on_line(ev, ev.c, np.array([omega]), [ev.lead_scale * omega ** (ev.inv.mu - 1.0)])
-    assert "nan" not in str(info.value).lower()
     try:
         got = fox_h(spec, math.exp(ev.inv.log_rho - omega))
-    except (UnsupportedParameterError, QuadratureAccuracyError):
+    except (UnsupportedParameterError, QuadratureAccuracyError) as exc:
+        assert "nan" not in str(exc).lower(), quantity
         return
-    assert math.isfinite(got.value) and got.error_estimate < math.inf
-
-
-@pytest.mark.parametrize(
-    "coef",
-    [
-        # The omitted term over tol times a kept one leaves the double range.
-        [1e-300, 0.0] * 10 + [1.0],
-        # tol times each kept term underflows to 0.
-        [5e-324] * 20 + [1.0],
-    ],
-)
-def test_tail_start_past_the_double_range_takes_the_cap(coef):
-    assert foxh_mod._tail_start(np.array(coef)) == foxh_mod._TAIL_T_MAX
+    assert math.isfinite(got.value) and got.error_estimate < math.inf, quantity

@@ -1,10 +1,7 @@
 import cmath
 import gc
 import math
-import os
 import random
-import subprocess
-import sys
 import weakref
 
 import mpmath
@@ -31,25 +28,9 @@ from gammaratio import (
 from gammaratio.foxh import DensityEvaluator, HEvaluation, gamma_product_ratio_at
 
 
-@pytest.fixture
-def line_only(monkeypatch):
-    """Every hyperbola refuses its points, so that each point past the endpoint series takes
-    the line Re s = c."""
-    def refuse(self, omega, *args):
-        return [(0.0, math.inf, False)] * len(omega)
-
-    monkeypatch.setattr(foxh_mod._Hyperbola, "__call__", refuse)
-
-
 def beta_density(alpha, beta, x):
     """Closed form of the representing density for the p=q=1 unit family."""
     return x**alpha * (1.0 - x) ** (beta - 1.0) / spgamma(beta)
-
-
-def subtracted_gamma_ratio(spec, s):
-    """Gamma-product ratio times rho^-s minus its algebraic leading term at one point,
-    through the engine's vectorized g."""
-    return complex(foxh_mod._g(spec, derive(spec), np.array([complex(s)]))[0][0])
 
 
 def g_40_digits(spec, s):
@@ -72,52 +53,6 @@ def g_40_digits(spec, s):
         return complex(w * mpmath.exp(-s * log_rho) - mpmath.exp(log_stirling) * s ** (-mu))
 
 
-def tail_moments(omega, mu, z0):
-    """Moments I_nu, nu = mu+1..mu+K+1, of the tail's log-u rule at omega > 0 (_Line.tail)."""
-    u, powers = foxh_mod._ray_powers(z0, mu, *foxh_mod._tail_lattice(omega, z0))
-    return (1j * foxh_mod._TAIL_STEP) * (powers @ (u * np.exp(-omega * u)))
-
-
-def osc_tail_moment(omega, nu, z0):
-    """int_0^inf (z0 + i t)^-nu e^{i omega t} dt for Re z0 > 0, nu > 1, omega > 0, at the
-    working precision of mpmath.
-
-    Rotating the integration ray makes it an upper incomplete gamma at a
-    complex point off the principal cut.
-    """
-    m = nu - 1.0
-    val = complex(mpmath.gammainc(-m, -omega * z0))
-    return -1j * cmath.exp(-omega * z0) * (omega**m) * cmath.exp(-1j * math.pi * m) * val
-
-
-def recurrence_moments(omega, mu, z0, n=21):
-    """I_nu = int_0^inf (z0 + i t)^-nu e^{i omega t} dt, nu = mu+1..mu+n, at 40 digits.
-
-    One incomplete gamma, as in osc_tail_moment, gives the end that is stable
-    to start from, and parts integration, I_(nu+1) = (z0^-nu + i omega I_nu) /
-    (i nu), gives the rest: run backward from nu = mu + n when |omega z0| >= 1,
-    forward from mu + 1 otherwise.
-    """
-    with mpmath.workdps(40):
-        w, z = mpmath.mpf(omega), mpmath.mpc(z0)
-
-        def incomplete(nu):
-            m = nu - 1
-            return -1j * mpmath.exp(-w * z) * w**m * mpmath.exp(-1j * mpmath.pi * m) * mpmath.gammainc(-m, -w * z)
-
-        nus = [mpmath.mpf(mu) + k for k in range(1, n + 1)]
-        if abs(w * z) >= 1:
-            moments = [incomplete(nus[-1])]
-            for nu in reversed(nus[:-1]):
-                moments.append((1j * nu * moments[-1] - z**-nu) / (1j * w))
-            moments.reverse()
-        else:
-            moments = [incomplete(nus[0])]
-            for nu in nus[:-1]:
-                moments.append((z**-nu + 1j * w * moments[-1]) / (1j * nu))
-        return [complex(v) for v in moments]
-
-
 def fresh_spec(rng):
     """Seeded spec with unit or integer scales and mu in [0.6, 4]."""
     mu = rng.uniform(0.6, 4.0)
@@ -136,12 +71,7 @@ def fresh_spec(rng):
 class TestContourConfig:
     def test_defaults_valid(self, spec_mixed_scale):
         assert ContourConfig().quad_rel_tol == 1e-8
-        ev = DensityEvaluator(spec_mixed_scale)
-        assert ev.T >= foxh_mod._HEAD_T_MIN
-        # Past the floor, T is where the first omitted Stirling term drops
-        # to 1e-15 of the largest kept one.
-        terms = np.abs(ev.coef) * ev.T ** -np.arange(len(ev.coef), dtype=float)
-        assert ev.T == foxh_mod._HEAD_T_MIN or terms[-1] <= 1e-15 * (1.0 + 1e-12) * terms[:-1].max()
+        assert DensityEvaluator(spec_mixed_scale).cfg == ContourConfig()
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
@@ -195,6 +125,14 @@ class TestFoxH:
         with pytest.raises(DomainError):
             fox_h(spec_bernstein_only, 0.5)
 
+    def test_density_calls_no_incomplete_gamma(self, spec_mixed_scale, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mpmath.gammainc called")
+
+        monkeypatch.setattr(foxh_mod.mpmath, "gammainc", refuse)
+        values = density(spec_mixed_scale, default_grid(spec_mixed_scale))
+        assert all(math.isfinite(ev.value) for ev in values)
+
     def test_warns_for_tiny_mu(self):
         spec = RatioSpec(A=(1.0,), a=(0.2,), B=(1.0,), b=(0.3,))
         with pytest.warns(RuntimeWarning, match="slow contour decay"):
@@ -203,11 +141,11 @@ class TestFoxH:
     def test_past_support_within_estimate(self, monkeypatch):
         # The density is exactly 0 at x >= rho: every seeded fresh point
         # there, and rho itself, returns 0.0 in every field with error 0.0,
-        # without evaluating g or building a contour line.
+        # without building a contour.
         def refuse(*args):
-            raise AssertionError("g evaluated past the support")
+            raise AssertionError("a contour built past the support")
 
-        monkeypatch.setattr(foxh_mod, "_g", refuse)
+        monkeypatch.setattr(foxh_mod._Hyperbola, "__init__", refuse)
         zero = HEvaluation(0.0, 0.0, 0.0, 0.0)
         rng = random.Random(20150122)
         for _ in range(200):
@@ -218,11 +156,11 @@ class TestFoxH:
             ev = DensityEvaluator(spec)
             assert ev.evaluate(x) == zero
             assert ev.values([x, ev.inv.rho]).tolist() == [0.0, 0.0]
-            assert ev._lines == {}
+            assert ev._hyperbolas == {}
         # On this spec log(rho) - log(rho) rounds to 1.1e-16, not 0.
         ev = DensityEvaluator(RatioSpec(A=(0.59, 0.63), a=(0.18, 0.5), B=(1.22,), b=(0.94,)))
         assert ev.evaluate(ev.inv.rho) == zero
-        assert ev._lines == {}
+        assert ev._hyperbolas == {}
 
     def test_near_endpoint_judged_in_density_units(self):
         # Near the support endpoint the remainder is small against the
@@ -240,14 +178,14 @@ class TestFoxH:
         ev = DensityEvaluator(spec_equal_scales)
         with pytest.raises(DomainError, match="positive real"):
             getattr(ev, entry)([x] if entry == "values" else x)
-        assert ev._lines == {}
+        assert ev._hyperbolas == {}
 
     def test_leading_part_overflow_raises_package_error(self):
         # mu = 150: H = (1 - x)^149 / Gamma(150) <= 2.6e-261, but its leading
         # part alone, A* omega^149 / Gamma(150), overflows at omega = 200.
         spec = RatioSpec(A=(1,), a=(0,), B=(1,), b=(150,))
         with pytest.raises(UnsupportedParameterError, match="omega=200"):
-            DensityEvaluator(spec)._at_omega(1.0, np.array([200.0]))
+            DensityEvaluator(spec)._at_omega(np.array([200.0]))
         with pytest.raises(UnsupportedParameterError, match="omega="):
             density(spec, [1e-300])
 
@@ -262,63 +200,35 @@ class TestFoxH:
         for omega in rng.uniform(1e-3, 12.0, 200):
             x = ev.inv.rho * math.exp(-omega)
             w = ev.inv.log_rho - float(np.log(x))
-            assert ev.values([x])[0] == ev._at_omega(ev.c, np.array([w]))[0], (omega, x)
+            assert ev.values([x])[0] == ev._at_omega(np.array([w]))[0], (omega, x)
             assert ev.evaluate(x).leading_part == ev.lead_scale * w ** (ev.inv.mu - 1.0), (omega, x)
 
     def test_parts_sum_exactly(self, spec_equal_scales):
         ev = fox_h(spec_equal_scales, 0.4)
         assert ev.value == ev.leading_part + ev.remainder_part
 
-    def test_quadrature_failure_raises_with_estimate(self, spec_equal_scales, monkeypatch, line_only):
-        from gammaratio import QuadratureAccuracyError
-
-        # Every head result has an error far past the tolerance, so the
-        # point raises at once with its prefactored value as the best
-        # estimate.  x = 0.1 (omega = 2.3) lies above the endpoint-series
-        # switch, and the hyperbola refuses it, so it takes the line.
+    def test_quadrature_failure_raises_with_estimate(self, spec_equal_scales, monkeypatch):
+        # Every rung refuses x = 0.01 (omega = 4.6, past half the endpoint
+        # series' radius, so no series either), the second it asks with the
+        # least error: the point raises with that rung's value.
         calls = []
 
-        def untrusted(line, omega):
-            calls.append((line, omega))
-            return [line.c] * len(omega), [1e6] * len(omega)
+        def refuse(hyperbola, omega, *args):
+            calls.append(len(calls) + 1)
+            return [(float(calls[-1]), 10.0 ** abs(calls[-1] - 2), False)] * len(omega)
 
-        monkeypatch.setattr(foxh_mod._Line, "head", untrusted)
-        assert math.log(1.0 / 0.1) > DensityEvaluator(spec_equal_scales).series.switch
+        monkeypatch.setattr(foxh_mod._Hyperbola, "__call__", refuse)
+        ev = DensityEvaluator(spec_equal_scales)
+        assert math.log(ev.inv.rho / 0.01) > ev.half_radius
         with pytest.raises(QuadratureAccuracyError) as exc:
-            fox_h(spec_equal_scales, 0.1)
-        assert len(calls) == 1
-        line, (omega,) = calls[0]
-        (tail,), _ = line.tail(np.array([omega]))
-        assert exc.value.best_estimate == math.exp(line.c * omega) / math.pi * (line.c + tail)
-        assert exc.value.error_estimate > 0.0
-        assert math.isfinite(exc.value.best_estimate)
+            ev.evaluate(0.01)
+        assert len(calls) == sum(h is not None for h in ev._hyperbolas.values()) >= 3
+        assert (exc.value.best_estimate, exc.value.error_estimate) == (2.0, 1.0)
 
 
 def default_grid(spec):
     rho = derive(spec).rho
     return [rho * k / 50.0 for k in range(1, 50)]
-
-
-def line_level(c, w):
-    """c, or beyond omega = 6 the first of 1, 0.3, 0.1, 0.05 at most max(0.05, 6 / w): lines
-    at the abscissas mellin_transform takes for s < 1."""
-    if w <= 6.0:
-        return c
-    target = max(0.05, 6.0 / w)
-    return min(c, next((lv for lv in (1.0, 0.3, 0.1, 0.05) if lv <= target), 0.05))
-
-
-def contour_points(ev, omegas):
-    """The line remainders and estimates at every omega, each on its line_level line, built
-    here directly: the hyperbola serves such points in the density."""
-    omegas = np.asarray(omegas, dtype=float)
-    lead = (ev.lead_scale * omegas ** (ev.inv.mu - 1.0)).tolist()
-    levels = [line_level(ev.c, w) for w in omegas.tolist()]
-    out = []
-    for level in sorted(set(levels), key=levels.index):
-        idx = [k for k, lv in enumerate(levels) if lv == level]
-        out += zip(*foxh_mod._remainder_on_line(ev, level, omegas[idx], [lead[k] for k in idx]))
-    return out
 
 
 class TestSumTie:
@@ -343,28 +253,19 @@ class TestDensityCurve:
             xs = default_grid(spec)
             assert density(spec, xs) == [fox_h(spec, x) for x in xs]
 
-    def test_shared_lines_match_fresh(self, spec_mixed_scale):
-        # omega in (6, 20] lies on the c = 0.3 line: 20 after 12 halves its
-        # head panels once, and 7 then 20 grow its tail lattice at both ends.
-        # The held arrays equal ones computed afresh, and every value agrees
-        # with a fresh evaluator within its error estimate.  The points are
-        # taken on their contour lines one at a time.
+    def test_shared_contours_match_fresh(self, spec_mixed_scale):
+        # Points in the bins 4, 16 and 32, taken one at a time through one
+        # evaluator, reuse its contours and give bitwise the records of a
+        # fresh evaluator each; the held contours equal ones built afresh.
         ev = DensityEvaluator(spec_mixed_scale)
-        omegas = (3.0, 12.0, 2.5, 7.0, 5.0, 20.0, 4.0, 9.0)
-        shared = [contour_points(ev, [omega])[0] for omega in omegas]
-        assert list(ev._lines) == [1.0, 0.3]
-        line = ev._lines[0.3]
-        assert line.panel == pytest.approx(math.pi / 12.0, rel=1e-12)
-        assert np.array_equal(line.g, foxh_mod._g(ev.spec, ev.inv, 0.3 + 1j * line.t)[0])
-        k0, u, rows = line.rows
-        u_fresh, powers = foxh_mod._ray_powers(complex(0.3, ev.T), ev.inv.mu, k0, k0 + len(u))
-        assert np.array_equal(u, u_fresh)
-        kept = np.append(ev.coef[:-1], 0.0)
-        fresh = np.array([kept, ev.coef - kept]) @ powers
-        assert np.all(np.abs(rows - fresh) <= 1e-14 * np.abs(fresh))
-        for omega, (got, got_err) in zip(omegas, shared):
-            alone, alone_err = contour_points(DensityEvaluator(spec_mixed_scale), [omega])[0]
-            assert abs(got - alone) <= got_err + alone_err
+        xs = [ev.inv.rho * math.exp(-w) for w in (3.0, 12.0, 2.5, 20.0, 3.5, 9.0)]
+        shared = [ev.evaluate(x) for x in xs]
+        assert sorted(ev._hyperbolas) == [(4.0, 0), (16.0, 0), (32.0, 0)]
+        fresh = DensityEvaluator(spec_mixed_scale)
+        for (top, rung), held in ev._hyperbolas.items():
+            built = fresh._contour(top, rung)
+            assert np.array_equal(held.log_f, built.log_f) and np.array_equal(held.weights, built.weights)
+        assert shared == [DensityEvaluator(spec_mixed_scale).evaluate(x) for x in xs]
 
     def test_same_errors_as_fox_h(self, spec_equal_scales):
         rho = derive(spec_equal_scales).rho
@@ -385,170 +286,23 @@ class TestDensityCurve:
             density(spec, [0.3, 0.5])
         assert len([w for w in record if "slow contour decay" in str(w.message)]) == 1
 
-    def test_curve_g_evaluations(self, spec_mixed_scale, monkeypatch, line_only):
-        # Past the endpoint series the curve evaluates g once, on the head
-        # nodes of its one line: 8 panels of 21 nodes.
-        sizes = []
-        g = foxh_mod._g
+    def test_curve_g_evaluations(self, spec_mixed_scale, monkeypatch):
+        # Past the endpoint series' switch (2.02) the curve's points lie in
+        # the bin (2, 4]: it evaluates log F once, on rung 0's 26 nodes and
+        # the 13 of each strip edge, and a second pass evaluates nothing.
+        shapes = []
+        plane = foxh_mod.sc.log_gamma_plane
 
-        def counted(spec, inv, s):
-            sizes.append(len(s))
-            return g(spec, inv, s)
+        def counted(z):
+            shapes.append(z.shape)
+            return plane(z)
 
-        monkeypatch.setattr(foxh_mod, "_g", counted)
-        density(spec_mixed_scale, default_grid(spec_mixed_scale))
-        assert sizes == [8 * 21]
-
-    def test_curve_extends_tail_lattice_rarely(self, spec_mixed_scale, monkeypatch, line_only):
-        # Each short end of a held lattice grows by at least its length, so
-        # a curve builds its tail rows a few times, and every held row equals
-        # one fresh contraction of its whole range.
-        calls = []
-        ray_powers = foxh_mod._ray_powers
-
-        def counted(*args):
-            calls.append(args)
-            return ray_powers(*args)
-
-        monkeypatch.setattr(foxh_mod, "_ray_powers", counted)
+        monkeypatch.setattr(foxh_mod.sc, "log_gamma_plane", counted)
         ev = DensityEvaluator(spec_mixed_scale)
-        for x in default_grid(spec_mixed_scale):
-            ev.evaluate(x)
-        assert len(calls) <= 8
-        line = ev._lines[1.0]
-        k0, u, rows = line.rows
-        _, powers = ray_powers(complex(1.0, ev.T), ev.inv.mu, k0, k0 + len(u))
-        # The rows held, built block by block, equal one build over all their nodes.
-        assert np.array_equal(rows, line._tail_terms(powers))
-
-    def test_fresh_point_places_head_once(self, monkeypatch):
-        # One panel rule sizes a fresh line and decides on halving it, so a
-        # fresh point evaluates g once, also where 2 pi / |omega| rounds.
-        sizes = []
-        g = foxh_mod._g
-
-        def counted(spec, inv, s):
-            sizes.append(len(s))
-            return g(spec, inv, s)
-
-        monkeypatch.setattr(foxh_mod, "_g", counted)
-        rng = random.Random(20150128)
-        for _ in range(50):
-            spec = fresh_spec(rng)
-            omega = rng.uniform(2.0 * math.pi, 16.0)
-            sizes.clear()
-            contour_points(DensityEvaluator(spec), [omega])
-            assert len(sizes) == 1, (spec, omega, sizes)
-
-    def test_batch_sizes_line_once(self, spec_mixed_scale, monkeypatch):
-        # A batch sizes each line for its largest |omega| before any point is
-        # summed; a later batch within that reach reuses the line.
-        sizes = []
-        g = foxh_mod._g
-
-        def counted(spec, inv, s):
-            sizes.append(len(s))
-            return g(spec, inv, s)
-
-        monkeypatch.setattr(foxh_mod, "_g", counted)
-        ev = DensityEvaluator(spec_mixed_scale)
-        contour_points(ev, [7.0, 12.0, 9.0])
-        contour_points(ev, [10.0, 8.0])
-        assert len(sizes) == 1
-        assert list(ev._lines) == [0.3]
-        assert ev._lines[0.3].panel == pytest.approx(2.0 * math.pi / 12.0, rel=1e-12)
-
-    def test_one_point_builds_tail_rows_once(self, spec_mixed_scale, monkeypatch, line_only):
-        # A fresh line builds only the range its first point needs; x =
-        # rho / 20 (omega = 3.0) lies above the endpoint-series switch.
-        calls = []
-        ray_powers = foxh_mod._ray_powers
-
-        def counted(*args):
-            calls.append(args[2:])
-            return ray_powers(*args)
-
-        monkeypatch.setattr(foxh_mod, "_ray_powers", counted)
-        fox_h(spec_mixed_scale, derive(spec_mixed_scale).rho / 20.0)
-        assert len(calls) == 1 and calls[0][0] < calls[0][1]
-
-
-class TestFactoredHead:
-    @staticmethod
-    def sum_30_digits(line, omega):
-        """Re sum_j w_j g_j e^{i omega t_j} over the stored nodes and Kronrod weights, at 30 digits."""
-        with mpmath.workdps(30):
-            omega = mpmath.mpf(omega)
-            total = mpmath.mpf(0)
-            for t, wg in zip(line.t.tolist(), line.wg[0].tolist()):
-                cos, sin = mpmath.cos_sin(omega * t)
-                total += wg.real * cos - wg.imag * sin
-            return total
-
-    @pytest.mark.parametrize("name", ["spec_mixed_scale", "spec_equal_scales"])
-    def test_head_within_phase_rounding(self, name, request):
-        # The equal panels share one half-width h, every node there is
-        # exactly mid_k + h x_j, and the factored head is off the exact sum
-        # of its own terms by at most eps (sum |w g| + |omega| sum |t w g|).
-        ev = DensityEvaluator(request.getfixturevalue(name))
-        eps = np.finfo(float).eps
-        for c, omega in ((1.0, 2.5), (0.3, 4.0), (0.1, 23.3)):
-            line = foxh_mod._Line(ev, c, omega)
-            (value,), (err,) = line.head(np.array([omega]))
-            equal = line.t[line.graded :].reshape(-1, 21)
-            assert np.array_equal(equal, line.mid[:, None] + line.h * foxh_mod._GK_NODES)
-            wg = np.abs(line.wg[0])
-            rounding = eps * (wg.sum() + abs(omega) * (line.t @ wg))
-            assert abs(value - self.sum_30_digits(line, omega)) <= rounding
-            assert err >= rounding
-
-
-LINE_RECORDS = """
-import random, sys
-import numpy as np
-from gammaratio import QuadratureAccuracyError, foxh
-from test_series_path import box_spec
-rng = random.Random(7)
-specs = [box_spec(rng) for _ in range(23)]
-for spec in (specs[0], specs[22]):
-    for omega in (0.5, 2.0, 8.0, 31.32):
-        ev = foxh.DensityEvaluator(spec)
-        lead = [ev.lead_scale * omega ** (ev.inv.mu - 1.0)]
-        try:
-            print(foxh._remainder_on_line(ev, ev.c, np.array([omega]), lead))
-        except QuadratureAccuracyError as exc:
-            print(exc.best_estimate, exc.error_estimate)
-"""
-
-
-class TestLineSums:
-    def test_records_do_not_depend_on_blas_threads(self):
-        # Two box specs (seed 7) whose line records moved with the BLAS thread
-        # count at omega = 31.32 while the line summed with matrix products.
-        tests = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(foxh_mod.__file__)))
-        out = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                env[var] = threads
-            done = subprocess.run([sys.executable, "-c", LINE_RECORDS], capture_output=True, text=True, env=env,
-                                  timeout=300, check=True)
-            out.append(done.stdout)
-        assert len(out[0].splitlines()) == 8
-        assert out[0] == out[1]
-
-    def test_point_sums_do_not_depend_on_batch(self, spec_mixed_scale):
-        # One line serves a batch and then each of its points alone: head and
-        # tail give bitwise the same sums.
-        ev = DensityEvaluator(spec_mixed_scale)
-        omegas = np.array([0.3, 1.7, 4.0, 9.5, 23.0])
-        line = foxh_mod._Line(ev, 0.3, float(omegas.max()))
-        batch = line.head(omegas), line.tail(omegas)
-        for k, omega in enumerate(omegas.tolist()):
-            (head, head_err), (tail, tail_err) = line.head(np.array([omega])), line.tail(np.array([omega]))
-            assert (head, head_err, tail, tail_err) == ([batch[0][0][k]], [batch[0][1][k]],
-                                                        [batch[1][0][k]], [batch[1][1][k]])
+        first = ev.values(default_grid(spec_mixed_scale))
+        assert shapes == [(5, 52)]
+        assert np.array_equal(ev.values(default_grid(spec_mixed_scale)), first)
+        assert shapes == [(5, 52)]
 
 
 class TestEdgeIntegral:
@@ -564,111 +318,69 @@ class TestEdgeIntegral:
         assert got == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
-class TestTailMoments:
-    def test_rule_matches_direct_moments(self):
-        rng = np.random.default_rng(20150121)
-        cases = []
-        for _ in range(150):
-            omega = float(10.0 ** rng.uniform(-8.0, math.log10(30.0)))
-            kind = rng.integers(3)
-            if kind == 0:
-                mu = float(rng.integers(1, 6))
-            elif kind == 1:
-                mu = float(rng.integers(0, 5)) + 0.5
-            else:
-                mu = float(rng.uniform(0.2, 5.0))
-            cases.append((omega, mu))
-        cases += [(1e-8, mu) for mu in (0.2, 1.0, 2.5, 5.0)]
-        for omega, mu in cases:
-            T = float(rng.choice([10.0, 400.0, 1000.0]))
-            z0 = complex(float(rng.choice([0.05, 0.3, 1.0, 2.5])), T)
-            got = tail_moments(omega, mu, z0)
-            reference = recurrence_moments(omega, mu, z0)
-            assert len(got) == len(reference) == 21
-            for moment, exact in zip(got, reference):
-                assert abs(moment - exact) <= 1e-12 * abs(exact)
-
-    def test_rule_at_head_floor(self):
-        # The shortest tail start on every abscissa the evaluator uses, against
-        # incomplete gammas at 20 digits.
-        rng = random.Random(20150126)
-        for c in (1.0, 0.3, 0.05):
-            z0 = complex(c, foxh_mod._HEAD_T_MIN)
-            for mu in (0.3, 1.0, 2.5, 4.8):
-                omega = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
-                got = tail_moments(omega, mu, z0)
-                with mpmath.workdps(20):
-                    for k, moment in enumerate(got, start=1):
-                        direct = osc_tail_moment(omega, mu + k, z0)
-                        assert abs(moment - direct) <= 1e-13 * abs(direct), (c, mu, omega, k)
-
-    def test_line_tail_contracts_moments(self, spec_equal_scales):
-        # The held rows give the Stirling terms summed against the moments,
-        # and the first omitted term, whatever order the frequencies come in.
-        ev = DensityEvaluator(spec_equal_scales)
-        z0 = complex(ev.c, ev.T)
-        line = foxh_mod._Line(ev, ev.c, 3.0)
-        for omega in (3.0, 0.2, 11.0, 1e-4, 0.7, 15.0):
-            (value,), (omitted,) = line.tail(np.array([omega]))
-            moments = tail_moments(omega, ev.inv.mu, z0)
-            kept = complex(np.exp(1j * omega * ev.T) * (ev.coef[:-1] @ moments[:-1]))
-            assert abs(value - kept.real) <= 1e-13 * abs(kept)
-            assert omitted == pytest.approx(abs(ev.coef[-1] * moments[-1]), rel=1e-13)
-
-    def test_density_calls_no_incomplete_gamma(self, spec_mixed_scale, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("mpmath.gammainc called")
-
-        monkeypatch.setattr(foxh_mod.mpmath, "gammainc", refuse)
-        values = density(spec_mixed_scale, default_grid(spec_mixed_scale))
-        assert all(math.isfinite(ev.value) for ev in values)
-
-
 class TestStirlingSeries:
     @pytest.mark.parametrize("name", ["spec_mixed_scale", "spec_equal_scales"])
     def test_terms_match_high_precision_g(self, name, request):
-        # g at t = T, 2T and 8T against a 40-digit g: the sum of the first k
-        # exact terms is off by at most the first omitted term, plus the
+        # The e_k of the endpoint series, as the Stirling series of g = W(s)
+        # rho^-s - A* s^-mu = A* sum_(k>=1) e_k s^(-mu-k), at s = 1 + i t for
+        # t = T, 2T and 8T against a 40-digit g, T the least t >= 5 where the
+        # last term falls to 1e-15 of the largest one before it: the sum of the
+        # first k terms is off by at most the first omitted term, plus the
         # rounding of the double-precision terms.
         spec = request.getfixturevalue(name)
         ev = DensityEvaluator(spec)
-        K = len(ev.coef) - 1
-        for t in (ev.T, 2.0 * ev.T, 8.0 * ev.T):
-            s = complex(ev.c, t)
+        coef = ev.inv.stirling_const * np.array(ev._stirling[2][1:])
+        K = len(coef) - 1
+        T = max(5.0, min((abs(coef[-1]) / (1e-15 * abs(c))) ** (1.0 / (K - k)) for k, c in enumerate(coef[:-1])))
+        for t in (T, 2.0 * T, 8.0 * T):
+            s = complex(1.0, t)
             exact = g_40_digits(spec, s)
-            terms = ev.coef * s ** -(ev.inv.mu + np.arange(1, K + 2))
+            terms = coef * s ** -(ev.inv.mu + np.arange(1, K + 2))
             for k in (1, 2, 4, 8, 12, 16, K):
                 assert abs(terms[:k].sum() - exact) <= abs(terms[k]) + 1e-14 * abs(exact)
 
 
 class TestContourColumns:
-    def grid_and_shifted(self, ev):
-        # The grid's points build hyperbolas; omega = 3, 8 and 25 build the
-        # lines at the abscissas 1, 0.3 and 0.1 directly.
+    def grid_and_far(self, ev):
+        # The grid's points build the contour of the bin (2, 4]; omega = 8
+        # and 25 those of the bins 8 and 32.
         for x in default_grid(ev.spec):
             ev.evaluate(x)
-        assert ev._hyperbolas
-        contour_points(ev, [3.0])
-        contour_points(ev, [8.0])
-        contour_points(ev, [25.0])
+        ev.values([ev.inv.rho * math.exp(-8.0), ev.inv.rho * math.exp(-25.0)])
+        assert sorted(ev._hyperbolas) == [(4.0, 0), (8.0, 0), (32.0, 0)]
 
     def test_columns_hold_scalar_g(self, spec_mixed_scale):
-        # Each line evaluates g on all its head nodes in one vectorized
-        # pass; every value is the one-point subtracted_gamma_ratio there.
+        # Each contour evaluates log F on all its nodes in one vectorized
+        # pass; at every node F z' lies within 4 eps times the magnitudes of
+        # its log-gammas and of z log rho of its value at 30 digits, on rung
+        # 0 of spec_mixed_scale and on the saddle rung of a far-shifted spec.
         ev = DensityEvaluator(spec_mixed_scale)
-        self.grid_and_shifted(ev)
-        assert sorted(ev._lines) == [0.1, 0.3, 1.0]
-        for c, line in ev._lines.items():
-            scalar = np.array([subtracted_gamma_ratio(spec_mixed_scale, complex(c, t)) for t in line.t])
-            assert np.all(np.abs(line.g - scalar) <= 1e-15 * np.abs(scalar))
+        self.grid_and_far(ev)
+        raising = DensityEvaluator(RatioSpec(A=(3.0,), a=(27.520246106590967,), B=(1.0, 2.0),
+                                             b=(42.18908251140206, 23.06067347444499)))
+        raising.evaluate(math.exp(raising.inv.log_rho - 0.2073070718125844))
+        assert (0.25, 1) in raising._hyperbolas
+        for each in (ev, raising):
+            spec, log_rho = each.spec, each.inv.log_rho
+            for (top, rung), contour in each._hyperbolas.items():
+                nodes = foxh_mod._RUNGS[rung][0]
+                log_dz = foxh_mod._hyperbola_shapes(nodes)[1] + math.log(4.4921 * nodes / top)
+                for z, log_f, dz in list(zip(contour.z.tolist(), contour.log_f.tolist(), log_dz.tolist()))[::3]:
+                    with mpmath.workdps(30):
+                        z = mpmath.mpc(z)
+                        logs = [mpmath.loggamma(A * z + a) for A, a in zip(spec.A, spec.a)]
+                        logs += [-mpmath.loggamma(B * z + b) for B, b in zip(spec.B, spec.b)]
+                        exact = complex(mpmath.exp(mpmath.fsum(logs) - z * log_rho))
+                        size = float(mpmath.fsum(abs(v) for v in logs) + abs(z * log_rho))
+                    got = cmath.exp(log_f - dz)
+                    assert abs(got - exact) <= 4.0 * np.finfo(float).eps * (size + 10.0) * abs(exact), (top, rung)
 
     def test_evaluator_freed_without_cyclic_gc(self, spec_mixed_scale):
         gc.disable()
         try:
             ev = DensityEvaluator(spec_mixed_scale)
             ev.evaluate(0.5 * ev.inv.rho)
-            self.grid_and_shifted(ev)
-            assert ev._lines
+            self.grid_and_far(ev)
             ref = weakref.ref(ev)
             del ev
             assert ref() is None
@@ -697,34 +409,6 @@ class TestMeijerG:
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(UnsupportedParameterError):
             meijer_g((1.0,), (1.0,), 0.5)
-
-
-class TestSubtractedIntegrand:
-    def test_conjugate_symmetry(self, spec_equal_scales, spec_mixed_scale):
-        for spec in (spec_equal_scales, spec_mixed_scale):
-            c = max(derive(spec).gamma_pole, 0.0) + 1.0
-            for t in (0.3, 2.0, 17.5, 130.0):
-                up = subtracted_gamma_ratio(spec, complex(c, t))
-                down = subtracted_gamma_ratio(spec, complex(c, -t))
-                assert down == pytest.approx(up.conjugate(), rel=1e-10)
-
-    def test_trivial_spec_integrand_vanishes(self, spec_inverse_x):
-        # Gamma(s)/Gamma(s+1) = s^-1 exactly, so the subtraction is exact.
-        for t in (0.5, 3.0, 40.0):
-            assert abs(subtracted_gamma_ratio(spec_inverse_x, complex(1.0, t))) < 1e-15
-
-    def test_decay_law(self, spec_equal_scales):
-        # |g(c+it)| <= C t^-(mu+1): fit C on [50, 400], verify beyond.
-        spec = spec_equal_scales
-        inv = derive(spec)
-        c = max(inv.gamma_pole, 0.0) + 1.0
-        fit_ts = np.linspace(50.0, 400.0, 8)
-        C = max(
-            abs(subtracted_gamma_ratio(spec, complex(c, t))) * t ** (inv.mu + 1.0) for t in fit_ts
-        )
-        for t in (600.0, 1000.0, 2500.0):
-            bound = 1.2 * C * t ** (-inv.mu - 1.0)
-            assert abs(subtracted_gamma_ratio(spec, complex(c, t))) <= bound
 
 
 class TestMellin:

@@ -1,10 +1,11 @@
-"""The hyperbolic contour: far and mid-band density points that the endpoint series does not serve.
+"""The hyperbola ladder: far and mid-band density points that the endpoint series does not serve.
 
-Every point the hyperbola serves must lie within its estimate of an
-independent reference: the Meijer G-function for integer scales, the sum of
-the residues at the left poles at 40 digits (simple poles), and the endpoint
-series at 40 digits within half its radius.  The estimate is a bound (strip,
-truncation and rounding), and a point it refuses takes the line, once.
+Every point a rung serves must lie within its estimate of an independent
+reference: the Meijer G-function for integer scales, the sum of the residues
+at the left poles at 40 digits (simple poles), and the endpoint series at 40
+digits within half its radius.  The estimate is a bound (strip, truncation
+and rounding); a point rung 0 refuses asks the later rungs in turn, once
+each, and then the endpoint series on the contour's rule.
 """
 
 import math
@@ -26,6 +27,7 @@ from gammaratio import (
     mellin_check,
 )
 from gammaratio.foxh import DensityEvaluator
+from gammaratio.quadrature import GK_NODES
 from test_residue_series import residue_sum_40
 from test_series_path import EndpointSeries40, box_spec, meijer_density
 
@@ -33,10 +35,10 @@ PACKAGE_ERRORS = (DomainError, QuadratureAccuracyError, SingularPointError)
 
 
 def hyperbola_point(spec, omega):
-    """The record at rho e^-omega, and whether the hyperbola served it (no line built)."""
+    """The record at rho e^-omega, and whether rung 0 of the hyperbola ladder served it."""
     ev = DensityEvaluator(spec)
     got = ev.evaluate(math.exp(ev.inv.log_rho - omega))
-    return got, bool(ev._hyperbolas) and not ev._lines
+    return got, bool(ev._hyperbolas) and all(rung == 0 for _, rung in ev._hyperbolas)
 
 
 def integer_scales(spec):
@@ -156,67 +158,126 @@ def test_record_independent_of_batch(name, request):
     xs = [rho * k / 50.0 for k in range(1, 50)] + [rho * math.exp(-w) for w in (7.0, 12.0, 30.0)]
     assert density(spec, xs) == [fox_h(spec, x) for x in xs]
     for omega in (0.9, 2.5, 7.0, 12.0, 30.0):
-        nodes = omega + 0.4 * omega * foxh_mod._GK_NODES
-        alone = [DensityEvaluator(spec)._at_omega(1.0, np.array([w]))[0] for w in nodes.tolist()]
-        assert DensityEvaluator(spec)._at_omega(1.0, nodes).tolist() == alone
+        nodes = omega + 0.4 * omega * GK_NODES
+        alone = [DensityEvaluator(spec)._at_omega(np.array([w]))[0] for w in nodes.tolist()]
+        assert DensityEvaluator(spec)._at_omega(nodes).tolist() == alone
 
 
 @pytest.fixture
 def paths(monkeypatch):
-    """The order in which a point asks the hyperbola and the line."""
-    events = []
-    hyperbola, line = foxh_mod._Hyperbola.__call__, foxh_mod._remainder_on_line
+    """The order in which a point asks the rungs of the ladder and the endpoint series, with
+    what each served."""
+    events, rungs = [], {}
+    init, hyperbola = foxh_mod._Hyperbola.__init__, foxh_mod._Hyperbola.__call__
+    series = foxh_mod._EndpointSeries.__call__
+
+    def build(self, ev, top, rung, sigma):
+        rungs[id(self)] = rung
+        init(self, ev, top, rung, sigma)
 
     def ask_hyperbola(self, omega, *args):
         out = hyperbola(self, omega, *args)
-        events.append(("hyperbola", [ok for *_, ok in out]))
+        events.append((f"rung {rungs[id(self)]}", [ok for *_, ok in out]))
         return out
 
-    def ask_line(ev, c, omega, lead):
-        events.append(("line", len(omega)))
-        return line(ev, c, omega, lead)
+    def ask_series(self, omega, *args):
+        out = series(self, omega, *args)
+        events.append(("series", [ok for *_, ok in out]))
+        return out
 
+    monkeypatch.setattr(foxh_mod._Hyperbola, "__init__", build)
     monkeypatch.setattr(foxh_mod._Hyperbola, "__call__", ask_hyperbola)
-    monkeypatch.setattr(foxh_mod, "_remainder_on_line", ask_line)
+    monkeypatch.setattr(foxh_mod._EndpointSeries, "__call__", ask_series)
     return events
 
 
-# Density-fuzz points the bound refuses: the first the line serves, the
-# second it cannot trust.
+def box_point(seed, index):
+    """Point `index` of a coverage set of scripts/coverage.py: the spec of box_spec and omega
+    log-uniform in [1e-3, 30] (seed 7, the fuzz set) or [6, 60] (seed 11, the far set)."""
+    lo, hi = {7: (1e-3, 30.0), 11: (6.0, 60.0)}[seed]
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        spec = box_spec(rng)
+        omega = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    return spec, omega
+
+
+def assert_ladder_point(spec, omega, paths, served_by):
+    """The point's record lies within its estimate of the Meijer G-function (integer scales)
+    or the 40-digit endpoint series, and served_by is the last path it asked, which served
+    it."""
+    ev = DensityEvaluator(spec)
+    x = math.exp(ev.inv.log_rho - omega)
+    got = ev.evaluate(x)
+    assert paths[-1] == (served_by, [True]), paths
+    assert all(not any(oks) for _, oks in paths[:-1]), paths
+    if integer_scales(spec):
+        exact = meijer_density(spec, x)
+    else:
+        exact = EndpointSeries40(spec)(x)
+    assert abs(got.value - exact) <= got.error_estimate <= 1e-8 * (abs(got.leading_part) + abs(got.remainder_part))
+    return got
+
+
+# Density-fuzz points the bound of rung 0 refuses: the first took the line
+# Re s = c before the ladder replaced it, the second raised there.
 REFUSED = RatioSpec(A=(0.09831332070509084, 12.27686262635491), a=(54.35392131462578, 10.893083484670264),
                     B=(3.05423705006129, 7.188885648144906, 2.132053248853806),
                     b=(45.34659287164609, 49.18663610022702, 50.9752696356537))
 RAISING = RatioSpec(A=(3.0,), a=(27.520246106590967,), B=(1.0, 2.0), b=(42.18908251140206, 23.06067347444499))
 
 
-def test_refused_point_takes_the_line(paths):
+def test_refused_point_climbs_the_ladder(paths):
     ev = DensityEvaluator(REFUSED)
     got = ev.evaluate(math.exp(ev.inv.log_rho - 1.062712870331816))
-    assert paths == [("hyperbola", [False]), ("line", 1)]
-    assert math.isfinite(got.value) and got.value == got.leading_part + got.remainder_part
+    assert paths[0] == ("rung 0", [False]) and len(paths) > 1 and paths[-1][1] == [True]
+    assert math.isfinite(got.value) and got.remainder_part == got.value - got.leading_part
 
 
 def test_growing_integrand_is_refused(paths):
-    # F still grows at the contour's last node here (shifts up to 50): the
+    # F still grows at the last node of rung 0 here (shifts up to 50): the
     # omitted nodes are not small, and without the decay check the sum lay
     # 1.4 times its estimate off the 40-digit residue sum.  The bound refuses
-    # the point, and the line takes it.
+    # the point, and a later rung takes it within its estimate of that sum.
     spec = RatioSpec(A=(1.0, 4.0, 3.0), a=(12.430531173085406, 50.60609519108384, 23.15753578413368),
                      B=(5.0, 2.0, 1.0), b=(7.6326577677911605, 52.017542011936854, 42.89712381507301))
     ev = DensityEvaluator(spec)
-    try:
-        ev.evaluate(math.exp(ev.inv.log_rho - 9.431323665864351))
-    except QuadratureAccuracyError:
-        pass
-    assert paths == [("hyperbola", [False]), ("line", 1)]
+    x = math.exp(ev.inv.log_rho - 9.431323665864351)
+    got = ev.evaluate(x)
+    assert paths[0] == ("rung 0", [False]) and paths[-1][1] == [True]
+    exact = residue_sum_40(spec, x)
+    assert abs(got.value - exact) <= got.error_estimate
 
 
-def test_no_hyperbola_after_the_line_raises(paths):
-    ev = DensityEvaluator(RAISING)
-    x = math.exp(ev.inv.log_rho - 0.2073070718125844)
-    with pytest.raises(QuadratureAccuracyError):
-        ev.evaluate(x)
-    assert paths == [("hyperbola", [False]), ("line", 1)]
+# One coverage point per later rung and one for the series fallback, each
+# of which raised or took the line Re s = c before the ladder replaced it.
+
+
+def test_rung_1_serves_fuzz_point_15(paths):
+    # RAISING, where the line could not be trusted (mu = 37).
+    spec, omega = box_point(7, 15)
+    assert (spec, omega) == (RAISING, 0.2073070718125844)
+    assert_ladder_point(spec, omega, paths, "rung 1")
+
+
+def test_rung_2_serves_fuzz_point_145(paths):
+    # Integer scales, shifts up to 58 (mu = 56); the line raised here.
+    assert_ladder_point(*box_point(7, 145), paths, "rung 2")
+
+
+def test_rung_3_serves_fuzz_point_189(paths):
+    # Shifts up to 58 and mu = 71, served on the line before.
+    assert_ladder_point(*box_point(7, 189), paths, "rung 3")
+
+
+def test_series_fallback_serves_fuzz_point_79(paths):
+    # Zero shifts, p = 3 and q = 2 (mu = 0.5) at omega = 0.0126, above the
+    # series' switch and below half its radius: no rung meets the tolerance,
+    # and the series does on the contour's rule.
+    spec, omega = box_point(7, 79)
+    got = assert_ladder_point(spec, omega, paths, "series")
+    assert [name for name, _ in paths[-4:-1]] == ["rung 0", "rung 2", "rung 3"]
+    assert got.value == got.leading_part + got.remainder_part
 
 
 def full_box_spec(rng):

@@ -1,7 +1,7 @@
 """Far below the support endpoint, against the sum of the residues at the left poles.
 
-Beyond omega = log(rho/x) = 6 every point of these specs is served by the
-hyperbola and builds no line.  Every value must lie within its estimate of
+Beyond omega = log(rho/x) = 6 every point of these specs is served by rung 0
+of the hyperbola ladder.  Every value must lie within its estimate of
 an independent reference: the Meijer G-function for integer scales, and
 otherwise the sum of the residues of W(s) x^-s at the left poles in mpmath at
 40 digits (residue_sum_40, for simple poles), which tests/test_hyperbola.py
@@ -60,10 +60,10 @@ def reference(spec, x):
 
 
 def served(spec, omega):
-    """The record at rho e^-omega, and whether it was served without a line."""
+    """The record at rho e^-omega, and whether rung 0 of the hyperbola ladder served it."""
     ev = DensityEvaluator(spec)
     got = ev.evaluate(math.exp(ev.inv.log_rho - omega))
-    return got, not ev._lines
+    return got, all(rung == 0 for _, rung in ev._hyperbolas)
 
 
 def assert_within_estimate(spec, omega):
@@ -83,8 +83,8 @@ def test_fixtures_within_estimate(name, request):
 
 def test_box_specs_within_estimate():
     # Seeded density-fuzz specs (non-integer scales in [0.05, 20], shifts 0 or
-    # up to 60) at omega log-uniform in [6, 40]: every point served without a
-    # line lies within its estimate of the 40-digit residue sum.  With every
+    # up to 60) at omega log-uniform in [6, 40]: every point rung 0 serves
+    # lies within its estimate of the 40-digit residue sum.  With every
     # shift 0 and p > 1 the poles at s = 0 coincide, outside that sum's reach;
     # tests/test_hyperbola.py checks such points.
     rng = random.Random(20150130)
@@ -95,7 +95,7 @@ def test_box_specs_within_estimate():
         try:
             got, residue = served(spec, omega)
         except QuadratureAccuracyError:
-            continue  # a contour point
+            continue
         if not residue or (spec.p > 1 and not any(spec.a)):
             continue
         exact = residue_sum_40(spec, math.exp(derive(spec).log_rho - omega))
@@ -113,9 +113,8 @@ def test_shift_band_points_within_estimate():
 
 
 def test_far_small_scale_spec_answers():
-    # A scale of 1e-3 needs T = 7,496 on the contour, whose long head raises
-    # at this omega; the poles are simple, and the series gives the value of
-    # a 40-digit residue sum.
+    # A scale of 1e-3 at omega = 40; the poles are simple, and the value is
+    # that of a 40-digit residue sum.
     spec = RatioSpec(A=(1e-3, 1.0), a=(0.5, 0.2), B=(1.001,), b=(2.0,))
     got, residue = served(spec, 40.0)
     assert residue
@@ -137,18 +136,17 @@ def test_batch_equals_single_points(spec_mixed_scale, spec_paired, spec_equal_sc
 
 def test_residue_point_builds_no_line_and_no_stirling_table(spec_mixed_scale, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a contour or Stirling table was built")
+        raise AssertionError("a Stirling table was built")
 
-    monkeypatch.setattr(foxh_mod, "_g", refuse)
     monkeypatch.setattr(foxh_mod, "_stirling_table", refuse)
     ev = DensityEvaluator(spec_mixed_scale)
     got = ev.evaluate(ev.inv.rho * math.exp(-9.0))
-    assert ev._lines == {}
+    assert list(ev._hyperbolas) == [(16.0, 0)]
     assert got.remainder_part == got.value - got.leading_part
 
 
 def test_mellin_check_at_zero_answers(spec_mixed_scale):
-    # Beyond omega = 6 the hyperbola serves the bulk, so the line's noise at
-    # tau_max no longer bounds the integral.
+    # Beyond omega = 6 the hyperbola serves the bulk with an estimate that
+    # falls with the density, so no noise at tau_max bounds the integral.
     lhs, rhs = mellin_check(spec_mixed_scale, 0.0)
     assert abs(lhs - rhs) <= 1e-10 * abs(rhs)

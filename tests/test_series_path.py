@@ -1,9 +1,9 @@
 """The endpoint-series path of the density near its support endpoint.
 
 A point whose omega = log(rho/x) lies below a per-spec switch, and whose
-series estimate beats the least estimate the contour could return, is
-served by the endpoint series alone: no contour line, no g values, no tail
-lattice.  Every such value must lie within its estimate of an independent
+series estimate beats the least estimate a line integral could return, is
+served by the endpoint series alone: no contour and no F values.  Every
+such value must lie within its estimate of an independent
 high-precision reference.
 """
 
@@ -12,7 +12,6 @@ import random
 
 import mpmath
 import numpy as np
-import pytest
 
 import gammaratio.foxh as foxh_mod
 from gammaratio import (
@@ -57,16 +56,15 @@ def test_leading_part_within_estimate(spec_equal_scales):
 class TestSeriesPoint:
     def test_builds_no_line(self, spec_mixed_scale, monkeypatch):
         # omega = 0.05 lies below the switch of spec_mixed_scale (2.02): the
-        # point evaluates no g, builds no line and no tail lattice.
+        # point evaluates no F and builds no contour.
         def refuse(*args):
             raise AssertionError("the contour ran")
 
-        monkeypatch.setattr(foxh_mod, "_g", refuse)
-        monkeypatch.setattr(foxh_mod, "_ray_powers", refuse)
+        monkeypatch.setattr(foxh_mod._Hyperbola, "__init__", refuse)
         ev = DensityEvaluator(spec_mixed_scale)
         assert ev.series.switch > 0.05
         got = ev.evaluate(ev.inv.rho * math.exp(-0.05))
-        assert ev._lines == {}
+        assert ev._hyperbolas == {}
         assert got.value == got.leading_part + got.remainder_part
         assert 0.0 < got.error_estimate < 1e-12 * got.value
 
@@ -247,19 +245,15 @@ def test_density_fuzz_box():
 
 
 def test_contour_rounding_norm_does_not_overflow():
-    # The second box draw of seed 13 (p = 1, mu = 83.7, T at its 1e4 cap):
-    # the squares of its head-node rounding overflowed and warned.  Its lines
-    # at c = 0.1 (omega = 30) and 0.05 (omega = 100), built directly, give a
-    # package error, and nothing warns.  The density is about 3e-2555 at
-    # omega = 30: fox_h takes the hyperbola and returns 0.0 within an estimate
-    # of at least the least normal double.
+    # The second box draw of seed 13 (p = 1, mu = 83.7): the squares of the
+    # rounding of the line Re s = c overflowed and warned here before the
+    # hyperbola ladder replaced that line.  The density is about 3e-2555 at
+    # omega = 30: fox_h returns 0.0 within an estimate of at least the least
+    # normal double, at omega = 30 and 100, and nothing warns.
     rng = random.Random(13)
     box_spec(rng)
     spec = box_spec(rng)
-    ev = DensityEvaluator(spec)
-    for omega, level in ((30.0, 0.1), (100.0, 0.05)):
-        with pytest.raises(QuadratureAccuracyError):
-            foxh_mod._remainder_on_line(ev, level, np.array([omega]), [ev.lead_scale * omega ** (ev.inv.mu - 1.0)])
+    for omega in (30.0, 100.0):
         got = fox_h(spec, math.exp(derive(spec).log_rho - omega))
         assert got.value == 0.0
         assert got.remainder_part == got.value - got.leading_part

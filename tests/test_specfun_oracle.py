@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gammaratio import digamma, log_gamma, polygamma
-from gammaratio.specfun import log_gamma_plane, log_gamma_sum, loggamma
+from gammaratio.specfun import log_gamma_plane, loggamma
 
 EPS = float(np.finfo(float).eps)
 
@@ -64,23 +64,6 @@ class TestComplexLogGamma:
         # Right of Re z = 1/2 the scalar is the one-entry array.
         z = np.array([v for v in self.grid() if v.real >= 0.5][:50])
         assert np.array_equal(loggamma(z), [log_gamma(v).value for v in z])
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_log_gamma_sum_within_magnitude(p):
-    # Rows 0 and 3 differ by 2 along the line and cancel to a Pochhammer
-    # product when they fall on opposite sides; the sum is known modulo
-    # 2 pi i, within 2 eps times its magnitude.
-    t = np.array([0.0, 0.7, 4.0, 35.0, 900.0])
-    scales, shifts = np.array([[1.0], [2.5], [0.3], [1.0]]), np.array([[0.25], [3.0], [0.0], [2.25]])
-    z = scales * (0.4 + 1j * t) + shifts
-    total, size = log_gamma_sum(z, p)
-    with mpmath.workdps(30):
-        for k in range(len(t)):
-            exact = sum((1 if i < p else -1) * mpmath.loggamma(mpmath.mpc(z[i, k])) for i in range(len(z)))
-            diff = complex(total[k]) - complex(exact)
-            diff = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
-            assert abs(diff) <= 2.0 * EPS * size[k], (p, t[k], diff, size[k])
 
 
 def test_log_gamma_plane_within_magnitude():
