@@ -15,8 +15,11 @@ the points past the support, and the rest, which take the leading part as
 the density (DensityEvaluator.lead_exact).  The line and the series
 fallback count every point they are asked for: a point they do not serve
 raises.  density-scatter ops are one point each, so its per-op times are
-also given by path.  The last line of stdout is one JSON object with every
-table.
+also given by path.  Next to the times it counts the per-spec set-up work,
+which does not depend on the host: endpoint-series set-ups
+(_EndpointSeries), hyperbola builds (_Hyperbola) and saddle searches
+(_saddle, in checkouts with the ladder).  The last line of stdout is one
+JSON object with every table.
 """
 
 from __future__ import annotations
@@ -42,10 +45,25 @@ PATH_ORDER = ("series", "hyperbola rung 0", "hyperbola rung 1", "hyperbola rung 
               "series fallback", "line", "past support")
 
 
-def count_paths(foxh, counts: collections.Counter):
-    """Wrap each path's per-batch call so that every served point adds one to its path."""
+SETUPS = ("series set-ups", "hyperbola builds", "saddle searches")
+
+
+def count_paths(foxh, counts: collections.Counter, setups: collections.Counter | None = None):
+    """Wrap each path's per-batch call so that every served point adds one to its path, and,
+    given setups, each set-up so that it adds one to its SETUPS entry."""
     rungs, asked = {}, {"hyperbola": False}
     series, hyperbola = foxh._EndpointSeries, foxh._Hyperbola
+    if setups is not None:
+        def counted(name, call):
+            def wrapper(*args, **kwargs):
+                setups[name] += 1
+                return call(*args, **kwargs)
+            return wrapper
+
+        series.__init__ = counted("series set-ups", series.__init__)
+        hyperbola.__init__ = counted("hyperbola builds", hyperbola.__init__)
+        if hasattr(foxh, "_saddle"):
+            foxh._saddle = counted("saddle searches", foxh._saddle)
 
     def series_call(self, omega, *args, _call=series.__call__):
         out = _call(self, omega, *args)
@@ -111,18 +129,21 @@ def main(argv=None) -> int:
 
     warnings.simplefilter("ignore", RuntimeWarning)
     counts: collections.Counter = collections.Counter()
-    count_paths(foxh, counts)
+    setups: collections.Counter = collections.Counter()
+    count_paths(foxh, counts, setups)
     tables: dict = {"src": os.path.abspath(args.src), "seeds": args.seeds, "best_of": args.best_of}
     with tempfile.TemporaryDirectory() as out_dir:
         for name in args.workloads:
             times, failed, by_path, by_stratum = [], 0, collections.defaultdict(list), collections.defaultdict(list)
             path_counts: collections.Counter = collections.Counter()
+            setup_counts: collections.Counter = collections.Counter()
             for seed in args.seeds:
                 for op in workloads.first_ops(name, seed, args.cycles or CYCLES[name]):
                     call = op_call(gr, op, out_dir)
                     best, before = math.inf, None
                     for rep in range(args.best_of):
                         counts.clear()
+                        setups.clear()
                         t0 = perf_counter()
                         try:
                             call()
@@ -133,6 +154,7 @@ def main(argv=None) -> int:
                             before = dict(counts)
                             served = sum(before.get(p, 0) for p in PATH_ORDER)
                             before["leading part"] = before.get("points", 0) - served
+                            setup_counts.update(setups)
                     path_counts.update(before)
                     times.append(best)
                     by_stratum[op.stratum].append(best)
@@ -143,6 +165,7 @@ def main(argv=None) -> int:
                 "ops": len(times), "failed_ops": failed,
                 "per_op_us": {"mean": 1e6 * statistics.fmean(times), "median": 1e6 * statistics.median(times)},
                 "points_by_path": dict(sorted(path_counts.items())),
+                "setups": {k: setup_counts[k] for k in SETUPS},
                 "per_op_us_by_stratum": {k: 1e6 * statistics.fmean(v) for k, v in sorted(by_stratum.items())},
             }
             if by_path:
@@ -151,7 +174,7 @@ def main(argv=None) -> int:
                     for p, v in sorted(by_path.items())}
             row = tables[name]
             print(f"{name}: {row['ops']} ops, {failed} failed, per op mean {row['per_op_us']['mean']:.0f} us, "
-                  f"median {row['per_op_us']['median']:.0f} us; points {row['points_by_path']}")
+                  f"median {row['per_op_us']['median']:.0f} us; points {row['points_by_path']}; {row['setups']}")
             for p, v in row.get("by_path", {}).items():
                 share = 100 * v["share_of_time"]
                 print(f"  {p:13s} {v['ops']:4d} ops  {v['mean_us']:7.0f} us/op  {share:5.1f}% of time")

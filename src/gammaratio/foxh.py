@@ -12,26 +12,28 @@ closed-form leading part is P = A* omega^(mu-1) / Gamma(mu).  The density
 vanishes identically for x >= rho, where every part and its error are
 returned as exactly 0, with no contour.
 
-Each point takes one of two paths, chosen from the spec and omega = log(rho/x)
-before any sum runs:
+Each point walks one ordered list of paths, chosen from the spec and omega =
+log(rho/x) before any sum runs, and every path serves it on one rule: its
+estimate at most quad_rel_tol (|P| + |R|), R the remainder, or below the
+normal range.  The paths:
 
-- near the support endpoint, at omega below a per-spec switch (and at most
-  _SHIFT_OMEGA), the endpoint series H = A* sum_k e_k omega^(mu+k-1) /
-  Gamma(mu+k), whose k = 0 term is P, summed to 19 terms with the 20th and
-  21st as its truncation error (_EndpointSeries), where its estimate beats
-  the least estimate a line integral could return;
-- every other point, the Bromwich integral on a ladder of hyperbolas
-  (_Hyperbola, _RUNGS).  Rung 0 is the Weideman-Trefethen contour of the
-  point's omega bin with N = 24 nodes; a point whose a-priori bound (strip,
-  truncation and rounding) misses the tolerance asks the next rung, which
-  crosses the real axis at the real saddle of log F(s) + omega s where that
-  lies further right, with N = 24, 48 and then 96.  The contours wrap every
-  pole, coincident or not.  A point that no rung serves takes the endpoint
-  series within half its radius, where that series' own estimate meets the
-  tolerance, and raises QuadratureAccuracyError otherwise.
+- the endpoint series H = A* sum_k e_k omega^(mu+k-1) / Gamma(mu+k), whose
+  k = 0 term is P, summed to 19 terms with the 20th and 21st as its
+  truncation error (_EndpointSeries).  A point asks it first below a
+  per-spec switch (and at most _SHIFT_OMEGA), where the omitted terms fall
+  below _SERIES_TRUNCATION of the kept ones, and last, after every rung,
+  above the switch within half the series' radius;
+- the Bromwich integral on a ladder of hyperbolas (_Hyperbola, _RUNGS).  Rung
+  0 is the Weideman-Trefethen contour of the point's omega bin with N = 24
+  nodes; a point whose a-priori bound (strip, truncation and rounding)
+  misses the tolerance asks the next rung, which crosses the real axis at
+  the real saddle of log F(s) + omega s where that lies further right, with
+  N = 24, 48 and then 96.  The contours wrap every pole, coincident or not.
 
-A spec whose factors pair as Gamma(A s) / Gamma(A s + 1) has F(s) = A* s^-mu
-exactly, and past the series its points take the leading part.
+A point no path serves raises QuadratureAccuracyError with the value of the
+path of least estimate.  A spec whose factors pair as Gamma(A s) / Gamma(A s
++ 1) has F(s) = A* s^-mu exactly, and its points take the leading part in
+place of the ladder.
 
 Series points evaluate no F and build no contour.  A point given as x or as
 omega goes through one assembly (_density_at), which computes the rounding
@@ -57,8 +59,9 @@ integral) use the vectorized rules of ``quadrature``: adaptive G10/K21
 panels, and a Gauss-Jacobi rule for the w^(mu-1) endpoint singularity.
 ``fox_h`` is the one-point case.
 
-``sc.loggamma``, ``quad`` and ``_remainder_density`` stay names of this
-module: bench/tracer.py wraps them.  The tracer also wraps
+``quad`` and ``_remainder_density`` stay names of this module, and ``sc``
+keeps ``loggamma``, which foxh does not call (it calls only
+``sc.log_gamma_plane``): bench/tracer.py wraps them.  The tracer also wraps
 ``mpmath.gammainc`` through this module, which the density never calls; so
 ``mpmath`` resolves here on first access (module ``__getattr__``) and is not
 imported with the package, whose only run-time dependency is numpy.
@@ -107,8 +110,8 @@ _SERIES_TERMS = 20
 # Those two over the k-th kept term grow like omega^(K-k) and omega^(K+1-k), k = 1..K-1.
 _SWITCH_ROOTS = 1.0 / (_SERIES_TERMS + np.array([[0.0], [1.0]]) - np.arange(1.0, _SERIES_TERMS))
 
-# Beyond _SHIFT_OMEGA no point asks the endpoint series: a far point has never been
-# found below its switch, and asking would set up its Stirling table for nothing.
+# Beyond _SHIFT_OMEGA no point asks the endpoint series first: a far point has never
+# been found below its switch, and asking would set up its Stirling table for nothing.
 _SHIFT_OMEGA = 6.0
 
 # The hyperbolic contours: N nodes on each side of the real axis, step h = 1.0818 / N,
@@ -130,10 +133,9 @@ _SADDLE_STEPS = 100
 # G10/K21 rule takes over whatever is left.
 _EDGE_HALVINGS = 8
 
-# The endpoint series' switch and service rule compare with the least estimate a
-# subtracted integral on the line Re s = c, c = max(gamma_pole, 0) + 1, could return:
-# _CONTOUR_ROUNDING (e^(c omega) / pi + |remainder|), the rounding of its prefactored sum.
-_CONTOUR_ROUNDING = 1e-14
+# The endpoint series' truncation target: its switch is where either omitted term reaches
+# this fraction of the largest kept one.
+_SERIES_TRUNCATION = 1e-14
 
 # Least normal double: a density below it comes back as 0.0 or a subnormal,
 # and every endpoint-series estimate carries at least this much.
@@ -204,29 +206,26 @@ class _EndpointSeries:
     least normal double.  Cancellation, sum |t_k| >> |sum t_k|, shows in the
     rounding terms.  P and the rounding of omega come from _density_at.
 
-    A point with 0 < omega < switch takes the series when its estimate is
-    below _CONTOUR_ROUNDING (pre + |remainder|), pre = e^(c omega) / pi, the
-    least estimate a subtracted line integral at the abscissa c could
-    return.  The rounding of omega is left out of that comparison.  The
-    switch is where either omitted term reaches _CONTOUR_ROUNDING of the
-    largest kept one, and at most pi min(scales), half the radius of the
-    series.  So the path of a point depends on the spec and omega alone.  A
-    point that no hyperbola rung serves asks the series again with the
-    contour's own rule instead: its whole estimate at most tol (|P| + |R|).
+    The series serves a point on the rule of every hyperbola rung: its whole
+    estimate at most tol (|P| + |R|), or at most _UNDERFLOW.  A point with 0 <
+    omega < switch asks it first; the switch is where either omitted term
+    reaches _SERIES_TRUNCATION of the largest kept one, and at most pi
+    min(scales), half the radius of the series, so the path of a point
+    depends on the spec and omega alone.  A point above the switch and
+    within half the radius asks it after every rung has refused it.
 
     The set-up reads the evaluator's one Stirling table (the m d_m, their
     magnitudes and the e_k, from one ratio._stirling_table): the d_k and the
-    switch at once, and at the first point below the switch the error weights
-    of the kept terms, held with the d_k in one matrix, so that a batch takes
-    one product and one sum for its values and their estimates.
+    switch at once, and at the first point that asks the series the error
+    weights of the kept terms, held with the d_k in one matrix, so that a
+    batch takes one product and one sum for its values and their estimates.
     """
 
-    __slots__ = ("c", "omitted", "switch", "inputs", "terms")
+    __slots__ = ("omitted", "switch", "inputs", "terms")
 
     def __init__(self, ev: DensityEvaluator):
         md, magnitudes, e = ev._stirling
         mu = ev.inv.mu
-        self.c = ev.c
         # (mu)_k and d_k = e_k / (mu)_k, k = 1..K+1, one product and one quotient a term.
         rising, coef = [], []
         step = mu
@@ -243,13 +242,13 @@ class _EndpointSeries:
             live = [j for j, t in enumerate(self.omitted) if t]
             if live and max(kept) > 0.0:
                 # Per kept term, the omega where either omitted term first reaches
-                # _CONTOUR_ROUNDING of it; an omitted term that is 0 sets no bound,
+                # _SERIES_TRUNCATION of it; an omitted term that is 0 sets no bound,
                 # and a kept term that is 0 gives 0.
                 lo, hi = live[0], live[-1] + 1
-                scale = np.array([[_CONTOUR_ROUNDING / abs(t)] for t in self.omitted[lo:hi]])
+                scale = np.array([[_SERIES_TRUNCATION / abs(t)] for t in self.omitted[lo:hi]])
                 reach = float(((scale * kept) ** _SWITCH_ROOTS[lo:hi]).min(axis=0).max())
             self.switch = min(ev.half_radius, reach)
-        # What the error weights need, held until the first point below the switch:
+        # What the error weights need, held until the first point asks the series:
         # copies of the evaluator's lists and scalars, not the evaluator (no
         # reference cycle).
         self.inputs = (md, magnitudes, e, rising, coef, kept, mu, ev.spec.p + ev.spec.q, ev.psi_mu, ev.mu_err,
@@ -288,12 +287,12 @@ class _EndpointSeries:
             terms[3].append(size * mu_err)
         return np.array(terms)
 
-    def __call__(self, omega: np.ndarray, lead: list, d_omega: list,
-                 tol: float | None = None) -> list[tuple[float, float, bool]]:
-        """(remainder, error, served) at every 0 < omega < switch, or with tol at every 0 <
-        omega < pi min(scales), from each point's P and rounding of omega; served by the
-        switch's rule, or with tol where the error is at most tol (|P| + |remainder|).
-        Elementwise, so a point's result does not depend on its batch."""
+    def __call__(self, omega: np.ndarray, lead: list, lead_err: list, d_omega: list,
+                 tol: float) -> list[tuple[float, float, float, bool]]:
+        """(remainder, value P + remainder, its error, served) at every 0 < omega < pi
+        min(scales), from each point's P, its error and the rounding of omega.  Elementwise,
+        so a point's result does not depend on its batch; far above the switch the terms may
+        leave the double range, and such a point's estimate is not finite and not served."""
         if self.terms is None:
             self.terms = self._terms()
         om = omega.tolist()
@@ -303,19 +302,16 @@ class _EndpointSeries:
         # P omega^k for k = 0..K+1, the running product kept as large as it gets.
         # Every P omega^k is >= 0, so one product gives a point's sum and the sums
         # of its error weights.
-        np.cumprod(powers, axis=1, out=powers)
-        sums = (powers[:, None, 1:-2] * self.terms).sum(axis=2).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumprod(powers, axis=1, out=powers)
+            sums = (powers[:, None, 1:-2] * self.terms).sum(axis=2).tolist()
         c20, c21 = self.omitted
         out = []
-        for w, p, d, (v, fixed, per_omega, per_log), (p20, p21) in zip(om, lead, d_omega, sums,
-                                                                         powers[:, -2:].tolist()):
-            err = abs(p20 * c20) + abs(p21 * c21) + _EPS * abs(v) + fixed + abs(math.log(w)) * per_log + _TINY
-            total = err + d / w * per_omega
-            if tol is None:
-                served = err <= _CONTOUR_ROUNDING * (math.exp(self.c * w) / math.pi + abs(v))
-            else:
-                served = total <= max(tol * (abs(p) + abs(v)), _UNDERFLOW)
-            out.append((v, total, served))
+        for w, p, p_err, d, (v, fixed, per_omega, per_log), (p20, p21) in zip(
+                om, lead, lead_err, d_omega, sums, powers[:, -2:].tolist()):
+            total = (abs(p20 * c20) + abs(p21 * c21) + _EPS * abs(v) + fixed + abs(math.log(w)) * per_log + _TINY
+                     + d / w * per_omega)
+            out.append((v, p + v, total + p_err, total <= tol * (abs(p) + abs(v)) or total <= _UNDERFLOW))
         return out
 
 
@@ -459,11 +455,12 @@ class _Hyperbola:
         self.weights[0, :n] *= rounding
         self.weights[1:, :n] *= abs_z
 
-    def __call__(self, omega: np.ndarray, lead: list, d_omega: list, tol: float) -> list[tuple[float, float, bool]]:
-        """(H, error, served) at every omega of the bin, from each point's P and rounding of
-        omega: served where the estimate is at most tol (|P| + |H - P|), the size of the two
-        parts of the record, or at most _UNDERFLOW; a point whose integrand does not decay
-        gives (0, inf, False)."""
+    def __call__(self, omega: np.ndarray, lead: list, lead_err: list, d_omega: list,
+                 tol: float) -> list[tuple[float, float, float, bool]]:
+        """(H - P, H, error, served) at every omega of the bin, from each point's P and rounding
+        of omega (H carries no error of P): served where the estimate is at most tol (|P| +
+        |H - P|), the size of the two parts of the record, or at most _UNDERFLOW; a point
+        whose integrand does not decay gives (-P, 0, inf, False)."""
         n = len(self.terms)
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.exp(omega[:, None] * self.z + self.log_f)
@@ -475,12 +472,12 @@ class _Hyperbola:
         out = []
         for w, p, d, row, (fixed, per_omega, per_d), ok in zip(omega.tolist(), lead, d_omega, terms, parts, decays):
             if not (ok and math.isfinite(fixed)):
-                out.append((0.0, math.inf, False))
+                out.append((-p, 0.0, math.inf, False))
                 continue
             # |terms| <= (h/pi) |F e^(omega z) z'| each and (N + 1) h < 1.2: fsum cannot overflow.
             v = math.fsum(row)
             err = fixed + w * per_omega + d * per_d + _EPS * abs(v) + _TINY
-            out.append((v, err, err <= max(tol * (abs(p) + abs(v - p)), _UNDERFLOW)))
+            out.append((v - p, v, err, err <= tol * (abs(p) + abs(v - p)) or err <= _UNDERFLOW))
         return out
 
 
@@ -494,6 +491,13 @@ def _remainder_density(ev: DensityEvaluator, x: np.ndarray, lead_errors: bool = 
     return _density_at(ev, np.where(x < ev.inv.rho, ev.inv.log_rho - np.log(x), 0.0), lead_errors)
 
 
+def _leading_part(omega: np.ndarray, lead: list, lead_err: list, d_omega: list,
+                  tol: float) -> list[tuple[float, float, float, bool]]:
+    """The path of a spec whose leading part is its density (DensityEvaluator.lead_exact):
+    (0, P, error of P, served) at every point."""
+    return [(0.0, p, e, True) for p, e in zip(lead, lead_err)]
+
+
 def _density_at(ev: DensityEvaluator, omega: np.ndarray,
                 lead_errors: bool = False) -> tuple[list, list, list, list, list]:
     """(leading part P, its error, remainder, value H, its error) of the density at x = rho
@@ -504,16 +508,18 @@ def _density_at(ev: DensityEvaluator, omega: np.ndarray,
     difference) once.  The error of P, computed only with lead_errors (a
     record needs it, a value does not), adds the rounding of A*/Gamma(mu), of
     the power, of mu (amplified by |log omega - psi(mu)|) and of omega
-    (amplified by |mu - 1| / omega).  The path of a point is chosen from the
-    spec and omega before any sum runs: within the endpoint series' switch
-    (and omega <= _SHIFT_OMEGA) the series; then, unless ev.lead_exact makes P
-    the density, the hyperbola ladder of the point's bin, each rung asked only
-    by the points the rung before refuses; then, within half the series'
-    radius, the series on the contour's rule.  A point none of them serves
-    raises QuadratureAccuracyError with the value of the rung of least
-    estimate.  Series points return H = P + R and the error of R plus that of
-    P; a hyperbola point returns H itself, R = H - P and the error of H, so H
-    keeps its digits where P >> H.
+    (amplified by |mu - 1| / omega).  Each point then walks one list of
+    paths, chosen from the spec and omega before any sum runs, and stops at
+    the first that serves it: the endpoint series below its switch (and at
+    omega <= _SHIFT_OMEGA); the hyperbola rungs of the point's bin in turn,
+    or the leading part where ev.lead_exact makes P the density; the series
+    within half its radius above the switch.  Each path is asked once per
+    batch by all the points that reach it, and hands back each point's
+    (remainder, value, error) with whether it serves the point.  A point no
+    path serves raises QuadratureAccuracyError with the value of the path of
+    least estimate.  Series points return H = P + R and the error of R plus
+    that of P; a hyperbola point returns H itself, R = H - P and the error of
+    H, so H keeps its digits where P >> H.
     """
     om = omega.tolist()
     n = len(om)
@@ -521,7 +527,9 @@ def _density_at(ev: DensityEvaluator, omega: np.ndarray,
     # Per-point loop: the evaluator's scalars as locals.
     scale, mu1, log_rho, log_rho_err = ev.lead_scale, ev.inv.mu - 1.0, ev.inv.log_rho, ev.log_rho_err
     rel, mu_err, psi_mu, half_radius = 1e-14 + ev.lead_err, ev.mu_err, ev.psi_mu, ev.half_radius
-    near, rest = [], []
+    # The points that ask the series first (below its switch) and last (above it, within
+    # half its radius).
+    first, last = [], []
     for k, w in enumerate(om):
         if w <= 0.0:
             continue
@@ -535,64 +543,44 @@ def _density_at(ev: DensityEvaluator, omega: np.ndarray,
             lead_err[k] = p * (rel + mu_err * abs(math.log(w) - psi_mu) + abs(mu1) * d / w)
         # Beyond half the radius of the series no point needs its switch.
         if w <= _SHIFT_OMEGA and w < half_radius and w < ev.series.switch:
-            near.append(k)
-        else:
-            rest.append(k)
-    if near:
-        served = ev.series(omega[near], [lead[k] for k in near], [d_omega[k] for k in near])
-        for k, (r, e, ok) in zip(near, served):
-            if ok:
-                rem[k], value[k], err[k] = r, lead[k] + r, e + lead_err[k]
-            else:
-                rest.append(k)
-    if ev.lead_exact:
-        for k in rest:
-            value[k], err[k] = lead[k], lead_err[k]
-        rest = []
-    bins: dict[float, list] = {}
-    for k in sorted(rest):
-        m, e = math.frexp(om[k])
-        bins.setdefault(math.ldexp(1.0, e - (m == 0.5)), []).append(k)
+            first.append(k)
+        elif w < half_radius:
+            last.append(k)
+    # The points not served yet, each with the (value, error) of least error it was handed.
+    best = dict.fromkeys([k for k, w in enumerate(om) if w > 0.0], (0.0, math.inf))
     tol = ev.cfg.quad_rel_tol
-    # Each point asks the rungs in turn; a refused one keeps the (H, error) of least error.
-    best = {k: (0.0, math.inf) for k in rest}
-    for top, idx in bins.items():
-        for rung in range(len(_RUNGS)):
-            hyperbola = ev._contour(top, rung)
-            if hyperbola is None:
+    for stage in range(len(_RUNGS) + 2):
+        # Stage 0 asks the series, stages 1.. the rungs of each point's bin (or the leading
+        # part), the last stage the series again; a path is asked once by all its points.
+        if not best:
+            break
+        if stage == 0 or stage > len(_RUNGS):
+            idx = first if stage == 0 else [k for k in last if k in best]
+            asks = [(ev.series, idx)] if idx and ev.series.switch > 0.0 else []
+        elif ev.lead_exact:
+            asks = [(_leading_part, list(best))]
+        else:
+            bins: dict[float, list] = {}
+            for k in best:
+                m, e = math.frexp(om[k])
+                bins.setdefault(math.ldexp(1.0, e - (m == 0.5)), []).append(k)
+            asks = [(ev._contour(top, stage - 1), idx) for top, idx in bins.items()]
+        for path, idx in asks:
+            if path is None:
                 continue
-            served = hyperbola(omega[idx], [lead[k] for k in idx], [d_omega[k] for k in idx], tol)
-            refused = []
-            for k, (v, e, ok) in zip(idx, served):
+            for k, (r, v, e, ok) in zip(idx, path(omega[idx], [lead[k] for k in idx], [lead_err[k] for k in idx],
+                                                    [d_omega[k] for k in idx], tol)):
                 if ok:
-                    rem[k], value[k], err[k] = v - lead[k], v, e
+                    rem[k], value[k], err[k] = r, v, e
                     del best[k]
-                else:
-                    refused.append(k)
-                    if e < best[k][1]:
-                        best[k] = (v, e)
-            idx = refused
-            if not idx:
-                break
-    unserved = sorted(best)
-    near = [k for k in unserved if om[k] < half_radius]
-    if near and ev.series.switch > 0.0:
-        # Far from its switch the series' terms may leave the double range; such a
-        # point's estimate is then not finite and the series does not serve it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            served = ev.series(omega[near], [lead[k] for k in near], [d_omega[k] for k in near], tol)
-        for k, (r, e, ok) in zip(near, served):
-            if ok:
-                rem[k], value[k], err[k] = r, lead[k] + r, e + lead_err[k]
-                del best[k]
-    for k in unserved:
-        if k in best:
-            v, e = best[k]
-            raise QuadratureAccuracyError(
-                f"no hyperbola rung and no endpoint series meets the tolerance (omega={om[k]}, error {e})",
-                best_estimate=v,
-                error_estimate=e,
-            )
+                elif e < best[k][1]:
+                    best[k] = (v, e)
+    for k, (v, e) in best.items():
+        raise QuadratureAccuracyError(
+            f"no hyperbola rung and no endpoint series meets the tolerance (omega={om[k]}, error {e})",
+            best_estimate=v,
+            error_estimate=e,
+        )
     return lead, lead_err, rem, value, err
 
 
@@ -607,8 +595,7 @@ class DensityEvaluator:
     evaluated through one evaluator reuses the hyperbolas of the points
     before it, so a whole curve or an outer quadrature over x should go
     through a single evaluator, and through as few calls as possible:
-    ``values`` takes an array.  c = max(gamma_pole, 0) + 1 is the abscissa of
-    the line estimate the endpoint series' switch compares with.
+    ``values`` takes an array.
     """
 
     def __init__(self, spec: RatioSpec, cfg: ContourConfig | None = None):
@@ -636,7 +623,6 @@ class DensityEvaluator:
         self.cfg = cfg
         self.spec = spec
         self.inv = inv
-        self.c = max(inv.gamma_pole, 0.0) + 1.0
         try:
             gamma_mu = math.gamma(inv.mu)
         except OverflowError:

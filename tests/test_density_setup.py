@@ -15,6 +15,7 @@ import pytest
 import gammaratio.foxh as foxh_mod
 from gammaratio import QuadratureAccuracyError, RatioSpec, UnsupportedParameterError, fox_h
 from gammaratio.foxh import DensityEvaluator
+from test_series_path import EndpointSeries40
 
 
 @pytest.fixture
@@ -44,10 +45,19 @@ def extend_calls(monkeypatch):
     return calls
 
 
+# The last three, density-scatter seed 3 op 566 and seed 20 op 446 and a point of
+# density-grid seed 1 op 5, lie below the switch where the density is large; every
+# contour's estimate is larger than the series' there.
 SERIES_POINTS = [
     (RatioSpec(A=(2, 3, 1), a=(0.4, 2.4, 0.9), B=(1, 5), b=(2, 6)), 0.3),
     (RatioSpec(A=(1.0,), a=(0.7,), B=(1.0,), b=(2.9,)), 0.02),
     (RatioSpec(A=(2.0, 1.0), a=(0.5, 1.2), B=(1.0, 2.0), b=(2.5, 1.3)), 0.5),
+    (RatioSpec(A=(2.0, 2.0, 2.0), a=(0.328006169609225, 2.7411080270832118, 2.286446076099979), B=(1.0, 1.0, 4.0),
+               b=(3.6623439781430585, 1.4410297038444846, 1.0259811122614066)), 0.013239250499849975),
+    (RatioSpec(A=(6.0,), a=(2.913647313404752,), B=(1.0, 5.0), b=(3.4297292238337937, 0.7296394174536205)),
+     0.014505575673265714),
+    (RatioSpec(A=(2.0, 2.0, 2.0), a=(1.8965801201638812, 2.5531011028842743, 0.2924844370354317), B=(5.0, 1.0),
+               b=(1.9872212187753338, 4.906953386345346)), 0.47803580094300013),
 ]
 
 RESIDUE_POINTS = [
@@ -65,6 +75,7 @@ def test_series_point_builds_one_stirling_table(spec, omega, table_calls):
     assert ev._hyperbolas == {}
     assert table_calls == [21]
     assert got.value == got.leading_part + got.remainder_part
+    assert abs(got.value - EndpointSeries40(spec)(ev.inv.rho * math.exp(-omega))) <= got.error_estimate
 
 
 @pytest.mark.parametrize("spec, omega", RESIDUE_POINTS)

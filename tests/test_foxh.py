@@ -79,9 +79,6 @@ class TestContourConfig:
         with pytest.raises(DomainError):
             ContourConfig(quad_rel_tol=1e-15)
 
-    def test_default_abscissa(self, spec_mixed_scale):
-        assert DensityEvaluator(spec_mixed_scale).c == 1.0
-
 
 class TestFoxH:
     def test_constant_density(self, spec_inverse_x):
@@ -215,7 +212,7 @@ class TestFoxH:
 
         def refuse(hyperbola, omega, *args):
             calls.append(len(calls) + 1)
-            return [(float(calls[-1]), 10.0 ** abs(calls[-1] - 2), False)] * len(omega)
+            return [(0.0, float(calls[-1]), 10.0 ** abs(calls[-1] - 2), False)] * len(omega)
 
         monkeypatch.setattr(foxh_mod._Hyperbola, "__call__", refuse)
         ev = DensityEvaluator(spec_equal_scales)

@@ -26,7 +26,7 @@ from gammaratio import (
     fox_h,
     mellin_check,
 )
-from gammaratio.foxh import DensityEvaluator
+from gammaratio.foxh import ContourConfig, DensityEvaluator
 from gammaratio.quadrature import GK_NODES
 from test_residue_series import residue_sum_40
 from test_series_path import EndpointSeries40, box_spec, meijer_density
@@ -76,7 +76,7 @@ def test_box_specs_within_estimate():
     # >= 3, else the 40-digit endpoint series within half its radius.
     rng = random.Random(20150132)
     checked, zero_shift = 0, 0
-    for _ in range(140):
+    for _ in range(150):
         spec = box_spec(rng)
         omega = math.exp(rng.uniform(math.log(0.05), math.log(40.0)))
         try:
@@ -270,14 +270,53 @@ def test_rung_3_serves_fuzz_point_189(paths):
     assert_ladder_point(*box_point(7, 189), paths, "rung 3")
 
 
-def test_series_fallback_serves_fuzz_point_79(paths):
-    # Zero shifts, p = 3 and q = 2 (mu = 0.5) at omega = 0.0126, above the
-    # series' switch and below half its radius: no rung meets the tolerance,
-    # and the series does on the contour's rule.
+def test_series_serves_fuzz_point_79_first(paths):
+    # Zero shifts, p = 3 and q = 2 (mu = 0.5) at omega = 0.0126, below the
+    # series' switch (0.078), where no rung meets the tolerance: the series
+    # serves it at the first ask, with no contour.
     spec, omega = box_point(7, 79)
     got = assert_ladder_point(spec, omega, paths, "series")
-    assert [name for name, _ in paths[-4:-1]] == ["rung 0", "rung 2", "rung 3"]
+    assert paths == [("series", [True])]
     assert got.value == got.leading_part + got.remainder_part
+
+
+def test_series_serves_last_above_its_switch(paths):
+    # Zero shifts, scales 0.11 to 19.4 (draw 187 of box_spec under
+    # random.Random(99)) at omega = 0.236, above the series' switch (0.158)
+    # and below half its radius (0.356): no rung meets the tolerance, and the
+    # series, asked after them (rung 1 would repeat rung 0 and is skipped), does.
+    spec = RatioSpec(A=(0.11338314031018501, 19.26144871932242), a=(0.0, 0.0), B=(19.374831859632604,), b=(0.0,))
+    got = assert_ladder_point(spec, 0.2355535278793799, paths, "series")
+    assert [name for name, _ in paths] == ["rung 0", "rung 2", "rung 3", "series"]
+    assert got.value == got.leading_part + got.remainder_part
+
+
+def test_series_refusal_below_switch_asks_series_once(paths):
+    # Fuzz point 253 (omega = 1.01e-3, below the series' switch 1.6e-3) under
+    # quad_rel_tol = 1e-12: the series' estimate, 8.1e-4 on a density of
+    # 2.2e7, misses that tolerance, and rung 0 serves the point.  The series
+    # is asked first and never again.
+    spec, omega = box_point(7, 253)
+    ev = DensityEvaluator(spec, ContourConfig(quad_rel_tol=1e-12))
+    x = math.exp(ev.inv.log_rho - omega)
+    got = ev.evaluate(x)
+    assert omega < ev.series.switch
+    assert paths == [("series", [False]), ("rung 0", [True])]
+    assert abs(got.value - EndpointSeries40(spec)(x)) <= got.error_estimate
+
+
+def test_raise_reports_least_estimate_of_every_path(spec_mixed_scale, paths):
+    # Below the switch (2.02) under quad_rel_tol = 1e-14 neither the series
+    # nor any rung serves omega = 1; the series, asked once and first, has
+    # the least estimate, and the error carries its record.
+    ev = DensityEvaluator(spec_mixed_scale, ContourConfig(quad_rel_tol=1e-14))
+    x = ev.inv.rho * math.exp(-1.0)
+    with pytest.raises(QuadratureAccuracyError) as exc:
+        ev.evaluate(x)
+    assert paths[0] == ("series", [False]) and [name for name, _ in paths].count("series") == 1
+    assert len(paths) > 1 and not any(ok for _, oks in paths for ok in oks)
+    series = DensityEvaluator(spec_mixed_scale).evaluate(x)
+    assert (exc.value.best_estimate, exc.value.error_estimate) == (series.value, series.error_estimate)
 
 
 def full_box_spec(rng):
@@ -339,13 +378,15 @@ def test_mellin_check_left_of_zero_answers(spec_mixed_scale, s):
 
 
 def test_spec_past_its_series_switch_answers():
-    # The endpoint series refuses omega = 5e-4 here (its switch compares with
-    # the line's least estimate) and the line raised; the hyperbola serves
-    # the point within its estimate of the 40-digit endpoint series.
+    # The line raised at omega = 5e-4 here, and the endpoint series refused
+    # it while it was judged against the line's least estimate; on the rule
+    # of every path the series serves it within its estimate of the 40-digit
+    # endpoint series, with no contour.
     spec = RatioSpec(A=(5.0,), a=(29.4,), B=(1.0, 4.0), b=(18.2, 15.6))
     series = EndpointSeries40(spec)
     for omega in (5e-4, 1e-3):
-        got, served = hyperbola_point(spec, omega)
+        ev = DensityEvaluator(spec)
+        got = ev.evaluate(math.exp(ev.inv.log_rho - omega))
         exact = series(math.exp(derive(spec).log_rho - omega))
-        assert served
+        assert ev._hyperbolas == {}
         assert abs(got.value - exact) <= got.error_estimate <= 1e-8 * abs(exact)
