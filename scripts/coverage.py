@@ -6,12 +6,13 @@ Run from the root of a checkout (or name another checkout's src with --src):
 
 The sets:
 
-- fuzz: 400 points, each on a fresh spec of tests/test_series_path.box_spec
+- fuzz: 400 points, each on a fresh spec of tests/oracles.box_spec
   (random.Random(7)) at omega log-uniform in [1e-3, 30];
-- far: 600 such points (random.Random(11)) at omega log-uniform in [6, 60];
-- box: the 300 specs of tests/test_hyperbola.py's
-  test_full_box_answers_or_raises_package_errors, with its fox_h, density
-  and mellin_check(spec, 1) calls.
+- far: 600 such points (random.Random(11)) at omega log-uniform in [6, 60]
+  (both sets are tests/oracles.coverage_points);
+- box: the 300 specs of tests/oracles.full_box_spec (random.Random(2026)) that
+  tests/test_hyperbola.py's test_full_box_answers_or_raises_package_errors
+  runs, with its fox_h, density and mellin_check(spec, 1) calls.
 
 A fuzz or far point is one fox_h call at x = rho e^-omega.  It is counted
 under the path that served it, as scripts/density_paths.py counts paths:
@@ -24,12 +25,24 @@ box set every density point of every call is counted by path, and each call
 by its outcome.  Warnings other than the documented small-mu one are
 counted as they arise.
 
---oracle checks every fuzz or far point served past rung 0 (series fallback
-included) against tests/test_series_path.EndpointSeries40 within half the
-series' radius, else meijer_density for integer scales, and reports the
-largest error over the estimate.  --records writes one JSON line per fuzz or
-far point (set, index, omega, path, value, estimate).  The last line of
-stdout is one JSON object with every count.
+--oracle checks every served fuzz or far point, whatever its path, against
+tests/oracles.reference, which takes the first that applies of:
+meijer_density, the Meijer G-function at 20 digits, for integer scales at
+omega >= 0.05; residue_sum_40, the residues at the left poles at 40 digits
+plus the digits their terms cancel, where omega >= 3 and the poles are
+simple; and EndpointSeries40, the endpoint series at 40 digits plus the
+digits its terms cancel, summed until a term falls below 1e-30 of the sum,
+within half the series' radius.  Per path it reports the points checked,
+the points no oracle applies to (the series' None included) and the largest
+error over the estimate; each point outside its estimate is listed as
+[index, omega, path, error over estimate], and the oracle's own seconds are
+given apart.  --records writes one JSON line per fuzz or far point (set,
+index, omega, path, value, estimate).  The last line of stdout is one JSON
+object with every count.
+
+The oracles and generators are imported from this checkout's tests/ and the
+package from --src, so the path counts of another checkout's source compare
+with this one's.
 """
 
 from __future__ import annotations
@@ -45,7 +58,6 @@ import time
 import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-POINT_SETS = {"fuzz": (7, 400, 1e-3, 30.0), "far": (11, 600, 6.0, 60.0)}
 
 
 def served(counts) -> dict:
@@ -58,15 +70,11 @@ def served(counts) -> dict:
 
 def point_set(gr, counts, name, check, records):
     """Counts by path and by raise over one set of fox_h points, and the oracle's verdicts."""
-    from test_series_path import box_spec
+    from oracles import coverage_points
 
-    seed, n, lo, hi = POINT_SETS[name]
-    rng = random.Random(seed)
     by_path: collections.Counter = collections.Counter()
-    warned, worst, checked, outside = 0, 0.0, 0, []
-    for index in range(n):
-        spec = box_spec(rng)
-        omega = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    warned, oracle, outside, oracle_seconds = 0, {}, [], 0.0
+    for index, (spec, omega) in enumerate(coverage_points(name)):
         counts.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -81,23 +89,30 @@ def point_set(gr, counts, name, check, records):
         if records is not None:
             records.write(json.dumps({"set": name, "index": index, "omega": omega, "path": path,
                                       "value": got and got.value, "estimate": got and got.error_estimate}) + "\n")
-        if check and got is not None and path not in ("series", "hyperbola rung 0", "leading part"):
-            exact = check(spec, x, omega)
-            if exact is not None:
-                checked += 1
-                ratio = abs(got.value - exact) / got.error_estimate if got.error_estimate else math.inf
-                worst = max(worst, ratio)
-                if ratio > 1.0:
-                    outside.append([index, omega, path])
-    out = {"points": n, "by_path": dict(sorted(by_path.items())), "warned": warned}
+        if check and got is not None:
+            row = oracle.setdefault(path, {"checked": 0, "no oracle": 0, "max_err_over_estimate": 0.0})
+            t0 = time.perf_counter()
+            exact = check(spec, x)
+            oracle_seconds += time.perf_counter() - t0
+            if exact is None:
+                row["no oracle"] += 1
+                continue
+            row["checked"] += 1
+            err = float(abs(got.value - exact))
+            ratio = err / got.error_estimate if got.error_estimate else (math.inf if err else 0.0)
+            row["max_err_over_estimate"] = max(row["max_err_over_estimate"], ratio)
+            if ratio > 1.0:
+                outside.append([index, omega, path, ratio])
+    out = {"points": sum(by_path.values()), "by_path": dict(sorted(by_path.items())), "warned": warned}
     if check:
-        out["oracle"] = {"checked": checked, "max_err_over_estimate": worst, "outside": outside}
+        out["oracle"] = {"by_path": dict(sorted(oracle.items())), "outside": outside,
+                         "seconds": round(oracle_seconds, 1)}
     return out
 
 
 def box_set(gr, counts):
     """Per-path point counts and per-call outcomes over the full box of tests/test_hyperbola.py."""
-    from test_hyperbola import full_box_spec
+    from oracles import full_box_spec
 
     rng = random.Random(2026)
     calls: collections.Counter = collections.Counter()
@@ -129,22 +144,11 @@ def box_set(gr, counts):
     return {"calls": dict(sorted(calls.items())), "points_by_path": served(counts), "warned": warned}
 
 
-def oracle(spec, x, omega):
-    """The 40-digit endpoint series within half its radius, else the Meijer G-function for
-    integer scales, else None."""
-    from test_series_path import EndpointSeries40, meijer_density
-
-    exact = EndpointSeries40(spec)(x) if omega < math.pi * min(spec.A + spec.B) else None
-    if exact is None and all(v == int(v) for v in spec.A + spec.B):
-        exact = meijer_density(spec, x)
-    return None if exact is None else float(exact)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     parser.add_argument("--sets", nargs="+", default=["fuzz", "far", "box"], choices=["fuzz", "far", "box"])
-    parser.add_argument("--oracle", action="store_true", help="check points served past rung 0")
+    parser.add_argument("--oracle", action="store_true", help="check every served fuzz or far point")
     parser.add_argument("--records", default=None, help="write one JSON line per fuzz or far point")
     args = parser.parse_args(argv)
 
@@ -153,6 +157,7 @@ def main(argv=None) -> int:
     import gammaratio as gr
     from gammaratio import foxh
     from density_paths import count_paths
+    from oracles import reference
 
     counts: collections.Counter = collections.Counter()
     count_paths(foxh, counts)
@@ -164,7 +169,7 @@ def main(argv=None) -> int:
             if name == "box":
                 out[name] = box_set(gr, counts)
             else:
-                out[name] = point_set(gr, counts, name, oracle if args.oracle else None, records)
+                out[name] = point_set(gr, counts, name, reference if args.oracle else None, records)
             out[name]["seconds"] = round(time.perf_counter() - t0, 1)
             print(f"{name}: {out[name]}", file=sys.stderr)
     finally:

@@ -33,6 +33,7 @@ from gammaratio import (
     power_sum_diff,
 )
 from gammaratio.monotonicity import FAILS, HOLDS, LCM, BERNSTEIN_DERIVATIVE
+from oracles import gen_condition_a, gen_condition_b, gen_condition_c
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -250,13 +251,11 @@ class TestCriterion10PropertySuites:
                     fact_ok = False
 
         # Sufficient-condition soundness, >= 200 generated specs each.
-        from test_monotonicity import _gen_condition_a, _gen_condition_b, _gen_condition_c
-
         sound_ok = True
         for gen, checker in (
-            (_gen_condition_a, check_sufficient_a),
-            (_gen_condition_b, check_sufficient_b),
-            (_gen_condition_c, check_sufficient_c),
+            (gen_condition_a, check_sufficient_a),
+            (gen_condition_b, check_sufficient_b),
+            (gen_condition_c, check_sufficient_c),
         ):
             grng = np.random.default_rng(4242)
             holds = 0

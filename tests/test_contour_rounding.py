@@ -2,18 +2,15 @@
 
 With every shift 0 the numerator poles coincide at s = 0 and the rounding of
 log rho weighs most; every point the hyperbola ladder serves there must lie
-within its estimate of the 50-digit endpoint series.
+within its estimate of the 40-digit EndpointSeries40 of tests/oracles.py.
 """
 
 import math
 import random
 
-import mpmath
-
 from gammaratio import QuadratureAccuracyError, fox_h
 from gammaratio.foxh import DensityEvaluator
-from test_endpoint_series import series_terms
-from test_series_path import box_spec
+from oracles import EndpointSeries40, box_spec
 
 
 def zero_shift_spec(rng):
@@ -27,8 +24,8 @@ def zero_shift_spec(rng):
 
 
 def test_zero_shift_contour_points_within_estimate():
-    # Points just above the switch take the hyperbola ladder; the series at
-    # 50 digits still converges there (omega below half its radius).
+    # Points just above the switch take the hyperbola ladder; the 40-digit
+    # series still converges there (omega below half its radius).
     rng = random.Random(20150128)
     checked = 0
     for _ in range(25):
@@ -39,10 +36,8 @@ def test_zero_shift_contour_points_within_estimate():
             result = fox_h(spec, x)
         except QuadratureAccuracyError:
             continue
-        terms = series_terms(spec, x)
-        with mpmath.workdps(50):
-            exact = mpmath.fsum(terms)
-            assert abs(terms[-1]) <= 1e-30 * abs(exact), (spec, omega)
+        exact = EndpointSeries40(spec)(x)
+        assert exact is not None, (spec, omega)
         assert abs(result.value - float(exact)) <= result.error_estimate, (spec, omega, result)
         checked += 1
     assert checked >= 20

@@ -1,16 +1,16 @@
 """Density values against an independent high-precision oracle.
 
 With unit scales the representing density is a Meijer G-function,
-H(x) = G^{p,0}_{p,p}(x | b; a) on (0, 1), which mpmath evaluates at 20
-digits.  Every error estimate must bound the distance to it.
+H(x) = G^{p,0}_{p,p}(x | b; a) on (0, 1), which tests/oracles.meijer_density
+evaluates at 20 digits.  The points take the endpoint series and the
+hyperbola ladder, and every error estimate must bound the distance to it.
 """
 
 import math
 import random
 
-import mpmath
-
 from gammaratio import RatioSpec, fox_h
+from oracles import meijer_density
 
 # Bands of omega = log(1/x): near the support endpoint, the middle, and far
 # below it, where the contour moves toward the imaginary axis (omega > 6).
@@ -24,11 +24,6 @@ def unit_spec(rng):
     weights = [rng.uniform(0.2, 1.0) for _ in range(p)]
     target = rng.uniform(0.6, 4.0) + math.fsum(a)
     return RatioSpec(A=(1.0,) * p, a=a, B=(1.0,) * p, b=[target * w / math.fsum(weights) for w in weights])
-
-
-def meijer_density(spec, x):
-    with mpmath.workdps(20):
-        return float(mpmath.meijerg([[], list(spec.b)], [list(spec.a), []], x))
 
 
 def test_error_within_estimate():

@@ -15,7 +15,7 @@ import pytest
 import gammaratio.foxh as foxh_mod
 from gammaratio import QuadratureAccuracyError, RatioSpec, UnsupportedParameterError, fox_h
 from gammaratio.foxh import DensityEvaluator
-from test_series_path import EndpointSeries40
+from oracles import EndpointSeries40
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ from gammaratio import (
     mellin_check,
 )
 from gammaratio.foxh import DensityEvaluator, HEvaluation, gamma_product_ratio_at
+from oracles import fresh_spec, invariants
 
 
 def beta_density(alpha, beta, x):
@@ -35,37 +36,13 @@ def beta_density(alpha, beta, x):
 
 def g_40_digits(spec, s):
     """W(s) rho^-s - A* s^-mu from mpmath gamma functions at 40 digits."""
+    log_rho, mu, a_star = invariants(spec, 40)
     with mpmath.workdps(40):
         s = mpmath.mpc(s)
-        half = mpmath.mpf(1) / 2
-        num = list(zip(spec.A, spec.a))
-        den = list(zip(spec.B, spec.b))
-        w = mpmath.fprod(mpmath.gamma(A * s + a) for A, a in num) / mpmath.fprod(
-            mpmath.gamma(B * s + b) for B, b in den
+        w = mpmath.fprod(mpmath.gamma(A * s + a) for A, a in zip(spec.A, spec.a)) / mpmath.fprod(
+            mpmath.gamma(B * s + b) for B, b in zip(spec.B, spec.b)
         )
-        log_rho = mpmath.fsum(A * mpmath.log(A) for A, _ in num) - mpmath.fsum(B * mpmath.log(B) for B, _ in den)
-        mu = mpmath.fsum(spec.b) - mpmath.fsum(spec.a) + half * (spec.p - spec.q)
-        log_stirling = (
-            half * (spec.p - spec.q) * mpmath.log(2 * mpmath.pi)
-            + mpmath.fsum((a - half) * mpmath.log(A) for A, a in num)
-            + mpmath.fsum((half - b) * mpmath.log(B) for B, b in den)
-        )
-        return complex(w * mpmath.exp(-s * log_rho) - mpmath.exp(log_stirling) * s ** (-mu))
-
-
-def fresh_spec(rng):
-    """Seeded spec with unit or integer scales and mu in [0.6, 4]."""
-    mu = rng.uniform(0.6, 4.0)
-    if rng.random() < 0.5:
-        A = B = (1.0,) * rng.randint(1, 3)
-    else:
-        total = rng.randint(2, 6)
-        A = tuple(rng.choice([(total,), (1, total - 1), (total - 1, 1)]))
-        B = (total,) if len(A) > 1 else (1, total - 1)
-    a = [rng.uniform(0.0, 3.0) for _ in A]
-    weights = [rng.uniform(0.2, 1.0) for _ in B]
-    target = mu + math.fsum(a) - 0.5 * (len(A) - len(B))
-    return RatioSpec(A=A, a=a, B=B, b=[target * w / math.fsum(weights) for w in weights])
+        return complex(w * mpmath.exp(-s * log_rho) - a_star * s ** (-mu))
 
 
 class TestContourConfig:

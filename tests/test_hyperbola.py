@@ -1,13 +1,16 @@
 """The hyperbola ladder: far and mid-band density points that the endpoint series does not serve.
 
 Every point a rung serves must lie within its estimate of an independent
-reference: the Meijer G-function for integer scales, the sum of the residues
-at the left poles at 40 digits (simple poles), and the endpoint series at 40
-digits within half its radius.  The estimate is a bound (strip, truncation
-and rounding); a point rung 0 refuses asks the later rungs in turn, once
-each, and then the endpoint series on the contour's rule.
+reference of tests/oracles.py: the Meijer G-function at 20 digits for
+integer scales, the sum of the residues at the left poles at 40 digits
+(simple poles), and the endpoint series at 40 digits within half its
+radius; reference() takes them in that order.  The estimate is a bound
+(strip, truncation and rounding); a point rung 0 refuses asks the later
+rungs in turn, once each, and then the endpoint series on the rule of every
+path.
 """
 
+import itertools
 import math
 import random
 import warnings
@@ -28,8 +31,8 @@ from gammaratio import (
 )
 from gammaratio.foxh import ContourConfig, DensityEvaluator
 from gammaratio.quadrature import GK_NODES
-from test_residue_series import residue_sum_40
-from test_series_path import EndpointSeries40, box_spec, meijer_density
+from oracles import (EndpointSeries40, box_spec, coverage_points, full_box_spec, meijer_density, reference,
+                     residue_sum_40)
 
 PACKAGE_ERRORS = (DomainError, QuadratureAccuracyError, SingularPointError)
 
@@ -39,10 +42,6 @@ def hyperbola_point(spec, omega):
     ev = DensityEvaluator(spec)
     got = ev.evaluate(math.exp(ev.inv.log_rho - omega))
     return got, bool(ev._hyperbolas) and all(rung == 0 for _, rung in ev._hyperbolas)
-
-
-def integer_scales(spec):
-    return all(v == int(v) for v in spec.A + spec.B)
 
 
 @pytest.mark.parametrize("name", ["spec_mixed_scale", "spec_paired", "spec_equal_scales"])
@@ -85,15 +84,7 @@ def test_box_specs_within_estimate():
             continue
         if not served:
             continue
-        x = math.exp(derive(spec).log_rho - omega)
-        if integer_scales(spec):
-            exact = meijer_density(spec, x)
-        elif omega >= 3.0 and (spec.p == 1 or any(spec.a)):
-            exact = residue_sum_40(spec, x)
-        elif omega < math.pi * min(spec.A + spec.B):
-            exact = EndpointSeries40(spec)(x)
-        else:
-            continue
+        exact = reference(spec, math.exp(derive(spec).log_rho - omega))
         if exact is None:
             continue
         assert abs(got.value - exact) <= got.error_estimate, (spec, omega, got, exact)
@@ -191,30 +182,21 @@ def paths(monkeypatch):
     return events
 
 
-def box_point(seed, index):
-    """Point `index` of a coverage set of scripts/coverage.py: the spec of box_spec and omega
-    log-uniform in [1e-3, 30] (seed 7, the fuzz set) or [6, 60] (seed 11, the far set)."""
-    lo, hi = {7: (1e-3, 30.0), 11: (6.0, 60.0)}[seed]
-    rng = random.Random(seed)
-    for _ in range(index + 1):
-        spec = box_spec(rng)
-        omega = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    return spec, omega
+def fuzz_point(index):
+    """Point `index` (spec, omega) of the fuzz set of scripts/coverage.py."""
+    return next(itertools.islice(coverage_points("fuzz"), index, None))
 
 
 def assert_ladder_point(spec, omega, paths, served_by):
-    """The point's record lies within its estimate of the Meijer G-function (integer scales)
-    or the 40-digit endpoint series, and served_by is the last path it asked, which served
-    it."""
+    """The point's record lies within its estimate of reference() (the Meijer G-function for
+    the integer scales here, else the 40-digit endpoint series), and served_by is the last
+    path it asked, which served it."""
     ev = DensityEvaluator(spec)
     x = math.exp(ev.inv.log_rho - omega)
     got = ev.evaluate(x)
     assert paths[-1] == (served_by, [True]), paths
     assert all(not any(oks) for _, oks in paths[:-1]), paths
-    if integer_scales(spec):
-        exact = meijer_density(spec, x)
-    else:
-        exact = EndpointSeries40(spec)(x)
+    exact = reference(spec, x)
     assert abs(got.value - exact) <= got.error_estimate <= 1e-8 * (abs(got.leading_part) + abs(got.remainder_part))
     return got
 
@@ -255,26 +237,26 @@ def test_growing_integrand_is_refused(paths):
 
 def test_rung_1_serves_fuzz_point_15(paths):
     # RAISING, where the line could not be trusted (mu = 37).
-    spec, omega = box_point(7, 15)
+    spec, omega = fuzz_point(15)
     assert (spec, omega) == (RAISING, 0.2073070718125844)
     assert_ladder_point(spec, omega, paths, "rung 1")
 
 
 def test_rung_2_serves_fuzz_point_145(paths):
     # Integer scales, shifts up to 58 (mu = 56); the line raised here.
-    assert_ladder_point(*box_point(7, 145), paths, "rung 2")
+    assert_ladder_point(*fuzz_point(145), paths, "rung 2")
 
 
 def test_rung_3_serves_fuzz_point_189(paths):
     # Shifts up to 58 and mu = 71, served on the line before.
-    assert_ladder_point(*box_point(7, 189), paths, "rung 3")
+    assert_ladder_point(*fuzz_point(189), paths, "rung 3")
 
 
 def test_series_serves_fuzz_point_79_first(paths):
     # Zero shifts, p = 3 and q = 2 (mu = 0.5) at omega = 0.0126, below the
     # series' switch (0.078), where no rung meets the tolerance: the series
     # serves it at the first ask, with no contour.
-    spec, omega = box_point(7, 79)
+    spec, omega = fuzz_point(79)
     got = assert_ladder_point(spec, omega, paths, "series")
     assert paths == [("series", [True])]
     assert got.value == got.leading_part + got.remainder_part
@@ -296,7 +278,7 @@ def test_series_refusal_below_switch_asks_series_once(paths):
     # quad_rel_tol = 1e-12: the series' estimate, 8.1e-4 on a density of
     # 2.2e7, misses that tolerance, and rung 0 serves the point.  The series
     # is asked first and never again.
-    spec, omega = box_point(7, 253)
+    spec, omega = fuzz_point(253)
     ev = DensityEvaluator(spec, ContourConfig(quad_rel_tol=1e-12))
     x = math.exp(ev.inv.log_rho - omega)
     got = ev.evaluate(x)
@@ -317,23 +299,6 @@ def test_raise_reports_least_estimate_of_every_path(spec_mixed_scale, paths):
     assert len(paths) > 1 and not any(ok for _, oks in paths for ok in oks)
     series = DensityEvaluator(spec_mixed_scale).evaluate(x)
     assert (exc.value.best_estimate, exc.value.error_estimate) == (series.value, series.error_estimate)
-
-
-def full_box_spec(rng):
-    """p, q <= 4, entries log-uniform in [1e-2, 1e3]; half with equal scale sums, half
-    with every shift 0."""
-    def entries(n):
-        return [math.exp(rng.uniform(math.log(1e-2), math.log(1e3))) for _ in range(n)]
-
-    p, q = rng.randint(1, 4), rng.randint(1, 4)
-    A = entries(p)
-    if rng.random() < 0.5:
-        w = [rng.uniform(0.2, 1.0) for _ in range(q)]
-        B = [math.fsum(A) * v / math.fsum(w) for v in w]
-    else:
-        B = entries(q)
-    zero = rng.random() < 0.5
-    return A, [0.0] * p if zero else entries(p), B, [0.0] * q if zero else entries(q)
 
 
 def test_full_box_answers_or_raises_package_errors():

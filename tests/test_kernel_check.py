@@ -23,6 +23,7 @@ from gammaratio import RatioSpec, build_unweighted, check_kernel_nonneg
 from gammaratio import monotonicity, ratio
 from gammaratio.monotonicity import _TAYLOR_TOL, FAILS, HOLDS, Q_NONNEG, UNDECIDED, ConditionEvidence
 from gammaratio.ratio import REL_TOL, cm_kernel, cm_kernel_series, cm_kernel_t, kernel_positive_part
+from oracles import equivalence_specs
 
 
 def _reference_one_sign(spec):
@@ -75,40 +76,11 @@ def _reference_check(spec, grid_size, refine_tol=1e-12):
     return ConditionEvidence(Q_NONNEG, UNDECIDED, reason), nan_min
 
 
-def _equivalence_specs():
-    rng = random.Random(20261018)
-    specs = []
-    for k in range(100):
-        beta = [rng.uniform(0.0, 3.0) for _ in range(rng.randint(1, 4))]
-        spec = build_unweighted([v + rng.uniform(0.05, 3.0) for v in beta], beta)
-        if k % 4 == 3:
-            # Moving the largest numerator shift breaks the factorization, so
-            # the kernel may change sign (mostly at t -> 1).
-            a = sorted(spec.a)
-            a[-1] *= rng.uniform(0.8, 1.2)
-            spec = RatioSpec(A=spec.A, a=a, B=spec.B, b=spec.b)
-        specs.append(spec)
-    for equal in (True, False) * 100:
-        p, q = rng.randint(1, 4), rng.randint(1, 4)
-        A = [rng.uniform(0.2, 5.0) for _ in range(p)]
-        if equal:
-            cuts = sorted(rng.uniform(0.0, 1.0) for _ in range(q - 1))
-            total = math.fsum(A)
-            B = [total * (hi - lo) for lo, hi in zip([0.0] + cuts, cuts + [1.0])]
-            B[-1] = total - math.fsum(B[:-1])
-        else:
-            B = [rng.uniform(0.2, 5.0) for _ in range(q)]
-        a = [rng.uniform(0.0, 4.0) for _ in range(p)]
-        b = [rng.uniform(0.0, 4.0) for _ in range(q)]
-        specs.append(RatioSpec(A=A, a=a, B=B, b=b))
-    return specs
-
-
 class TestEquivalence:
     @pytest.mark.parametrize("grid_size", [64, 128, 512])
     def test_evidence_matches_eager_reference(self, grid_size):
         checked = []
-        for spec in _equivalence_specs():
+        for spec in equivalence_specs():
             for refine_tol in (1e-12, 1e-6):
                 expected, nan_min = _reference_check(spec, grid_size, refine_tol)
                 if nan_min:
@@ -266,7 +238,7 @@ U_SAMPLES = np.geomspace(1e-300, 1e3, 120)
 
 class TestFusedKernel:
     def test_bitwise_equal_to_per_side_sums(self):
-        for spec in _equivalence_specs() + _wide_specs():
+        for spec in equivalence_specs() + _wide_specs():
             assert cm_kernel(spec, U_SAMPLES).tobytes() == _side_cm_kernel(spec, U_SAMPLES).tobytes(), spec
             assert cm_kernel_t(spec, T_SAMPLES).tobytes() == _side_cm_kernel_t(spec, T_SAMPLES).tobytes(), spec
             positive = _side_power_sum(np.log(T_SAMPLES)[:, None], spec.A, spec.a)

@@ -36,7 +36,7 @@ from gammaratio.monotonicity import (
     Verdict,
 )
 from gammaratio.ratio import derive
-from test_kernel_check import _equivalence_specs
+from oracles import equivalence_specs, gen_condition_a, gen_condition_b, gen_condition_c
 
 
 def _status(evidences, cid):
@@ -328,7 +328,7 @@ def _eager(condition_id, status, witness=None, *values):
 class TestDeferredWitness:
     @pytest.fixture(scope="class")
     def specs(self):
-        return _survey_specs() + _equivalence_specs() + _EDGE_SPECS
+        return _survey_specs() + equivalence_specs() + _EDGE_SPECS
 
     @pytest.fixture(scope="class")
     def finished(self, specs):
@@ -458,46 +458,6 @@ def _rng():
     return np.random.default_rng(20240817)
 
 
-def _gen_condition_a(rng):
-    p = int(rng.integers(1, 4))
-    q = int(rng.integers(1, 4))
-    A = rng.uniform(0.5, 3.0, size=p)
-    B = rng.uniform(0.5, 3.0, size=q)
-    B *= A.sum() / B.sum()
-    m = rng.uniform(0.0, 2.0)
-    a = A * rng.uniform(0.0, 1.0, size=p) * m
-    b = 1.0 + B * (m + rng.uniform(0.0, 2.0, size=q))
-    return RatioSpec(A=tuple(A), a=tuple(a), B=tuple(B), b=tuple(b))
-
-
-def _gen_condition_b(rng):
-    p = int(rng.integers(1, 5))
-    A = rng.uniform(0.5, 3.0, size=p)
-    B = np.empty(p)
-    B[: p - 1] = A[: p - 1] * rng.uniform(0.3, 1.0, size=p - 1)
-    B[p - 1] = A.sum() - B[: p - 1].sum()
-    M = 2.0 * float(np.max(1.0 / B)) + rng.uniform(0.1, 2.0)
-    b = np.empty(p)
-    b[p - 1] = 1.0 + M * B[p - 1]
-    for k in range(p - 1):
-        b[k] = 1.0 + B[k] * rng.uniform(0.0, 1.0) * (M - 1.0 / B[k])
-    a = A * rng.uniform(0.0, 1.0, size=p) * (b - 1.0) / B
-    return RatioSpec(A=tuple(A), a=tuple(a), B=tuple(B), b=tuple(b))
-
-
-def _gen_condition_c(rng):
-    p = int(rng.integers(1, 5))
-    inv_A = np.sort(rng.uniform(0.3, 2.0, size=p))
-    deltas = np.sort(rng.uniform(0.0, 1.0, size=p))
-    inv_B = inv_A + deltas
-    ra = np.sort(rng.uniform(0.0, 3.0, size=p))
-    eps = np.sort(rng.uniform(0.0, 1.5, size=p))
-    rb = ra + eps
-    A = 1.0 / inv_A
-    B = 1.0 / inv_B
-    return RatioSpec(A=tuple(A), a=tuple(ra * A), B=tuple(B), b=tuple(rb * B))
-
-
 class TestSoundness:
     """Certified sufficient conditions never contradict the sampled kernel."""
 
@@ -505,7 +465,7 @@ class TestSoundness:
         rng = _rng()
         n_hold = 0
         for _ in range(220):
-            spec = _gen_condition_a(rng)
+            spec = gen_condition_a(rng)
             if check_sufficient_a(spec).status == HOLDS:
                 n_hold += 1
                 assert check_kernel_nonneg(spec, grid_size=128).status != FAILS
@@ -515,7 +475,7 @@ class TestSoundness:
         rng = _rng()
         n_hold = 0
         for _ in range(220):
-            spec = _gen_condition_b(rng)
+            spec = gen_condition_b(rng)
             if check_sufficient_b(spec).status == HOLDS:
                 n_hold += 1
                 assert check_kernel_nonneg(spec, grid_size=128).status != FAILS
@@ -525,7 +485,7 @@ class TestSoundness:
         rng = _rng()
         n_hold = 0
         for _ in range(220):
-            spec = _gen_condition_c(rng)
+            spec = gen_condition_c(rng)
             if check_sufficient_c(spec).status == HOLDS:
                 n_hold += 1
                 assert check_kernel_nonneg(spec, grid_size=128).status != FAILS
@@ -537,7 +497,7 @@ class TestSoundness:
         rng = _rng()
         seen = 0
         for _ in range(200):
-            spec = _gen_condition_c(rng)
+            spec = gen_condition_c(rng)
             if check_sufficient_c(spec).status != HOLDS:
                 continue
             if sorted(spec.A) == sorted(spec.B):

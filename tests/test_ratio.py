@@ -32,7 +32,7 @@ from gammaratio import ratio
 from gammaratio.foxh import gamma_product_ratio_at
 from gammaratio.monotonicity import build_unweighted
 from gammaratio.ratio import _stirling_table
-from test_series_path import box_spec
+from oracles import box_spec
 
 VERDICTS = {"LCM", "NOT_LCM", "BERNSTEIN_DERIVATIVE", "INCONCLUSIVE"}
 

@@ -1,62 +1,25 @@
-"""Far below the support endpoint, against the sum of the residues at the left poles.
+"""Rung 0 of the hyperbola ladder far below the support endpoint, against the residue sum.
 
 Beyond omega = log(rho/x) = 6 every point of these specs is served by rung 0
-of the hyperbola ladder.  Every value must lie within its estimate of
-an independent reference: the Meijer G-function for integer scales, and
-otherwise the sum of the residues of W(s) x^-s at the left poles in mpmath at
-40 digits (residue_sum_40, for simple poles), which tests/test_hyperbola.py
-uses as an oracle too.
+of the hyperbola ladder (the file keeps the name of the residue series that
+served them before).  Every value must lie within its estimate of
+tests/oracles.reference: the Meijer G-function for integer scales, else the
+40-digit sum of the residues of W(s) x^-s at the left poles (simple poles).
 """
 
 import math
 import random
 
-import mpmath
 import numpy as np
 import pytest
 
 import gammaratio.foxh as foxh_mod
 from gammaratio import QuadratureAccuracyError, RatioSpec, derive, mellin_check
 from gammaratio.foxh import DensityEvaluator
-from test_foxh import fresh_spec
-from test_series_path import box_spec, meijer_density
+from oracles import box_spec, fresh_spec, reference, residue_sum_40
 
 FIXTURES = ("spec_mixed_scale", "spec_paired", "spec_equal_scales", "spec_inverse_x")
 FAR = (6.5, 9.0, 14.0, 25.0, 40.0)
-
-
-def residue_sum_40(spec, x, cap=3000):
-    """sum_i sum_k Res_(s = -(a_i + k)/A_i) W(s) x^-s at 40 digits, each row summed until
-    eight terms in a row lie below 1e-35 of its largest; simple poles only."""
-    with mpmath.workdps(40):
-        A, a, B, b = ([mpmath.mpf(v) for v in vs] for vs in (spec.A, spec.a, spec.B, spec.b))
-        log_x = mpmath.log(mpmath.mpf(x))
-        total = mpmath.mpf(0)
-        for i in range(spec.p):
-            largest, small = mpmath.mpf(0), 0
-            for k in range(cap):
-                s = -(a[i] + k) / A[i]
-                c = (-1) ** k / (mpmath.factorial(k) * A[i])
-                for l in range(spec.p):
-                    if l != i:
-                        c *= mpmath.gamma(A[l] * s + a[l])
-                for j in range(spec.q):
-                    c *= mpmath.rgamma(B[j] * s + b[j])
-                term = c * mpmath.exp(-s * log_x)
-                total += term
-                largest = max(largest, abs(term))
-                small = small + 1 if abs(term) <= mpmath.mpf(10) ** -35 * largest else 0
-                if small == 8:
-                    break
-            else:
-                raise AssertionError(f"row {i} of {spec} did not converge in {cap} terms")
-        return total
-
-
-def reference(spec, x):
-    if all(v == int(v) for v in spec.A + spec.B):
-        return meijer_density(spec, x)
-    return residue_sum_40(spec, x)
 
 
 def served(spec, omega):
