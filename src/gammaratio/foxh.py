@@ -41,14 +41,16 @@ of omega and the leading part once and hands them to each path.  A series
 point returns P + R, R its remainder; a hyperbola point returns H itself and
 reports R = H - P, so H keeps its digits where P >> H.
 
-A point on a spec seen for the first time pays its path's set-up.  The
-endpoint series builds one Stirling table (one set of Bernoulli powers gives
-the m d_m and their magnitudes, ratio._stirling_table), and handles its 21
-coefficients and error weights as Python floats, where arrays of 21 entries
-cost more in numpy calls than in arithmetic (the switch's powers stay one
-array pass).  A hyperbola evaluates log F with one specfun.log_gamma_plane
-call over the p + q factors of its nodes (rung 0: the contour's 26 and 13 on
-each strip edge), whose cost is mostly the fixed cost of its numpy calls.
+A point on a spec seen for the first time pays its path's set-up, whose
+cost is mostly the fixed cost of numpy calls and of Python per call, not
+arithmetic.  The endpoint series builds one Stirling table (one set of
+Bernoulli powers gives the m d_m and their magnitudes,
+ratio._stirling_table), runs the e_k recursion on Python floats, and makes
+its coefficients, switch and error weights in one pass of array operations.
+A hyperbola evaluates log F with one specfun.log_gamma_plane call over the p
++ q factors of its nodes (rung 0: the contour's 26 and 13 on each strip
+edge).  The engine hands a path each point as one tuple (omega, P, its
+error, rounding of omega), so a one-point batch builds no per-point arrays.
 
 F does not depend on x.  A DensityEvaluator derives a spec once and keeps one
 _Hyperbola per omega bin and rung, holding log F on its nodes.  The engine
@@ -107,8 +109,15 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # The endpoint series sums the Stirling coefficients e_1..e_(K-1) and takes the next
 # two as its truncation error.
 _SERIES_TERMS = 20
+# j = 0..K and m = j + 1 of the m d_m; k = 1..K-1 of the kept terms, with k eps and (k + 3) eps.
+_STEPS = np.arange(_SERIES_TERMS + 1.0)
+_M = _STEPS + 1.0
+_KEPT = _M[: _SERIES_TERMS - 1]
+_KEPT_EPS, _KEPT_EPS3 = _KEPT * _EPS, (_KEPT + 3.0) * _EPS
 # Those two over the k-th kept term grow like omega^(K-k) and omega^(K+1-k), k = 1..K-1.
-_SWITCH_ROOTS = 1.0 / (_SERIES_TERMS + np.array([[0.0], [1.0]]) - np.arange(1.0, _SERIES_TERMS))
+_SWITCH_ROOTS = 1.0 / (_SERIES_TERMS + np.array([[0.0], [1.0]]) - _KEPT)
+# The columns of a point (omega, P, ...) that make P, omega, .., omega, K + 1 times.
+_POWER_COLUMNS = np.array([1] + [0] * (_SERIES_TERMS + 1))
 
 # Beyond _SHIFT_OMEGA no point asks the endpoint series first: a far point has never
 # been found below its switch, and asking would set up its Stirling table for nothing.
@@ -127,6 +136,8 @@ _HYP_DOWN = 0.5
 _RUNGS = ((24, False), (24, True), (48, True), (96, True))
 # Newton or bisection steps of the saddle search, whose root is bracketed.
 _SADDLE_STEPS = 100
+# Operands of a contour's arithmetic as 0-d arrays (see specfun).
+_MINUS_ONE, _THREE = np.array(-1.0 + 0j), np.array(3.0)
 
 
 # Halvings of the Gauss-Jacobi interval of the edge integral before the
@@ -214,101 +225,83 @@ class _EndpointSeries:
     depends on the spec and omega alone.  A point above the switch and
     within half the radius asks it after every rung has refused it.
 
-    The set-up reads the evaluator's one Stirling table (the m d_m, their
-    magnitudes and the e_k, from one ratio._stirling_table): the d_k and the
-    switch at once, and at the first point that asks the series the error
-    weights of the kept terms, held with the d_k in one matrix, so that a
-    batch takes one product and one sum for its values and their estimates.
+    The set-up builds one Stirling table (the m d_m and their magnitudes,
+    ratio._stirling_table), sums the e_k from it and makes one pass over the
+    coefficients, as arrays: the d_k, the switch, and the error weights of the
+    kept terms, held with the d_k in one matrix, so that a batch takes one
+    product and one sum for its values and their estimates.
+
+    The weights are the d_k over their error per unit |P omega^k|, k = 1..K-1:
+    fixed, per unit error of omega over omega, per unit |log omega|.  The fixed
+    part is the coefficient's rounding (with the k products of (mu)_k), the
+    term's (k products for omega^k, those by P and d_k, the rounding of P) and
+    mu's through psi(mu+k) = psi(mu) + sum_(j<k) 1/(mu+j).  m d_m sums m + 2
+    monomials per factor over p + q factors, so it is off by at most (m + p + q
+    + 6) eps times the same sums over the magnitudes of their terms.  The e_k
+    are the coefficients of exp(sum_m d_m z^m), so that error moves e_k by
+    sum_m |error of m d_m| |e_(k-m)| / m to first order; each step's products
+    and sum add eps sum_m |m d_m e_(k-m)|.  On 2,400 seeded specs (scales
+    0.05-20, shifts up to 60) every e_k, k <= 21, lay within 0.16 of this bound
+    of a 50-digit recursion.
     """
 
-    __slots__ = ("omitted", "switch", "inputs", "terms")
+    __slots__ = ("omitted", "switch", "terms")
 
     def __init__(self, ev: DensityEvaluator):
-        md, magnitudes, e = ev._stirling
-        mu = ev.inv.mu
-        # (mu)_k and d_k = e_k / (mu)_k, k = 1..K+1, one product and one quotient a term.
-        rising, coef = [], []
-        step = mu
-        for k, e_k in enumerate(e[1:]):
-            if k:
-                step *= mu + k
-            rising.append(step)
-            coef.append(e_k / step)
-        kept = [abs(d) for d in coef[:-2]]
-        self.omitted = coef[-2:]
-        self.switch = 0.0
-        if 0.0 < ev.lead_scale < math.inf and all(map(math.isfinite, coef)):
-            reach = math.inf
-            live = [j for j, t in enumerate(self.omitted) if t]
-            if live and max(kept) > 0.0:
-                # Per kept term, the omega where either omitted term first reaches
-                # _SERIES_TRUNCATION of it; an omitted term that is 0 sets no bound,
-                # and a kept term that is 0 gives 0.
-                lo, hi = live[0], live[-1] + 1
-                scale = np.array([[_SERIES_TRUNCATION / abs(t)] for t in self.omitted[lo:hi]])
-                reach = float(((scale * kept) ** _SWITCH_ROOTS[lo:hi]).min(axis=0).max())
-            self.switch = min(ev.half_radius, reach)
-        # What the error weights need, held until the first point asks the series:
-        # copies of the evaluator's lists and scalars, not the evaluator (no
-        # reference cycle).
-        self.inputs = (md, magnitudes, e, rising, coef, kept, mu, ev.spec.p + ev.spec.q, ev.psi_mu, ev.mu_err,
-                       ev.lead_err)
-        self.terms = None
+        # m d_m and their magnitudes, m = 1..K+1, and e_0..e_(K+1).
+        md, magnitudes = _stirling_table(ev.spec, _SERIES_TERMS + 1)
+        md, magnitudes = md[1:], magnitudes[1:]
+        e = np.array(_stirling_coefficients(md.tolist()))
+        mu, kept_terms = ev.inv.mu, _SERIES_TERMS - 1
+        # Far from the double range's middle the arrays run to inf and nan, as floats would.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # (mu)_k and d_k = e_k / (mu)_k, k = 1..K+1: a running product, one quotient a term.
+            steps = mu + _STEPS
+            rising = np.multiply.accumulate(steps)
+            coef = e[1:] / rising
+            size = np.abs(coef)
+            kept = size[:kept_terms]
+            self.omitted = coef[kept_terms:].tolist()
+            largest = kept.max()
+            self.switch = 0.0
+            if 0.0 < ev.lead_scale < math.inf and largest < math.inf and all(map(math.isfinite, self.omitted)):
+                reach = math.inf
+                live = [j for j, t in enumerate(self.omitted) if t]
+                if live and largest > 0.0:
+                    # Per kept term, the omega where either omitted term first reaches
+                    # _SERIES_TRUNCATION of it; an omitted term that is 0 sets no bound,
+                    # and a kept term that is 0 gives 0.
+                    lo, hi = live[0], live[-1] + 1
+                    scale = _SERIES_TRUNCATION / size[kept_terms + lo : kept_terms + hi, None]
+                    reach = float(((scale * kept) ** _SWITCH_ROOTS[lo:hi]).min(axis=0).max())
+                self.switch = min(ev.half_radius, reach)
+            abs_e = np.abs(e)
+            per_md = _EPS * ((_M + (ev.spec.p + ev.spec.q + 6.0)) * magnitudes / _M + np.abs(md))
+            error = np.convolve(per_md, abs_e)[:kept_terms]
+            psi = np.add.accumulate(np.reciprocal(steps[:kept_terms]))
+            self.terms = terms = np.empty((4, kept_terms))
+            terms[0] = coef[:kept_terms]
+            np.add((error + _KEPT_EPS * abs_e[1:_SERIES_TERMS]) / rising[:kept_terms],
+                   kept * (_KEPT_EPS3 + ev.lead_err + ev.mu_err * np.abs(psi + ev.psi_mu)), out=terms[1])
+            np.multiply(kept, (mu - 1.0) + _KEPT, out=terms[2])
+            np.multiply(kept, ev.mu_err, out=terms[3])
 
-    def _terms(self) -> np.ndarray:
-        """The d_k over their error per unit |P omega^k|, k = 1..K-1: fixed, per unit error
-        of omega over omega, per unit |log omega|.
-
-        The fixed part is the coefficient's rounding (with the k products of
-        (mu)_k), the term's (k products for omega^k, those by P and d_k, the
-        rounding of P) and mu's through psi(mu+k) = psi(mu) + sum_(j<k) 1/(mu+j).
-
-        m d_m sums m + 2 monomials per factor over p + q factors, so it is off by
-        at most (m + p + q + 6) eps times the same sums over the magnitudes of
-        their terms.  The e_k are the coefficients of exp(sum_m d_m z^m), so that
-        error moves e_k by sum_m |error of m d_m| |e_(k-m)| / m to first order;
-        each step's products and sum add eps sum_m |m d_m e_(k-m)|.  On 2,400
-        seeded specs (scales 0.05-20, shifts up to 60) every e_k, k <= 21, lay
-        within 0.16 of this bound of a 50-digit recursion.
-        """
-        md, magnitudes, e, rising, coef, kept, mu, factors, psi_mu, mu_err, lead_err = self.inputs
-        factors += 6.0
-        per_md = [_EPS * ((m + factors) * size / m + abs(d))
-                  for m, size, d in zip(range(1, len(md) + 1), magnitudes, md)]
-        convolved = np.convolve(per_md, np.abs(e))[: _SERIES_TERMS - 1].tolist()
-        terms = ([], [], [], [])
-        psi = 0.0
-        for k, (error, e_k, step, d, size) in enumerate(zip(convolved, e[1:], rising, coef, kept), 1):
-            psi += 1.0 / (mu + (k - 1))
-            fixed = (error + k * _EPS * abs(e_k)) / step
-            terms[0].append(d)
-            terms[1].append(fixed + size * ((k + 3.0) * _EPS + lead_err + mu_err * abs(psi + psi_mu)))
-            terms[2].append(size * (mu - 1.0 + k))
-            terms[3].append(size * mu_err)
-        return np.array(terms)
-
-    def __call__(self, omega: np.ndarray, lead: list, lead_err: list, d_omega: list,
-                 tol: float) -> list[tuple[float, float, float, bool]]:
-        """(remainder, value P + remainder, its error, served) at every 0 < omega < pi
-        min(scales), from each point's P, its error and the rounding of omega.  Elementwise,
-        so a point's result does not depend on its batch; far above the switch the terms may
-        leave the double range, and such a point's estimate is not finite and not served."""
-        if self.terms is None:
-            self.terms = self._terms()
-        om = omega.tolist()
-        powers = np.empty((len(om), _SERIES_TERMS + 2))
-        powers[:, 0] = lead
-        powers[:, 1:] = omega[:, None]
+    def __call__(self, points: list, tol: float) -> list[tuple[float, float, float, bool]]:
+        """(remainder, value P + remainder, its error, served) at every point (omega, P, its
+        error, rounding of omega), 0 < omega < pi min(scales).  Elementwise, so a point's
+        result does not depend on its batch; far above the switch the terms may leave the
+        double range, and such a point's estimate is not finite and not served."""
         # P omega^k for k = 0..K+1, the running product kept as large as it gets.
         # Every P omega^k is >= 0, so one product gives a point's sum and the sums
         # of its error weights.
+        powers = np.array(points).take(_POWER_COLUMNS, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.cumprod(powers, axis=1, out=powers)
-            sums = (powers[:, None, 1:-2] * self.terms).sum(axis=2).tolist()
+            np.multiply.accumulate(powers, axis=1, out=powers)
+            sums = np.add.reduce(powers[:, None, 1:-2] * self.terms, axis=2).tolist()
         c20, c21 = self.omitted
         out = []
-        for w, p, p_err, d, (v, fixed, per_omega, per_log), (p20, p21) in zip(
-                om, lead, lead_err, d_omega, sums, powers[:, -2:].tolist()):
+        for (w, p, p_err, d), (v, fixed, per_omega, per_log), (p20, p21) in zip(
+                points, sums, powers[:, -2:].tolist()):
             total = (abs(p20 * c20) + abs(p21 * c21) + _EPS * abs(v) + fixed + abs(math.log(w)) * per_log + _TINY
                      + d / w * per_omega)
             out.append((v, p + v, total + p_err, total <= tol * (abs(p) + abs(v)) or total <= _UNDERFLOW))
@@ -320,8 +313,8 @@ def _hyperbola_shapes(nodes: int):
     """(z - sigma) / mu_h and log(z' / mu_h) on the contour of N = nodes (nodes k = 0..N+1)
     and on its edges alpha + _HYP_UP and alpha - _HYP_DOWN (every other node, k = 0, 2, ..,
     N); the weights of the terms (h/pi, halved at k = 0) and of the estimate's rows
-    (_Hyperbola) before the per-spec factors; and the last node and the one before it of
-    the contour and of each edge."""
+    (_Hyperbola) before the per-spec factors; and the last node of the contour and of each
+    edge, then the node before each."""
     step = 1.0818 / nodes
     n = nodes + 1
     u = step * np.arange(n + 1.0)
@@ -346,7 +339,7 @@ def _hyperbola_shapes(nodes: int):
     weights[1, :n] = 2.0 * _EPS * terms
     weights[2, :n] = terms
     ends = np.array([n, n + len(up), weights.shape[1] - 1])
-    return np.concatenate(shape), sc.clog(np.concatenate(dshape)), terms, weights, np.stack([ends, ends - 1])
+    return np.concatenate(shape), sc.clog(np.concatenate(dshape)), terms, weights, np.concatenate([ends, ends - 1])
 
 
 def _saddle(spec: RatioSpec, log_rho: float, omega: float) -> float:
@@ -435,10 +428,11 @@ class _Hyperbola:
         mu_h = 4.4921 * nodes / top
         self.z = z = mu_h * shape
         z += sigma
-        arg = np.array(spec.A + spec.B)[:, None] * z
-        arg += np.array(spec.a + spec.b)[:, None]
+        scales, shifts = np.array((spec.A + spec.B, spec.a + spec.b))[:, :, None]
+        arg = scales * z
+        arg += shifts
         log_gamma, size = sc.log_gamma_plane(arg)
-        log_gamma[spec.p :] *= -1.0
+        log_gamma[spec.p :] *= _MINUS_ONE
         s_log_rho = z * inv.log_rho
         log_dz = log_dshape + math.log(mu_h)
         self.log_f = np.add.accumulate(log_gamma, axis=0)[-1]
@@ -447,7 +441,7 @@ class _Hyperbola:
         rounding = np.add.accumulate(size[:, :n], axis=0)[-1]
         rounding += np.abs(s_log_rho[:n])
         rounding += np.abs(log_dz[:n])
-        rounding += 3.0
+        rounding += _THREE
         abs_z = np.abs(z[:n])
         # Rows: the fixed part of the estimate, its part per unit |omega| and per unit
         # rounding of omega; columns the contour's nodes, the omitted one, the edges'.
@@ -455,23 +449,26 @@ class _Hyperbola:
         self.weights[0, :n] *= rounding
         self.weights[1:, :n] *= abs_z
 
-    def __call__(self, omega: np.ndarray, lead: list, lead_err: list, d_omega: list,
-                 tol: float) -> list[tuple[float, float, float, bool]]:
-        """(H - P, H, error, served) at every omega of the bin, from each point's P and rounding
-        of omega (H carries no error of P): served where the estimate is at most tol (|P| +
+    def __call__(self, points: list, tol: float) -> list[tuple[float, float, float, bool]]:
+        """(H - P, H, error, served) at every point (omega, P, its error, rounding of omega) of
+        the bin (H carries no error of P): served where the estimate is at most tol (|P| +
         |H - P|), the size of the two parts of the record, or at most _UNDERFLOW; a point
         whose integrand does not decay gives (-P, 0, inf, False)."""
+        om, lead, _, d_omega = zip(*points)
         n = len(self.terms)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = np.exp(omega[:, None] * self.z + self.log_f)
+            g = np.multiply.outer(om, self.z)
+            g += self.log_f
+            np.exp(g, out=g)
             abs_g = np.abs(g)
-            parts = (abs_g[:, None, :] * self.weights).sum(axis=2).tolist()
-            last, before = abs_g[:, self.ends[0]], abs_g[:, self.ends[1]]
-            decays = (2.0 * last <= before).all(axis=1).tolist()
+            parts = np.add.reduce(abs_g[:, None, :] * self.weights, axis=2).tolist()
+            ends = abs_g.take(self.ends, axis=1).tolist()
         terms = (g[:, :n].imag * self.terms).tolist()
         out = []
-        for w, p, d, row, (fixed, per_omega, per_d), ok in zip(omega.tolist(), lead, d_omega, terms, parts, decays):
-            if not (ok and math.isfinite(fixed)):
+        for w, p, d, row, (fixed, per_omega, per_d), (last0, last1, last2, before0, before1, before2) in zip(
+                om, lead, d_omega, terms, parts, ends):
+            if not (2.0 * last0 <= before0 and 2.0 * last1 <= before1 and 2.0 * last2 <= before2
+                    and math.isfinite(fixed)):
                 out.append((-p, 0.0, math.inf, False))
                 continue
             # |terms| <= (h/pi) |F e^(omega z) z'| each and (N + 1) h < 1.2: fsum cannot overflow.
@@ -484,24 +481,27 @@ class _Hyperbola:
 def _remainder_density(ev: DensityEvaluator, x: np.ndarray, lead_errors: bool = True) -> tuple:
     """_density_at at every finite x > 0 (no exclusion zone): the x entry of the engine,
     which bench/tracer.py wraps by name to count density points."""
-    for v in x.tolist():
+    xs = x.tolist()
+    for v in xs:
         if not 0.0 < v < math.inf:
             raise DomainError(f"density: x={v} must be a positive real")
+    rho, log_rho = ev.inv.rho, ev.inv.log_rho
     # x >= rho lies past the support, also where rounding leaves log(rho/x) > 0.
-    return _density_at(ev, np.where(x < ev.inv.rho, ev.inv.log_rho - np.log(x), 0.0), lead_errors)
+    return _density_at(ev, [log_rho - log_x if v < rho else 0.0 for v, log_x in zip(xs, np.log(x).tolist())],
+                       lead_errors)
 
 
-def _leading_part(omega: np.ndarray, lead: list, lead_err: list, d_omega: list,
-                  tol: float) -> list[tuple[float, float, float, bool]]:
+def _leading_part(points: list, tol: float) -> list[tuple[float, float, float, bool]]:
     """The path of a spec whose leading part is its density (DensityEvaluator.lead_exact):
     (0, P, error of P, served) at every point."""
-    return [(0.0, p, e, True) for p, e in zip(lead, lead_err)]
+    return [(0.0, p, p_err, True) for _, p, p_err, _ in points]
 
 
-def _density_at(ev: DensityEvaluator, omega: np.ndarray,
+def _density_at(ev: DensityEvaluator, omega: list,
                 lead_errors: bool = False) -> tuple[list, list, list, list, list]:
     """(leading part P, its error, remainder, value H, its error) of the density at x = rho
-    e^-omega, as five lists of per-point floats; all five are 0.0 past the support, omega <= 0.
+    e^-omega for every float of omega, as five lists of per-point floats; all five are 0.0
+    past the support, omega <= 0.
 
     Each point computes P = A* omega^(mu-1) / Gamma(mu) and the rounding of
     omega (of log rho, from the terms summed into it, of log x and of the
@@ -514,23 +514,23 @@ def _density_at(ev: DensityEvaluator, omega: np.ndarray,
     omega <= _SHIFT_OMEGA); the hyperbola rungs of the point's bin in turn,
     or the leading part where ev.lead_exact makes P the density; the series
     within half its radius above the switch.  Each path is asked once per
-    batch by all the points that reach it, and hands back each point's
-    (remainder, value, error) with whether it serves the point.  A point no
-    path serves raises QuadratureAccuracyError with the value of the path of
-    least estimate.  Series points return H = P + R and the error of R plus
-    that of P; a hyperbola point returns H itself, R = H - P and the error of
-    H, so H keeps its digits where P >> H.
+    batch by all the points that reach it, with each point's (omega, P, its
+    error, rounding of omega), and hands back each point's (remainder, value,
+    error) with whether it serves the point.  A point no path serves raises
+    QuadratureAccuracyError with the value of the path of least estimate.
+    Series points return H = P + R and the error of R plus that of P; a
+    hyperbola point returns H itself, R = H - P and the error of H, so H keeps
+    its digits where P >> H.
     """
-    om = omega.tolist()
-    n = len(om)
-    lead, lead_err, rem, value, err, d_omega = ([0.0] * n for _ in range(6))
+    n = len(omega)
+    lead, lead_err, rem, value, err = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     # Per-point loop: the evaluator's scalars as locals.
     scale, mu1, log_rho, log_rho_err = ev.lead_scale, ev.inv.mu - 1.0, ev.inv.log_rho, ev.log_rho_err
     rel, mu_err, psi_mu, half_radius = 1e-14 + ev.lead_err, ev.mu_err, ev.psi_mu, ev.half_radius
-    # The points that ask the series first (below its switch) and last (above it, within
-    # half its radius).
-    first, last = [], []
-    for k, w in enumerate(om):
+    # What a path is handed of each point within the support, and the points that ask
+    # the series first (below its switch) and last (above it, within half its radius).
+    points, first, last = {}, [], []
+    for k, w in enumerate(omega):
         if w <= 0.0:
             continue
         try:
@@ -538,16 +538,15 @@ def _density_at(ev: DensityEvaluator, omega: np.ndarray,
         except OverflowError:
             raise UnsupportedParameterError(f"leading part overflows at omega={w} (mu={ev.inv.mu})") from None
         d = log_rho_err + _EPS * (abs(log_rho - w) + w)
-        lead[k], d_omega[k] = p, d
-        if lead_errors:
-            lead_err[k] = p * (rel + mu_err * abs(math.log(w) - psi_mu) + abs(mu1) * d / w)
+        p_err = p * (rel + mu_err * abs(math.log(w) - psi_mu) + abs(mu1) * d / w) if lead_errors else 0.0
+        lead[k], lead_err[k], points[k] = p, p_err, (w, p, p_err, d)
         # Beyond half the radius of the series no point needs its switch.
         if w <= _SHIFT_OMEGA and w < half_radius and w < ev.series.switch:
             first.append(k)
         elif w < half_radius:
             last.append(k)
     # The points not served yet, each with the (value, error) of least error it was handed.
-    best = dict.fromkeys([k for k, w in enumerate(om) if w > 0.0], (0.0, math.inf))
+    best = dict.fromkeys(points, (0.0, math.inf))
     tol = ev.cfg.quad_rel_tol
     for stage in range(len(_RUNGS) + 2):
         # Stage 0 asks the series, stages 1.. the rungs of each point's bin (or the leading
@@ -562,14 +561,13 @@ def _density_at(ev: DensityEvaluator, omega: np.ndarray,
         else:
             bins: dict[float, list] = {}
             for k in best:
-                m, e = math.frexp(om[k])
+                m, e = math.frexp(omega[k])
                 bins.setdefault(math.ldexp(1.0, e - (m == 0.5)), []).append(k)
             asks = [(ev._contour(top, stage - 1), idx) for top, idx in bins.items()]
         for path, idx in asks:
             if path is None:
                 continue
-            for k, (r, v, e, ok) in zip(idx, path(omega[idx], [lead[k] for k in idx], [lead_err[k] for k in idx],
-                                                    [d_omega[k] for k in idx], tol)):
+            for k, (r, v, e, ok) in zip(idx, path([points[k] for k in idx], tol)):
                 if ok:
                     rem[k], value[k], err[k] = r, v, e
                     del best[k]
@@ -577,7 +575,7 @@ def _density_at(ev: DensityEvaluator, omega: np.ndarray,
                     best[k] = (v, e)
     for k, (v, e) in best.items():
         raise QuadratureAccuracyError(
-            f"no hyperbola rung and no endpoint series meets the tolerance (omega={om[k]}, error {e})",
+            f"no hyperbola rung and no endpoint series meets the tolerance (omega={omega[k]}, error {e})",
             best_estimate=v,
             error_estimate=e,
         )
@@ -587,11 +585,11 @@ def _density_at(ev: DensityEvaluator, omega: np.ndarray,
 class DensityEvaluator:
     """The density of one spec: its endpoint series and one _Hyperbola per omega bin and rung.
 
-    Derives and validates the spec; the Stirling coefficients and the
-    endpoint-series switch are computed at the first point that needs them,
-    and a rung's hyperbola for a bin at the first point in the bin that asks
-    it.  Requires mu > 0, equal scale sums and a finite rho and A*, and warns
-    once when mu is small enough to slow the contour decay.  Every point
+    Derives and validates the spec; the endpoint series (its Stirling
+    coefficients, switch and error weights) is set up at the first point that
+    needs it, and a rung's hyperbola for a bin at the first point in the bin
+    that asks it.  Requires mu > 0, equal scale sums and a finite rho and A*,
+    and warns once when the decay exponent mu is below 0.2.  Every point
     evaluated through one evaluator reuses the hyperbolas of the points
     before it, so a whole curve or an outer quadrature over x should go
     through a single evaluator, and through as few calls as possible:
@@ -616,7 +614,7 @@ class DensityEvaluator:
             )
         if inv.mu < _MU_WARN:
             warnings.warn(
-                f"mu={inv.mu} < {_MU_WARN}: slow contour decay, results may need a looser tolerance",
+                f"mu={inv.mu} < {_MU_WARN}: small decay exponent, results may need a looser tolerance",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -649,20 +647,14 @@ class DensityEvaluator:
             (B, b - 1.0) for B, b in zip(spec.B, spec.b))
         # (bin top, rung) -> its contour, or None for a rung that repeats the one before.
         self._hyperbolas: dict[tuple[float, int], _Hyperbola | None] = {}
+        self._series: _EndpointSeries | None = None
 
-    @functools.cached_property
-    def _stirling(self) -> tuple[list, list, list]:
-        """m d_m and their magnitudes, m = 1..K+1, and e_0..e_(K+1) of the Stirling series
-        W(s) rho^-s / (A* s^-mu) = sum_k e_k s^-k, as lists: one ratio._stirling_table, built
-        at the first point that asks the endpoint series."""
-        md, magnitudes = _stirling_table(self.spec, _SERIES_TERMS + 1)
-        md = md[1:].tolist()
-        return md, magnitudes[1:].tolist(), _stirling_coefficients(md)
-
-    @functools.cached_property
+    @property
     def series(self) -> _EndpointSeries:
         """The endpoint series, set up at the first point within half its radius."""
-        return _EndpointSeries(self)
+        if self._series is None:
+            self._series = _EndpointSeries(self)
+        return self._series
 
     def _contour(self, top: float, rung: int) -> _Hyperbola | None:
         """The rung's hyperbola for the bin top, built when a point first asks it.
@@ -698,14 +690,11 @@ class DensityEvaluator:
         return self._records(np.array([float(x)]))[0]
 
     def _records(self, xs: np.ndarray) -> list[HEvaluation]:
-        return [
-            HEvaluation(value=v, leading_part=lv, remainder_part=rv, error_estimate=e)
-            for lv, _, rv, v, e in zip(*_remainder_density(self, xs))
-        ]
+        return [HEvaluation(v, lv, rv, e) for lv, _, rv, v, e in zip(*_remainder_density(self, xs))]
 
     def _at_omega(self, omega: np.ndarray) -> np.ndarray:
         """Density H(rho e^-omega) at every omega > 0."""
-        return np.array(_density_at(self, omega)[3])
+        return np.array(_density_at(self, omega.tolist())[3])
 
     def edge_integral(self, f, w_hi: float) -> float:
         """int_0^w_hi H(rho e^-w) f(w) dw for f bounded on [0, w_hi], f taking an array.
@@ -728,7 +717,7 @@ class DensityEvaluator:
             if min(mu * math.log(w_gj), (mu - 1.0) * math.log(float(w.min()))) < _LOG_TINY:
                 raise UnsupportedParameterError(
                     f"edge integral: w^(mu-1) leaves the double range on (0, {w_gj}] (mu={mu})")
-            vals = np.array(_density_at(self, w)[3]) / w ** (mu - 1.0) * f(w)
+            vals = np.array(_density_at(self, w.tolist())[3]) / w ** (mu - 1.0) * f(w)
             q10, q20 = w_gj**mu * (w10 @ vals[:10]), w_gj**mu * (w20 @ vals[10:])
             if abs(q20 - q10) <= max(OUTER_EPSABS, OUTER_EPSREL * abs(q20)):
                 break
@@ -774,7 +763,7 @@ class DensityEvaluator:
         # One batch at the top of each bin the bulk crosses and at tau_max
         # builds the hyperbolas of the quadrature's later rounds.
         probes = [2.0**j for j in range(math.ceil(math.log2(tau_c)), math.ceil(math.log2(tau_max)))] + [tau_max]
-        _, _, _, value, est = _density_at(self, np.array(probes))
+        _, _, _, value, est = _density_at(self, probes)
         noise = 0.0
         if s < max(inv.gamma_pole, 0.0) + 0.05:
             noise = (tau_max - tau_c) * max(e * math.exp(-s * w) for w, e in zip(probes, est))

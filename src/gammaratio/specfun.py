@@ -50,9 +50,16 @@ _LOG_PI = math.log(math.pi)
 # its asymptotic form.
 _SIN_FAR = 200.0
 
+# Constants of the array arithmetic below as 0-d arrays of the operand's dtype: numpy casts a
+# Python float to the same value, at about the cost of the arithmetic on a contour's entries.
+_R_HALF, _R_ONE, _R_THREE, _R_PI, _R_SIN_FAR = (np.array(c) for c in (0.5, 1.0, 3.0, math.pi, _SIN_FAR))
+_C_HALF, _C_ONE, _C_PI, _C_HALF_LOG_2PI, _C_LOG_PI = (
+    np.array(complex(c)) for c in (0.5, 1.0, math.pi, _HALF_LOG_2PI, _LOG_PI))
+_C_6, _C_7, _C_8, _C_10, _C_12 = (np.array(complex(c)) for c in (6, 7, 8, 10, 12))
+
 # log Gamma(w) = (w - 1/2) log w - w + log(2 pi)/2 + sum_k B_2k / (2k (2k-1) w^(2k-1)),
 # k = 1..8, highest first for Horner's rule in 1/w^2.
-_STIRLING = tuple(_BERNOULLI[2 * k] / (2 * k * (2 * k - 1)) for k in range(8, 0, -1))
+_STIRLING = tuple(np.array(complex(_BERNOULLI[2 * k] / (2 * k * (2 * k - 1)))) for k in range(8, 0, -1))
 
 # Entries with |z| < 10 move to w = z + 8; elsewhere w = z, so |w| >= 8.
 _SHIFT = 8
@@ -97,7 +104,7 @@ def _stirling(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and the magnitude |w| (|log |w|| + 3) of the terms summed into it."""
     abs_w = np.abs(w)
     log_w = clog(w, abs_w)
-    r = 1.0 / w
+    r = _C_ONE / w
     r2 = r * r
     series = _STIRLING[0] * r2
     for c in _STIRLING[1:-1]:
@@ -105,12 +112,12 @@ def _stirling(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         series *= r2
     series += _STIRLING[-1]
     series *= r
-    value = w - 0.5
+    value = w - _C_HALF
     value *= log_w
     value -= w
     value += series
     size = np.abs(log_w.real)
-    size += 3.0
+    size += _R_THREE
     size *= abs_w
     return value, size
 
@@ -165,54 +172,58 @@ def log_gamma_plane(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the reach of the rounding of z near a pole.  An entry at a pole gives
     +inf (0 for its reciprocal) with magnitude 0.
     """
-    left = z.real < 0.5
+    left = z.real < _R_HALF
     v = z.copy()
-    np.subtract(1.0, z, out=v, where=left)
-    u = v * (v + 7.0)
-    product = (u + 6.0) * (u + 10.0)
-    product *= u * (u + 12.0)
-    v += 8.0
+    np.subtract(_C_ONE, z, out=v, where=left)
+    u = v * (v + _C_7)
+    product = (u + _C_6) * (u + _C_10)
+    product *= u * (u + _C_12)
+    v += _C_8
     value, size = _stirling(v)
     abs_product = np.abs(product)
-    if abs_product.max() < math.inf:
+    if np.count_nonzero(np.isfinite(abs_product)) == abs_product.size:
         shift = clog(product, abs_product)
     else:
-        shift = clog(u) + clog(u + 6.0) + clog(u + 10.0) + clog(u + 12.0)
+        shift = clog(u) + clog(u + _C_6) + clog(u + _C_10) + clog(u + _C_12)
     value -= shift
-    value += _HALF_LOG_2PI
+    value += _C_HALF_LOG_2PI
     size += np.abs(shift)
-    if not left.any():
-        return value, size
     zl = z[left]
+    if not zl.size:
+        return value, size
     k = np.rint(zl.real)
     f = zl - k
-    far = np.abs(f.imag) > _SIN_FAR
-    any_far = far.any()
+    far = np.abs(f.imag) > _R_SIN_FAR
+    any_far = np.count_nonzero(far)
     if any_far:
         f[far] = 0.5
-    sin = np.sin(np.pi * f)
+    sin = np.sin(_C_PI * f)
     abs_sin = np.abs(sin)
-    with np.errstate(divide="ignore"):
-        log_sin = clog(sin, abs_sin)
-        reach = 1.0 / abs_sin
+    pole = None
+    if np.count_nonzero(abs_sin) < abs_sin.size:
+        # At a pole sin(pi f) = 0; 1 in its place keeps its log and reach finite until set below.
+        pole = abs_sin == 0.0
+        sin[pole], abs_sin[pole] = 1.0, 1.0
+    log_sin = clog(sin, abs_sin)
+    reach = _R_ONE / abs_sin
     # sin(pi z) = (-1)^k sin(pi f); modulo 2 pi i that is i pi k.
-    log_sin.imag += np.pi * k
+    log_sin.imag += _R_PI * k
     if any_far:
         y, x = zl.imag[far], (zl.real - k)[far]
         phase = np.sign(y) * (0.5 * np.pi - np.pi * x) + np.pi * k[far]
         log_sin[far] = np.pi * np.abs(y) - math.log(2.0) + 1j * phase
         reach[far] = 0.0
-    log_sin -= _LOG_PI
+    log_sin -= _C_LOG_PI
     log_sin += value[left]
-    reach += 1.0
-    reach *= np.pi * np.abs(zl)
+    reach += _R_ONE
+    reach *= _R_PI * np.abs(zl)
     reach += np.abs(log_sin)
     np.negative(log_sin, out=log_sin)
-    pole = abs_sin == 0.0
-    if pole.any():
+    reach += size[left]
+    if pole is not None:
         log_sin[pole], reach[pole] = np.inf, 0.0
     value[left] = log_sin
-    size[left] = np.where(pole, 0.0, size[left] + reach)
+    size[left] = reach
     return value, size
 
 

@@ -1,4 +1,4 @@
-"""Independent references for the density, and the seeded spec generators the tests share.
+"""Independent references for the density, and the seeded spec generators and helpers the tests share.
 
 Tests and scripts/coverage.py import these from here, and no module under
 tests/ or scripts/ imports a test module (tests/test_oracles.py checks it);
@@ -6,7 +6,8 @@ pytest collects nothing here.  Each reference is made in mpmath from the
 spec's entries alone, with none of the package's numerics: EndpointSeries40
 and residue_sum_40 at 40 digits plus the digits their terms cancel,
 meijer_density at 20 digits, and invariants at the digits asked for.
-reference() picks the one that applies at a point.
+reference() picks the one that applies at a point.  The helpers,
+PACKAGE_ERRORS and hyperbola_point, read the package.
 """
 
 import functools
@@ -16,7 +17,8 @@ import random
 import mpmath
 import numpy as np
 
-from gammaratio import RatioSpec, build_unweighted
+from gammaratio import DomainError, QuadratureAccuracyError, RatioSpec, SingularPointError, build_unweighted
+from gammaratio.foxh import DensityEvaluator
 
 TERMS = 150
 # omega = log(rho/x) of the endpoint-series tests, all within half the series' radius of scaled_spec.
@@ -218,6 +220,20 @@ def box_spec(rng):
         b = [rng.uniform(0.0, 60.0) if shifted else 0.0 for _ in B]
         if math.fsum(b) - math.fsum(a) + 0.5 * (p - q) > 0.25:
             return RatioSpec(A=A, a=a, B=B, b=b)
+
+
+# The errors a density call may raise on a valid spec.
+PACKAGE_ERRORS = (DomainError, QuadratureAccuracyError, SingularPointError)
+
+
+def hyperbola_point(spec, omega):
+    """The record at rho e^-omega, and whether rung 0 of the hyperbola ladder served it: the
+    point built only rung-0 hyperbolas, or none on a spec whose leading part is its density
+    (DensityEvaluator.lead_exact), which no rung serves."""
+    ev = DensityEvaluator(spec)
+    got = ev.evaluate(math.exp(ev.inv.log_rho - omega))
+    rungs = [rung for _, rung in ev._hyperbolas]
+    return got, all(rung == 0 for rung in rungs) and (bool(rungs) or ev.lead_exact)
 
 
 # The fuzz and far sets of scripts/coverage.py: seed, points and omega range.

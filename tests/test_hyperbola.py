@@ -19,29 +19,11 @@ import numpy as np
 import pytest
 
 import gammaratio.foxh as foxh_mod
-from gammaratio import (
-    DomainError,
-    QuadratureAccuracyError,
-    RatioSpec,
-    SingularPointError,
-    density,
-    derive,
-    fox_h,
-    mellin_check,
-)
+from gammaratio import DomainError, QuadratureAccuracyError, RatioSpec, density, derive, fox_h, mellin_check
 from gammaratio.foxh import ContourConfig, DensityEvaluator
 from gammaratio.quadrature import GK_NODES
-from oracles import (EndpointSeries40, box_spec, coverage_points, full_box_spec, meijer_density, reference,
-                     residue_sum_40)
-
-PACKAGE_ERRORS = (DomainError, QuadratureAccuracyError, SingularPointError)
-
-
-def hyperbola_point(spec, omega):
-    """The record at rho e^-omega, and whether rung 0 of the hyperbola ladder served it."""
-    ev = DensityEvaluator(spec)
-    got = ev.evaluate(math.exp(ev.inv.log_rho - omega))
-    return got, bool(ev._hyperbolas) and all(rung == 0 for _, rung in ev._hyperbolas)
+from oracles import (PACKAGE_ERRORS, EndpointSeries40, box_spec, coverage_points, full_box_spec, hyperbola_point,
+                     meijer_density, reference, residue_sum_40)
 
 
 @pytest.mark.parametrize("name", ["spec_mixed_scale", "spec_paired", "spec_equal_scales"])

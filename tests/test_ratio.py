@@ -291,7 +291,7 @@ class TestStirlingTable:
     ):
         # m d_m = sum_i (-1)^(m+1) B_(m+1)(a_i) / ((m+1) A_i^m), minus the same
         # sum over (b_j, B_j), at 30 digits; the rounding bound of
-        # foxh._EndpointSeries._terms must hold for every row, m = 0..21.
+        # the error weights of foxh._EndpointSeries must hold for every row, m = 0..21.
         rng = random.Random(20150130)
         fixtures = [spec_mixed_scale, spec_paired, spec_bernstein_only, spec_equal_scales, spec_inverse_x]
         for spec in fixtures + [box_spec(rng) for _ in range(200)]:

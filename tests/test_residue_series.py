@@ -16,21 +16,14 @@ import pytest
 import gammaratio.foxh as foxh_mod
 from gammaratio import QuadratureAccuracyError, RatioSpec, derive, mellin_check
 from gammaratio.foxh import DensityEvaluator
-from oracles import box_spec, fresh_spec, reference, residue_sum_40
+from oracles import box_spec, fresh_spec, hyperbola_point, reference, residue_sum_40
 
 FIXTURES = ("spec_mixed_scale", "spec_paired", "spec_equal_scales", "spec_inverse_x")
 FAR = (6.5, 9.0, 14.0, 25.0, 40.0)
 
 
-def served(spec, omega):
-    """The record at rho e^-omega, and whether rung 0 of the hyperbola ladder served it."""
-    ev = DensityEvaluator(spec)
-    got = ev.evaluate(math.exp(ev.inv.log_rho - omega))
-    return got, all(rung == 0 for _, rung in ev._hyperbolas)
-
-
 def assert_within_estimate(spec, omega):
-    got, residue = served(spec, omega)
+    got, residue = hyperbola_point(spec, omega)
     assert residue, (spec, omega)
     exact = reference(spec, math.exp(derive(spec).log_rho - omega))
     assert abs(got.value - exact) <= got.error_estimate, (spec, omega, got, exact)
@@ -56,7 +49,7 @@ def test_box_specs_within_estimate():
         spec = box_spec(rng)
         omega = math.exp(rng.uniform(math.log(6.5), math.log(40.0)))
         try:
-            got, residue = served(spec, omega)
+            got, residue = hyperbola_point(spec, omega)
         except QuadratureAccuracyError:
             continue
         if not residue or (spec.p > 1 and not any(spec.a)):
@@ -79,7 +72,7 @@ def test_far_small_scale_spec_answers():
     # A scale of 1e-3 at omega = 40; the poles are simple, and the value is
     # that of a 40-digit residue sum.
     spec = RatioSpec(A=(1e-3, 1.0), a=(0.5, 0.2), B=(1.001,), b=(2.0,))
-    got, residue = served(spec, 40.0)
+    got, residue = hyperbola_point(spec, 40.0)
     assert residue
     assert abs(got.value - 6.376742079351005e-04) <= got.error_estimate < 1e-11
 

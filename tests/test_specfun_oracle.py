@@ -13,8 +13,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from gammaratio import digamma, log_gamma, polygamma
+import gammaratio.foxh as foxh_mod
+from gammaratio import derive, digamma, fox_h, log_gamma, polygamma, specfun
 from gammaratio.specfun import log_gamma_plane, loggamma
+from oracles import PACKAGE_ERRORS, coverage_points
 
 EPS = float(np.finfo(float).eps)
 
@@ -66,7 +68,43 @@ class TestComplexLogGamma:
         assert np.array_equal(loggamma(z), [log_gamma(v).value for v in z])
 
 
-def test_log_gamma_plane_within_magnitude():
+def assert_within_magnitude(points, value, size):
+    """Each value within 2 eps times its magnitude of mpmath's loggamma, modulo 2 pi i."""
+    with mpmath.workdps(30):
+        for z, v, m in zip(points, value, size):
+            diff = v - complex(mpmath.loggamma(mpmath.mpc(z)))
+            diff = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
+            assert abs(diff) <= 2.0 * EPS * m, (z, v, diff, m)
+
+
+def rung_0_calls(monkeypatch):
+    """(argument, value, magnitude) of every log_gamma_plane call a rung-0 hyperbola makes over
+    the fuzz and far sets of tests/oracles.coverage_points, as the contours made them."""
+    calls, rungs = [], []
+    init, plane = foxh_mod._Hyperbola.__init__, specfun.log_gamma_plane
+
+    def build(self, ev, top, rung, sigma):
+        rungs.append(rung)
+        init(self, ev, top, rung, sigma)
+
+    def recorded(z):
+        value, size = plane(z)
+        if rungs[-1] == 0:
+            calls.append((z.copy(), value.copy(), size.copy()))
+        return value, size
+
+    monkeypatch.setattr(foxh_mod._Hyperbola, "__init__", build)
+    monkeypatch.setattr(specfun, "log_gamma_plane", recorded)
+    for name in ("fuzz", "far"):
+        for spec, omega in coverage_points(name):
+            try:
+                fox_h(spec, math.exp(derive(spec).log_rho - omega))
+            except PACKAGE_ERRORS:
+                pass
+    return calls
+
+
+def test_log_gamma_plane_within_magnitude(monkeypatch):
     # The reflection log-gamma of the hyperbolic contour, modulo 2 pi i, within
     # 2 eps times its magnitude: -Re z and |Im z| log-uniform up to 1e3 (the
     # asymptotic log sin past |Im z| = 200 included), points right of 1/2,
@@ -79,14 +117,25 @@ def test_log_gamma_plane_within_magnitude():
     points += [complex(-3.0 + 1e-9, 0.0), complex(-7.5, 0.0), complex(0.2, 0.0), complex(-2.0, 1e-12),
                complex(0.49, -30.0), complex(-150.25, 200.5), complex(-0.3, -999.0)]
     value, size = log_gamma_plane(np.array(points))
-    with mpmath.workdps(30):
-        for z, v, m in zip(points, value.tolist(), size.tolist()):
-            diff = v - complex(mpmath.loggamma(mpmath.mpc(z)))
-            diff = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
-            assert abs(diff) <= 2.0 * EPS * m, (z, v, diff, m)
+    assert_within_magnitude(points, value.tolist(), size.tolist())
     # At a pole: +inf, whose reciprocal is 0, with magnitude 0.
     value, size = log_gamma_plane(np.array([-4.0 + 0j, 1.5 + 0j]))
     assert value[0] == math.inf and size[0] == 0.0
+    # The arguments the rung-0 hyperbolas pass, every 20th call: reflected entries and
+    # entries past |Im z| = 200 among them, each value as the contour got it.
+    calls = rung_0_calls(monkeypatch)[::20]
+    z = np.concatenate([arg.ravel() for arg, _, _ in calls])
+    reflected = z.real < 0.5
+    assert np.count_nonzero(reflected) > 1000 and np.count_nonzero(np.abs(z.imag[reflected]) > 200.0) > 100
+    for arg, value, size in calls:
+        assert_within_magnitude(arg.ravel().tolist(), value.ravel().tolist(), size.ravel().tolist())
+    # An exact pole in a contour's array: its first node on the real axis moved to 0 and
+    # to -2, the other entries as before.
+    arg = calls[0][0].copy()
+    arg[:2, 0] = 0.0, -2.0
+    value, size = log_gamma_plane(arg)
+    assert (value[:2, 0] == math.inf).all() and (size[:2, 0] == 0.0).all()
+    assert np.array_equal(value[:, 1:], calls[0][1][:, 1:]) and np.array_equal(size[:, 1:], calls[0][2][:, 1:])
 
 
 def test_digamma_within_estimate():
