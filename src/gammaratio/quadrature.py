@@ -51,23 +51,16 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half * resk, err
 
 
-def quad(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8, limit: int = 50,
-         points=None) -> tuple[float, float]:
-    """int_a^b f, adaptively on G10/K21 panels, and its error estimate.
+def quad(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
+         limit: int = 50) -> tuple[float, float]:
+    """int_a^b f for a < b, adaptively on G10/K21 panels, and its error estimate.
 
     Each round bisects, in one call of f, the fewest panels of largest error
     whose errors cover the excess over half the tolerance max(epsabs,
-    epsrel |integral|).  Reversed limits give the negated integral; points
-    inside (a, b) split it.  With limit panels held it returns the best sum
-    and its estimate, without raising or warning.
+    epsrel |integral|).  With limit panels held it returns the best sum and
+    its estimate, without raising or warning.
     """
-    if b < a:
-        value, err = quad(f, b, a, epsabs, epsrel, limit, points)
-        return -value, err
-    if a == b:
-        return 0.0, 0.0
-    edges = np.unique([a, b, *(p for p in points or () if a < p < b)])
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = np.array([float(a)]), np.array([float(b)])
     val, err = _gk21(f, lo, hi)
     while True:
         total, excess = float(val.sum()), float(err.sum())

@@ -3,7 +3,8 @@
 Every check here pits two independently computed sides of an identity
 against each other and reports residuals: Laplace reconstruction of the
 gamma ratio from its representing density, the log-kernel integral
-equations satisfied by the density (unit-scaling and weighted forms), a
+equation satisfied by the density (weighted, and at unit scales with its
+kernel in closed form, both through one quadrature routine), a
 finite-difference complete-monotonicity probe, Monte-Carlo moments of beta
 products, and exploratory zero counting for the kernel/density sign
 conjectures.
@@ -32,10 +33,6 @@ MC_TOL_SE = 5.0
 
 # Denominators smaller than this switch a residual from relative to absolute.
 _SAFE_DENOM = 1e-8
-
-# Excluded half-width around the removable singularity t = x of the
-# unit-scaling integral equation; the integrand is continued by its limit.
-_T_EXCLUSION = 1e-6
 
 _ZERO_BRACKET_WIDTH = 1e-8
 
@@ -123,9 +120,9 @@ def meijer_identity_residual(
 
         log(1/x) G(x) = int_x^1 G(t) sum_k ((x/t)^a_k - (x/t)^b_k) dt/(t-x).
 
-    The integrand has a removable singularity at t = x (continued by its
-    limit, sum(b-a) G(x)/x) and an integrable algebraic one at t = 1, which
-    is split off with a weighted quadrature after substituting t = e^-w.
+    At t = e^-w it is fox_identity_residual's equation with every scale 1,
+    and is integrated in w the same way, with the kernel in closed form,
+    Q(u) = sum_k (u^a_k - u^b_k) / (1 - u).
     """
     av = tuple(float(v) for v in a)
     bv = tuple(float(v) for v in b)
@@ -140,43 +137,16 @@ def meijer_identity_residual(
 def _meijer_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: float) -> ResidualReport:
     """meijer_identity_residual on the density of an existing unit-scaling evaluator."""
     av, bv = ev.spec.a, ev.spec.b
-    gap = math.fsum(bv) - math.fsum(av)
+
+    def kernel(u: np.ndarray) -> np.ndarray:
+        return sum(u**ak - u**bk for ak, bk in zip(av, bv)) / (1.0 - u)
+
     residuals = []
     for x in x_grid:
         x = float(x)
         if not 0.0 < x < 1.0:
             raise DomainError(f"meijer_identity_residual: x={x} outside (0, 1)")
-        g_x = ev.value(x)
-        lhs = math.log(1.0 / x) * g_x
-
-        def bracket(t: np.ndarray) -> np.ndarray:
-            r = x / t
-            return sum(r**ak - r**bk for ak, bk in zip(av, bv))
-
-        limit_value = gap * g_x / x
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            # Within _T_EXCLUSION of x the integrand is its limit; no density is needed there.
-            out = np.full_like(t, limit_value)
-            far = np.abs(t - x) > _T_EXCLUSION
-            t_far = t[far]
-            out[far] = ev.values(t_far) * bracket(t_far) / (t_far - x)
-            return out
-
-        t_hi = min(1.0 - 0.05, 0.5 * (x + 1.0))
-        mid = quad(
-            integrand, x, t_hi,
-            points=[x + _T_EXCLUSION],
-            epsabs=OUTER_EPSABS, epsrel=OUTER_EPSREL, limit=250,
-        )
-
-        def edge_factor(w: np.ndarray) -> np.ndarray:
-            t = np.exp(-w)
-            return bracket(t) / (t - x) * t
-
-        rhs = mid[0] + ev.edge_integral(edge_factor, -math.log(t_hi))
-        denom = abs(lhs)
-        residuals.append(abs(lhs - rhs) / denom if denom > _SAFE_DENOM else abs(lhs - rhs))
+        residuals.append(_integral_equation(ev, x, kernel))
     return _make_report("meijer_integral_equation", x_grid, residuals, tolerance)
 
 
@@ -190,9 +160,8 @@ def fox_identity_residual(
 
         log(rho/x) H(x) = int_0^{log(rho/x)} H(rho e^-w) Q((x/rho) e^w) dw,
 
-    with Q the multiplicative kernel.  The w^(mu-1) endpoint singularity of
-    the leading part is handled by a weighted quadrature; the kernel factor
-    near w = log(rho/x), i.e. u -> 1, uses the cancellation-free kernel path.
+    with Q the multiplicative kernel, taken from cm_kernel_t, whose
+    cancellation-free form serves u -> 1.
     """
     return _fox_report(DensityEvaluator(spec, cfg), x_grid, tolerance)
 
@@ -208,23 +177,34 @@ def _fox_report(ev: DensityEvaluator, x_grid: Sequence[float], tolerance: float)
         x = float(x)
         if not 0.0 < x < inv.rho * (1.0 - RHO_EXCLUSION):
             raise DomainError(f"fox_identity_residual: x={x} outside (0, rho)")
-        w_max = inv.log_rho - math.log(x)
-        w_cut = min(0.4, 0.25 * w_max)
-        h_x = ev.value(x)
-        lhs = w_max * h_x
-
-        def kernel_at(w: np.ndarray) -> np.ndarray:
-            return cm_kernel_t(spec, (x / inv.rho) * np.exp(w))
-
-        bulk = quad(
-            lambda w: ev.values(inv.rho * np.exp(-w)) * kernel_at(w),
-            w_cut, w_max, epsabs=OUTER_EPSABS, epsrel=OUTER_EPSREL, limit=250,
-        )
-        rhs = ev.edge_integral(kernel_at, w_cut) + bulk[0]
-        denom = abs(h_x)
-        # Residual is relative to |H(x)| per the check contract.
-        residuals.append(abs(lhs - rhs) / (w_max * denom) if denom > _SAFE_DENOM else abs(lhs - rhs))
+        residuals.append(_integral_equation(ev, x, lambda u: cm_kernel_t(spec, u)))
     return _make_report("fox_integral_equation", x_grid, residuals, tolerance)
+
+
+def _integral_equation(ev: DensityEvaluator, x: float, kernel) -> float:
+    """Residual of log(rho/x) H(x) = int_0^{log(rho/x)} H(rho e^-w) Q((x/rho) e^w) dw.
+
+    The w^(mu-1) endpoint singularity of the density at w = 0 is taken by
+    the edge rule (edge_integral) on [0, w_cut], the rest by the adaptive
+    G10/K21 rule.  The residual is relative to log(rho/x) |H(x)|, or
+    absolute where |H(x)| <= _SAFE_DENOM.
+    """
+    inv = ev.inv
+    w_max = inv.log_rho - math.log(x)
+    w_cut = min(0.4, 0.25 * w_max)
+    h_x = ev.value(x)
+    lhs = w_max * h_x
+
+    def kernel_at(w: np.ndarray) -> np.ndarray:
+        return kernel((x / inv.rho) * np.exp(w))
+
+    bulk = quad(
+        lambda w: ev.values(inv.rho * np.exp(-w)) * kernel_at(w),
+        w_cut, w_max, epsabs=OUTER_EPSABS, epsrel=OUTER_EPSREL, limit=250,
+    )
+    rhs = ev.edge_integral(kernel_at, w_cut) + bulk[0]
+    denom = abs(h_x)
+    return abs(lhs - rhs) / (w_max * denom) if denom > _SAFE_DENOM else abs(lhs - rhs)
 
 
 def cm_probe(

@@ -160,6 +160,15 @@ class TestIdentitiesAndZeros:
         assert "meijer_integral_equation" in ids
         assert "fox_integral_equation" in ids
 
+    def test_identities_unit_spec_at_small_x(self, tmp_path):
+        spec = {"name": "linear", "A": [1], "a": [0], "B": [1], "b": [2]}
+        cfg = write_config(tmp_path, {"specs": [spec], "commands": ["identities"], "grids": {"x": [1e-4]}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out)]) == EXIT_OK
+        checks = load_report(out, "linear", "identities")["checks"]
+        assert [chk["check_id"] for chk in checks] == ["meijer_integral_equation", "fox_integral_equation"]
+        assert all(chk["passed"] for chk in checks)
+
     def test_zeros_exploratory(self, tmp_path):
         cfg = write_config(tmp_path, {"specs": [INVERSE], "commands": ["zeros"]})
         out = tmp_path / "out"

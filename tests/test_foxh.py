@@ -291,6 +291,21 @@ class TestEdgeIntegral:
         exact = spbeta(alpha, mu) * (1.0 - betainc(alpha, mu, math.exp(-w_hi))) / spgamma(mu)
         assert got == pytest.approx(exact, rel=1e-9, abs=0.0)
 
+    def test_rule_halves_until_it_converges(self, spec_inverse_x, monkeypatch):
+        # H == 1 and weight w^0: cos(40 w) on [0, 3] is too fast for the
+        # 10/20-node rules, which halve their interval before G10/K21 takes the rest.
+        batches = []
+        density_at = foxh_mod._density_at
+
+        def recording(ev, omega, *args, **kwargs):
+            batches.append(len(omega))
+            return density_at(ev, omega, *args, **kwargs)
+
+        monkeypatch.setattr(foxh_mod, "_density_at", recording)
+        got = DensityEvaluator(spec_inverse_x).edge_integral(lambda w: np.cos(40.0 * w), 3.0)
+        assert abs(got - math.sin(120.0) / 40.0) <= 1e-14
+        assert batches.count(30) >= 2
+
 
 class TestStirlingSeries:
     @pytest.mark.parametrize("name", ["spec_mixed_scale", "spec_equal_scales"])

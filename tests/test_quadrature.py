@@ -41,26 +41,6 @@ class TestAdaptiveGK21:
         assert all(n % 21 == 0 for n in calls)
         assert len(calls) < sum(calls) // 21
 
-    def test_reversed_limits_negate(self):
-        f = np.cos
-        forward = quad(f, 0.2, 3.0, epsabs=1e-13, epsrel=1e-12)
-        backward = quad(f, 3.0, 0.2, epsabs=1e-13, epsrel=1e-12)
-        assert backward[0] == -forward[0]
-        assert backward[1] == forward[1]
-        assert forward[0] == pytest.approx(math.sin(3.0) - math.sin(0.2), rel=1e-13)
-
-    def test_points_split_the_interval(self):
-        # A jump at 0.3 is resolved at once when it is a panel edge; points
-        # outside the interval are ignored, as QUADPACK does.
-        def step(x):
-            return np.where(x < 0.3, 1.0, 2.0)
-
-        calls = []
-        value, err = quad(lambda x: calls.append(len(x)) or step(x), 0.0, 1.0, points=[0.3, 5.0])
-        assert calls == [42]
-        assert value == pytest.approx(0.3 + 1.4, rel=1e-14)
-        assert quad(lambda x: x * x, 1.0, 0.5, points=[1.000001])[0] == pytest.approx(-7.0 / 24.0, rel=1e-14)
-
     def test_limit_returns_best_without_raising(self, recwarn):
         # 1/sqrt|x - 1/3| cannot meet 1e-14 within 5 panels: the best sum and
         # its estimate come back, and nothing is raised or warned.

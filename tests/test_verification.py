@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -77,8 +78,9 @@ class TestMeijerIdentity:
             meijer_identity_residual((1.0,), (1.0,), [0.5])
 
     def test_excluded_nodes_skip_the_density(self, monkeypatch):
-        # Within 1e-6 of x the integrand is its limit value, so only the one
-        # density at x itself (the left-hand side) may come that close.
+        # The bulk's G10/K21 nodes lie inside (w_cut, log(1/x)), none at its
+        # end, and the edge rule asks for omega, not x, so only the one
+        # density at x itself (the left-hand side) comes within 1e-6 of x.
         batches = []
         values = DensityEvaluator.values
 
@@ -95,9 +97,31 @@ class TestMeijerIdentity:
         assert len(points) <= 25
 
     def test_interval_inside_exclusion(self):
-        # The quadrature runs over [x, 0.95], all of it within 1e-6 of x.
+        # A short w range, log(1/x) = 0.051, near the removable singularity
+        # of Q at u = 1.
         report = meijer_identity_residual((0.0,), (2.0,), [0.9499995])
         assert report.max_residual <= 1e-9
+
+    @pytest.mark.parametrize("a, b, xs", [((0.0,), (2.0,), [1e-3, 1e-4, 1e-5]),
+                                          ((0.5, 1.2), (1.7, 2.9), [1e-4])])
+    def test_small_x_within_tolerance(self, a, b, xs):
+        report = meijer_identity_residual(a, b, xs)
+        assert report.passed
+        assert report.max_residual <= 1e-7
+
+    def test_agrees_with_fox_identity_at_unit_scales(self, spec_inverse_x):
+        # With unit scales the two checks integrate one identity, Q in closed
+        # form against cm_kernel_t.  Specs drawn as identity-checks draws
+        # them: one factor, a in [0, 2], mu in [3, 4], x in [0.2, 0.8].
+        rng = random.Random(20150127)
+        cases = [(spec_inverse_x, x) for x in (0.2, 0.37, 0.8)]
+        for _ in range(8):
+            a = rng.uniform(0.0, 2.0)
+            cases.append((RatioSpec(A=(1.0,), a=(a,), B=(1.0,), b=(a + rng.uniform(3.0, 4.0),)),
+                          rng.uniform(0.2, 0.8)))
+        for spec, x in cases:
+            assert meijer_identity_residual(spec.a, spec.b, [x]).max_residual <= 1e-11
+            assert fox_identity_residual(spec, [x]).max_residual <= 1e-11
 
 
 class TestFoxIdentity:
